@@ -1,15 +1,11 @@
 #include "src/runtime/batch.h"
 
-#include <chrono>
-#include <future>
-#include <mutex>
-#include <thread>
+#include <type_traits>
 
 #include "src/lint/lint.h"
 #include "src/lint/prove.h"
-#include "src/runtime/executor.h"
-#include "src/util/diagnostics.h"
-#include "src/util/error.h"
+#include "src/runtime/runner.h"
+#include "src/runtime/supervisor.h"
 #include "src/util/rng.h"
 
 namespace ape::runtime {
@@ -38,101 +34,82 @@ lint::FeasibilityProof prove_gate(const est::Process& proc,
   return proof;
 }
 
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+template <class Outcome, class Spec>
+Outcome wrap_estimate(const est::Process& proc, const Spec& spec,
+                      const BatchOptions& options, const char* comment) {
+  lint_gate(options.lint_first, proc, spec);
+  Outcome out;
+  out.design = *detail::estimate(proc, spec, options.cache);
+  out.functional = true;
+  out.comment = comment;
+  out.restarts_run = 0;
+  return out;
 }
 
-int resolve_threads(int requested) {
-  if (requested > 0) return requested;
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  return hw > 0 ? hw : 1;
-}
-
-/// Run \p job(i) for every i in [0, n) on a pool of \p threads workers
-/// (inline when threads == 1), storing into \p results[i]. Each job is
-/// wrapped with its own ErrorContext frame (re-anchored to the chain open
-/// on the calling thread) and its ape::Errors are captured per job.
-/// Every job also runs under its own ambient KernelStats sink; the
-/// per-job tallies are merged into \p kernel_agg under a mutex. Counter
-/// merging is a commutative sum (max for the byte gauges), so the
-/// aggregate is thread-count invariant like the job outcomes themselves.
-template <class Result, class Job>
-void fan_out(size_t n, int threads, const char* label,
-             std::vector<Result>& results, KernelStats& kernel_agg,
-             const Job& job) {
-  results.resize(n);
-  const std::string parent = ErrorContext::chain();
-  std::mutex agg_mu;
-
-  auto run_one = [&](size_t i) {
-    Result r;
-    r.index = i;
-    const std::string frame =
-        std::string(label) + "[" + std::to_string(i) + "]";
-    ErrorContext scope(parent.empty() ? frame : parent + " -> " + frame);
-    KernelStats job_kernel;
-    {
-      ScopedKernelStatsSink sink(job_kernel);
-      try {
-        r.outcome = job(i);
-        r.ok = true;
-      } catch (const Error& e) {
-        r.error = e.what();
-      } catch (const std::exception& e) {
-        // Non-ape exceptions (bad_alloc, logic errors) are still isolated
-        // per job; annotate manually since only ape::Error self-annotates.
-        r.error = annotate_with_context(e.what());
-      }
+template <class Design, class Spec>
+BatchResult<std::shared_ptr<const Design>> estimate_batch(
+    const est::Process& proc, const std::vector<Spec>& specs,
+    const BatchOptions& options, const char* label) {
+  detail::BatchRunner runner(options.threads, options.cache);
+  BatchResult<std::shared_ptr<const Design>> out;
+  runner.run(label, specs.size(), out.jobs, [&](size_t i, auto& r) {
+    lint_gate(options.lint_first, proc, specs[i]);
+    if constexpr (std::is_same_v<Spec, est::OpAmpSpec>) {
+      if (options.lint_first) prove_gate(proc, specs[i], /*contract=*/false);
     }
-    {
-      std::lock_guard<std::mutex> lock(agg_mu);
-      kernel_agg.accumulate(job_kernel);
-    }
-    return r;
-  };
-
-  if (threads <= 1 || n <= 1) {
-    for (size_t i = 0; i < n; ++i) results[i] = run_one(i);
-    return;
-  }
-  Executor pool(static_cast<int>(
-      std::min(static_cast<size_t>(threads), n)));
-  std::vector<std::future<Result>> futures;
-  futures.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    futures.push_back(pool.submit([&run_one, i] { return run_one(i); }));
-  }
-  for (size_t i = 0; i < n; ++i) results[i] = futures[i].get();
+    r.outcome = detail::estimate(proc, specs[i], options.cache);
+    r.ok = true;
+  });
+  runner.finish(out.jobs, [](const auto&) { return false; }, out.stats);
+  return out;
 }
 
-/// Fill the aggregate stats: timings, failure counts, cache delta.
-template <class BatchResult>
-void finish_stats(BatchResult& out, int threads, double t0,
-                  const EstimateCache* cache, const CacheStats& cache_before) {
-  BatchStats& s = out.stats;
-  s.jobs = static_cast<int>(out.jobs.size());
-  s.threads = threads;
-  for (const auto& j : out.jobs) {
-    if (!j.ok) ++s.failed;
-  }
-  s.wall_seconds = now_seconds() - t0;
-  s.jobs_per_second = s.wall_seconds > 0.0 ? s.jobs / s.wall_seconds : 0.0;
-  if (cache != nullptr) {
-    const CacheStats after = cache->stats();
-    s.cache.hits = after.hits - cache_before.hits;
-    s.cache.misses = after.misses - cache_before.misses;
-  }
+/// The default supervision of a plain batch: one attempt, no fallback,
+/// no deadline, no quarantine, no checkpoint.
+SupervisorOptions default_supervision(const BatchOptions& options) {
+  SupervisorOptions sup;
+  sup.batch = options;
+  return sup;
 }
 
 }  // namespace
 
 namespace detail {
 
-synth::SynthesisOutcome run_one_opamp(const est::Process& proc,
-                                      const est::OpAmpSpec& spec, size_t index,
-                                      const BatchOptions& options) {
+std::shared_ptr<const est::OpAmpDesign> estimate(const est::Process& proc,
+                                                 const est::OpAmpSpec& spec,
+                                                 EstimateCache* cache) {
+  if (cache != nullptr) return cache->opamp(proc, spec);
+  return std::make_shared<const est::OpAmpDesign>(
+      est::OpAmpEstimator(proc).estimate(spec));
+}
+
+std::shared_ptr<const est::ModuleDesign> estimate(const est::Process& proc,
+                                                  const est::ModuleSpec& spec,
+                                                  EstimateCache* cache) {
+  if (cache != nullptr) return cache->module(proc, spec);
+  return std::make_shared<const est::ModuleDesign>(
+      est::ModuleEstimator(proc).estimate(spec));
+}
+
+synth::SynthesisOutcome estimate_outcome(const est::Process& proc,
+                                         const est::OpAmpSpec& spec,
+                                         const BatchOptions& options,
+                                         const char* comment) {
+  return wrap_estimate<synth::SynthesisOutcome>(proc, spec, options, comment);
+}
+
+synth::ModuleSynthesisOutcome estimate_outcome(const est::Process& proc,
+                                               const est::ModuleSpec& spec,
+                                               const BatchOptions& options,
+                                               const char* comment) {
+  return wrap_estimate<synth::ModuleSynthesisOutcome>(proc, spec, options,
+                                                      comment);
+}
+
+synth::SynthesisOutcome run_one(const est::Process& proc,
+                                const est::OpAmpSpec& spec, size_t index,
+                                const BatchOptions& options) {
   lint_gate(options.lint_first, proc, spec);
   synth::SynthesisOptions so = options.synth;
   if (options.lint_first) {
@@ -161,10 +138,10 @@ synth::SynthesisOutcome run_one_opamp(const est::Process& proc,
   return synth::synthesize_opamp(proc, spec, so);
 }
 
-synth::ModuleSynthesisOutcome run_one_module(const est::Process& proc,
-                                             const est::ModuleSpec& spec,
-                                             size_t index,
-                                             const BatchOptions& options) {
+synth::ModuleSynthesisOutcome run_one(const est::Process& proc,
+                                      const est::ModuleSpec& spec,
+                                      size_t index,
+                                      const BatchOptions& options) {
   lint_gate(options.lint_first, proc, spec);
   synth::SynthesisOptions so = options.synth;
   so.anneal.seed = Rng::derive_stream(options.seed, index);
@@ -182,82 +159,27 @@ synth::ModuleSynthesisOutcome run_one_module(const est::Process& proc,
 OpAmpBatchResult run_opamp_batch(const est::Process& proc,
                                  const std::vector<est::OpAmpSpec>& specs,
                                  const BatchOptions& options) {
-  const double t0 = now_seconds();
-  const int threads = resolve_threads(options.threads);
-  const CacheStats before =
-      options.cache != nullptr ? options.cache->stats() : CacheStats{};
-
-  OpAmpBatchResult out;
-  fan_out(specs.size(), threads, "opamp_batch", out.jobs,
-          out.stats.kernel, [&](size_t i) {
-    return detail::run_one_opamp(proc, specs[i], i, options);
-  });
-  for (const auto& j : out.jobs) {
-    if (j.ok && j.outcome.meets_spec) ++out.stats.met_spec;
-  }
-  finish_stats(out, threads, t0, options.cache, before);
-  return out;
+  return run_supervised_opamp_batch(proc, specs, default_supervision(options));
 }
 
 ModuleBatchResult run_module_batch(const est::Process& proc,
                                    const std::vector<est::ModuleSpec>& specs,
                                    const BatchOptions& options) {
-  const double t0 = now_seconds();
-  const int threads = resolve_threads(options.threads);
-  const CacheStats before =
-      options.cache != nullptr ? options.cache->stats() : CacheStats{};
-
-  ModuleBatchResult out;
-  fan_out(specs.size(), threads, "module_batch", out.jobs,
-          out.stats.kernel, [&](size_t i) {
-    return detail::run_one_module(proc, specs[i], i, options);
-  });
-  for (const auto& j : out.jobs) {
-    if (j.ok && j.outcome.meets_spec) ++out.stats.met_spec;
-  }
-  finish_stats(out, threads, t0, options.cache, before);
-  return out;
+  return run_supervised_module_batch(proc, specs, default_supervision(options));
 }
 
 OpAmpEstimateBatchResult estimate_opamp_batch(
     const est::Process& proc, const std::vector<est::OpAmpSpec>& specs,
     const BatchOptions& options) {
-  const double t0 = now_seconds();
-  const int threads = resolve_threads(options.threads);
-  const CacheStats before =
-      options.cache != nullptr ? options.cache->stats() : CacheStats{};
-
-  OpAmpEstimateBatchResult out;
-  fan_out(specs.size(), threads, "opamp_estimate", out.jobs,
-          out.stats.kernel, [&](size_t i) {
-    lint_gate(options.lint_first, proc, specs[i]);
-    if (options.lint_first) prove_gate(proc, specs[i], /*contract=*/false);
-    if (options.cache != nullptr) return options.cache->opamp(proc, specs[i]);
-    return std::make_shared<const est::OpAmpDesign>(
-        est::OpAmpEstimator(proc).estimate(specs[i]));
-  });
-  finish_stats(out, threads, t0, options.cache, before);
-  return out;
+  return estimate_batch<est::OpAmpDesign>(proc, specs, options,
+                                          "opamp_estimate");
 }
 
 ModuleEstimateBatchResult estimate_module_batch(
     const est::Process& proc, const std::vector<est::ModuleSpec>& specs,
     const BatchOptions& options) {
-  const double t0 = now_seconds();
-  const int threads = resolve_threads(options.threads);
-  const CacheStats before =
-      options.cache != nullptr ? options.cache->stats() : CacheStats{};
-
-  ModuleEstimateBatchResult out;
-  fan_out(specs.size(), threads, "module_estimate", out.jobs,
-          out.stats.kernel, [&](size_t i) {
-    lint_gate(options.lint_first, proc, specs[i]);
-    if (options.cache != nullptr) return options.cache->module(proc, specs[i]);
-    return std::make_shared<const est::ModuleDesign>(
-        est::ModuleEstimator(proc).estimate(specs[i]));
-  });
-  finish_stats(out, threads, t0, options.cache, before);
-  return out;
+  return estimate_batch<est::ModuleDesign>(proc, specs, options,
+                                           "module_estimate");
 }
 
 }  // namespace ape::runtime

@@ -4,6 +4,14 @@
 /// fan a vector of specs across a runtime::Executor and collect per-job
 /// results, with per-job error isolation and deterministic seeding.
 ///
+/// One runner: the synthesis batches here are supervised batches
+/// (supervisor.h) run with the default SupervisorOptions — one attempt,
+/// no fallback, no deadline — and every fan-out of the runtime (these
+/// batches, the estimate-only batches, both corner-sweep phases) goes
+/// through the same loop, which stamps each job's provenance frame,
+/// tallies its solver-kernel counters into BatchStats and isolates its
+/// errors.
+///
 /// Seeding discipline: job i always synthesizes with the anneal seed
 /// Rng::derive_stream(options.seed, i) (restarts inside a job derive
 /// further sub-streams), and every job runs to completion regardless of
@@ -13,8 +21,8 @@
 /// BatchStats timings) and an optional *shared* RunBudget/deadline in
 /// options.synth.anneal.budget, which trades determinism for boundedness.
 ///
-/// Error isolation: a job whose synthesis or estimation throws ape::Error
-/// fails alone — the error (already carrying the job's ErrorContext
+/// Error isolation: a job whose synthesis or estimation throws fails
+/// alone — the error (already carrying the job's ErrorContext
 /// provenance, stamped "opamp_batch[i]" / "module_batch[i]") is captured
 /// on the job result and the rest of the batch completes normally.
 
@@ -28,6 +36,7 @@
 #include "src/runtime/cache.h"
 #include "src/synth/astrx.h"
 #include "src/util/diagnostics.h"
+#include "src/util/retry.h"
 
 namespace ape::runtime {
 
@@ -56,14 +65,24 @@ struct BatchOptions {
   bool lint_first = false;
 };
 
-/// One job's outcome; `ok == false` means the job threw and `error`
-/// holds the provenance-annotated message.
+/// One job's result; `ok == false` means the job failed and `error`
+/// holds the provenance-annotated message. The fields after `outcome`
+/// are the supervision ladder's account of how the result was obtained
+/// (supervisor.h); estimate-only batches run no ladder and leave them at
+/// their defaults.
 template <class Outcome>
 struct JobResult {
   size_t index = 0;    ///< position in the input spec vector
   bool ok = false;
   std::string error;   ///< empty when ok
   Outcome outcome{};   ///< default-constructed when !ok
+  int attempts = 0;                            ///< attempts run (0 if skipped)
+  RetryRung final_rung = RetryRung::Initial;   ///< rung of the last attempt
+  bool deadline_hit = false;  ///< stopped by the per-job deadline
+  bool cancelled = false;     ///< stopped by the CancelToken
+  bool quarantined = false;   ///< skipped: fingerprint was quarantined
+  bool estimate_fallback = false;  ///< outcome is the bare APE estimate
+  bool resumed = false;       ///< restored from a checkpoint, not re-run
 };
 
 using OpAmpJobResult = JobResult<synth::SynthesisOutcome>;
@@ -84,26 +103,52 @@ struct BatchStats {
   /// bit-identical at any thread count). Newton iterations, LU
   /// factorizations, fused AC points, and the sparse-path counters
   /// (symbolic analyses/reuses, numeric refactorizations, fallbacks)
-  /// all surface here.
+  /// all surface here — for plain, supervised and sweep runs alike.
   KernelStats kernel;
 };
 
-struct OpAmpBatchResult {
-  std::vector<OpAmpJobResult> jobs;  ///< jobs[i] is specs[i] (index order)
-  BatchStats stats;
+/// Aggregate supervision counters for one batch.
+struct SupervisionStats {
+  int attempts = 0;           ///< ladder attempts actually run
+  int retries = 0;            ///< attempts beyond each job's first
+  int numeric_recovery_attempts = 0;  ///< attempts under NumericHealthMode::Force
+  int relaxed_attempts = 0;   ///< attempts run under ScopedSolverRelaxation
+  int estimate_fallbacks = 0; ///< jobs resolved by the estimate-only rung
+  int backoff_waits = 0;      ///< backoff sleeps taken
+  double backoff_seconds = 0.0;
+  int deadline_hits = 0;      ///< jobs stopped by their deadline
+  int cancelled_jobs = 0;     ///< jobs stopped by the CancelToken
+  int quarantine_skips = 0;   ///< jobs skipped on a quarantined fingerprint
+  int quarantined_new = 0;    ///< fingerprints newly quarantined this run
+  int checkpoints_written = 0;
+  int resumed_jobs = 0;       ///< jobs restored from the resume checkpoint
+
+  /// Merge another batch's (or job's) counters into this one.
+  void accumulate(const SupervisionStats& o);
+
+  /// One-line human-readable summary (same idiom as KernelStats).
+  std::string summary() const;
 };
 
-struct ModuleBatchResult {
-  std::vector<ModuleJobResult> jobs;
+/// Every batch entry point returns one of these.
+template <class Outcome>
+struct BatchResult {
+  std::vector<JobResult<Outcome>> jobs;  ///< jobs[i] is specs[i] (index order)
   BatchStats stats;
+  SupervisionStats supervision;  ///< all zero for estimate-only batches
 };
 
-/// Synthesize every opamp spec (one synthesize_opamp job per spec).
+using OpAmpBatchResult = BatchResult<synth::SynthesisOutcome>;
+using ModuleBatchResult = BatchResult<synth::ModuleSynthesisOutcome>;
+
+/// Synthesize every opamp spec (one synthesize_opamp job per spec): a
+/// run_supervised_opamp_batch with the default SupervisorOptions.
 OpAmpBatchResult run_opamp_batch(const est::Process& proc,
                                  const std::vector<est::OpAmpSpec>& specs,
                                  const BatchOptions& options);
 
-/// Synthesize every module spec (one synthesize_module job per spec).
+/// Synthesize every module spec (one synthesize_module job per spec): a
+/// run_supervised_module_batch with the default SupervisorOptions.
 ModuleBatchResult run_module_batch(const est::Process& proc,
                                    const std::vector<est::ModuleSpec>& specs,
                                    const BatchOptions& options);
@@ -111,14 +156,10 @@ ModuleBatchResult run_module_batch(const est::Process& proc,
 /// Estimate-only batches: the APE itself (no annealing, no simulator),
 /// the workload of the paper's 0.12 s / 0.14 s CPU-time claims at scale.
 /// Designs are shared cache entries when a cache is supplied.
-struct OpAmpEstimateBatchResult {
-  std::vector<JobResult<std::shared_ptr<const est::OpAmpDesign>>> jobs;
-  BatchStats stats;
-};
-struct ModuleEstimateBatchResult {
-  std::vector<JobResult<std::shared_ptr<const est::ModuleDesign>>> jobs;
-  BatchStats stats;
-};
+using OpAmpEstimateBatchResult =
+    BatchResult<std::shared_ptr<const est::OpAmpDesign>>;
+using ModuleEstimateBatchResult =
+    BatchResult<std::shared_ptr<const est::ModuleDesign>>;
 
 OpAmpEstimateBatchResult estimate_opamp_batch(
     const est::Process& proc, const std::vector<est::OpAmpSpec>& specs,
@@ -127,24 +168,5 @@ OpAmpEstimateBatchResult estimate_opamp_batch(
 ModuleEstimateBatchResult estimate_module_batch(
     const est::Process& proc, const std::vector<est::ModuleSpec>& specs,
     const BatchOptions& options);
-
-namespace detail {
-
-/// The body of one opamp batch job (lint gate, per-job seed derivation,
-/// cached APE-seed resolution, synthesis) without the fan-out / error
-/// capture around it. Exposed so the supervised runtime (supervisor.h)
-/// re-runs exactly the same job under its retry ladder: a supervised
-/// attempt and an unsupervised job are byte-for-byte the same work.
-synth::SynthesisOutcome run_one_opamp(const est::Process& proc,
-                                      const est::OpAmpSpec& spec, size_t index,
-                                      const BatchOptions& options);
-
-/// Module counterpart of run_one_opamp.
-synth::ModuleSynthesisOutcome run_one_module(const est::Process& proc,
-                                             const est::ModuleSpec& spec,
-                                             size_t index,
-                                             const BatchOptions& options);
-
-}  // namespace detail
 
 }  // namespace ape::runtime

@@ -6,30 +6,21 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <future>
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include "src/lint/lint.h"
-#include "src/runtime/executor.h"
+#include "src/runtime/runner.h"
 #include "src/util/error.h"
 #include "src/util/json.h"
 
 namespace ape::runtime {
 namespace {
 
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-int resolve_threads(int requested) {
-  if (requested > 0) return requested;
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  return hw > 0 ? hw : 1;
-}
+/// Comment of an outcome produced by the EstimateOnly rung.
+constexpr const char* kEstimateFallback = "estimate-only fallback";
 
 uint64_t fnv1a(const std::string& s) {
   uint64_t h = 1469598103934665603ULL;
@@ -38,22 +29,6 @@ uint64_t fnv1a(const std::string& s) {
     h *= 1099511628211ULL;
   }
   return h;
-}
-
-void merge(SupervisionStats& into, const SupervisionStats& from) {
-  into.attempts += from.attempts;
-  into.retries += from.retries;
-  into.numeric_recovery_attempts += from.numeric_recovery_attempts;
-  into.relaxed_attempts += from.relaxed_attempts;
-  into.estimate_fallbacks += from.estimate_fallbacks;
-  into.backoff_waits += from.backoff_waits;
-  into.backoff_seconds += from.backoff_seconds;
-  into.deadline_hits += from.deadline_hits;
-  into.cancelled_jobs += from.cancelled_jobs;
-  into.quarantine_skips += from.quarantine_skips;
-  into.quarantined_new += from.quarantined_new;
-  into.checkpoints_written += from.checkpoints_written;
-  into.resumed_jobs += from.resumed_jobs;
 }
 
 RetryRung rung_from_string(const std::string& s) {
@@ -65,59 +40,15 @@ RetryRung rung_from_string(const std::string& s) {
   throw ParseError("checkpoint: unknown retry rung '" + s + "'");
 }
 
-template <class Spec>
-void lint_gate(bool enabled, const est::Process& proc, const Spec& spec) {
-  if (!enabled) return;
-  lint::require_clean(lint::lint_spec(spec, proc), "lint-first");
-}
-
-/// The EstimateOnly rung for an opamp job: the bare APE estimate wrapped
-/// in a SynthesisOutcome — no annealing, no simulator. Deterministic, so
-/// a resumed run re-derives it instead of persisting the design.
-synth::SynthesisOutcome estimate_only_opamp(const est::Process& proc,
-                                            const est::OpAmpSpec& spec,
-                                            const BatchOptions& options) {
-  lint_gate(options.lint_first, proc, spec);
-  synth::SynthesisOutcome out;
-  if (options.cache != nullptr) {
-    out.design = *options.cache->opamp(proc, spec);
-  } else {
-    out.design = est::OpAmpEstimator(proc).estimate(spec);
-  }
-  out.functional = true;
-  out.comment = "estimate-only fallback";
-  out.restarts_run = 0;
-  return out;
-}
-
-synth::ModuleSynthesisOutcome estimate_only_module(const est::Process& proc,
-                                                  const est::ModuleSpec& spec,
-                                                  const BatchOptions& options) {
-  lint_gate(options.lint_first, proc, spec);
-  synth::ModuleSynthesisOutcome out;
-  if (options.cache != nullptr) {
-    out.design = *options.cache->module(proc, spec);
-  } else {
-    out.design = est::ModuleEstimator(proc).estimate(spec);
-  }
-  out.functional = true;
-  out.comment = "estimate-only fallback";
-  out.restarts_run = 0;
-  return out;
-}
-
-/// Run one job's full recovery ladder (see supervisor.h). \p run_attempt
-/// executes a normal synthesis attempt, \p estimate_only the fallback
-/// rung; both are invoked on the current (worker) thread under the job's
-/// ambient budget and, on relaxed rungs, under ScopedSolverRelaxation.
-template <class Outcome, class RunAttempt, class EstimateOnly>
-SupervisedJobResult<Outcome> supervise_one(size_t index, uint64_t fp,
-                                           const SupervisorOptions& options,
-                                           SupervisionStats& stats,
-                                           const RunAttempt& run_attempt,
-                                           const EstimateOnly& estimate_only) {
-  SupervisedJobResult<Outcome> r;
-  r.index = index;
+/// Run job \p index's full recovery ladder (see supervisor.h) into \p r.
+/// Every attempt — a synthesis attempt (detail::run_one) or the
+/// estimate fallback — runs on the current (worker) thread under the
+/// job's ambient budget and, on relaxed rungs, under
+/// ScopedSolverRelaxation.
+template <class Spec, class Outcome>
+void supervise_one(const est::Process& proc, const Spec& spec, size_t index,
+                   uint64_t fp, const SupervisorOptions& options,
+                   SupervisionStats& stats, JobResult<Outcome>& r) {
   const RetryPolicy& policy = options.retry;
 
   if (options.quarantine != nullptr) {
@@ -126,7 +57,7 @@ SupervisedJobResult<Outcome> supervise_one(size_t index, uint64_t fp,
       r.quarantined = true;
       r.error = annotate_with_context("quarantined: " + why);
       ++stats.quarantine_skips;
-      return r;
+      return;
     }
   }
 
@@ -191,11 +122,11 @@ SupervisedJobResult<Outcome> supervise_one(size_t index, uint64_t fp,
   for (;;) {
     if (budget.cancelled()) {
       cancelled_result();
-      return r;
+      return;
     }
     if (budget.exhausted()) {
       deadline_result();
-      return r;
+      return;
     }
     if (rung == RetryRung::Fail) break;
 
@@ -239,16 +170,17 @@ SupervisedJobResult<Outcome> supervise_one(size_t index, uint64_t fp,
 
     try {
       if (rung == RetryRung::EstimateOnly) {
-        r.outcome = estimate_only(index);
+        r.outcome = detail::estimate_outcome(proc, spec, options.batch,
+                                              kEstimateFallback);
         r.ok = true;
         r.estimate_fallback = true;
         ++stats.estimate_fallbacks;
-        return r;
+        return;
       }
-      Outcome out = run_attempt(index);
+      Outcome out = detail::run_one(proc, spec, index, options.batch);
       if (budget.cancelled()) {
         cancelled_result();
-        return r;
+        return;
       }
       if (budget.exhausted()) {
         // The deadline fired mid-attempt but the search still returned
@@ -257,7 +189,7 @@ SupervisedJobResult<Outcome> supervise_one(size_t index, uint64_t fp,
         r.ok = true;
         r.deadline_hit = true;
         ++stats.deadline_hits;
-        return r;
+        return;
       }
       if (out.sim_failed && policy.retry_sim_failures) {
         // Synthesis finished but the simulator verification threw —
@@ -278,28 +210,28 @@ SupervisedJobResult<Outcome> supervise_one(size_t index, uint64_t fp,
       r.outcome = std::move(out);
       r.ok = true;
       if (options.quarantine != nullptr) options.quarantine->record_success(fp);
-      return r;
+      return;
     } catch (const lint::LintError& e) {
       if (budget.cancelled()) {
         cancelled_result();
-        return r;
+        return;
       }
       lint_verdict = true;
       record_attempt_failure(e.what());
       if (budget.exhausted()) {
         deadline_result();
-        return r;
+        return;
       }
       escalate(e.klass());  // Permanent: straight to the estimate fallback
     } catch (const Error& e) {
       if (budget.cancelled()) {
         cancelled_result();
-        return r;
+        return;
       }
       record_attempt_failure(e.what());
       if (budget.exhausted()) {
         deadline_result();
-        return r;
+        return;
       }
       escalate(e.klass());
     } catch (const std::exception& e) {
@@ -308,7 +240,7 @@ SupervisedJobResult<Outcome> supervise_one(size_t index, uint64_t fp,
       record_attempt_failure(annotate_with_context(e.what()));
       if (budget.exhausted()) {
         deadline_result();
-        return r;
+        return;
       }
       escalate(ErrorClass::Transient);
     }
@@ -323,7 +255,6 @@ SupervisedJobResult<Outcome> supervise_one(size_t index, uint64_t fp,
                   ? annotate_with_context("retry ladder exhausted")
                   : last_error;
   }
-  return r;
 }
 
 // ---------------------------------------------------------------------------
@@ -348,13 +279,13 @@ SupervisedJobResult<Outcome> supervise_one(size_t index, uint64_t fp,
 // resume. Cancelled jobs are written done=false so a resume re-runs them.
 
 std::string checkpoint_json(uint64_t seed, const std::vector<uint64_t>& fps,
-                            const std::vector<SupervisedOpAmpResult>& jobs,
+                            const std::vector<OpAmpJobResult>& jobs,
                             const std::vector<char>& done) {
   std::ostringstream os;
   os << "{\n  \"version\": 1,\n  \"kind\": \"opamp\",\n  \"seed\": \"" << seed
      << "\",\n  \"jobs\": [\n";
   for (size_t i = 0; i < jobs.size(); ++i) {
-    const SupervisedOpAmpResult& j = jobs[i];
+    const OpAmpJobResult& j = jobs[i];
     const synth::SynthesisOutcome& o = j.outcome;
     os << "    {\"index\": " << i << ", \"fp\": \"" << fps[i] << "\""
        << ", \"done\": " << (done[i] != 0 ? "true" : "false")
@@ -388,7 +319,7 @@ std::string checkpoint_json(uint64_t seed, const std::vector<uint64_t>& fps,
 
 void write_checkpoint(const std::string& path, uint64_t seed,
                       const std::vector<uint64_t>& fps,
-                      const std::vector<SupervisedOpAmpResult>& jobs,
+                      const std::vector<OpAmpJobResult>& jobs,
                       const std::vector<char>& done) {
   const std::string tmp = path + ".tmp";
   {
@@ -429,7 +360,7 @@ void restore_checkpoint(const std::string& path, const est::Process& proc,
                         const std::vector<est::OpAmpSpec>& specs,
                         const SupervisorOptions& options,
                         const std::vector<uint64_t>& fps,
-                        std::vector<SupervisedOpAmpResult>& jobs,
+                        std::vector<OpAmpJobResult>& jobs,
                         std::vector<char>& done, SupervisionStats& stats) {
   ErrorContext scope("resume('" + path + "')");
   std::ifstream f(path);
@@ -464,7 +395,7 @@ void restore_checkpoint(const std::string& path, const est::Process& proc,
     }
     if (!require(e, "done").as_bool()) continue;
 
-    SupervisedOpAmpResult r;
+    OpAmpJobResult r;
     r.index = i;
     r.ok = require(e, "ok").as_bool();
     r.error = require(e, "error").as_string();
@@ -484,7 +415,8 @@ void restore_checkpoint(const std::string& path, const est::Process& proc,
       }
       if (r.estimate_fallback) {
         // The fallback is a pure estimate: re-derive it.
-        r.outcome = estimate_only_opamp(proc, specs[i], options.batch);
+        r.outcome = detail::estimate_outcome(proc, specs[i], options.batch,
+                                             kEstimateFallback);
       } else if (!sim_failed) {
         // Full bit-exact re-derivation from the winning point.
         r.outcome =
@@ -576,6 +508,22 @@ void QuarantineRegistry::clear() {
   map_.clear();
 }
 
+void SupervisionStats::accumulate(const SupervisionStats& o) {
+  attempts += o.attempts;
+  retries += o.retries;
+  numeric_recovery_attempts += o.numeric_recovery_attempts;
+  relaxed_attempts += o.relaxed_attempts;
+  estimate_fallbacks += o.estimate_fallbacks;
+  backoff_waits += o.backoff_waits;
+  backoff_seconds += o.backoff_seconds;
+  deadline_hits += o.deadline_hits;
+  cancelled_jobs += o.cancelled_jobs;
+  quarantine_skips += o.quarantine_skips;
+  quarantined_new += o.quarantined_new;
+  checkpoints_written += o.checkpoints_written;
+  resumed_jobs += o.resumed_jobs;
+}
+
 std::string SupervisionStats::summary() const {
   std::ostringstream os;
   os << "supervision: attempts=" << attempts << " retries=" << retries
@@ -593,131 +541,81 @@ std::string SupervisionStats::summary() const {
   return os.str();
 }
 
-SupervisedOpAmpBatchResult run_supervised_opamp_batch(
-    const est::Process& proc, const std::vector<est::OpAmpSpec>& specs,
-    const SupervisorOptions& options) {
-  const double t0 = now_seconds();
-  const int threads = resolve_threads(options.batch.threads);
-  const CacheStats cache_before =
-      options.batch.cache != nullptr ? options.batch.cache->stats()
-                                     : CacheStats{};
+namespace {
+
+/// The supervised batch body shared by opamp and module batches: every
+/// job's recovery ladder fanned out by the batch runner, plus the
+/// opamp-only checkpoint/resume around it.
+template <class Spec>
+auto supervised_batch(const est::Process& proc, const std::vector<Spec>& specs,
+                      const SupervisorOptions& options, const char* label) {
+  using Outcome = decltype(detail::run_one(proc, specs.front(), 0, options.batch));
+  constexpr bool kCheckpoints = std::is_same_v<Spec, est::OpAmpSpec>;
+  detail::BatchRunner runner(options.batch.threads, options.batch.cache);
   const size_t n = specs.size();
 
-  SupervisedOpAmpBatchResult out;
-  out.jobs.resize(n);
-  for (size_t i = 0; i < n; ++i) out.jobs[i].index = i;
+  BatchResult<Outcome> out;
+  out.jobs.resize(n);  // index set by the runner or the checkpoint restore
   std::vector<uint64_t> fps(n);
   for (size_t i = 0; i < n; ++i) fps[i] = spec_fingerprint(proc, specs[i]);
   std::vector<char> done(n, 0);
-
-  if (!options.resume_path.empty()) {
-    restore_checkpoint(options.resume_path, proc, specs, options, fps,
-                       out.jobs, done, out.supervision);
-  }
-
-  // One mutex serializes result publication, stats merging, checkpoint
-  // writes and the on_job_done hook — checkpoints therefore always
-  // snapshot a consistent (jobs, done) pair.
-  std::mutex mu;
-  size_t since_checkpoint = 0;
-  const size_t every =
-      static_cast<size_t>(std::max(options.checkpoint_every, 1));
-  const std::string parent = ErrorContext::chain();
-
-  auto run_job = [&](size_t i) {
-    const std::string frame = "opamp_batch[" + std::to_string(i) + "]";
-    ErrorContext scope(parent.empty() ? frame : parent + " -> " + frame);
-    SupervisionStats local;
-    SupervisedOpAmpResult r = supervise_one<synth::SynthesisOutcome>(
-        i, fps[i], options, local,
-        [&](size_t j) {
-          return detail::run_one_opamp(proc, specs[j], j, options.batch);
-        },
-        [&](size_t j) {
-          return estimate_only_opamp(proc, specs[j], options.batch);
-        });
-    const bool ok = r.ok;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      // A cancelled job is *unfinished*: a resume re-runs it, which is
-      // what makes resumed results identical to an uninterrupted run.
-      done[i] = r.cancelled ? 0 : 1;
-      out.jobs[i] = std::move(r);
-      merge(out.supervision, local);
-      if (!options.checkpoint_path.empty() && ++since_checkpoint >= every) {
-        write_checkpoint(options.checkpoint_path, options.batch.seed, fps,
-                         out.jobs, done);
-        ++out.supervision.checkpoints_written;
-        since_checkpoint = 0;
-      }
-      if (options.on_job_done) options.on_job_done(i, ok);
+  auto checkpoint = [&] {
+    if constexpr (kCheckpoints) {
+      write_checkpoint(options.checkpoint_path, options.batch.seed, fps,
+                       out.jobs, done);
+      ++out.supervision.checkpoints_written;
     }
   };
+  if constexpr (kCheckpoints) {
+    if (!options.resume_path.empty()) {
+      restore_checkpoint(options.resume_path, proc, specs, options, fps,
+                         out.jobs, done, out.supervision);
+    }
+  }
 
   std::vector<size_t> pending;
   for (size_t i = 0; i < n; ++i) {
     if (done[i] == 0) pending.push_back(i);
   }
-  if (threads <= 1 || pending.size() <= 1) {
-    for (size_t i : pending) run_job(i);
-  } else {
-    Executor pool(static_cast<int>(
-        std::min(static_cast<size_t>(threads), pending.size())));
-    std::vector<std::future<void>> futures;
-    futures.reserve(pending.size());
-    for (size_t i : pending) {
-      futures.push_back(pool.submit([&run_job, i] { run_job(i); }));
-    }
-    for (auto& f : futures) f.get();
-  }
+  // Each job tallies its own ladder counters; they merge in index order.
+  std::vector<SupervisionStats> job_stats(n);
+  size_t since_checkpoint = 0;
+  const size_t every =
+      static_cast<size_t>(std::max(options.checkpoint_every, 1));
+  runner.run(
+      label, pending, out.jobs,
+      [&](size_t i, JobResult<Outcome>& r) {
+        supervise_one(proc, specs[i], i, fps[i], options, job_stats[i], r);
+      },
+      // Under the runner's lock: checkpoints always snapshot a
+      // consistent (jobs, done) pair.
+      [&](size_t i) {
+        // A cancelled job is *unfinished*: a resume re-runs it, which is
+        // what makes resumed results identical to an uninterrupted run.
+        done[i] = out.jobs[i].cancelled ? 0 : 1;
+        if (!options.checkpoint_path.empty() && ++since_checkpoint >= every) {
+          checkpoint();
+          since_checkpoint = 0;
+        }
+        if (options.on_job_done) options.on_job_done(i, out.jobs[i].ok);
+      });
+  if (!options.checkpoint_path.empty()) checkpoint();
 
-  if (!options.checkpoint_path.empty()) {
-    std::lock_guard<std::mutex> lock(mu);
-    write_checkpoint(options.checkpoint_path, options.batch.seed, fps,
-                     out.jobs, done);
-    ++out.supervision.checkpoints_written;
-  }
-
-  BatchStats& s = out.stats;
-  s.jobs = static_cast<int>(n);
-  s.threads = threads;
-  for (const auto& j : out.jobs) {
-    if (!j.ok) ++s.failed;
-    if (j.ok && j.outcome.meets_spec) ++s.met_spec;
-  }
-  s.wall_seconds = now_seconds() - t0;
-  s.jobs_per_second = s.wall_seconds > 0.0 ? s.jobs / s.wall_seconds : 0.0;
-  if (options.batch.cache != nullptr) {
-    const CacheStats after = options.batch.cache->stats();
-    s.cache.hits = after.hits - cache_before.hits;
-    s.cache.misses = after.misses - cache_before.misses;
-  }
+  for (const SupervisionStats& s : job_stats) out.supervision.accumulate(s);
+  runner.finish(out.jobs, [](const auto& j) { return j.outcome.meets_spec; },
+                out.stats);
   return out;
 }
 
-SupervisedOpAmpResult run_supervised_opamp_job(const est::Process& proc,
-                                               const est::OpAmpSpec& spec,
-                                               const SupervisorOptions& options,
-                                               size_t index,
-                                               SupervisionStats* stats) {
-  if (!options.checkpoint_path.empty() || !options.resume_path.empty()) {
-    throw SpecError(
-        "run_supervised_opamp_job: checkpoint/resume applies to batches, "
-        "not single supervised jobs");
-  }
-  const uint64_t fp = spec_fingerprint(proc, spec);
-  SupervisionStats local;
-  SupervisedOpAmpResult r = supervise_one<synth::SynthesisOutcome>(
-      index, fp, options, local,
-      [&](size_t j) {
-        return detail::run_one_opamp(proc, spec, j, options.batch);
-      },
-      [&](size_t) { return estimate_only_opamp(proc, spec, options.batch); });
-  if (stats != nullptr) merge(*stats, local);
-  return r;
+}  // namespace
+
+OpAmpBatchResult run_supervised_opamp_batch(
+    const est::Process& proc, const std::vector<est::OpAmpSpec>& specs,
+    const SupervisorOptions& options) {
+  return supervised_batch(proc, specs, options, "opamp_batch");
 }
 
-SupervisedModuleBatchResult run_supervised_module_batch(
+ModuleBatchResult run_supervised_module_batch(
     const est::Process& proc, const std::vector<est::ModuleSpec>& specs,
     const SupervisorOptions& options) {
   if (!options.checkpoint_path.empty() || !options.resume_path.empty()) {
@@ -726,70 +624,26 @@ SupervisedModuleBatchResult run_supervised_module_batch(
         "for opamp batches (module outcomes are not reconstructible from "
         "best_x alone yet)");
   }
-  const double t0 = now_seconds();
-  const int threads = resolve_threads(options.batch.threads);
-  const CacheStats cache_before =
-      options.batch.cache != nullptr ? options.batch.cache->stats()
-                                     : CacheStats{};
-  const size_t n = specs.size();
+  return supervised_batch(proc, specs, options, "module_batch");
+}
 
-  SupervisedModuleBatchResult out;
-  out.jobs.resize(n);
-  for (size_t i = 0; i < n; ++i) out.jobs[i].index = i;
-  std::vector<uint64_t> fps(n);
-  for (size_t i = 0; i < n; ++i) fps[i] = spec_fingerprint(proc, specs[i]);
-
-  std::mutex mu;
-  const std::string parent = ErrorContext::chain();
-  auto run_job = [&](size_t i) {
-    const std::string frame = "module_batch[" + std::to_string(i) + "]";
-    ErrorContext scope(parent.empty() ? frame : parent + " -> " + frame);
-    SupervisionStats local;
-    SupervisedModuleResult r = supervise_one<synth::ModuleSynthesisOutcome>(
-        i, fps[i], options, local,
-        [&](size_t j) {
-          return detail::run_one_module(proc, specs[j], j, options.batch);
-        },
-        [&](size_t j) {
-          return estimate_only_module(proc, specs[j], options.batch);
-        });
-    const bool ok = r.ok;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      out.jobs[i] = std::move(r);
-      merge(out.supervision, local);
-      if (options.on_job_done) options.on_job_done(i, ok);
-    }
-  };
-
-  if (threads <= 1 || n <= 1) {
-    for (size_t i = 0; i < n; ++i) run_job(i);
-  } else {
-    Executor pool(
-        static_cast<int>(std::min(static_cast<size_t>(threads), n)));
-    std::vector<std::future<void>> futures;
-    futures.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      futures.push_back(pool.submit([&run_job, i] { run_job(i); }));
-    }
-    for (auto& f : futures) f.get();
+OpAmpJobResult run_supervised_opamp_job(const est::Process& proc,
+                                        const est::OpAmpSpec& spec,
+                                        const SupervisorOptions& options,
+                                        size_t index,
+                                        SupervisionStats* stats) {
+  if (!options.checkpoint_path.empty() || !options.resume_path.empty()) {
+    throw SpecError(
+        "run_supervised_opamp_job: checkpoint/resume applies to batches, "
+        "not single supervised jobs");
   }
-
-  BatchStats& s = out.stats;
-  s.jobs = static_cast<int>(n);
-  s.threads = threads;
-  for (const auto& j : out.jobs) {
-    if (!j.ok) ++s.failed;
-    if (j.ok && j.outcome.meets_spec) ++s.met_spec;
-  }
-  s.wall_seconds = now_seconds() - t0;
-  s.jobs_per_second = s.wall_seconds > 0.0 ? s.jobs / s.wall_seconds : 0.0;
-  if (options.batch.cache != nullptr) {
-    const CacheStats after = options.batch.cache->stats();
-    s.cache.hits = after.hits - cache_before.hits;
-    s.cache.misses = after.misses - cache_before.misses;
-  }
-  return out;
+  OpAmpJobResult r;
+  r.index = index;
+  SupervisionStats local;
+  supervise_one(proc, spec, index, spec_fingerprint(proc, spec), options,
+                local, r);
+  if (stats != nullptr) stats->accumulate(local);
+  return r;
 }
 
 }  // namespace ape::runtime

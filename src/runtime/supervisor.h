@@ -2,10 +2,15 @@
 /// \file supervisor.h
 /// Supervised batch runtime (DESIGN.md section 10): deadlines,
 /// cancellation, retry/backoff recovery ladders, spec quarantine and
-/// checkpoint/resume layered over the plain batch entry points.
+/// checkpoint/resume around every batch job.
 ///
-/// The plain batch runtime (batch.h) gives per-job error *isolation*; the
-/// supervisor adds per-job error *recovery*:
+/// There is one batch path: run_opamp_batch / run_module_batch
+/// (batch.h) are supervised batches with the default SupervisorOptions
+/// — a single attempt, no fallback, no deadline — so a plain job and a
+/// clean supervised job are the same code. Under the default policy a
+/// throwing job ends ok=false with its provenance-annotated error and a
+/// sim_failed outcome is returned as-is. The knobs below add per-job
+/// error *recovery*:
 ///
 ///  - Deadlines & cancellation: every job runs under a per-job RunBudget
 ///    (wall-clock deadline + the run's CancelToken) installed as the
@@ -38,10 +43,9 @@
 ///    a resumed run reproduces the uninterrupted results bit-identically
 ///    at any thread count. No RNG state needs persisting.
 ///
-/// Determinism contract: a clean job (no faults, no deadline) under
-/// supervision runs detail::run_one_opamp / run_one_module — byte-for-
-/// byte the same work as the unsupervised batch — so supervised and
-/// unsupervised results of clean jobs are identical.
+/// Determinism contract: a job that never escalates (no faults, no
+/// deadline) does exactly the work of its first attempt, so its outcome
+/// does not depend on the retry policy armed around it.
 
 #include <cstdint>
 #include <functional>
@@ -95,55 +99,15 @@ private:
   std::unordered_map<uint64_t, State> map_;
 };
 
-/// Aggregate supervision counters for one supervised batch.
-struct SupervisionStats {
-  int attempts = 0;           ///< ladder attempts actually run
-  int retries = 0;            ///< attempts beyond each job's first
-  int numeric_recovery_attempts = 0;  ///< attempts under NumericHealthMode::Force
-  int relaxed_attempts = 0;   ///< attempts run under ScopedSolverRelaxation
-  int estimate_fallbacks = 0; ///< jobs resolved by the estimate-only rung
-  int backoff_waits = 0;      ///< backoff sleeps taken
-  double backoff_seconds = 0.0;
-  int deadline_hits = 0;      ///< jobs stopped by their deadline
-  int cancelled_jobs = 0;     ///< jobs stopped by the CancelToken
-  int quarantine_skips = 0;   ///< jobs skipped on a quarantined fingerprint
-  int quarantined_new = 0;    ///< fingerprints newly quarantined this run
-  int checkpoints_written = 0;
-  int resumed_jobs = 0;       ///< jobs restored from the resume checkpoint
-
-  /// One-line human-readable summary (same idiom as KernelStats).
-  std::string summary() const;
-};
-
-/// One supervised job: the plain JobResult fields plus the ladder's
-/// accounting of how the result was obtained.
-template <class Outcome>
-struct SupervisedJobResult {
-  size_t index = 0;
-  bool ok = false;
-  std::string error;  ///< empty when ok
-  Outcome outcome{};  ///< default-constructed when !ok
-  int attempts = 0;                            ///< attempts run (0 if skipped)
-  RetryRung final_rung = RetryRung::Initial;   ///< rung of the last attempt
-  bool deadline_hit = false;  ///< stopped by the per-job deadline
-  bool cancelled = false;     ///< stopped by the CancelToken
-  bool quarantined = false;   ///< skipped: fingerprint was quarantined
-  bool estimate_fallback = false;  ///< outcome is the bare APE estimate
-  bool resumed = false;       ///< restored from a checkpoint, not re-run
-};
-
-using SupervisedOpAmpResult = SupervisedJobResult<synth::SynthesisOutcome>;
-using SupervisedModuleResult =
-    SupervisedJobResult<synth::ModuleSynthesisOutcome>;
-
 struct SupervisorOptions {
   /// The underlying batch configuration (threads, seed, synth template,
-  /// cache, lint-first). Clean jobs run exactly as run_opamp_batch would.
+  /// cache, lint-first).
   BatchOptions batch;
 
   /// The recovery ladder (see retry.h). The default policy is a single
-  /// attempt — supervision without retries still provides deadlines,
-  /// cancellation, quarantine and checkpointing.
+  /// attempt with no fallback — what the plain batches run; supervision
+  /// without retries still provides deadlines, cancellation, quarantine
+  /// and checkpointing.
   RetryPolicy retry;
 
   /// Per-job wall-clock deadline in seconds (0 = none). The deadline
@@ -174,7 +138,7 @@ struct SupervisorOptions {
   /// spec fingerprints, else the run fails with a ParseError.
   std::string resume_path;
 
-  /// Progress hook, invoked serialized (under the supervisor's mutex)
+  /// Progress hook, invoked serialized (under the batch runner's lock)
   /// after each job completes. Tests use it to fire the CancelToken
   /// mid-run deterministically.
   std::function<void(size_t index, bool ok)> on_job_done;
@@ -188,20 +152,8 @@ struct SupervisorOptions {
       fault_setup;
 };
 
-struct SupervisedOpAmpBatchResult {
-  std::vector<SupervisedOpAmpResult> jobs;  ///< jobs[i] is specs[i]
-  BatchStats stats;
-  SupervisionStats supervision;
-};
-
-struct SupervisedModuleBatchResult {
-  std::vector<SupervisedModuleResult> jobs;
-  BatchStats stats;
-  SupervisionStats supervision;
-};
-
 /// Supervised opamp synthesis batch (see file comment).
-SupervisedOpAmpBatchResult run_supervised_opamp_batch(
+OpAmpBatchResult run_supervised_opamp_batch(
     const est::Process& proc, const std::vector<est::OpAmpSpec>& specs,
     const SupervisorOptions& options);
 
@@ -209,7 +161,7 @@ SupervisedOpAmpBatchResult run_supervised_opamp_batch(
 /// quarantine; checkpoint/resume is not supported for modules (their
 /// outcome tail is not yet reconstructible from best_x alone) — setting
 /// checkpoint_path or resume_path throws a SpecError.
-SupervisedModuleBatchResult run_supervised_module_batch(
+ModuleBatchResult run_supervised_module_batch(
     const est::Process& proc, const std::vector<est::ModuleSpec>& specs,
     const SupervisorOptions& options);
 
@@ -223,10 +175,10 @@ SupervisedModuleBatchResult run_supervised_module_batch(
 /// the ladder's accounting merged in (callers aggregate across
 /// requests). \p index keys the deterministic seed stream and backoff
 /// jitter, exactly like a batch job's position.
-SupervisedOpAmpResult run_supervised_opamp_job(const est::Process& proc,
-                                               const est::OpAmpSpec& spec,
-                                               const SupervisorOptions& options,
-                                               size_t index = 0,
-                                               SupervisionStats* stats = nullptr);
+OpAmpJobResult run_supervised_opamp_job(const est::Process& proc,
+                                        const est::OpAmpSpec& spec,
+                                        const SupervisorOptions& options,
+                                        size_t index = 0,
+                                        SupervisionStats* stats = nullptr);
 
 }  // namespace ape::runtime

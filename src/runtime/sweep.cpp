@@ -1,12 +1,7 @@
 #include "src/runtime/sweep.h"
 
-#include <chrono>
-#include <future>
-#include <thread>
-
-#include "src/lint/lint.h"
 #include "src/lint/prove.h"
-#include "src/runtime/executor.h"
+#include "src/runtime/runner.h"
 #include "src/synth/sizing.h"
 #include "src/util/diagnostics.h"
 #include "src/util/error.h"
@@ -14,18 +9,6 @@
 
 namespace ape::runtime {
 namespace {
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-int resolve_threads(int requested) {
-  if (requested > 0) return requested;
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  return hw > 0 ? hw : 1;
-}
 
 /// Pass criteria of one evaluation point: the same 0.9x acceptance band
 /// the synthesis diagnosis uses for gain/UGF, plus the classic 45-degree
@@ -53,10 +36,12 @@ stat::PointOutcome check_point(const est::Process& p, const synth::OpAmpVars& v,
 /// One (job, corner) grid cell: the corner re-estimate flag plus every
 /// sample's outcome, computed on one worker and aggregated serially.
 struct Cell {
+  size_t index = 0;  ///< job * n_corners + corner
+  bool ok = false;   ///< false when skipped (cancellation, failed job)
+  std::string error; ///< set when the cell threw
   std::vector<stat::PointOutcome> points;
   uint8_t estimate_ok = 0;
   uint8_t proven_infeasible = 0;  ///< APE-F001 at this corner; cell pruned
-  bool ran = false;  ///< false when skipped by cancellation
 };
 
 }  // namespace
@@ -65,7 +50,6 @@ SweepResult run_corner_sweep(const est::Process& proc,
                              const std::vector<est::OpAmpSpec>& specs,
                              const SweepOptions& options) {
   ErrorContext scope("corner_sweep");
-  const double t0 = now_seconds();
   const BatchOptions& batch = options.supervisor.batch;
   const bool mismatch = options.mc_samples > 0;
   const int samples = std::max(1, options.mc_samples);
@@ -87,17 +71,18 @@ SweepResult run_corner_sweep(const est::Process& proc,
 
   SweepResult out;
   out.samples_per_corner = samples;
-  out.jobs.resize(n_jobs);
   EstimateCache* cache = batch.cache;
-  const CacheStats cache_before = cache != nullptr ? cache->stats() : CacheStats{};
-  const int threads = resolve_threads(batch.threads);
   const CancelToken* cancel = options.supervisor.cancel;
+  detail::BatchRunner runner(batch.threads, cache);
 
   // ---- Phase A: one nominal design per spec ----
+  KernelStats phase_a_kernel;  // synthesize mode: the batch's own tally
   if (options.synthesize) {
-    SupervisedOpAmpBatchResult a =
+    OpAmpBatchResult a =
         run_supervised_opamp_batch(proc, specs, options.supervisor);
     out.supervision = a.supervision;
+    phase_a_kernel = a.stats.kernel;
+    out.jobs.resize(n_jobs);
     for (size_t i = 0; i < n_jobs; ++i) {
       out.jobs[i].index = i;
       out.jobs[i].ok = a.jobs[i].ok;
@@ -113,42 +98,13 @@ SweepResult run_corner_sweep(const est::Process& proc,
     const int tm = options.corners.index_of("tm");
     const est::Process& nominal_proc =
         tm >= 0 ? corner_procs[static_cast<size_t>(tm)] : proc;
-    const std::string parent = ErrorContext::chain();
-    auto run_nominal = [&](size_t i) {
-      SweepJobResult r;
-      r.index = i;
-      const std::string frame = "sweep_nominal[" + std::to_string(i) + "]";
-      ErrorContext ctx(parent.empty() ? frame : parent + " -> " + frame);
-      try {
-        if (batch.lint_first) {
-          lint::require_clean(lint::lint_spec(specs[i], proc), "lint-first");
-        }
-        if (cache != nullptr) {
-          r.nominal.design = *cache->opamp(nominal_proc, specs[i]);
-        } else {
-          r.nominal.design = est::OpAmpEstimator(nominal_proc).estimate(specs[i]);
-        }
-        r.nominal.functional = true;
-        r.nominal.comment = "APE estimate (sweep nominal)";
-        r.nominal.restarts_run = 0;
-        r.ok = true;
-      } catch (const Error& e) {
-        r.error = e.what();
-      }
-      return r;
-    };
-    if (threads <= 1 || n_jobs <= 1) {
-      for (size_t i = 0; i < n_jobs; ++i) out.jobs[i] = run_nominal(i);
-    } else {
-      Executor pool(static_cast<int>(
-          std::min(static_cast<size_t>(threads), n_jobs)));
-      std::vector<std::future<SweepJobResult>> futures;
-      futures.reserve(n_jobs);
-      for (size_t i = 0; i < n_jobs; ++i) {
-        futures.push_back(pool.submit([&run_nominal, i] { return run_nominal(i); }));
-      }
-      for (size_t i = 0; i < n_jobs; ++i) out.jobs[i] = futures[i].get();
-    }
+    runner.run("sweep_nominal", n_jobs, out.jobs,
+               [&](size_t i, SweepJobResult& r) {
+                 r.nominal = detail::estimate_outcome(
+                     nominal_proc, specs[i], batch,
+                     "APE estimate (sweep nominal)");
+                 r.ok = true;
+               });
   }
 
   // The fixed evaluation vehicle of every grid point: the nominal
@@ -161,18 +117,17 @@ SweepResult run_corner_sweep(const est::Process& proc,
   }
 
   // ---- Phase B: the (job x corner) grid, one cell per Executor task ----
-  std::vector<Cell> cells(n_jobs * n_corners);
-  const std::string parent = ErrorContext::chain();
-  auto run_cell = [&](size_t cell_index) {
-    const size_t i = cell_index / n_corners;
-    const size_t c = cell_index % n_corners;
+  std::vector<Cell> cells;
+  auto cell_frame = [&](size_t k) {
+    return "sweep_cell[" + std::to_string(k / n_corners) + "," +
+           corner_names[k % n_corners] + "]";
+  };
+  runner.run(cell_frame, n_jobs * n_corners, cells, [&](size_t k, Cell& cell) {
+    const size_t i = k / n_corners;
+    const size_t c = k % n_corners;
     if (!out.jobs[i].ok) return;
-    if (cancel != nullptr && cancel->cancelled()) return;  // cell stays !ran
-    Cell& cell = cells[cell_index];
-    cell.ran = true;
-    const std::string frame = "sweep_cell[" + std::to_string(i) + "," +
-                              corner_names[c] + "]";
-    ErrorContext ctx(parent.empty() ? frame : parent + " -> " + frame);
+    if (cancel != nullptr && cancel->cancelled()) return;  // cell stays !ok
+    cell.ok = true;
     // Feasibility pre-check at the corner card: when no sizing in the
     // whole box can reach the spec under this corner's parameters, the
     // re-estimate and the sample grid are provably wasted work. Prune
@@ -217,20 +172,7 @@ SweepResult run_corner_sweep(const est::Process& proc,
       }
       cell.points.push_back(check_point(corner_procs[c], vars[i], specs[i]));
     }
-  };
-  const size_t n_cells = cells.size();
-  if (threads <= 1 || n_cells <= 1) {
-    for (size_t k = 0; k < n_cells; ++k) run_cell(k);
-  } else {
-    Executor pool(static_cast<int>(
-        std::min(static_cast<size_t>(threads), n_cells)));
-    std::vector<std::future<void>> futures;
-    futures.reserve(n_cells);
-    for (size_t k = 0; k < n_cells; ++k) {
-      futures.push_back(pool.submit([&run_cell, k] { run_cell(k); }));
-    }
-    for (auto& f : futures) f.get();
-  }
+  });
 
   // ---- Aggregation, in (job, corner, sample) index order ----
   out.aggregate = stat::YieldReport(corner_names);
@@ -240,11 +182,14 @@ SweepResult run_corner_sweep(const est::Process& proc,
     jr.corner_estimate_ok.assign(n_corners, 0);
     jr.corner_proven_infeasible.assign(n_corners, 0);
     if (!jr.ok) continue;
-    bool incomplete = false;
+    std::string incomplete;  // why the grid has a hole, if it has one
     for (size_t c = 0; c < n_corners; ++c) {
       const Cell& cell = cells[i * n_corners + c];
-      if (!cell.ran) {
-        incomplete = true;
+      if (!cell.ok) {
+        if (incomplete.empty()) {
+          incomplete = cell.error.empty() ? "cancelled: corner sweep incomplete"
+                                          : cell.error;
+        }
         continue;
       }
       jr.corner_estimate_ok[c] = cell.estimate_ok;
@@ -252,9 +197,9 @@ SweepResult run_corner_sweep(const est::Process& proc,
       if (cell.proven_infeasible) ++out.corners_pruned;
       for (const auto& p : cell.points) jr.report.add(c, p);
     }
-    if (incomplete) {
+    if (!incomplete.empty()) {
       jr.ok = false;
-      jr.error = "cancelled: corner sweep incomplete";
+      jr.error = incomplete;
       continue;
     }
     jr.report.finalize();
@@ -262,24 +207,14 @@ SweepResult run_corner_sweep(const est::Process& proc,
   }
   out.aggregate.finalize();
 
-  BatchStats& s = out.stats;
-  s.jobs = static_cast<int>(n_jobs);
-  s.threads = threads;
-  for (const auto& j : out.jobs) {
-    if (!j.ok) {
-      ++s.failed;
-    } else if (j.report.total.samples > 0 &&
-               j.report.total.pass == j.report.total.samples) {
-      ++s.met_spec;  // passes everywhere on the grid
-    }
-  }
-  s.wall_seconds = now_seconds() - t0;
-  s.jobs_per_second = s.wall_seconds > 0.0 ? s.jobs / s.wall_seconds : 0.0;
-  if (cache != nullptr) {
-    const CacheStats after = cache->stats();
-    s.cache.hits = after.hits - cache_before.hits;
-    s.cache.misses = after.misses - cache_before.misses;
-  }
+  runner.finish(out.jobs,
+                [](const SweepJobResult& j) {
+                  // Passes everywhere on the grid.
+                  return j.report.total.samples > 0 &&
+                         j.report.total.pass == j.report.total.samples;
+                },
+                out.stats);
+  out.stats.kernel.accumulate(phase_a_kernel);
   return out;
 }
 

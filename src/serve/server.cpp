@@ -16,16 +16,11 @@
 #include "src/spice/analysis.h"
 #include "src/spice/parser.h"
 #include "src/stat/corners.h"
+#include "src/util/diagnostics.h"
 #include "src/util/error.h"
 
 namespace ape::serve {
 namespace {
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 void append_kv(std::string& json, const char* key, double v) {
   char buf[64];
@@ -493,7 +488,7 @@ std::string Server::run_synthesize(Connection& conn, const Request& req) {
     sup.quarantine = &quarantine_;
     sup.quarantine_threshold = options_.quarantine_threshold;
 
-    const runtime::SupervisedOpAmpResult r =
+    const runtime::OpAmpJobResult r =
         runtime::run_supervised_opamp_job(proc_, req.spec, sup, ordinal);
 
     if (r.cancelled) {

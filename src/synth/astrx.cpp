@@ -1,7 +1,6 @@
 #include "src/synth/astrx.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <future>
 #include <limits>
@@ -29,12 +28,6 @@ using est::ModuleSpec;
 using est::OpAmpDesign;
 using est::OpAmpSpec;
 using est::Process;
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Geometric center of a box (the "no initial point" start).
 std::vector<double> box_center(const std::vector<std::pair<double, double>>& b) {

@@ -148,6 +148,12 @@ std::string ConvergenceReport::summary() const {
 
 // ---------------------------------------------------------------------------
 
+double now_seconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 RunBudget RunBudget::with_deadline(double seconds) {
   RunBudget b;
   b.set_deadline_in(seconds);

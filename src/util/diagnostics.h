@@ -184,6 +184,10 @@ struct ConvergenceReport {
 
 // ---------------------------------------------------------------------------
 
+/// Monotonic (steady_clock) time in seconds — the one clock behind every
+/// wall-time field (batch stats, synthesis cpu_seconds, serve deadlines).
+double now_seconds();
+
 /// Sticky, thread-safe cancellation flag. cancel() may be called from any
 /// thread (a signal handler, a supervisor, a UI); workers observe it
 /// cooperatively through an attached RunBudget or by polling cancelled()

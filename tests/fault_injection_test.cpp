@@ -531,8 +531,7 @@ est::OpAmpSpec matrix_spec() {
 
 /// One supervised single-spec batch with the fault armed on attempts
 /// [0, faulted_attempts).
-SupervisedOpAmpResult run_matrix_job(const FaultSite& site,
-                                     int faulted_attempts) {
+OpAmpJobResult run_matrix_job(const FaultSite& site, int faulted_attempts) {
   SupervisorOptions sup;
   sup.batch.seed = 77;
   sup.batch.synth.use_ape_seed = true;

@@ -16,6 +16,7 @@
 #include "src/runtime/cache.h"
 #include "src/runtime/executor.h"
 #include "src/runtime/supervisor.h"
+#include "src/runtime/sweep.h"
 #include "src/spice/fault.h"
 #include "src/synth/astrx.h"
 #include "src/util/error.h"
@@ -394,6 +395,30 @@ TEST(RuntimeBatch, KernelCountersAggregateAcrossJobsAndThreads) {
   EXPECT_EQ(k1.ac_points_fused, k4.ac_points_fused);
   EXPECT_EQ(k1.baseline_builds, k4.baseline_builds);
   EXPECT_EQ(k1.nonlinear_stamps, k4.nonlinear_stamps);
+
+  // Supervised batches and synthesize-mode sweeps run the same jobs
+  // through the same runner, so they report the same kernel work.
+  auto expect_same_kernel = [&](const KernelStats& k, const char* what) {
+    EXPECT_EQ(k.solves, k1.solves) << what;
+    EXPECT_EQ(k.factorizations, k1.factorizations) << what;
+    EXPECT_EQ(k.ac_points_fused, k1.ac_points_fused) << what;
+    EXPECT_EQ(k.baseline_builds, k1.baseline_builds) << what;
+    EXPECT_EQ(k.nonlinear_stamps, k1.nonlinear_stamps) << what;
+  };
+  for (int threads : {1, 4}) {
+    SupervisorOptions sup;
+    sup.batch = fast_synth_options();
+    sup.batch.threads = threads;
+    const auto r = run_supervised_opamp_batch(proc(), specs, sup);
+    expect_same_kernel(r.stats.kernel, threads == 1 ? "supervised x1"
+                                                    : "supervised x4");
+  }
+  SweepOptions sweep;
+  sweep.supervisor.batch = fast_synth_options();
+  sweep.supervisor.batch.threads = 4;
+  sweep.synthesize = true;
+  const auto s = run_corner_sweep(proc(), specs, sweep);
+  expect_same_kernel(s.stats.kernel, "corner sweep (synthesize)");
 }
 
 TEST(RuntimeBatch, PoisonedSpecFailsAloneAndNamesItsJob) {

@@ -377,6 +377,22 @@ TEST(SupervisorBatch, ProvenInfeasibleSpecSkipsLadderPreSolve) {
   EXPECT_EQ(quarantine.quarantined_count(), 0u);
   EXPECT_EQ(r.supervision.quarantined_new, 0);
 
+  // A plain batch is supervised with the default policy (one attempt, no
+  // fallback): the refuted job fails with the prover's verdict and its
+  // provenance, after one attempt and no search.
+  BatchOptions plain = fast_supervised_options().batch;
+  plain.threads = 1;
+  plain.lint_first = true;
+  const auto p = run_opamp_batch(proc(), {impossible}, plain);
+  ASSERT_EQ(p.jobs.size(), 1u);
+  EXPECT_FALSE(p.jobs[0].ok);
+  EXPECT_NE(p.jobs[0].error.find("proven infeasible"), std::string::npos)
+      << p.jobs[0].error;
+  EXPECT_NE(p.jobs[0].error.find("opamp_batch[0]"), std::string::npos)
+      << p.jobs[0].error;
+  EXPECT_EQ(p.jobs[0].outcome.evaluations, 0);
+  EXPECT_EQ(p.supervision.attempts, 1);
+
   // Without the prover the same spec burns a real synthesis run.
   SupervisorOptions blind = fast_supervised_options();
   blind.batch.threads = 1;
