@@ -20,6 +20,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_meta.h"
@@ -351,9 +352,11 @@ int run_batch_comparison() {
   std::vector<int> curve_threads{1};
   for (int t = 2; t < hw; t *= 2) curve_threads.push_back(t);
   if (hw > 1) curve_threads.push_back(hw);
-  std::string scaling = "[";
-  for (size_t i = 0; i < curve_threads.size(); ++i) {
-    const int t = curve_threads[i];
+  json::Writer w;
+  w.begin_object();
+  bench::write_meta(w);
+  w.key("scaling").begin_array();
+  for (const int t : curve_threads) {
     double wall, jps;
     if (t == 1) {
       wall = serial.stats.wall_seconds;
@@ -369,15 +372,13 @@ int run_batch_comparison() {
       jps = r.stats.jobs_per_second;
     }
     std::printf("scaling: %2d threads -> %.2f s (%.2f jobs/s)\n", t, wall, jps);
-    char point[128];
-    std::snprintf(point, sizeof point,
-                  "{\"threads\": %d, \"wall_seconds\": %.6f, "
-                  "\"jobs_per_second\": %.3f}",
-                  t, wall, jps);
-    if (i != 0) scaling += ", ";
-    scaling += point;
+    w.begin_object()
+        .field("threads", t)
+        .field("wall_seconds", wall)
+        .field("jobs_per_second", jps)
+        .end_object();
   }
-  scaling += "]";
+  w.end_array();
 
   bool identical = serial.jobs.size() == pooled.jobs.size();
   for (size_t i = 0; identical && i < serial.jobs.size(); ++i) {
@@ -418,88 +419,32 @@ int run_batch_comparison() {
   const ProveBench pb = run_prove_comparison();
   const HealthBench hb = run_health_comparison();
 
-  char json[8192];
-  std::snprintf(
-      json, sizeof json,
-      "{\n"
-      "  \"meta\": %s,\n"
-      "  \"jobs\": %zu,\n"
-      "  \"hardware_threads\": %d,\n"
-      "  \"serial_seconds\": %.6f,\n"
-      "  \"pooled_seconds\": %.6f,\n"
-      "  \"serial_jobs_per_second\": %.3f,\n"
-      "  \"pooled_jobs_per_second\": %.3f,\n"
-      "  \"speedup\": %.3f,\n"
-      "  \"parallel_speedup_valid\": %s,\n"
-      "  \"deterministic_match\": %s,\n"
-      "  \"failed_jobs\": %d,\n"
-      "  \"cache_hits\": %ld,\n"
-      "  \"cache_misses\": %ld,\n"
-      "  \"cache_hit_rate\": %.4f,\n"
-      "  \"estimate_path_us\": %.2f,\n"
-      "  \"prove_overhead_bp\": %ld,\n"
-      "  \"prove_pruning_speedup\": %.3f,\n"
-      "  \"prove_feasible_seconds\": [%.6f, %.6f],\n"
-      "  \"prove_mixed_seconds\": [%.6f, %.6f],\n"
-      "  \"health_overhead_bp\": %ld,\n"
-      "  \"health_solve_us\": [%.2f, %.2f],\n"
-      "  \"scaling\": %s,\n"
-      "  \"kernel\": {\n"
-      "    \"baseline_builds\": %ld,\n"
-      "    \"baseline_restores\": %ld,\n"
-      "    \"linear_stamps_skipped\": %ld,\n"
-      "    \"nonlinear_stamps\": %ld,\n"
-      "    \"factorizations\": %ld,\n"
-      "    \"solves\": %ld,\n"
-      "    \"ac_points_fused\": %ld,\n"
-      "    \"ac_points_virtual\": %ld,\n"
-      "    \"symbolic_analyses\": %ld,\n"
-      "    \"symbolic_reuses\": %ld,\n"
-      "    \"numeric_refactors\": %ld,\n"
-      "    \"sparse_fallbacks\": %ld,\n"
-      "    \"sparse_nnz\": %zu,\n"
-      "    \"sparse_fill_in\": %zu,\n"
-      "    \"workspace_bytes\": %zu,\n"
-      "    \"workspace_regrowths\": %ld\n"
-      "  },\n"
-      "  \"batch_kernel\": {\n"
-      "    \"solves\": %ld,\n"
-      "    \"factorizations\": %ld,\n"
-      "    \"numeric_refactors\": %ld,\n"
-      "    \"symbolic_reuses\": %ld,\n"
-      "    \"ac_points_fused\": %ld\n"
-      "  }\n"
-      "}\n",
-      bench::meta_json().c_str(),
-      specs.size(), hw, serial.stats.wall_seconds, pooled.stats.wall_seconds,
-      serial.stats.jobs_per_second, pooled.stats.jobs_per_second, speedup,
-      speedup_valid ? "true" : "false", identical ? "true" : "false",
-      pooled.stats.failed,
-      pooled.stats.cache.hits, pooled.stats.cache.misses,
-      pooled.stats.cache.hit_rate(), est_us,
-      pb.overhead_bp, pb.pruning_speedup,
-      pb.feasible_without_s, pb.feasible_with_s,
-      pb.mixed_without_s, pb.mixed_with_s,
-      hb.overhead_bp, hb.off_us, hb.on_us, scaling.c_str(),
-      ks.baseline_builds,
-      ks.baseline_restores, ks.linear_stamps_skipped, ks.nonlinear_stamps,
-      ks.factorizations, ks.solves, ks.ac_points_fused, ks.ac_points_virtual,
-      ks.symbolic_analyses, ks.symbolic_reuses, ks.numeric_refactors,
-      ks.sparse_fallbacks, ks.sparse_nnz, ks.sparse_fill_in,
-      ks.workspace_bytes, ks.workspace_regrowths,
-      pooled.stats.kernel.solves, pooled.stats.kernel.factorizations,
-      pooled.stats.kernel.numeric_refactors,
-      pooled.stats.kernel.symbolic_reuses,
-      pooled.stats.kernel.ac_points_fused);
-  const char* path = "BENCH_ape_speed.json";
-  if (FILE* f = std::fopen(path, "w")) {
-    std::fputs(json, f);
-    std::fclose(f);
-    std::printf("wrote %s\n", path);
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
-  }
+  w.field("jobs", specs.size())
+      .field("hardware_threads", hw)
+      .field("serial_seconds", serial.stats.wall_seconds)
+      .field("pooled_seconds", pooled.stats.wall_seconds)
+      .field("serial_jobs_per_second", serial.stats.jobs_per_second)
+      .field("pooled_jobs_per_second", pooled.stats.jobs_per_second)
+      .field("speedup", speedup)
+      .field("parallel_speedup_valid", speedup_valid)
+      .field("deterministic_match", identical)
+      .field("failed_jobs", pooled.stats.failed)
+      .field("cache_hits", pooled.stats.cache.hits)
+      .field("cache_misses", pooled.stats.cache.misses)
+      .field("cache_hit_rate", pooled.stats.cache.hit_rate())
+      .field("estimate_path_us", est_us)
+      .field("prove_overhead_bp", pb.overhead_bp)
+      .field("prove_pruning_speedup", pb.pruning_speedup)
+      .field("prove_feasible_seconds",
+             std::pair(pb.feasible_without_s, pb.feasible_with_s))
+      .field("prove_mixed_seconds",
+             std::pair(pb.mixed_without_s, pb.mixed_with_s))
+      .field("health_overhead_bp", hb.overhead_bp)
+      .field("health_solve_us", std::pair(hb.off_us, hb.on_us))
+      .field("kernel", ks)
+      .field("batch_kernel", pooled.stats.kernel)
+      .end_object();
+  if (!bench::write_record("BENCH_ape_speed.json", w)) return 1;
   return identical ? 0 : 1;
 }
 

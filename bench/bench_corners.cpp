@@ -61,8 +61,11 @@ int main() {
   for (int t = 2; t < hw; t *= 2) curve_threads.push_back(t);
   if (hw > 1) curve_threads.push_back(hw);
 
-  std::string scaling = "[";
-  std::string serial_report, final_report;
+  json::Writer w;
+  w.begin_object();
+  bench::write_meta(w);
+  w.key("scaling").begin_array();
+  stat::YieldReport serial_report, final_report;
   double serial_wall = 0.0, final_wall = 0.0;
   long points = 0;
   runtime::CacheStats final_cache;
@@ -77,66 +80,46 @@ int main() {
     points = r.aggregate.total.samples;
     const double pps = wall > 0.0 ? double(points) / wall : 0.0;
     if (t == 1) {
-      serial_report = r.aggregate.to_json();
+      serial_report = r.aggregate;
       serial_wall = wall;
     }
     if (i + 1 == curve_threads.size()) {
-      final_report = r.aggregate.to_json();
+      final_report = r.aggregate;
       final_wall = wall;
       final_cache = r.stats.cache;
     }
     std::printf("scaling: %2d threads -> %.3f s (%.0f points/s)\n", t, wall,
                 pps);
-    char point[128];
-    std::snprintf(point, sizeof point,
-                  "{\"threads\": %d, \"wall_seconds\": %.6f, "
-                  "\"points_per_second\": %.1f}",
-                  t, wall, pps);
-    if (i != 0) scaling += ", ";
-    scaling += point;
+    w.begin_object()
+        .field("threads", t)
+        .field("wall_seconds", wall)
+        .field("points_per_second", pps)
+        .end_object();
   }
-  scaling += "]";
+  w.end_array();
 
-  const bool identical = serial_report == final_report;
+  const bool identical = json::dump(serial_report) == json::dump(final_report);
   std::printf("deterministic match (1 vs %d threads): %s\n", hw,
               identical ? "yes" : "NO");
   std::printf("cache: %ld hits / %ld misses (rate %.3f)\n", final_cache.hits,
               final_cache.misses, final_cache.hit_rate());
   const double speedup = final_wall > 0.0 ? serial_wall / final_wall : 0.0;
 
-  char json[4096];
-  std::snprintf(json, sizeof json,
-                "{\n"
-                "  \"meta\": %s,\n"
-                "  \"specs\": %zu,\n"
-                "  \"corners\": 7,\n"
-                "  \"mc_samples\": %d,\n"
-                "  \"grid_points\": %ld,\n"
-                "  \"hardware_threads\": %d,\n"
-                "  \"serial_seconds\": %.6f,\n"
-                "  \"pooled_seconds\": %.6f,\n"
-                "  \"speedup\": %.3f,\n"
-                "  \"parallel_speedup_valid\": %s,\n"
-                "  \"deterministic_match\": %s,\n"
-                "  \"cache_hits\": %ld,\n"
-                "  \"cache_misses\": %ld,\n"
-                "  \"cache_hit_rate\": %.4f,\n"
-                "  \"scaling\": %s,\n"
-                "  \"aggregate\": %s\n"
-                "}\n",
-                ape::bench::meta_json().c_str(),
-                specs.size(), mc, points, hw, serial_wall, final_wall, speedup,
-                hw > 1 ? "true" : "false", identical ? "true" : "false",
-                final_cache.hits, final_cache.misses, final_cache.hit_rate(),
-                scaling.c_str(), final_report.c_str());
-  const char* path = "BENCH_corners.json";
-  if (FILE* f = std::fopen(path, "w")) {
-    std::fputs(json, f);
-    std::fclose(f);
-    std::printf("wrote %s\n", path);
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
-  }
+  w.field("specs", specs.size())
+      .field("corners", 7)
+      .field("mc_samples", mc)
+      .field("grid_points", points)
+      .field("hardware_threads", hw)
+      .field("serial_seconds", serial_wall)
+      .field("pooled_seconds", final_wall)
+      .field("speedup", speedup)
+      .field("parallel_speedup_valid", hw > 1)
+      .field("deterministic_match", identical)
+      .field("cache_hits", final_cache.hits)
+      .field("cache_misses", final_cache.misses)
+      .field("cache_hit_rate", final_cache.hit_rate())
+      .field("aggregate", final_report)
+      .end_object();
+  if (!bench::write_record("BENCH_corners.json", w)) return 1;
   return identical ? 0 : 1;
 }

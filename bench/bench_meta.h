@@ -7,7 +7,8 @@
 
 #include <cstdio>
 #include <ctime>
-#include <string>
+
+#include "src/util/json.h"
 
 #ifndef APE_BENCH_GIT_SHA
 #define APE_BENCH_GIT_SHA "unknown"
@@ -18,18 +19,33 @@
 
 namespace ape::bench {
 
-/// The "meta" JSON object: {"git_sha": ..., "date": ..., "compiler": ...}.
-inline std::string meta_json() {
+/// Writes the "meta" member: {"git_sha": ..., "date": ..., "compiler": ...}.
+inline void write_meta(json::Writer& w) {
   const std::time_t now = std::time(nullptr);
   char date[32] = "unknown";
   if (const std::tm* tm = std::gmtime(&now)) {
     std::strftime(date, sizeof date, "%Y-%m-%d", tm);
   }
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "{\"git_sha\": \"%s\", \"date\": \"%s\", \"compiler\": \"%s\"}",
-                APE_BENCH_GIT_SHA, date, APE_BENCH_COMPILER);
-  return buf;
+  w.key("meta")
+      .begin_object()
+      .field("git_sha", APE_BENCH_GIT_SHA)
+      .field("date", date)
+      .field("compiler", APE_BENCH_COMPILER)
+      .end_object();
+}
+
+/// Writes the finished record to \p path; false (reported on stderr)
+/// when the file cannot be written.
+inline bool write_record(const char* path, const json::Writer& w) {
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path);
+    return false;
+  }
+  std::fprintf(f, "%s\n", w.str().c_str());
+  std::fclose(f);
+  std::printf("wrote %s\n", path);
+  return true;
 }
 
 }  // namespace ape::bench

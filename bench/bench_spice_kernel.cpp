@@ -376,17 +376,29 @@ CrossoverRow time_crossover(size_t n, bool quick) {
   return row;
 }
 
+/// One audit record: the system dimension, the short key names this
+/// file has always used, and every KernelStats counter.
+void write_audit(json::Writer& w, const char* name, size_t dim,
+                 const KernelStats& ks) {
+  w.key(name)
+      .begin_object()
+      .field("dim", dim)
+      .field("points_fused", ks.ac_points_fused)
+      .field("points_virtual", ks.ac_points_virtual)
+      .field("dense_factorizations", ks.factorizations)
+      .field("nnz", ks.sparse_nnz)
+      .field("fill_in", ks.sparse_fill_in);
+  ks.to_json(w);
+  w.end_object();
+}
+
 int write_json(bool quick) {
-  std::FILE* f = std::fopen("BENCH_spice_kernel.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_spice_kernel.json\n");
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"meta\": %s,\n", bench::meta_json().c_str());
+  json::Writer w;
+  w.begin_object();
+  bench::write_meta(w);
 
   const size_t sizes[] = {4, 8, 16, 32, 64, 128, 256};
-  std::fprintf(f, "  \"lu\": [\n");
-  bool first = true;
+  w.key("lu").begin_array();
   for (size_t n : sizes) {
     std::vector<double> b;
     const RealMatrix a = make_system(n, &b);
@@ -418,14 +430,15 @@ int write_json(bool quick) {
         benchmark::DoNotOptimize(x.data());
       }
     });
-    std::fprintf(f,
-                 "%s    {\"n\": %zu, \"alloc_ns\": %.1f, \"workspace_ns\": %.1f,"
-                 " \"batch16_reuse_ns\": %.1f, \"batch16_refactor_ns\": %.1f}",
-                 first ? "" : ",\n", n, alloc_ns, workspace_ns, batch_reuse_ns,
-                 batch_refactor_ns);
-    first = false;
+    w.begin_object()
+        .field("n", n)
+        .field("alloc_ns", alloc_ns)
+        .field("workspace_ns", workspace_ns)
+        .field("batch16_reuse_ns", batch_reuse_ns)
+        .field("batch16_refactor_ns", batch_refactor_ns)
+        .end_object();
   }
-  std::fprintf(f, "\n  ],\n");
+  w.end_array();
 
   // Sparse-vs-dense crossover on circuit-shaped (ladder/banded) systems:
   // the empirical basis of KernelPolicy's Auto heuristic. The steady
@@ -435,10 +448,9 @@ int write_json(bool quick) {
   std::printf("\n-- sparse vs dense crossover (ladder systems) --\n");
   std::printf("%6s %12s %12s %14s %8s %8s\n", "n", "dense_ns", "sparse_ns",
               "symbolic_ns", "nnz", "fill");
-  std::fprintf(f, "  \"crossover\": [\n");
+  w.key("crossover").begin_array();
   double dense_n64 = 0.0, sparse_n64 = 0.0, sparse_n256 = 0.0;
   size_t crossover_n = 0;
-  first = true;
   for (size_t n : xsizes) {
     const CrossoverRow r = time_crossover(n, quick);
     std::printf("%6zu %12.1f %12.1f %14.1f %8zu %8zu\n", r.n, r.dense_ns,
@@ -449,26 +461,28 @@ int write_json(bool quick) {
       sparse_n64 = r.sparse_ns;
     }
     if (n == 256) sparse_n256 = r.sparse_ns;
-    std::fprintf(f,
-                 "%s    {\"n\": %zu, \"dense_ns\": %.1f, \"sparse_ns\": %.1f,"
-                 " \"sparse_symbolic_ns\": %.1f, \"nnz\": %zu,"
-                 " \"fill_in\": %zu, \"density\": %.4f, \"sparse_wins\": %s}",
-                 first ? "" : ",\n", r.n, r.dense_ns, r.sparse_ns,
-                 r.sparse_symbolic_ns, r.nnz, r.fill_in, r.density,
-                 r.sparse_ns < r.dense_ns ? "true" : "false");
-    first = false;
+    w.begin_object()
+        .field("n", r.n)
+        .field("dense_ns", r.dense_ns)
+        .field("sparse_ns", r.sparse_ns)
+        .field("sparse_symbolic_ns", r.sparse_symbolic_ns)
+        .field("nnz", r.nnz)
+        .field("fill_in", r.fill_in)
+        .field("density", r.density)
+        .field("sparse_wins", r.sparse_ns < r.dense_ns)
+        .end_object();
   }
-  std::fprintf(f, "\n  ],\n");
+  w.end_array();
   std::printf("crossover: sparse wins from n=%zu; n=64 speedup %.2fx\n",
               crossover_n, sparse_n64 > 0.0 ? dense_n64 / sparse_n64 : 0.0);
 
   // Top-level scalars for the check_bench regression gate (both paths).
-  std::fprintf(f, "  \"dense_n64_ns\": %.1f,\n", dense_n64);
-  std::fprintf(f, "  \"sparse_n64_ns\": %.1f,\n", sparse_n64);
-  std::fprintf(f, "  \"sparse_n256_ns\": %.1f,\n", sparse_n256);
-  std::fprintf(f, "  \"sparse_speedup_n64\": %.2f,\n",
-               sparse_n64 > 0.0 ? dense_n64 / sparse_n64 : 0.0);
-  std::fprintf(f, "  \"crossover_n\": %zu,\n", crossover_n);
+  w.field("dense_n64_ns", dense_n64)
+      .field("sparse_n64_ns", sparse_n64)
+      .field("sparse_n256_ns", sparse_n256)
+      .field("sparse_speedup_n64",
+             sparse_n64 > 0.0 ? dense_n64 / sparse_n64 : 0.0)
+      .field("crossover_n", crossover_n);
 
   // AC assembly comparison + the allocation audit on a real sweep (small
   // ladder: dense fused path).
@@ -494,16 +508,13 @@ int write_json(bool quick) {
     LuSolver<std::complex<double>> lu(mna.matrix());
     benchmark::DoNotOptimize(lu.solve(mna.rhs()));
   });
-  std::fprintf(f,
-               "  \"ac_point\": {\"dim\": %zu, \"fused_ns\": %.1f, "
-               "\"virtual_ns\": %.1f},\n",
-               kern.dim(), fused_ns, virt_ns);
-  std::fprintf(f,
-               "  \"ac_sweep_audit\": {\"points_fused\": %ld, "
-               "\"points_virtual\": %ld, \"factorizations\": %ld, "
-               "\"workspace_bytes\": %zu, \"workspace_regrowths\": %ld},\n",
-               ks.ac_points_fused, ks.ac_points_virtual, ks.factorizations,
-               ks.workspace_bytes, ks.workspace_regrowths);
+  w.key("ac_point")
+      .begin_object()
+      .field("dim", kern.dim())
+      .field("fused_ns", fused_ns)
+      .field("virtual_ns", virt_ns)
+      .end_object();
+  write_audit(w, "ac_sweep_audit", kern.dim(), ks);
 
   // Sparse sweep audits on a 120-stage ladder (dim 122): the Auto policy
   // must engage the sparse path on its own, the symbolic factorization
@@ -516,36 +527,13 @@ int write_json(bool quick) {
   DcOptions dopts;
   dopts.report = &rep;
   (void)dc_operating_point(big, dopts);
-  const KernelStats& dks = rep.kernel;
-  std::fprintf(f,
-               "  \"sparse_dc_audit\": {\"dim\": %zu, "
-               "\"symbolic_analyses\": %ld, \"symbolic_reuses\": %ld, "
-               "\"numeric_refactors\": %ld, \"sparse_fallbacks\": %ld, "
-               "\"dense_factorizations\": %ld, \"nnz\": %zu, "
-               "\"fill_in\": %zu, \"workspace_regrowths\": %ld},\n",
-               big.dim(), dks.symbolic_analyses, dks.symbolic_reuses,
-               dks.numeric_refactors, dks.sparse_fallbacks, dks.factorizations,
-               dks.sparse_nnz, dks.sparse_fill_in, dks.workspace_regrowths);
+  write_audit(w, "sparse_dc_audit", big.dim(), rep.kernel);
   KernelStats aks;
   (void)ac_analysis(big, 1.0, 1e6, quick ? 10 : 40, &aks);
-  std::fprintf(f,
-               "  \"sparse_ac_audit\": {\"dim\": %zu, \"points_fused\": %ld, "
-               "\"symbolic_analyses\": %ld, \"symbolic_reuses\": %ld, "
-               "\"numeric_refactors\": %ld, \"sparse_fallbacks\": %ld, "
-               "\"dense_factorizations\": %ld, \"nnz\": %zu, "
-               "\"fill_in\": %zu, \"workspace_regrowths\": %ld}\n}\n",
-               big.dim(), aks.ac_points_fused, aks.symbolic_analyses,
-               aks.symbolic_reuses, aks.numeric_refactors, aks.sparse_fallbacks,
-               aks.factorizations, aks.sparse_nnz, aks.sparse_fill_in,
-               aks.workspace_regrowths);
-  std::fclose(f);
-  std::printf("sparse dc audit: analyses=%ld reuses=%ld refactors=%ld "
-              "fallbacks=%ld regrowths=%ld\n",
-              dks.symbolic_analyses, dks.symbolic_reuses,
-              dks.numeric_refactors, dks.sparse_fallbacks,
-              dks.workspace_regrowths);
-  std::printf("wrote BENCH_spice_kernel.json\n");
-  return 0;
+  write_audit(w, "sparse_ac_audit", big.dim(), aks);
+  w.end_object();
+  std::printf("sparse dc audit: %s\n", rep.kernel.summary().c_str());
+  return bench::write_record("BENCH_spice_kernel.json", w) ? 0 : 1;
 }
 
 }  // namespace

@@ -54,6 +54,7 @@
 #include "src/runtime/sweep.h"
 #include "src/stat/corners.h"
 #include "src/util/error.h"
+#include "src/util/json.h"
 #include "src/util/signal.h"
 
 using namespace ape;
@@ -154,33 +155,23 @@ std::vector<NamedSpec> builtin_specs() {
   return specs;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+/// Opens "aggregate" with what every mode reports (json.h to_json).
+void open_aggregate(json::Writer& w, const runtime::BatchStats& stats,
+                    const runtime::SupervisionStats& supervision) {
+  w.key("aggregate").begin_object();
+  stats.to_json(w);
+  supervision.to_json(w);
 }
 
-void put_kv(std::string& json, const char* key, double v, bool comma = true) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "\"%s\":%.17g", key, v);
-  json += buf;
-  if (comma) json += ',';
+/// The finished document to stdout, or to \p out_path when given.
+void emit(const json::Writer& w, const std::string& out_path) {
+  if (out_path.empty()) {
+    std::printf("%s\n", w.str().c_str());
+    return;
+  }
+  std::ofstream out(out_path);
+  if (!out) die("cannot write '" + out_path + "'");
+  out << w.str() << '\n';
 }
 
 }  // namespace
@@ -294,6 +285,12 @@ int main(int argc, char** argv) {
     options.synth.corner_procs = corner_set.realize(proc);
   }
 
+  json::Writer w;
+  w.begin_object()
+      .key("config")
+      .begin_object()
+      .field("jobs", specs.size())
+      .field("seed", options.seed);
   if (sweep_mode) {
     if (estimate_only && sweep_synthesize) {
       die("--estimate-only and --synthesize conflict");
@@ -333,66 +330,49 @@ int main(int argc, char** argv) {
       die(e.what());
     }
 
-    std::string json = "{\"config\":{";
-    put_kv(json, "jobs", double(specs.size()));
-    put_kv(json, "seed", double(options.seed));
-    put_kv(json, "mc_samples", double(r.samples_per_corner));
-    json += "\"corners\":\"" + json_escape(sw.corners.names()) + "\",";
-    json += std::string("\"mode\":\"") +
-            (sweep_synthesize ? "sweep-synthesize" : "sweep-estimate") +
-            "\"},\n\"jobs\":[\n";
+    w.field("mc_samples", r.samples_per_corner)
+        .field("corners", sw.corners.names())
+        .field("mode", sweep_synthesize ? "sweep-synthesize" : "sweep-estimate")
+        .end_object()
+        .key("jobs")
+        .begin_array();
     for (size_t i = 0; i < r.jobs.size(); ++i) {
       const auto& j = r.jobs[i];
-      json += "{\"name\":\"" + json_escape(named[i].name) + "\",";
-      put_kv(json, "index", double(j.index));
+      w.begin_object()
+          .field("name", named[i].name)
+          .field("index", j.index)
+          .field("ok", j.ok);
       if (j.ok) {
         const auto ci = j.report.ci();
-        json += "\"ok\":true,";
-        put_kv(json, "yield", j.report.yield());
-        put_kv(json, "ci_lo", ci.lo);
-        put_kv(json, "ci_hi", ci.hi);
-        put_kv(json, "samples", double(j.report.total.samples));
-        put_kv(json, "passes", double(j.report.total.pass));
-        json += "\"worst_corner\":\"" +
-                json_escape(j.report.worst_corner_name()) + "\",";
-        std::string feasible;
-        for (uint8_t ok : j.corner_estimate_ok) feasible += ok ? '1' : '0';
-        json += "\"corner_estimate_ok\":\"" + feasible + "\",";
-        json += "\"report\":" + j.report.to_json();
+        w.field("yield", j.report.yield())
+            .field("ci_lo", ci.lo)
+            .field("ci_hi", ci.hi)
+            .field("samples", j.report.total.samples)
+            .field("passes", j.report.total.pass)
+            .field("worst_corner", j.report.worst_corner_name())
+            .field("corner_estimate_ok",
+                   runtime::corner_flags(j.corner_estimate_ok))
+            .field("report", j.report);
       } else {
-        json += "\"ok\":false,\"error\":\"" + json_escape(j.error) + "\"";
+        w.field("error", j.error);
       }
-      json += i + 1 < r.jobs.size() ? "},\n" : "}\n";
+      w.end_object();
     }
-    json += "],\n\"aggregate\":{";
+    w.end_array();
+    open_aggregate(w, r.stats, r.supervision);
     const auto ci = r.aggregate.ci();
-    put_kv(json, "jobs", double(r.stats.jobs));
-    put_kv(json, "failed", double(r.stats.failed));
-    put_kv(json, "met_spec", double(r.stats.met_spec));
-    put_kv(json, "threads", double(r.stats.threads));
-    put_kv(json, "wall_seconds", r.stats.wall_seconds);
-    put_kv(json, "jobs_per_second", r.stats.jobs_per_second);
-    put_kv(json, "cache_hits", double(r.stats.cache.hits));
-    put_kv(json, "cache_misses", double(r.stats.cache.misses));
-    put_kv(json, "cache_hit_rate", r.stats.cache.hit_rate());
-    put_kv(json, "yield", r.aggregate.yield());
-    put_kv(json, "ci_lo", ci.lo);
-    put_kv(json, "ci_hi", ci.hi);
-    put_kv(json, "yield_samples", double(r.aggregate.total.samples));
-    put_kv(json, "yield_passes", double(r.aggregate.total.pass));
-    json += "\"worst_corner\":\"" +
-            json_escape(r.aggregate.worst_corner_name()) + "\",";
-    put_kv(json, "samples_per_corner", double(r.samples_per_corner));
-    put_kv(json, "cancelled_jobs", double(r.supervision.cancelled_jobs));
-    put_kv(json, "resumed_jobs", double(r.supervision.resumed_jobs), false);
-    json += "}}\n";
+    w.field("yield", r.aggregate.yield())
+        .field("ci_lo", ci.lo)
+        .field("ci_hi", ci.hi)
+        .field("yield_samples", r.aggregate.total.samples)
+        .field("yield_passes", r.aggregate.total.pass)
+        .field("worst_corner", r.aggregate.worst_corner_name())
+        .field("samples_per_corner", r.samples_per_corner)
+        .end_object()
+        .end_object();
 
-    if (out_path.empty()) {
-      std::fputs(json.c_str(), stdout);
-    } else {
-      std::ofstream out(out_path);
-      if (!out) die("cannot write '" + out_path + "'");
-      out << json;
+    emit(w, out_path);
+    if (!out_path.empty()) {
       std::fprintf(stderr,
                    "ape_batch: wrote %s (%d jobs x %zu corners x %d samples, "
                    "yield %.1f%%)\n",
@@ -403,13 +383,12 @@ int main(int argc, char** argv) {
     return r.stats.failed == 0 ? 0 : 1;
   }
 
-  std::string json = "{\"config\":{";
-  put_kv(json, "jobs", double(specs.size()));
-  put_kv(json, "seed", double(options.seed));
-  put_kv(json, "iterations", double(options.synth.anneal.iterations));
-  put_kv(json, "restarts", double(options.synth.restarts));
-  json += std::string("\"mode\":\"") +
-          (estimate_only ? "estimate" : "synthesize") + "\"},\n\"jobs\":[\n";
+  w.field("iterations", options.synth.anneal.iterations)
+      .field("restarts", options.synth.restarts)
+      .field("mode", estimate_only ? "estimate" : "synthesize")
+      .end_object()
+      .key("jobs")
+      .begin_array();
 
   runtime::BatchStats stats;
   runtime::SupervisionStats supervision;
@@ -418,20 +397,16 @@ int main(int argc, char** argv) {
     stats = r.stats;
     for (size_t i = 0; i < r.jobs.size(); ++i) {
       const auto& j = r.jobs[i];
-      json += "{\"name\":\"" + json_escape(named[i].name) + "\",";
-      put_kv(json, "index", double(j.index));
+      w.begin_object()
+          .field("name", named[i].name)
+          .field("index", j.index)
+          .field("ok", j.ok);
       if (j.ok) {
-        json += "\"ok\":true,";
-        const est::OpAmpPerf& p = j.outcome->perf;
-        put_kv(json, "gain", p.gain);
-        put_kv(json, "ugf_hz", p.ugf_hz);
-        put_kv(json, "phase_margin", p.phase_margin);
-        put_kv(json, "gate_area", p.gate_area);
-        put_kv(json, "dc_power", p.dc_power, false);
+        j.outcome->perf.to_json(w);
       } else {
-        json += "\"ok\":false,\"error\":\"" + json_escape(j.error) + "\"";
+        w.field("error", j.error);
       }
-      json += i + 1 < r.jobs.size() ? "},\n" : "}\n";
+      w.end_object();
     }
   } else {
     runtime::SupervisorOptions sup;
@@ -466,73 +441,40 @@ int main(int argc, char** argv) {
     supervision = r.supervision;
     for (size_t i = 0; i < r.jobs.size(); ++i) {
       const auto& j = r.jobs[i];
-      json += "{\"name\":\"" + json_escape(named[i].name) + "\",";
-      put_kv(json, "index", double(j.index));
-      put_kv(json, "attempts", double(j.attempts));
-      json += std::string("\"rung\":\"") + to_string(j.final_rung) + "\",";
-      json += std::string("\"deadline_hit\":") +
-              (j.deadline_hit ? "true," : "false,");
-      json += std::string("\"quarantined\":") +
-              (j.quarantined ? "true," : "false,");
-      json += std::string("\"resumed\":") + (j.resumed ? "true," : "false,");
-      json += std::string("\"estimate_fallback\":") +
-              (j.estimate_fallback ? "true," : "false,");
+      w.begin_object()
+          .field("name", named[i].name)
+          .field("index", j.index)
+          .field("attempts", j.attempts)
+          .field("rung", to_string(j.final_rung))
+          .field("deadline_hit", j.deadline_hit)
+          .field("quarantined", j.quarantined)
+          .field("resumed", j.resumed)
+          .field("estimate_fallback", j.estimate_fallback)
+          .field("ok", j.ok);
       if (j.ok) {
         const synth::SynthesisOutcome& o = j.outcome;
-        json += "\"ok\":true,";
-        json += std::string("\"meets_spec\":") +
-                (o.meets_spec ? "true," : "false,");
-        json += std::string("\"sim_failed\":") +
-                (o.sim_failed ? "true," : "false,");
-        json += "\"comment\":\"" + json_escape(o.comment) + "\",";
-        put_kv(json, "cost", o.cost);
-        put_kv(json, "evaluations", double(o.evaluations));
-        put_kv(json, "skipped_candidates", double(o.skipped_candidates));
-        put_kv(json, "sim_gain", o.sim.gain);
-        put_kv(json, "sim_ugf_hz", o.sim.ugf_hz.value_or(0.0));
-        put_kv(json, "gate_area", o.design.perf.gate_area);
-        put_kv(json, "cpu_seconds", o.cpu_seconds, false);
+        w.field("meets_spec", o.meets_spec)
+            .field("sim_failed", o.sim_failed)
+            .field("comment", o.comment)
+            .field("cost", o.cost)
+            .field("evaluations", o.evaluations)
+            .field("skipped_candidates", o.skipped_candidates)
+            .field("sim_gain", o.sim.gain)
+            .field("sim_ugf_hz", o.sim.ugf_hz.value_or(0.0))
+            .field("gate_area", o.design.perf.gate_area)
+            .field("cpu_seconds", o.cpu_seconds);
       } else {
-        json += "\"ok\":false,\"error\":\"" + json_escape(j.error) + "\"";
+        w.field("error", j.error);
       }
-      json += i + 1 < r.jobs.size() ? "},\n" : "}\n";
+      w.end_object();
     }
   }
+  w.end_array();
+  open_aggregate(w, stats, supervision);
+  w.end_object().end_object();
 
-  json += "],\n\"aggregate\":{";
-  put_kv(json, "jobs", double(stats.jobs));
-  put_kv(json, "failed", double(stats.failed));
-  put_kv(json, "met_spec", double(stats.met_spec));
-  put_kv(json, "threads", double(stats.threads));
-  put_kv(json, "wall_seconds", stats.wall_seconds);
-  put_kv(json, "jobs_per_second", stats.jobs_per_second);
-  put_kv(json, "cache_hits", double(stats.cache.hits));
-  put_kv(json, "cache_misses", double(stats.cache.misses));
-  put_kv(json, "cache_hit_rate", stats.cache.hit_rate());
-  put_kv(json, "attempts", double(supervision.attempts));
-  put_kv(json, "retries", double(supervision.retries));
-  put_kv(json, "numeric_recovery_attempts",
-         double(supervision.numeric_recovery_attempts));
-  put_kv(json, "relaxed_attempts", double(supervision.relaxed_attempts));
-  put_kv(json, "estimate_fallbacks", double(supervision.estimate_fallbacks));
-  put_kv(json, "deadline_hits", double(supervision.deadline_hits));
-  put_kv(json, "cancelled_jobs", double(supervision.cancelled_jobs));
-  put_kv(json, "quarantine_skips", double(supervision.quarantine_skips));
-  put_kv(json, "quarantined_new", double(supervision.quarantined_new));
-  put_kv(json, "checkpoints_written", double(supervision.checkpoints_written));
-  put_kv(json, "resumed_jobs", double(supervision.resumed_jobs));
-  put_kv(json, "numeric_recoveries", double(stats.kernel.numeric_recoveries));
-  put_kv(json, "refinement_solves", double(stats.kernel.refinement_solves));
-  put_kv(json, "equilibrated_solves", double(stats.kernel.equilibrated_solves));
-  put_kv(json, "residual_norm_max", stats.kernel.residual_norm_max, false);
-  json += "}}\n";
-
-  if (out_path.empty()) {
-    std::fputs(json.c_str(), stdout);
-  } else {
-    std::ofstream out(out_path);
-    if (!out) die("cannot write '" + out_path + "'");
-    out << json;
+  emit(w, out_path);
+  if (!out_path.empty()) {
     std::fprintf(stderr, "ape_batch: wrote %s (%d jobs, %.2f jobs/s)\n",
                  out_path.c_str(), stats.jobs, stats.jobs_per_second);
   }

@@ -28,6 +28,17 @@ namespace {
   std::exit(1);
 }
 
+/// --seed: decimal digits below 2^53, the integers a JSON number carries
+/// exactly (strtoull saturates, so overlong digit strings fail too).
+uint64_t parse_seed(const std::string& s) {
+  const uint64_t v = std::strtoull(s.c_str(), nullptr, 10);
+  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos ||
+      v >= (uint64_t{1} << 53)) {
+    die("bad --seed '" + s + "' (want an integer in [0, 2^53))");
+  }
+  return v;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -65,7 +76,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--iters") {
       iterations = std::atoi(next().c_str());
     } else if (arg == "--seed") {
-      seed = std::strtoull(next().c_str(), nullptr, 10);
+      seed = parse_seed(next());
     } else if (arg == "--repeat") {
       repeat = std::atoi(next().c_str());
     } else if (arg == "--gain") {
@@ -112,28 +123,23 @@ int main(int argc, char** argv) {
 
   std::string request = raw_json;
   if (request.empty()) {
-    request = "{\"op\":\"" + op + "\"";
-    if (!id.empty()) request += ",\"id\":\"" + ape::json::escape(id) + "\"";
-    if (timeout_ms > 0.0) {
-      char buf[48];
-      std::snprintf(buf, sizeof buf, ",\"timeout_ms\":%.17g", timeout_ms);
-      request += buf;
-    }
-    if (iterations > 0) request += ",\"iterations\":" + std::to_string(iterations);
-    if (seed != 0) request += ",\"seed\":" + std::to_string(seed);
-    if (spec_set) request += ",\"spec\":" + ape::serve::spec_to_json(spec);
-    if (!corners.empty()) {
-      request += ",\"corners\":\"" + ape::json::escape(corners) + "\"";
-    }
-    if (mc_samples > 0) request += ",\"mc_samples\":" + std::to_string(mc_samples);
+    ape::json::Writer w;
+    w.begin_object().field("op", op);
+    if (!id.empty()) w.field("id", id);
+    if (timeout_ms > 0.0) w.field("timeout_ms", timeout_ms);
+    if (iterations > 0) w.field("iterations", iterations);
+    if (seed != 0) w.field("seed", seed);
+    if (spec_set) w.field("spec", spec);
+    if (!corners.empty()) w.field("corners", corners);
+    if (mc_samples > 0) w.field("mc_samples", mc_samples);
     if (!netlist_path.empty()) {
       std::ifstream in(netlist_path);
       if (!in) die("cannot read netlist '" + netlist_path + "'");
       std::ostringstream ss;
       ss << in.rdbuf();
-      request += ",\"netlist\":\"" + ape::json::escape(ss.str()) + "\"";
+      w.field("netlist", ss.str());
     }
-    request += "}";
+    request = w.end_object().str();
   }
 
   try {

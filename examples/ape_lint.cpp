@@ -130,12 +130,6 @@ int exit_code_for(const ape::lint::Report& report, bool werror) {
   return kExitClean;
 }
 
-std::string interval_json(const ape::util::Interval& v) {
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "[%.17g,%.17g]", v.lo(), v.hi());
-  return buf;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -200,6 +194,8 @@ int main(int argc, char** argv) {
     die("spec/corner flags require --prove (see --help)", kExitUsage);
   }
 
+  ape::lint::Report report;
+  ape::json::Writer w;
   if (prove) {
     if (!files.empty()) {
       die("--prove takes spec flags, not netlist files", kExitUsage);
@@ -224,55 +220,26 @@ int main(int argc, char** argv) {
     } catch (const ape::Error& e) {
       die(std::string("prove: ") + e.what(), kExitUsage);
     }
-    const ape::lint::Report report = dedupe(proof.report);
-    if (!quiet) {
-      std::string json = "{\"mode\":\"prove\",\"infeasible\":";
-      json += proof.infeasible ? "true" : "false";
-      json += ",\"corner\":\"" + ape::json::escape(proof.corner) + "\"";
-      json += ",\"bounds\":{";
-      json += "\"gain\":" + interval_json(proof.bounds.gain);
-      json += ",\"ugf_hz\":" + interval_json(proof.bounds.ugf_hz);
-      json += ",\"phase_margin\":" + interval_json(proof.bounds.phase_margin);
-      json += ",\"slew\":" + interval_json(proof.bounds.slew);
-      json += ",\"dc_power\":" + interval_json(proof.bounds.dc_power);
-      json += ",\"gate_area\":" + interval_json(proof.bounds.gate_area);
-      json += ",\"input_noise_v2\":" +
-              interval_json(proof.bounds.input_noise_v2);
-      json += "}";
-      char buf[64];
-      std::snprintf(buf, sizeof buf, ",\"cost_lower_bound\":%.17g",
-                    proof.cost_lower_bound);
-      json += buf;
-      json += ",\"feasible_box\":[";
-      for (size_t i = 0; i < proof.feasible_box.size(); ++i) {
-        if (i != 0) json += ',';
-        std::snprintf(buf, sizeof buf, "[%.17g,%.17g]",
-                      proof.feasible_box[i].first,
-                      proof.feasible_box[i].second);
-        json += buf;
-      }
-      json += "],\"report\":" + report.to_json() + "}";
-      std::printf("%s\n", json.c_str());
-    }
-    const int code = exit_code_for(report, werror);
-    if (code != kExitClean && !quiet) {
-      std::fprintf(stderr, "ape_lint: %s\n", report.summary().c_str());
-    }
-    return code;
-  }
-
-  ape::lint::Report merged;
-  if (files.empty()) {
-    merged = ape::lint::lint_netlist(read_stdin());
+    proof.report = dedupe(proof.report);
+    report = proof.report;
+    w.begin_object().field("mode", "prove");
+    proof.to_json(w);
+    w.end_object();
   } else {
-    for (const std::string& path : files) {
-      ape::ErrorContext scope(path);
-      merged.merge(ape::lint::lint_netlist(read_file(path)));
+    ape::lint::Report merged;
+    if (files.empty()) {
+      merged = ape::lint::lint_netlist(read_stdin());
+    } else {
+      for (const std::string& path : files) {
+        ape::ErrorContext scope(path);
+        merged.merge(ape::lint::lint_netlist(read_file(path)));
+      }
     }
+    report = dedupe(merged);
+    w.value(report);
   }
-  const ape::lint::Report report = dedupe(merged);
 
-  if (!quiet) std::printf("%s\n", report.to_json().c_str());
+  if (!quiet) std::printf("%s\n", w.str().c_str());
   const int code = exit_code_for(report, werror);
   if (code != kExitClean && !quiet) {
     std::fprintf(stderr, "ape_lint: %s\n", report.summary().c_str());

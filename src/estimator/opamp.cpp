@@ -259,4 +259,31 @@ OpAmpDesign OpAmpEstimator::build(const OpAmpSpec& spec, double ugf_margin) cons
   return d;
 }
 
+void OpAmpSpec::to_json(json::Writer& w) const {
+  w.field("gain", gain)
+      .field("ugf_hz", ugf_hz)
+      .field("ibias", ibias)
+      .field("cload", cload)
+      .field("zout", zout)
+      .field("area_budget", area_budget)
+      .field("buffer", buffer)
+      .field("source", source == CurrentSourceKind::Wilson ? "wilson" : "mirror");
+}
+
+void OpAmpPerf::to_json(json::Writer& w) const {
+  w.field("gain", gain)
+      .field("ugf_hz", ugf_hz)
+      .field("phase_margin", phase_margin)
+      .field("dc_power", dc_power)
+      .field("gate_area", gate_area)
+      .field("ibias", ibias)
+      .field("zout", zout)
+      .field("cmrr_db", cmrr_db)
+      .field("slew", slew)
+      .field("input_noise_v2", input_noise_v2)
+      .field("cc", cc)
+      .field("rz", rz)
+      .field("input_cm", input_cm);
+}
+
 }  // namespace ape::est

@@ -18,6 +18,7 @@
 #include "src/estimator/netlist.h"
 #include "src/estimator/process.h"
 #include "src/estimator/transistor.h"
+#include "src/util/json.h"
 
 namespace ape::est {
 
@@ -34,6 +35,9 @@ struct OpAmpSpec {
   bool buffer = false;       ///< include the output source-follower
   double zout = 0.0;         ///< output impedance target when buffered [ohm]
   double area_budget = 0.0;  ///< informational gate-area budget [m^2] (0 = none)
+
+  /// The serve request's "spec" members (src/serve/protocol.h).
+  void to_json(json::Writer& w) const;
 };
 
 /// Estimated opamp performance (Table 3 columns).
@@ -51,6 +55,9 @@ struct OpAmpPerf {
   double cc = 0.0;          ///< compensation capacitor [F]
   double rz = 0.0;          ///< zero-nulling resistor [ohm]
   double input_cm = 0.0;    ///< input common-mode bias for testbenches [V]
+
+  /// Every field, keyed by its name (json.h).
+  void to_json(json::Writer& w) const;
 };
 
 /// Testbench flavours an opamp design can emit.

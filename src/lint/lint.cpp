@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <numeric>
 #include <set>
@@ -12,6 +11,7 @@
 #include "src/spice/devices.h"
 #include "src/spice/parser.h"
 #include "src/util/diagnostics.h"
+#include "src/util/json.h"
 #include "src/util/units.h"
 
 namespace ape::lint {
@@ -21,28 +21,6 @@ std::string lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
   return s;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// Union-find over MNA nodes; slot 0 is ground, node id i is slot i + 1.
@@ -167,24 +145,21 @@ std::string Report::summary() const {
   return out;
 }
 
-std::string Report::to_json() const {
-  std::string out = "{\"findings\":[";
-  for (size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    if (i != 0) out += ',';
-    out += "{\"rule\":\"" + json_escape(f.rule) + "\",\"severity\":\"" +
-           to_string(f.severity) + "\",\"message\":\"" +
-           json_escape(f.message) + "\"";
-    if (!f.where.empty()) out += ",\"where\":\"" + json_escape(f.where) + "\"";
-    if (!f.provenance.empty()) {
-      out += ",\"provenance\":\"" + json_escape(f.provenance) + "\"";
-    }
-    out += "}";
+void Report::to_json(json::Writer& w) const {
+  w.key("findings").begin_array();
+  for (const Finding& f : findings) {
+    w.begin_object()
+        .field("rule", f.rule)
+        .field("severity", to_string(f.severity))
+        .field("message", f.message);
+    if (!f.where.empty()) w.field("where", f.where);
+    if (!f.provenance.empty()) w.field("provenance", f.provenance);
+    w.end_object();
   }
-  out += "],\"errors\":" + std::to_string(errors()) +
-         ",\"warnings\":" + std::to_string(warnings()) +
-         ",\"notes\":" + std::to_string(notes()) + "}";
-  return out;
+  w.end_array()
+      .field("errors", errors())
+      .field("warnings", warnings())
+      .field("notes", notes());
 }
 
 // --- circuit-level analysis -------------------------------------------------

@@ -107,8 +107,9 @@ struct Report {
 
   /// "clean" or e.g. "2 errors, 1 warning (first: APE-L002 ...)".
   std::string summary() const;
-  /// Machine-readable rendering used by the ape_lint CLI.
-  std::string to_json() const;
+  /// "findings" plus the errors / warnings / notes counts (json.h); the
+  /// ape_lint CLI and the serve "proof" render this.
+  void to_json(json::Writer& w) const;
 };
 
 /// Thrown by the lint-first entry points when a report has errors. The

@@ -7,6 +7,7 @@
 
 #include "src/spice/mos_model.h"
 #include "src/util/error.h"
+#include "src/util/json.h"
 
 namespace ape::lint {
 namespace {
@@ -362,6 +363,27 @@ FeasibilityProof prove_opamp_feasibility(const est::Process& proc,
     }
   }
   return proof;
+}
+
+void FeasibilityProof::to_json(json::Writer& w) const {
+  const auto ends = [](const util::Interval& v) {
+    return std::pair(v.lo(), v.hi());
+  };
+  w.field("infeasible", infeasible)
+      .field("corner", corner)
+      .key("bounds")
+      .begin_object()
+      .field("gain", ends(bounds.gain))
+      .field("ugf_hz", ends(bounds.ugf_hz))
+      .field("phase_margin", ends(bounds.phase_margin))
+      .field("slew", ends(bounds.slew))
+      .field("dc_power", ends(bounds.dc_power))
+      .field("gate_area", ends(bounds.gate_area))
+      .field("input_noise_v2", ends(bounds.input_noise_v2))
+      .end_object()
+      .field("cost_lower_bound", cost_lower_bound)
+      .field("feasible_box", feasible_box)
+      .field("report", report);
 }
 
 void require_feasible(const FeasibilityProof& proof, const std::string& what) {

@@ -101,6 +101,10 @@ struct FeasibilityProof {
   /// can score below it.
   double cost_lower_bound = 0.0;
   std::string corner;  ///< Process::variant the proof was run at
+
+  /// Verdict, "bounds" ([lo, hi] per metric, null for an unbounded end),
+  /// box, floor and "report" (json.h); what `ape_lint --prove` prints.
+  void to_json(json::Writer& w) const;
 };
 
 /// The synthesizer's blind sizing box (13 pairs, unbuffered layout).

@@ -156,6 +156,19 @@ synth::ModuleSynthesisOutcome run_one(const est::Process& proc,
 
 }  // namespace detail
 
+void BatchStats::to_json(json::Writer& w) const {
+  w.field("jobs", jobs)
+      .field("failed", failed)
+      .field("met_spec", met_spec)
+      .field("threads", threads)
+      .field("wall_seconds", wall_seconds)
+      .field("jobs_per_second", jobs_per_second)
+      .field("cache_hits", cache.hits)
+      .field("cache_misses", cache.misses)
+      .field("cache_hit_rate", cache.hit_rate())
+      .field("kernel", kernel);
+}
+
 OpAmpBatchResult run_opamp_batch(const est::Process& proc,
                                  const std::vector<est::OpAmpSpec>& specs,
                                  const BatchOptions& options) {

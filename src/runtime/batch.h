@@ -105,6 +105,9 @@ struct BatchStats {
   /// (symbolic analyses/reuses, numeric refactorizations, fallbacks)
   /// all surface here — for plain, supervised and sweep runs alike.
   KernelStats kernel;
+
+  /// Counters, cache delta (cache_*) and a nested "kernel" (json.h).
+  void to_json(json::Writer& w) const;
 };
 
 /// Aggregate supervision counters for one batch.
@@ -126,8 +129,8 @@ struct SupervisionStats {
   /// Merge another batch's (or job's) counters into this one.
   void accumulate(const SupervisionStats& o);
 
-  /// One-line human-readable summary (same idiom as KernelStats).
-  std::string summary() const;
+  /// Every counter, keyed by its field name (json.h).
+  void to_json(json::Writer& w) const;
 };
 
 /// Every batch entry point returns one of these.

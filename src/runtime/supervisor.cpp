@@ -281,40 +281,45 @@ void supervise_one(const est::Process& proc, const Spec& spec, size_t index,
 std::string checkpoint_json(uint64_t seed, const std::vector<uint64_t>& fps,
                             const std::vector<OpAmpJobResult>& jobs,
                             const std::vector<char>& done) {
-  std::ostringstream os;
-  os << "{\n  \"version\": 1,\n  \"kind\": \"opamp\",\n  \"seed\": \"" << seed
-     << "\",\n  \"jobs\": [\n";
+  json::Writer w;
+  w.begin_object()
+      .field("version", 1)
+      .field("kind", "opamp")
+      .field("seed", std::to_string(seed))
+      .key("jobs")
+      .begin_array();
   for (size_t i = 0; i < jobs.size(); ++i) {
     const OpAmpJobResult& j = jobs[i];
     const synth::SynthesisOutcome& o = j.outcome;
-    os << "    {\"index\": " << i << ", \"fp\": \"" << fps[i] << "\""
-       << ", \"done\": " << (done[i] != 0 ? "true" : "false")
-       << ", \"ok\": " << (j.ok ? "true" : "false") << ", \"error\": \""
-       << json::escape(j.error) << "\", \"attempts\": " << j.attempts
-       << ", \"rung\": \"" << to_string(j.final_rung) << "\""
-       << ", \"deadline_hit\": " << (j.deadline_hit ? "true" : "false")
-       << ", \"quarantined\": " << (j.quarantined ? "true" : "false")
-       << ", \"estimate_fallback\": " << (j.estimate_fallback ? "true" : "false")
-       << ", \"cost\": \"" << json::hex_double(o.cost) << "\""
-       << ", \"evaluations\": " << o.evaluations
-       << ", \"skipped\": " << o.skipped_candidates
-       << ", \"nonfinite\": " << o.rejected_nonfinite
-       << ", \"budget_exhausted\": " << (o.budget_exhausted ? "true" : "false")
-       << ", \"restarts_run\": " << o.restarts_run
-       << ", \"best_restart\": " << o.best_restart
-       << ", \"sim_failed\": " << (o.sim_failed ? "true" : "false")
-       << ", \"functional\": " << (o.functional ? "true" : "false")
-       << ", \"meets_spec\": " << (o.meets_spec ? "true" : "false")
-       << ", \"comment\": \"" << json::escape(o.comment) << "\""
-       << ", \"best_x\": [";
-    for (size_t k = 0; k < o.best_x.size(); ++k) {
-      if (k != 0) os << ", ";
-      os << "\"" << json::hex_double(o.best_x[k]) << "\"";
-    }
-    os << "]}" << (i + 1 < jobs.size() ? "," : "") << "\n";
+    w.begin_object()
+        .field("index", i)
+        .field("fp", std::to_string(fps[i]))
+        .field("done", done[i] != 0)
+        .field("ok", j.ok)
+        .field("error", j.error)
+        .field("attempts", j.attempts)
+        .field("rung", to_string(j.final_rung))
+        .field("deadline_hit", j.deadline_hit)
+        .field("quarantined", j.quarantined)
+        .field("estimate_fallback", j.estimate_fallback)
+        .field("cost", json::hex_double(o.cost))
+        .field("evaluations", o.evaluations)
+        .field("skipped", o.skipped_candidates)
+        .field("nonfinite", o.rejected_nonfinite)
+        .field("budget_exhausted", o.budget_exhausted)
+        .field("restarts_run", o.restarts_run)
+        .field("best_restart", o.best_restart)
+        .field("sim_failed", o.sim_failed)
+        .field("functional", o.functional)
+        .field("meets_spec", o.meets_spec)
+        .field("comment", o.comment)
+        .key("best_x")
+        .begin_array();
+    for (const double x : o.best_x) w.value(json::hex_double(x));
+    w.end_array().end_object();
   }
-  os << "  ]\n}\n";
-  return os.str();
+  w.end_array().end_object();
+  return w.str() + "\n";
 }
 
 void write_checkpoint(const std::string& path, uint64_t seed,
@@ -524,21 +529,20 @@ void SupervisionStats::accumulate(const SupervisionStats& o) {
   resumed_jobs += o.resumed_jobs;
 }
 
-std::string SupervisionStats::summary() const {
-  std::ostringstream os;
-  os << "supervision: attempts=" << attempts << " retries=" << retries
-     << " numeric_recovery=" << numeric_recovery_attempts
-     << " relaxed=" << relaxed_attempts
-     << " estimate_fallbacks=" << estimate_fallbacks;
-  if (backoff_waits > 0) {
-    os << " backoff_waits=" << backoff_waits << " backoff_s=" << backoff_seconds;
-  }
-  os << " deadline_hits=" << deadline_hits << " cancelled=" << cancelled_jobs
-     << " quarantine_skips=" << quarantine_skips
-     << " quarantined_new=" << quarantined_new;
-  if (checkpoints_written > 0) os << " checkpoints=" << checkpoints_written;
-  if (resumed_jobs > 0) os << " resumed=" << resumed_jobs;
-  return os.str();
+void SupervisionStats::to_json(json::Writer& w) const {
+  w.field("attempts", attempts)
+      .field("retries", retries)
+      .field("numeric_recovery_attempts", numeric_recovery_attempts)
+      .field("relaxed_attempts", relaxed_attempts)
+      .field("estimate_fallbacks", estimate_fallbacks)
+      .field("backoff_waits", backoff_waits)
+      .field("backoff_seconds", backoff_seconds)
+      .field("deadline_hits", deadline_hits)
+      .field("cancelled_jobs", cancelled_jobs)
+      .field("quarantine_skips", quarantine_skips)
+      .field("quarantined_new", quarantined_new)
+      .field("checkpoints_written", checkpoints_written)
+      .field("resumed_jobs", resumed_jobs);
 }
 
 namespace {

@@ -227,4 +227,10 @@ SweepResult run_monte_carlo(const est::Process& proc,
   return run_corner_sweep(proc, specs, options);
 }
 
+std::string corner_flags(const std::vector<uint8_t>& per_corner) {
+  std::string out;
+  for (const uint8_t flag : per_corner) out += flag != 0 ? '1' : '0';
+  return out;
+}
+
 }  // namespace ape::runtime

@@ -121,4 +121,8 @@ SweepResult run_monte_carlo(const est::Process& proc,
                             const std::vector<est::OpAmpSpec>& specs,
                             const SweepOptions& options);
 
+/// A SweepJobResult per-corner flag vector as the JSON outputs spell it:
+/// one '1' or '0' per corner, in corner order.
+std::string corner_flags(const std::vector<uint8_t>& per_corner);
+
 }  // namespace ape::runtime

@@ -1,8 +1,9 @@
 #include "src/serve/protocol.h"
 
 #include <cerrno>
-#include <cstdio>
+#include <cmath>
 #include <cstring>
+#include <limits>
 
 #include <unistd.h>
 
@@ -147,6 +148,16 @@ est::OpAmpSpec spec_from_json(const json::Value& obj) {
   return spec;
 }
 
+/// A non-negative integer field that fits an int (as_long() already
+/// refuses fractions and values outside long).
+int as_count(const json::Value& value, const char* key) {
+  const long n = value.as_long();
+  if (n < 0 || n > std::numeric_limits<int>::max()) {
+    throw ParseError(std::string("request: bad ") + key);
+  }
+  return static_cast<int>(n);
+}
+
 }  // namespace
 
 Request parse_request(const std::string& payload) {
@@ -180,11 +191,17 @@ Request parse_request(const std::string& payload) {
     if (req.timeout_ms < 0.0) throw ParseError("request: negative timeout_ms");
   }
   if (const json::Value* it = doc.find("iterations")) {
-    req.iterations = static_cast<int>(it->as_long());
-    if (req.iterations < 0) throw ParseError("request: negative iterations");
+    req.iterations = as_count(*it, "iterations");
   }
   if (const json::Value* s = doc.find("seed")) {
-    req.seed = static_cast<uint64_t>(s->as_number());
+    // A JSON number is a double: integers below 2^53 arrive exactly,
+    // while 2^53 is also where 2^53 + 1 rounds to, so it is refused too.
+    const double seed = s->as_number();
+    if (!(seed >= 0.0 && seed < 9007199254740992.0) ||
+        seed != std::trunc(seed)) {
+      throw ParseError("request: bad seed");
+    }
+    req.seed = static_cast<uint64_t>(seed);
   }
 
   if (req.kind == RequestKind::Estimate || req.kind == RequestKind::Synthesize ||
@@ -195,8 +212,7 @@ Request parse_request(const std::string& payload) {
   if (req.kind == RequestKind::CornerSweep) {
     if (const json::Value* c = doc.find("corners")) req.corners = c->as_string();
     if (const json::Value* m = doc.find("mc_samples")) {
-      req.mc_samples = static_cast<int>(m->as_long());
-      if (req.mc_samples < 0) throw ParseError("request: negative mc_samples");
+      req.mc_samples = as_count(*m, "mc_samples");
     }
   }
   if (req.kind == RequestKind::Simulate) {
@@ -207,32 +223,26 @@ Request parse_request(const std::string& payload) {
   return req;
 }
 
-std::string spec_to_json(const est::OpAmpSpec& spec) {
-  char buf[320];
-  std::snprintf(buf, sizeof buf,
-                "{\"gain\":%.17g,\"ugf_hz\":%.17g,\"ibias\":%.17g,"
-                "\"cload\":%.17g,\"zout\":%.17g,\"area_budget\":%.17g,"
-                "\"buffer\":%s,\"source\":\"%s\"}",
-                spec.gain, spec.ugf_hz, spec.ibias, spec.cload, spec.zout,
-                spec.area_budget, spec.buffer ? "true" : "false",
-                spec.source == est::CurrentSourceKind::Wilson ? "wilson"
-                                                              : "mirror");
-  return buf;
-}
+std::string spec_to_json(const est::OpAmpSpec& spec) { return json::dump(spec); }
 
-std::string response_head(const std::string& id, const std::string& status,
-                          bool degraded) {
-  return "{\"id\":\"" + json::escape(id) + "\",\"status\":\"" + status +
-         "\",\"degraded\":" + (degraded ? "true" : "false");
+json::Writer response(const std::string& id, const char* status,
+                      bool degraded) {
+  json::Writer w;
+  w.begin_object()
+      .field("id", id)
+      .field("status", status)
+      .field("degraded", degraded);
+  return w;
 }
 
 std::string error_response(const std::string& id, const std::string& what) {
-  return response_head(id, "error", false) + ",\"error\":\"" +
-         json::escape(what) + "\"}";
+  json::Writer w = response(id, "error", false);
+  return w.field("error", what).end_object().str();
 }
 
 std::string shed_response(const std::string& id, const std::string& reason) {
-  return response_head(id, "shed", false) + ",\"reason\":\"" + reason + "\"}";
+  json::Writer w = response(id, "shed", false);
+  return w.field("reason", reason).end_object().str();
 }
 
 }  // namespace ape::serve

@@ -28,7 +28,9 @@
 /// "spec" keys mirror the ape_batch spec-file grammar: gain, ugf_hz,
 /// ibias, cload, zout, area_budget, buffer (bool), source
 /// ("mirror"|"wilson"). Unknown keys are rejected (a typoed constraint
-/// silently ignored is worse than an error).
+/// silently ignored is worse than an error). "seed" must be an integer
+/// in [0, 2^53), the integers a JSON number carries exactly (0 = server
+/// default); "iterations" and "mc_samples" are non-negative integers.
 ///
 /// Responses always carry "id" (echoed, "" when the request had none),
 /// "status" ("ok" | "shed" | "error" | "infeasible") and "degraded"
@@ -105,8 +107,8 @@ struct Request {
 /// state.
 Request parse_request(const std::string& payload);
 
-/// Serialize \p spec back to the request JSON spec object (used by the
-/// client CLI and tests).
+/// Serialize \p spec back to the request JSON spec object (used by
+/// clients and tests); json::dump of OpAmpSpec::to_json.
 std::string spec_to_json(const est::OpAmpSpec& spec);
 
 // Response assembly helpers (the server composes payload fields itself;
@@ -118,9 +120,9 @@ std::string error_response(const std::string& id, const std::string& what);
 /// {"id":...,"status":"shed","degraded":false,"reason":...}
 std::string shed_response(const std::string& id, const std::string& reason);
 
-/// Envelope opener: {"id":...,"status":...,"degraded":...  — callers
-/// append ",key:value..." fields and the closing '}'.
-std::string response_head(const std::string& id, const std::string& status,
-                          bool degraded);
+/// A writer holding the open envelope {"id":...,"status":...,
+/// "degraded":... — callers add their fields and end_object().
+json::Writer response(const std::string& id, const char* status,
+                      bool degraded);
 
 }  // namespace ape::serve

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -20,59 +19,27 @@
 #include "src/util/error.h"
 
 namespace ape::serve {
-namespace {
 
-void append_kv(std::string& json, const char* key, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, ",\"%s\":%.17g", key, v);
-  json += buf;
-}
-
-void append_kv(std::string& json, const char* key, long v) {
-  json += ",\"";
-  json += key;
-  json += "\":";
-  json += std::to_string(v);
-}
-
-void append_kv(std::string& json, const char* key, bool v) {
-  json += ",\"";
-  json += key;
-  json += "\":";
-  json += v ? "true" : "false";
-}
-
-void append_perf(std::string& json, const est::OpAmpPerf& p) {
-  json += ",\"perf\":{";
-  char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "\"gain\":%.17g,\"ugf_hz\":%.17g,\"phase_margin\":%.17g,"
-                "\"dc_power\":%.17g,\"gate_area\":%.17g,\"slew\":%.17g,"
-                "\"cmrr_db\":%.17g,\"zout\":%.17g",
-                p.gain, p.ugf_hz, p.phase_margin, p.dc_power, p.gate_area,
-                p.slew, p.cmrr_db, p.zout);
-  json += buf;
-  json += '}';
-}
-
-}  // namespace
-
-std::string ServerStats::summary() const {
-  std::ostringstream os;
-  os << "serve: connections=" << connections_opened
-     << " (rejected=" << connections_rejected << ") requests=" << requests
-     << " accepted=" << accepted << " ok=" << completed_ok
-     << " degraded=" << degraded << " shed=" << shed_overload + shed_quota +
-     shed_draining << " (overload=" << shed_overload << " quota=" << shed_quota
-     << " draining=" << shed_draining << ") errors=" << errors
-     << " malformed=" << malformed_frames << " framing=" << framing_errors
-     << " deadline_hits=" << deadline_hits << " cancelled=" << cancelled
-     << " quarantine_hits=" << quarantine_hits
-     << " numeric_recoveries=" << numeric_recoveries
-     << " refinement_solves=" << refinement_solves
-     << " proven_infeasible=" << proven_infeasible
-     << " peak_in_flight=" << peak_in_flight;
-  return os.str();
+void ServerStats::to_json(json::Writer& w) const {
+  w.field("connections_opened", connections_opened)
+      .field("connections_rejected", connections_rejected)
+      .field("requests", requests)
+      .field("accepted", accepted)
+      .field("completed_ok", completed_ok)
+      .field("degraded", degraded)
+      .field("shed_overload", shed_overload)
+      .field("shed_quota", shed_quota)
+      .field("shed_draining", shed_draining)
+      .field("proven_infeasible", proven_infeasible)
+      .field("errors", errors)
+      .field("malformed_frames", malformed_frames)
+      .field("framing_errors", framing_errors)
+      .field("deadline_hits", deadline_hits)
+      .field("cancelled", cancelled)
+      .field("quarantine_hits", quarantine_hits)
+      .field("numeric_recoveries", numeric_recoveries)
+      .field("refinement_solves", refinement_solves)
+      .field("peak_in_flight", peak_in_flight);
 }
 
 /// One client connection: its fd, reader thread and admission ledger.
@@ -212,14 +179,8 @@ int Server::serve_forever(int wake_fd) {
   reap_finished_connections(/*join_all=*/true);
   ::unlink(options_.socket_path.c_str());
 
-  const ServerStats final_stats = stats();
-  const runtime::CacheStats cs = cache_.stats();
-  std::fprintf(stderr, "%s\n", final_stats.summary().c_str());
-  std::fprintf(stderr,
-               "serve: cache hits=%ld misses=%ld evictions=%ld entries=%ld "
-               "quarantined=%zu\n",
-               cs.hits, cs.misses, cs.evictions, cs.entries,
-               quarantine_.quarantined_count());
+  // The final flush is the `stats` op's document.
+  std::fprintf(stderr, "serve: %s\n", stats_response(Request{}).c_str());
   return 0;
 }
 
@@ -348,7 +309,8 @@ Server::Admission Server::admit_heavy() {
 
 std::string Server::dispatch(Connection& conn, const Request& req) {
   if (req.kind == RequestKind::Ping) {
-    return response_head(req.id, "ok", false) + ",\"pong\":true}";
+    json::Writer w = response(req.id, "ok", false);
+    return w.field("pong", true).end_object().str();
   }
   if (req.kind == RequestKind::Stats) {
     return stats_response(req);
@@ -400,13 +362,12 @@ std::string Server::run_estimate(const Request& req, bool degraded) {
   try {
     const std::shared_ptr<const est::OpAmpDesign> design =
         cache_.opamp(proc_, req.spec);
-    std::string json = response_head(req.id, "ok", degraded);
-    append_perf(json, design->perf);
-    json += '}';
+    json::Writer w = response(req.id, "ok", degraded);
+    w.field("perf", design->perf).end_object();
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.completed_ok;
     if (degraded) ++stats_.degraded;
-    return json;
+    return w.str();
   } catch (const Error& e) {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.errors;
@@ -425,12 +386,11 @@ std::string Server::run_synthesize(Connection& conn, const Request& req) {
     return lint::prove_opamp_feasibility(proc_, req.spec, po);
   }();
   if (proof.infeasible) {
-    std::string json = response_head(req.id, "infeasible", false);
-    json += ",\"proof\":" + proof.report.to_json();
-    json += '}';
+    json::Writer w = response(req.id, "infeasible", false);
+    w.field("proof", proof.report).end_object();
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.proven_infeasible;
-    return json;
+    return w.str();
   }
 
   const Admission admission = admit_heavy();
@@ -519,25 +479,23 @@ std::string Server::run_synthesize(Connection& conn, const Request& req) {
     }
 
     const synth::SynthesisOutcome& o = r.outcome;
-    std::string json = response_head(req.id, "ok", r.estimate_fallback);
-    append_kv(json, "deadline_hit", r.deadline_hit);
-    append_kv(json, "attempts", static_cast<long>(r.attempts));
-    json += ",\"rung\":\"";
-    json += to_string(r.final_rung);
-    json += '"';
-    append_kv(json, "meets_spec", o.meets_spec);
-    append_kv(json, "sim_failed", o.sim_failed);
-    append_kv(json, "cost", o.cost);
-    append_kv(json, "evaluations", static_cast<long>(o.evaluations));
-    json += ",\"comment\":\"" + json::escape(o.comment) + "\"";
-    append_perf(json, o.design.perf);
-    json += '}';
+    json::Writer w = response(req.id, "ok", r.estimate_fallback);
+    w.field("deadline_hit", r.deadline_hit)
+        .field("attempts", r.attempts)
+        .field("rung", to_string(r.final_rung))
+        .field("meets_spec", o.meets_spec)
+        .field("sim_failed", o.sim_failed)
+        .field("cost", o.cost)
+        .field("evaluations", o.evaluations)
+        .field("comment", o.comment)
+        .field("perf", o.design.perf)
+        .end_object();
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.completed_ok;
     if (r.estimate_fallback) ++stats_.degraded;
     if (r.deadline_hit) ++stats_.deadline_hits;
     if (r.final_rung == RetryRung::NumericRecovery) ++stats_.numeric_recoveries;
-    return json;
+    return w.str();
   });
 
   std::string response;
@@ -618,27 +576,24 @@ std::string Server::run_simulate(Connection& conn, const Request& req) {
       if (recoveries == 0 && report.kernel.refinement_solves > 0) {
         recoveries = 1;
       }
-      std::string json = response_head(req.id, "ok", false);
-      append_kv(json, "converged", report.converged);
-      append_kv(json, "newton_iterations", report.newton_iterations);
-      append_kv(json, "numeric_recoveries", recoveries);
-      append_kv(json, "refinement_solves", report.kernel.refinement_solves);
-      append_kv(json, "equilibrated_solves", report.kernel.equilibrated_solves);
-      json += ",\"nodes\":{";
+      json::Writer w = response(req.id, "ok", false);
+      w.field("converged", report.converged)
+          .field("newton_iterations", report.newton_iterations)
+          .field("numeric_recoveries", recoveries)
+          .field("refinement_solves", report.kernel.refinement_solves)
+          .field("equilibrated_solves", report.kernel.equilibrated_solves)
+          .key("nodes")
+          .begin_object();
       for (size_t n = 0; n < ckt.num_nodes(); ++n) {
-        if (n != 0) json += ',';
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "\"%s\":%.17g",
-                      json::escape(ckt.node_name(static_cast<int>(n))).c_str(),
-                      sol.at(static_cast<int>(n)));
-        json += buf;
+        const int node = static_cast<int>(n);
+        w.field(ckt.node_name(node), sol.at(node));
       }
-      json += "}}";
+      w.end_object().end_object();
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.completed_ok;
       stats_.numeric_recoveries += recoveries;
       stats_.refinement_solves += report.kernel.refinement_solves;
-      return json;
+      return w.str();
     } catch (const Error& e) {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.errors;
@@ -721,28 +676,20 @@ std::string Server::run_corner_sweep(Connection& conn, const Request& req) {
         if (budget.cancelled()) ++stats_.cancelled;
         return error_response(req.id, job.error);
       }
-      std::string json = response_head(req.id, "ok", false);
-      json += ",\"corners\":\"";
-      for (size_t c = 0; c < sweep.corners.size(); ++c) {
-        if (c != 0) json += ',';
-        json += sweep.corners[c].name;
-      }
-      json += '"';
-      append_kv(json, "mc_samples", static_cast<long>(sweep.mc_samples));
-      append_kv(json, "samples_per_corner",
-                static_cast<long>(r.samples_per_corner));
-      json += ",\"corner_estimate_ok\":\"";
-      for (const uint8_t ok : job.corner_estimate_ok) json += ok ? '1' : '0';
-      json += '"';
-      json += ",\"corner_proven_infeasible\":\"";
-      for (const uint8_t p : job.corner_proven_infeasible) json += p ? '1' : '0';
-      json += '"';
-      append_kv(json, "corners_pruned", static_cast<long>(r.corners_pruned));
-      json += ",\"yield_report\":" + job.report.to_json();
-      json += '}';
+      json::Writer w = response(req.id, "ok", false);
+      w.field("corners", sweep.corners.names())
+          .field("mc_samples", sweep.mc_samples)
+          .field("samples_per_corner", r.samples_per_corner)
+          .field("corner_estimate_ok",
+                 runtime::corner_flags(job.corner_estimate_ok))
+          .field("corner_proven_infeasible",
+                 runtime::corner_flags(job.corner_proven_infeasible))
+          .field("corners_pruned", r.corners_pruned)
+          .field("yield_report", job.report)
+          .end_object();
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.completed_ok;
-      return json;
+      return w.str();
     } catch (const Error& e) {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.errors;
@@ -769,36 +716,17 @@ std::string Server::run_corner_sweep(Connection& conn, const Request& req) {
 std::string Server::stats_response(const Request& req) const {
   const ServerStats s = stats();
   const runtime::CacheStats cs = cache_.stats();
-  std::string json = response_head(req.id, "ok", false);
-  append_kv(json, "connections_opened", s.connections_opened);
-  append_kv(json, "connections_rejected", s.connections_rejected);
-  append_kv(json, "requests", s.requests);
-  append_kv(json, "accepted", s.accepted);
-  append_kv(json, "completed_ok", s.completed_ok);
-  append_kv(json, "degraded", s.degraded);
-  append_kv(json, "shed_overload", s.shed_overload);
-  append_kv(json, "shed_quota", s.shed_quota);
-  append_kv(json, "shed_draining", s.shed_draining);
-  append_kv(json, "errors", s.errors);
-  append_kv(json, "malformed_frames", s.malformed_frames);
-  append_kv(json, "framing_errors", s.framing_errors);
-  append_kv(json, "deadline_hits", s.deadline_hits);
-  append_kv(json, "cancelled", s.cancelled);
-  append_kv(json, "quarantine_hits", s.quarantine_hits);
-  append_kv(json, "numeric_recoveries", s.numeric_recoveries);
-  append_kv(json, "refinement_solves", s.refinement_solves);
-  append_kv(json, "proven_infeasible", s.proven_infeasible);
-  append_kv(json, "peak_in_flight", s.peak_in_flight);
-  append_kv(json, "in_flight", static_cast<long>(load()));
-  append_kv(json, "draining", draining());
-  append_kv(json, "cache_hits", cs.hits);
-  append_kv(json, "cache_misses", cs.misses);
-  append_kv(json, "cache_evictions", cs.evictions);
-  append_kv(json, "cache_entries", cs.entries);
-  append_kv(json, "quarantined_specs",
-            static_cast<long>(quarantine_.quarantined_count()));
-  json += '}';
-  return json;
+  json::Writer w = response(req.id, "ok", false);
+  s.to_json(w);
+  w.field("in_flight", load())
+      .field("draining", draining())
+      .field("cache_hits", cs.hits)
+      .field("cache_misses", cs.misses)
+      .field("cache_evictions", cs.evictions)
+      .field("cache_entries", cs.entries)
+      .field("quarantined_specs", quarantine_.quarantined_count())
+      .end_object();
+  return w.str();
 }
 
 ServerStats Server::stats() const {

@@ -117,7 +117,7 @@ struct ServerStats {
   long refinement_solves = 0; ///< kernel solves that ran iterative refinement
   long peak_in_flight = 0;
 
-  std::string summary() const;  ///< one-line human-readable flush
+  void to_json(json::Writer& w) const;  ///< every counter, keyed by name
 };
 
 class Server {

@@ -1,7 +1,6 @@
 #include "src/stat/yield.h"
 
 #include <cmath>
-#include <cstdio>
 
 #include "src/util/error.h"
 
@@ -86,43 +85,29 @@ const std::string& YieldReport::worst_corner_name() const {
   return corners[size_t(worst_corner)].first;
 }
 
-namespace {
-
-void put_num(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  out += buf;
-}
-
-}  // namespace
-
-std::string YieldReport::to_json() const {
-  const WilsonInterval w = ci();
-  std::string out = "{\"yield\":";
-  put_num(out, yield());
-  out += ",\"ci_lo\":";
-  put_num(out, w.lo);
-  out += ",\"ci_hi\":";
-  put_num(out, w.hi);
-  out += ",\"samples\":" + std::to_string(total.samples);
-  out += ",\"passes\":" + std::to_string(total.pass);
-  out += ",\"worst_corner\":\"" + worst_corner_name() + "\"";
-  out += ",\"corners\":[";
-  for (size_t c = 0; c < corners.size(); ++c) {
-    if (c > 0) out += ',';
-    const CriteriaCounts& k = corners[c].second;
-    out += "{\"name\":\"" + corners[c].first + "\",\"samples\":" +
-           std::to_string(k.samples) + ",\"pass\":" + std::to_string(k.pass) +
-           ",\"functional\":" + std::to_string(k.functional) +
-           ",\"gain\":" + std::to_string(k.gain) +
-           ",\"ugf\":" + std::to_string(k.ugf) +
-           ",\"phase_margin\":" + std::to_string(k.phase_margin) +
-           ",\"pass_rate\":";
-    put_num(out, k.pass_rate());
-    out += '}';
+void YieldReport::to_json(json::Writer& w) const {
+  const WilsonInterval interval = ci();
+  w.field("yield", yield())
+      .field("ci_lo", interval.lo)
+      .field("ci_hi", interval.hi)
+      .field("samples", total.samples)
+      .field("passes", total.pass)
+      .field("worst_corner", worst_corner_name())
+      .key("corners")
+      .begin_array();
+  for (const auto& [name, k] : corners) {
+    w.begin_object()
+        .field("name", name)
+        .field("samples", k.samples)
+        .field("pass", k.pass)
+        .field("functional", k.functional)
+        .field("gain", k.gain)
+        .field("ugf", k.ugf)
+        .field("phase_margin", k.phase_margin)
+        .field("pass_rate", k.pass_rate())
+        .end_object();
   }
-  out += "]}";
-  return out;
+  w.end_array();
 }
 
 }  // namespace ape::stat

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "src/util/json.h"
+
 namespace ape::stat {
 
 /// Pass/fail of one (design, corner, sample) evaluation point. The
@@ -87,8 +89,8 @@ struct YieldReport {
   }
   const std::string& worst_corner_name() const;
 
-  /// Compact JSON object ({"yield":..,"ci_lo":..,...,"corners":[...]}).
-  std::string to_json() const;
+  /// Pooled yield, its interval and a per-corner "corners" array (json.h).
+  void to_json(json::Writer& w) const;
 };
 
 }  // namespace ape::stat

@@ -118,6 +118,32 @@ std::string KernelStats::summary() const {
   return os.str();
 }
 
+void KernelStats::to_json(json::Writer& w) const {
+  w.field("baseline_builds", baseline_builds)
+      .field("baseline_restores", baseline_restores)
+      .field("linear_stamps_skipped", linear_stamps_skipped)
+      .field("nonlinear_stamps", nonlinear_stamps)
+      .field("factorizations", factorizations)
+      .field("solves", solves)
+      .field("ac_points_fused", ac_points_fused)
+      .field("ac_points_virtual", ac_points_virtual)
+      .field("workspace_bytes", workspace_bytes)
+      .field("workspace_regrowths", workspace_regrowths)
+      .field("symbolic_analyses", symbolic_analyses)
+      .field("symbolic_reuses", symbolic_reuses)
+      .field("numeric_refactors", numeric_refactors)
+      .field("sparse_fallbacks", sparse_fallbacks)
+      .field("sparse_nnz", sparse_nnz)
+      .field("sparse_fill_in", sparse_fill_in)
+      .field("refinement_solves", refinement_solves)
+      .field("refinement_iterations", refinement_iterations)
+      .field("equilibrated_solves", equilibrated_solves)
+      .field("numeric_recoveries", numeric_recoveries)
+      .field("cond_estimate_max", cond_estimate_max)
+      .field("pivot_growth_max", pivot_growth_max)
+      .field("residual_norm_max", residual_norm_max);
+}
+
 const char* to_string(DcPlan plan) {
   switch (plan) {
     case DcPlan::GminLadder: return "gmin-ladder";

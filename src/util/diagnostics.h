@@ -66,6 +66,7 @@
 #include <string>
 #include <vector>
 
+#include "src/util/json.h"
 #include "src/util/numeric_health.h"
 
 namespace ape {
@@ -139,6 +140,8 @@ struct KernelStats {
 
   /// One-line human-readable summary for logs / bench output.
   std::string summary() const;
+  /// Every counter, keyed by its field name (json.h).
+  void to_json(json::Writer& w) const;
 };
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 #include "src/util/json.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "src/util/error.h"
 
@@ -211,7 +214,15 @@ double Value::as_number() const {
   return number;
 }
 
-long Value::as_long() const { return static_cast<long>(as_number()); }
+long Value::as_long() const {
+  const double d = as_number();
+  // long holds [-2^63, 2^63); both bounds are exact doubles.
+  constexpr double kBound = -static_cast<double>(std::numeric_limits<long>::min());
+  if (!(d >= -kBound && d < kBound) || d != std::trunc(d)) {
+    throw ParseError("json: expected an integer in the range of long");
+  }
+  return static_cast<long>(d);
+}
 
 const std::string& Value::as_string() const {
   if (kind != Kind::String) throw ParseError("json: expected a string");
@@ -222,27 +233,65 @@ double Value::as_hex_double() const { return parse_hex_double(as_string()); }
 
 Value parse(const std::string& text) { return Parser(text).document(); }
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
+Writer& Writer::token(std::string_view text) {
+  if (need_comma_) out_ += ',';
+  out_ += text;
+  need_comma_ = true;
+  return *this;
+}
+
+Writer& Writer::open(char bracket) {
+  token(std::string_view(&bracket, 1));
+  need_comma_ = false;
+  return *this;
+}
+
+Writer& Writer::close(char bracket) {
+  out_ += bracket;
+  need_comma_ = true;
+  return *this;
+}
+
+Writer& Writer::key(std::string_view k) {
+  value(k);
+  out_ += ':';
+  need_comma_ = false;
+  return *this;
+}
+
+Writer& Writer::value(double v) {
+  if (!std::isfinite(v)) return token("null");
+  // The digits of "%.17g", without printf's format parsing and locale.
+  char buf[32];
+  const char* end =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17)
+          .ptr;
+  return token(std::string_view(buf, static_cast<size_t>(end - buf)));
+}
+
+Writer& Writer::value(bool v) { return token(v ? "true" : "false"); }
+
+Writer& Writer::value(std::string_view s) {
+  token("\"");
+  for (const char c : s) {
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
+      case '"': out_ += "\\\""; break;
+      case '\\': out_ += "\\\\"; break;
+      case '\n': out_ += "\\n"; break;
+      case '\t': out_ += "\\t"; break;
+      case '\r': out_ += "\\r"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
+          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+          out_ += buf;
         } else {
-          out += c;
+          out_ += c;
         }
     }
   }
-  return out;
+  out_ += '"';
+  return *this;
 }
 
 std::string hex_double(double v) {

@@ -18,6 +18,7 @@
 #include "src/stat/corners.h"
 #include "src/spice/devices.h"
 #include "src/spice/parser.h"
+#include "src/util/json.h"
 
 namespace ape::lint {
 namespace {
@@ -148,7 +149,7 @@ Vdd d 0 DC 5
 Vg g 0 DC 2
 M1 d g 0 0 modn w=10u l=1u
 )");
-  EXPECT_TRUE(good.ok()) << good.to_json();
+  EXPECT_TRUE(good.ok()) << json::dump(good);
 }
 
 // --- spec / design rules ----------------------------------------------------
@@ -247,8 +248,8 @@ TEST(LintClean, TwoStageOpampTestbenchesLintClean) {
        {est::OpAmpTb::OpenLoop, est::OpAmpTb::CommonMode,
         est::OpAmpTb::ZoutProbe, est::OpAmpTb::UnityStep}) {
     const Report rep = lint_testbench(design.testbench(proc, mode));
-    EXPECT_EQ(rep.errors(), 0) << rep.to_json();
-    EXPECT_EQ(rep.warnings(), 0) << rep.to_json();
+    EXPECT_EQ(rep.errors(), 0) << json::dump(rep);
+    EXPECT_EQ(rep.warnings(), 0) << json::dump(rep);
   }
   EXPECT_TRUE(lint_spec(spec, proc).ok());
   EXPECT_TRUE(lint_design(design, proc).ok());
@@ -262,7 +263,7 @@ TEST(LintClean, ModuleTestbenchLintsClean) {
   spec.order = 2;
   const est::ModuleDesign design = est::ModuleEstimator(proc).estimate(spec);
   const Report rep = lint_testbench(design.testbench(proc));
-  EXPECT_EQ(rep.errors(), 0) << rep.to_json();
+  EXPECT_EQ(rep.errors(), 0) << json::dump(rep);
 }
 
 // --- corner invariance ------------------------------------------------------
@@ -415,10 +416,10 @@ TEST(LintReport, JsonAndSummaryCarryTheFindings) {
   EXPECT_EQ(rep.warnings(), 1);
   EXPECT_FALSE(rep.ok());
 
-  const std::string json = rep.to_json();
-  EXPECT_NE(json.find("\"rule\":\"APE-L002\""), std::string::npos);
-  EXPECT_NE(json.find("\\\"v1\\\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"errors\":1"), std::string::npos);
+  const std::string text = json::dump(rep);
+  EXPECT_NE(text.find("\"rule\":\"APE-L002\""), std::string::npos);
+  EXPECT_NE(text.find("\\\"v1\\\""), std::string::npos) << text;
+  EXPECT_NE(text.find("\"errors\":1"), std::string::npos);
 
   const std::string sum = rep.summary();
   EXPECT_NE(sum.find("1 error"), std::string::npos);

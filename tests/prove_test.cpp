@@ -22,6 +22,7 @@
 #include "src/estimator/process.h"
 #include "src/stat/corners.h"
 #include "src/synth/sizing.h"
+#include "src/util/json.h"
 #include "src/util/rng.h"
 
 namespace ape::lint {
@@ -351,6 +352,33 @@ TEST(ProveConsumers, RequireFeasibleThrowsPermanentLintError) {
   const FeasibilityProof ok =
       prove_opamp_feasibility(proc, est::OpAmpSpec{});
   EXPECT_NO_THROW(require_feasible(ok, "unit"));
+}
+
+// Zero bias current leaves the noise bound unbounded; the rendered proof
+// (what `ape_lint --prove` prints) must still be valid JSON, with null
+// for the infinite ends.
+TEST(ProveConsumers, ZeroBiasProofRendersAsValidJson) {
+  const est::Process proc = est::Process::default_1u2();
+  est::OpAmpSpec spec;
+  spec.ibias = 0.0;
+  const FeasibilityProof proof = prove_opamp_feasibility(proc, spec);
+  const json::Value doc = json::parse(json::dump(proof));
+  EXPECT_EQ(doc.find("infeasible")->as_bool(), proof.infeasible);
+  EXPECT_EQ(doc.find("report")->find("errors")->as_long(),
+            proof.report.errors());
+  const json::Value* noise = doc.find("bounds")->find("input_noise_v2");
+  ASSERT_NE(noise, nullptr);
+  ASSERT_EQ(noise->items.size(), 2u);
+  const util::Interval& b = proof.bounds.input_noise_v2;
+  for (size_t k = 0; k < 2; ++k) {
+    const double end = k == 0 ? b.lo() : b.hi();
+    if (std::isfinite(end)) {
+      EXPECT_EQ(noise->items[k].as_number(), end);
+    } else {
+      EXPECT_EQ(noise->items[k].kind, json::Value::Kind::Null);
+    }
+  }
+  EXPECT_FALSE(std::isfinite(b.hi()));
 }
 
 TEST(ProveConsumers, InputValidationThrowsSpecError) {

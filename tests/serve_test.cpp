@@ -160,6 +160,19 @@ TEST(ServeProtocol, RequestParsingRejectsBadInput) {
       parse_request("{\"op\":\"synthesize\",\"timeout_ms\":-5}"),
       ParseError);
   EXPECT_THROW(parse_request("{\"op\":\"simulate\"}"), ParseError);
+  // Integers a double cannot carry exactly are refused, not wrapped into
+  // "server default" (seed 0, iterations 0) or a neighbouring seed.
+  for (const char* field :
+       {"\"seed\":18446744073709551615", "\"seed\":9007199254740993",
+        "\"seed\":-1", "\"iterations\":1e300"}) {
+    EXPECT_THROW(
+        parse_request(std::string("{\"op\":\"synthesize\",") + field + "}"),
+        ParseError)
+        << field;
+  }
+  EXPECT_EQ(parse_request("{\"op\":\"synthesize\",\"seed\":9007199254740991}")
+                .seed,
+            9007199254740991u);
 
   const Request r = parse_request(
       "{\"op\":\"synthesize\",\"id\":\"r9\",\"timeout_ms\":250,"

@@ -27,6 +27,7 @@
 #include "src/synth/astrx.h"
 #include "src/util/diagnostics.h"
 #include "src/util/error.h"
+#include "src/util/json.h"
 #include "src/util/rng.h"
 #include "src/util/stream_ids.h"
 
@@ -353,7 +354,7 @@ TEST(StatYield, JsonCarriesYieldCiAndPerCornerCounts) {
   YieldReport r(std::vector<std::string>{"tm"});
   r.add(0, pass_point());
   r.finalize();
-  const std::string j = r.to_json();
+  const std::string j = json::dump(r);
   EXPECT_NE(j.find("\"yield\":1"), std::string::npos) << j;
   EXPECT_NE(j.find("\"ci_lo\":"), std::string::npos);
   EXPECT_NE(j.find("\"worst_corner\":\"tm\""), std::string::npos);
@@ -382,10 +383,11 @@ TEST(StatSweep, MonteCarloIsBitIdenticalAcrossThreadCounts) {
   const auto pooled =
       runtime::run_monte_carlo(proc(), specs, estimate_sweep(8, 32, &c8));
   ASSERT_EQ(serial.jobs.size(), pooled.jobs.size());
-  EXPECT_EQ(serial.aggregate.to_json(), pooled.aggregate.to_json());
+  EXPECT_EQ(json::dump(serial.aggregate), json::dump(pooled.aggregate));
   for (size_t i = 0; i < serial.jobs.size(); ++i) {
     ASSERT_TRUE(serial.jobs[i].ok) << serial.jobs[i].error;
-    EXPECT_EQ(serial.jobs[i].report.to_json(), pooled.jobs[i].report.to_json());
+    EXPECT_EQ(json::dump(serial.jobs[i].report),
+              json::dump(pooled.jobs[i].report));
     EXPECT_EQ(serial.jobs[i].corner_estimate_ok,
               pooled.jobs[i].corner_estimate_ok);
   }
@@ -503,10 +505,10 @@ TEST(StatSweep, ResumeAfterMidRunCancelMatchesUninterrupted) {
   const auto r = runtime::run_monte_carlo(proc(), specs, resumed);
   ASSERT_EQ(r.stats.failed, 0);
   EXPECT_GT(r.supervision.resumed_jobs, 0);
-  EXPECT_EQ(ref.aggregate.to_json(), r.aggregate.to_json());
+  EXPECT_EQ(json::dump(ref.aggregate), json::dump(r.aggregate));
   for (size_t i = 0; i < specs.size(); ++i) {
     ASSERT_TRUE(r.jobs[i].ok) << r.jobs[i].error;
-    EXPECT_EQ(ref.jobs[i].report.to_json(), r.jobs[i].report.to_json());
+    EXPECT_EQ(json::dump(ref.jobs[i].report), json::dump(r.jobs[i].report));
     ASSERT_EQ(ref.jobs[i].nominal.best_x.size(), r.jobs[i].nominal.best_x.size());
     for (size_t k = 0; k < ref.jobs[i].nominal.best_x.size(); ++k) {
       EXPECT_EQ(ref.jobs[i].nominal.best_x[k], r.jobs[i].nominal.best_x[k]);

@@ -10,9 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/runtime/batch.h"
@@ -212,6 +216,67 @@ TEST(SupervisorJson, MalformedInputThrowsParseError) {
   const json::Value doc = json::parse("{\"a\": 1}");
   EXPECT_THROW(doc.find("a")->as_string(), ParseError);
   EXPECT_THROW(doc.as_bool(), ParseError);
+  // Integers come back only when a long holds them exactly.
+  for (const char* bad : {"[1.5]", "[1e300]", "[-1e19]", "[9223372036854775808]"}) {
+    EXPECT_THROW(json::parse(bad).items.at(0).as_long(), ParseError) << bad;
+  }
+}
+
+TEST(SupervisorJson, WriterNumbersRoundTripBitExactly) {
+  for (double v : {0.1, -0.0, 5e-324, DBL_MAX, 9007199254740992.0}) {
+    json::Writer w;
+    w.begin_array().value(v).end_array();
+    const double back = json::parse(w.str()).items.at(0).as_number();
+    EXPECT_EQ(std::bit_cast<uint64_t>(back), std::bit_cast<uint64_t>(v))
+        << w.str();
+  }
+}
+
+TEST(SupervisorJson, WriterRendersNonFiniteAsNull) {
+  json::Writer w;
+  w.begin_array()
+      .value(std::numeric_limits<double>::infinity())
+      .value(-std::numeric_limits<double>::infinity())
+      .value(std::numeric_limits<double>::quiet_NaN())
+      .end_array();
+  EXPECT_EQ(w.str(), "[null,null,null]");
+}
+
+TEST(SupervisorJson, WriterEscapesQuotesBackslashesAndControlBytes) {
+  const std::string nasty = "q\"b\\n\n\t\r\x01\x1f";
+  json::Writer w;
+  w.begin_object().field(nasty, nasty).end_object();
+  EXPECT_EQ(w.str(),
+            R"({"q\"b\\n\n\t\r\u0001\u001f":"q\"b\\n\n\t\r\u0001\u001f"})");
+  const json::Value doc = json::parse(w.str());
+  ASSERT_EQ(doc.members.size(), 1u);
+  EXPECT_EQ(doc.members[0].first, nasty);
+  EXPECT_EQ(doc.members[0].second.as_string(), nasty);
+}
+
+TEST(SupervisorJson, WriterPlacesCommasInNestedDocuments) {
+  json::Writer w;
+  w.begin_object()
+      .field("a", 1)
+      .key("b")
+      .begin_array()
+      .value(true)
+      .begin_object()
+      .end_object()
+      .begin_array()
+      .end_array()
+      .value("x")
+      .end_array()
+      .key("c")
+      .begin_object()
+      .field("d", std::vector<int>{1, 2})
+      .field("e", std::pair(0.5, -2))
+      .end_object()
+      .field("f", false)
+      .end_object();
+  EXPECT_EQ(w.str(),
+            R"({"a":1,"b":[true,{},[],"x"],"c":{"d":[1,2],"e":[0.5,-2]},"f":false})");
+  EXPECT_NO_THROW(json::parse(w.str()));
 }
 
 // ---------------------------------------------------------------------------
