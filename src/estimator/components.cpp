@@ -52,7 +52,7 @@ TransistorDesign ComponentEstimator::device_at_vgs(MosType type, double id,
                                                    double vbs, double l) const {
   const auto& card = proc_.card(type);
   const double w0 = proc_.wmin;
-  const double i0 = spice::mos_eval(card, vgs, vds, vbs, w0, l).ids;
+  const double i0 = spice::mos_ids_gm(card, vgs, vds, vbs, w0, l).ids;
   if (i0 <= 0.0) {
     throw SpecError(std::string("device_at_vgs: device off at vgs=") +
                     units::format_eng(vgs) + "V");

@@ -26,12 +26,14 @@ double TransistorEstimator::vgs_for_id(MosType type, double w, double l,
   const MosModelCard& card = proc_.card(type);
   if (id <= 0.0) throw SpecError("vgs_for_id: non-positive current");
   // ids is monotonically increasing in vgs. Safeguarded Newton on
-  // f(vgs) = ids(vgs) - id using the model's analytic gm: ~6-10 model
-  // evaluations instead of the 80 a full-precision bisection needs (this
-  // is the estimator's hottest loop — every sizing refinement lands here).
-  // The [lo, hi] bracket guarantees progress where gm vanishes (cutoff).
+  // f(vgs) = ids(vgs) - id using the model's central-difference gm: ~6-10
+  // model evaluations instead of the 80 a full-precision bisection needs
+  // (this is the estimator's hottest loop — every sizing refinement lands
+  // here). mos_ids_gm skips the gds/gmb probes and capacitances nothing
+  // here reads. The [lo, hi] bracket guarantees progress where gm
+  // vanishes (cutoff).
   double lo = 0.0, hi = 3.0 * proc_.vdd + 5.0;
-  const double i_hi = spice::mos_eval(card, hi, vds, vbs, w, l).ids;
+  const double i_hi = spice::mos_ids_gm(card, hi, vds, vbs, w, l).ids;
   if (i_hi < id) {
     throw SpecError("vgs_for_id: " + units::format_eng(id) +
                     "A unreachable with W=" + units::format_eng(w) +
@@ -42,7 +44,7 @@ double TransistorEstimator::vgs_for_id(MosType type, double w, double l,
   double vgs = std::fabs(card.vto) + std::sqrt(2.0 * id * card.leff(l) / (kp * w));
   if (!std::isfinite(vgs) || vgs <= lo || vgs >= hi) vgs = 0.5 * (lo + hi);
   for (int i = 0; i < 100; ++i) {
-    const MosEval e = spice::mos_eval(card, vgs, vds, vbs, w, l);
+    const spice::MosIdGm e = spice::mos_ids_gm(card, vgs, vds, vbs, w, l);
     const double f = e.ids - id;
     if (std::fabs(f) <= 1e-12 * id) break;
     if (f < 0.0) {
@@ -139,7 +141,7 @@ TransistorDesign TransistorEstimator::size_for_gm_id(MosType type, double gm,
   double vgs = 0.0;
   for (int it = 0; it < kRefineIters; ++it) {
     vgs = vgs_for_id(type, w, l, id, vds, vbs);
-    const double gm_meas = spice::mos_eval(card, vgs, vds, vbs, w, l).gm;
+    const double gm_meas = spice::mos_ids_gm(card, vgs, vds, vbs, w, l).gm;
     if (std::fabs(gm_meas - gm) <= 1e-3 * gm) break;
     double w_next = w * (gm / gm_meas) * (gm / gm_meas);
     w_next = std::clamp(w_next, proc_.wmin, proc_.wmax);
@@ -185,8 +187,8 @@ TransistorDesign TransistorEstimator::size_for_id_vov(MosType type, double id,
   double vgs = 0.0;
   for (int it = 0; it < kRefineIters; ++it) {
     vgs = vgs_for_id(type, w, l, id, vds, vbs);
-    const auto e = spice::mos_eval(card, vgs, vds, vbs, w, l);
-    const double vov_meas = vgs - e.vth;
+    const double vov_meas =
+        vgs - spice::mos_ids_gm(card, vgs, vds, vbs, w, l).vth;
     if (vov_meas <= 0.0) break;
     if (std::fabs(vov_meas - vov) <= 1e-3 * vov) break;
     double w_next = w * (vov_meas / vov) * (vov_meas / vov);

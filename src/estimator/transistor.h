@@ -76,7 +76,8 @@ public:
                             double vds, double vbs = 0.0) const;
 
   /// Gate-source voltage that conducts \p id with geometry (w, l) at the
-  /// given (vds, vbs); solved by bisection on the model card.
+  /// given (vds, vbs); solved by a bracketed (safeguarded) Newton on the
+  /// model card's drain current.
   double vgs_for_id(spice::MosType type, double w, double l, double id,
                     double vds, double vbs = 0.0) const;
 

@@ -124,9 +124,8 @@ public:
       std::lock_guard<std::mutex> lock(mu_);
       auto it = map_.find(key);
       if (it == map_.end()) {
-        lru_.push_front(key);
+        lru_.push_front(&map_.emplace(key, fresh).first->first);
         fresh->lru_it = lru_.begin();
-        map_.emplace(key, fresh);
         entry = fresh;
         creator = true;
         ++misses_;
@@ -194,7 +193,7 @@ private:
     // The remaining fields are guarded by the cache's mu_.
     bool done = false;    ///< fill completed (value or negative cache)
     bool in_map = true;   ///< false once evicted / released / cleared
-    std::list<std::string>::iterator lru_it;  ///< valid while in_map
+    std::list<const std::string*>::iterator lru_it;  ///< valid while in_map
   };
 
   /// Completion bookkeeping for a creator: mark the entry done (it is
@@ -226,7 +225,7 @@ private:
     auto it = lru_.end();
     while (it != lru_.begin() && map_.size() > capacity_) {
       --it;
-      auto mit = map_.find(*it);
+      auto mit = map_.find(**it);
       if (mit == map_.end() || !mit->second->done) continue;
       mit->second->in_map = false;
       map_.erase(mit);
@@ -253,7 +252,9 @@ private:
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, std::shared_ptr<Entry>> map_;
-  std::list<std::string> lru_;  ///< front = most recent, back = eviction end
+  /// Keys of map_ (node keys never move), front = most recent, back =
+  /// eviction end. Pointing into the map keeps one copy of each key.
+  std::list<const std::string*> lru_;
   long hits_ = 0;
   long misses_ = 0;
   long evictions_ = 0;

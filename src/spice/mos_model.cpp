@@ -12,6 +12,7 @@ namespace {
 constexpr double kEps0 = 8.854187817e-12;   // vacuum permittivity [F/m]
 constexpr double kEpsOx = 3.9 * kEps0;      // SiO2
 constexpr double kEpsSi = 11.7 * kEps0;     // silicon
+constexpr double kDiffStep = 1e-6;          // central-difference step [V]
 
 /// Body-effect threshold voltage at source-bulk reverse bias vsb (>= -phi),
 /// in the NMOS-normalized frame: a PMOS card's (negative) VTO flips sign so
@@ -146,6 +147,20 @@ CoreEval ids_any(const MosModelCard& m, double vgs, double vds, double vbs,
   return e;
 }
 
+/// The body of mos_ids_gm, shared with mos_eval (inlined into both, so
+/// mos_eval pays no call for it). gm here, and gds/gmb in mos_eval, by
+/// central finite differences of the (continuous) current function. This
+/// keeps all model levels and both vds signs on one consistent code path,
+/// which matters for Newton convergence.
+inline MosIdGm ids_gm(const MosModelCard& m, double vgs, double vds,
+                      double vbs, double w, double l) {
+  const CoreEval core = ids_any(m, vgs, vds, vbs, w, l);
+  const double gm = (ids_any(m, vgs + kDiffStep, vds, vbs, w, l).ids -
+                     ids_any(m, vgs - kDiffStep, vds, vbs, w, l).ids) /
+                    (2.0 * kDiffStep);
+  return {core.ids, gm, core.vth, core.vdsat, core.region};
+}
+
 /// Reverse-biased junction capacitance (linear extension under forward bias).
 double junction_cap(double c0_area, double mj, double c0_perim, double mjsw,
                     double pb, double vr) {
@@ -179,30 +194,29 @@ std::string to_card_string(const MosModelCard& m) {
   return buf;
 }
 
+MosIdGm mos_ids_gm(const MosModelCard& m, double vgs, double vds, double vbs,
+                   double w, double l) {
+  if (w <= 0.0 || l <= 0.0) throw NumericError("mos_ids_gm: non-positive W or L");
+  return ids_gm(m, vgs, vds, vbs, w, l);
+}
+
 MosEval mos_eval(const MosModelCard& m, double vgs, double vds, double vbs,
                  double w, double l, double ad, double as, double pd,
                  double ps) {
   if (w <= 0.0 || l <= 0.0) throw NumericError("mos_eval: non-positive W or L");
+  const MosIdGm dc = ids_gm(m, vgs, vds, vbs, w, l);
   MosEval r;
-  const CoreEval core = ids_any(m, vgs, vds, vbs, w, l);
-  r.ids = core.ids;
-  r.vth = core.vth;
-  r.vdsat = core.vdsat;
-  r.region = core.region;
-
-  // Derivatives by central finite differences of the (continuous) current
-  // function. This keeps all three model levels and both vds signs on one
-  // consistent code path, which matters for Newton convergence.
-  const double h = 1e-6;
-  r.gm = (ids_any(m, vgs + h, vds, vbs, w, l).ids -
-          ids_any(m, vgs - h, vds, vbs, w, l).ids) /
-         (2.0 * h);
-  r.gds = (ids_any(m, vgs, vds + h, vbs, w, l).ids -
-           ids_any(m, vgs, vds - h, vbs, w, l).ids) /
-          (2.0 * h);
-  r.gmb = (ids_any(m, vgs, vds, vbs + h, w, l).ids -
-           ids_any(m, vgs, vds, vbs - h, w, l).ids) /
-          (2.0 * h);
+  r.ids = dc.ids;
+  r.gm = dc.gm;
+  r.vth = dc.vth;
+  r.vdsat = dc.vdsat;
+  r.region = dc.region;
+  r.gds = (ids_any(m, vgs, vds + kDiffStep, vbs, w, l).ids -
+           ids_any(m, vgs, vds - kDiffStep, vbs, w, l).ids) /
+          (2.0 * kDiffStep);
+  r.gmb = (ids_any(m, vgs, vds, vbs + kDiffStep, w, l).ids -
+           ids_any(m, vgs, vds, vbs - kDiffStep, w, l).ids) /
+          (2.0 * kDiffStep);
 
   // Meyer gate capacitances, piecewise by region (forward orientation).
   const double leff = std::max(m.leff(l), 1e-8);

@@ -113,6 +113,24 @@ struct MosEval {
   double csb = 0.0;
 };
 
+/// The light evaluation a sizing inversion needs: the DC point from one
+/// drain-current evaluation plus gm, with no gds/gmb probes and no
+/// capacitances (3 current evaluations instead of mos_eval's 7). Same
+/// NMOS-normalized convention as MosEval; mos_eval computes these fields
+/// with the same code, so each is bitwise equal to mos_eval's.
+struct MosIdGm {
+  double ids = 0.0;   ///< drain current [A]
+  double gm = 0.0;    ///< dIds/dVgs [S]
+  double vth = 0.0;   ///< threshold voltage at this Vbs [V]
+  double vdsat = 0.0; ///< saturation voltage [V]
+  MosRegion region = MosRegion::Cutoff;
+};
+
+/// Evaluate ids, gm and vth at NMOS-normalized terminal voltages (see
+/// MosIdGm). Throws NumericError on a non-positive W or L.
+MosIdGm mos_ids_gm(const MosModelCard& m, double vgs, double vds, double vbs,
+                   double w, double l);
+
 /// Evaluate the model at NMOS-normalized terminal voltages.
 /// For PMOS devices, negate (vgs, vds, vbs) before calling and interpret
 /// the current as source->drain; `mos_eval_signed` does this for you.

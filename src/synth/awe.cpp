@@ -196,7 +196,22 @@ AweModel awe_reduce(
     scale *= s0;
   }
 
-  const std::vector<double> bpade = pade_denominator(nu, q);
+  // A network with fewer poles than q makes the higher-order Hankel
+  // systems rank-deficient (pade_denominator rejects them) and can push
+  // the scaled moments of a lone fast pole past the double range. Fit the
+  // largest order whose moments are finite and whose solve is sound.
+  std::vector<double> bpade;
+  for (int order = q; bpade.empty(); --order) {
+    const std::vector<double> head(nu.begin(), nu.begin() + 2 * order);
+    const bool finite = std::all_of(head.begin(), head.end(),
+                                    [](double v) { return std::isfinite(v); });
+    try {
+      if (!finite) throw NumericError("awe_reduce: moments overflow");
+      bpade = pade_denominator(head, order);
+    } catch (const NumericError&) {
+      if (order == 1) throw;
+    }
+  }
   // D(z) = 1 + b1 z + ... + bq z^q in z = s/s0; poles: roots scaled by s0.
   std::vector<double> dpoly{1.0};
   dpoly.insert(dpoly.end(), bpade.begin(), bpade.end());
@@ -211,16 +226,16 @@ AweModel awe_reduce(
     model.poles_.push_back(z * s0);
   }
 
-  // Residues from the first q scaled moments:
+  // Residues from the first n moments, one per pole:
   //   mu_k = -sum_i r_i / p_i^{k+1}
-  ComplexMatrix a(static_cast<size_t>(q), static_cast<size_t>(q));
-  std::vector<std::complex<double>> rhs(static_cast<size_t>(q));
-  for (int k = 0; k < q; ++k) {
-    for (int i = 0; i < q; ++i) {
-      a(static_cast<size_t>(k), static_cast<size_t>(i)) =
-          -1.0 / std::pow(model.poles_[static_cast<size_t>(i)], k + 1);
+  const size_t n = model.poles_.size();
+  ComplexMatrix a(n, n);
+  std::vector<std::complex<double>> rhs(n);
+  for (size_t k = 0; k < n; ++k) {
+    for (size_t i = 0; i < n; ++i) {
+      a(k, i) = -1.0 / std::pow(model.poles_[i], static_cast<int>(k) + 1);
     }
-    rhs[static_cast<size_t>(k)] = std::complex<double>{mu[static_cast<size_t>(k)], 0.0};
+    rhs[k] = std::complex<double>{mu[k], 0.0};
   }
   LuSolver<std::complex<double>> rlu(a);
   model.residues_ = rlu.solve(rhs);

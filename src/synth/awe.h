@@ -53,8 +53,11 @@ private:
 /// (devices must hold their small-signal caches). Typical q: 2..6.
 /// \p exclude lists device names to omit from the linearized system -
 /// used to drop DC-feedback bias tricks (huge L / C) so the expansion
-/// around s = 0 sees the open loop. Throws NumericError if the moment
-/// matrix is singular (raise/lower q).
+/// around s = 0 sees the open loop. \p q is an upper bound: when the
+/// network has fewer poles, or the scaled moments of order q overflow,
+/// the model uses the largest order whose moments are finite and whose
+/// moment matrix is nonsingular, so poles().size() may be below q.
+/// Throws NumericError if even order 1 fails.
 /// \p ground_ties adds a conductance from each named node to ground in
 /// the linearized system (AC-grounding a bias node whose feedback element
 /// was excluded, without touching the cached operating point).

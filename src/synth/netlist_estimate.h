@@ -33,7 +33,7 @@ struct NetlistEstimate {
 struct NetlistEstimateOptions {
   std::string out_node = "out";
   std::string supply_source;   ///< optional VDD source name for power
-  int awe_order = 3;
+  int awe_order = 3;  ///< upper bound; awe_reduce may fit fewer poles
   /// Device names excluded from the linearization plus node ground-ties -
   /// the open-loop bias-trick handling of awe_reduce.
   std::vector<std::string> exclude;

@@ -6,6 +6,13 @@
 #include "src/util/matrix.h"
 
 namespace ape {
+namespace {
+
+/// Smallest pivot, relative to the largest Hankel entry, that
+/// pade_denominator accepts as full rank.
+constexpr double kHankelRankTol = 1e-10;
+
+}  // namespace
 
 Complex poly_eval(const std::vector<Complex>& coeffs, Complex x) {
   Complex acc{0.0, 0.0};
@@ -80,6 +87,12 @@ std::vector<double> pade_denominator(const std::vector<double>& moments, int q) 
     rhs[static_cast<size_t>(j)] = -moments[static_cast<size_t>(q + j)];
   }
   LuSolver<double> lu(std::move(a));
+  // Moments of a network with fewer than q poles give a Hankel matrix of
+  // lower rank, which rounding leaves with a noise-level pivot instead of
+  // an exact zero; solving it anyway invents poles.
+  if (lu.min_pivot() <= kHankelRankTol * lu.max_abs_scale()) {
+    throw NumericError("pade_denominator: moment matrix is rank-deficient");
+  }
   return lu.solve(rhs);
 }
 

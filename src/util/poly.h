@@ -28,7 +28,9 @@ std::vector<Complex> poly_roots(const std::vector<double>& coeffs);
 ///   sum_{k=1}^{q} b[k] * m[q - 1 - j + (k-1)] = -m[q + j]   (j = 0..q-1)
 /// with b[0] = 1 implied. Returns {b1, ..., bq} such that
 ///   D(s) = 1 + b1 s + ... + bq s^q  matches the moment series.
-/// Throws ape::NumericError on a singular moment matrix.
+/// Throws ape::NumericError on a singular moment matrix, including one that
+/// is only numerically rank-deficient (smallest LU pivot at most 1e-10 of
+/// its largest entry): the moments then come from fewer than q poles.
 std::vector<double> pade_denominator(const std::vector<double>& moments, int q);
 
 }  // namespace ape

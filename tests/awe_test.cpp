@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <complex>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "src/estimator/opamp.h"
@@ -122,6 +124,61 @@ TEST(Awe, OpampOpenLoopMatchesFullSweep) {
     }
   }
   EXPECT_LT(dom_real, 0.0);
+}
+
+/// The 1 pS floating-node guard awe_reduce adds on every diagonal: it
+/// moves an RC pole to -(1/R + kGuard)/C, 1e-9 relative at R = 1k.
+constexpr double kGuard = 1e-12;
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "missing committed netlist " << path;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+TEST(Awe, OnePoleNetworkKeepsOnePoleAtAnyOrder) {
+  // A one-pole network makes every Hankel system above order 1
+  // rank-deficient: the reduction must step down to order 1 instead of
+  // inventing poles (one of them in the right half-plane) or throwing.
+  const std::string net =
+      read_file(APE_SOURCE_DIR "/examples/circuits/rc_lowpass.sp");
+  const double pole = -(1e-3 + kGuard) / 1e-6;  // -1/RC = -1000 rad/s
+  for (int q = 1; q <= 3; ++q) {
+    Circuit ckt = spice::parse_netlist(net);
+    (void)spice::dc_operating_point(ckt);
+    const AweModel m = awe_reduce(ckt, "out", q);
+    ASSERT_EQ(m.poles().size(), 1u) << "q=" << q;
+    EXPECT_NEAR(m.poles()[0].real(), pole, 1e-9 * 1000.0) << "q=" << q;
+    EXPECT_EQ(m.poles()[0].imag(), 0.0) << "q=" << q;
+  }
+}
+
+TEST(Awe, ExactlyRankDeficientMomentsDoNotThrow) {
+  // These RC values make the higher-order Hankel systems singular to the
+  // bit: the reduction must fall back to the one real pole, not throw.
+  struct Rc {
+    const char* r_text;
+    const char* c_text;
+    double r, c;
+  };
+  for (const Rc& rc : {Rc{"1024", "1n", 1024.0, 1e-9}, Rc{"2", "0.5", 2.0, 0.5}}) {
+    const double pole = -(1.0 / rc.r + kGuard) / rc.c;
+    const double dc_gain = (1.0 / rc.r) / (1.0 / rc.r + kGuard);
+    const std::string net = std::string("rc\nVin in 0 AC 1\nR1 in out ") +
+                            rc.r_text + "\nC1 out 0 " + rc.c_text + "\n";
+    for (int q = 2; q <= 3; ++q) {
+      Circuit ckt = spice::parse_netlist(net);
+      (void)spice::dc_operating_point(ckt);
+      AweModel m;
+      ASSERT_NO_THROW(m = awe_reduce(ckt, "out", q))
+          << "R=" << rc.r_text << " q=" << q;
+      ASSERT_EQ(m.poles().size(), 1u) << "R=" << rc.r_text << " q=" << q;
+      EXPECT_NEAR(m.poles()[0].real(), pole, 1e-9 * std::fabs(pole));
+      EXPECT_NEAR(m.dc_gain(), dc_gain, 1e-12);
+    }
+  }
 }
 
 TEST(Awe, RejectsBadArguments) {

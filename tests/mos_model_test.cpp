@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "src/util/error.h"
 #include "tests/test_models.h"
@@ -181,6 +183,65 @@ TEST(MosModel, Level2MobilityDegradation) {
 TEST(MosModel, ThrowsOnNonPositiveGeometry) {
   EXPECT_THROW(mos_eval(nmos_card(), 2.0, 3.0, 0.0, 0.0, kL), NumericError);
   EXPECT_THROW(mos_eval(nmos_card(), 2.0, 3.0, 0.0, kW, -1e-6), NumericError);
+  EXPECT_THROW(mos_ids_gm(nmos_card(), 2.0, 3.0, 0.0, 0.0, kL), NumericError);
+  EXPECT_THROW(mos_ids_gm(nmos_card(), 2.0, 3.0, 0.0, kW, -1e-6), NumericError);
+}
+
+TEST(MosModel, IdsGmIsBitwiseEqualToMosEval) {
+  // mos_eval and mos_ids_gm share one body, so the fields they share
+  // must agree to the last bit on every level, device type, vds sign,
+  // body bias and region.
+  std::vector<MosModelCard> cards;
+  for (const MosModelCard& base : {nmos_card(), pmos_card()}) {
+    MosModelCard m = base;
+    cards.push_back(m);  // LEVEL 1
+    m.level = 2;
+    m.uexp = 0.3;
+    m.ucrit = 1e4;
+    m.vmax = 5e4;
+    cards.push_back(m);
+    m = base;
+    m.level = 3;
+    m.theta = 0.08;
+    m.eta = 0.02;
+    m.vmax = 1.5e5;
+    cards.push_back(m);
+    m = base;
+    m.level = 4;
+    m.k1 = base.gamma;
+    m.k2 = 0.02;
+    m.vfb = base.type == MosType::Pmos ? 1.2 : -0.9;
+    m.muz = 450.0;
+    m.kp = 0.0;
+    m.u0v = 0.05;
+    m.u1 = 2e-8;
+    m.eta = 0.01;
+    cards.push_back(m);
+  }
+  int regions[3] = {0, 0, 0};
+  for (const MosModelCard& m : cards) {
+    for (double vgs : {0.3, 1.4, 3.0}) {
+      for (double vds : {0.2, 3.0, -0.2, -3.0}) {
+        for (double vbs : {0.0, -1.2}) {
+          const MosEval e = mos_eval(m, vgs, vds, vbs, kW, kL);
+          const MosIdGm f = mos_ids_gm(m, vgs, vds, vbs, kW, kL);
+          SCOPED_TRACE(to_card_string(m) + " vgs=" + std::to_string(vgs) +
+                       " vds=" + std::to_string(vds) +
+                       " vbs=" + std::to_string(vbs));
+          EXPECT_EQ(f.ids, e.ids);
+          EXPECT_EQ(f.gm, e.gm);
+          EXPECT_EQ(f.vth, e.vth);
+          EXPECT_EQ(f.vdsat, e.vdsat);
+          EXPECT_EQ(f.region, e.region);
+          ++regions[static_cast<int>(e.region)];
+        }
+      }
+    }
+  }
+  // The grid must reach cutoff, triode and saturation.
+  EXPECT_GT(regions[static_cast<int>(MosRegion::Cutoff)], 0);
+  EXPECT_GT(regions[static_cast<int>(MosRegion::Triode)], 0);
+  EXPECT_GT(regions[static_cast<int>(MosRegion::Saturation)], 0);
 }
 
 TEST(MosModel, KpDerivedFromMobilityWhenAbsent) {

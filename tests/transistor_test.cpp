@@ -87,6 +87,38 @@ TEST_F(TransistorEstimatorTest, VgsForIdInvertsTheModel) {
   EXPECT_NEAR(e.ids, 30e-6, 30e-6 * 1e-3);
 }
 
+TEST(VgsForId, InvertsEveryModelLevelWithBodyBias) {
+  // The Newton must land on the requested current to 1e-12 relative on
+  // all four model levels, for both device types and under body bias.
+  Process p2 = Process::default_1u2();
+  for (spice::MosModelCard* c : {&p2.nmos, &p2.pmos}) {
+    c->level = 2;
+    c->uexp = 0.3;
+    c->ucrit = 1e4;
+    c->vmax = 5e4;
+  }
+  const Process procs[] = {Process::default_1u2(), p2,
+                           Process::default_1u2_level3(),
+                           Process::default_1u2_bsim()};
+  for (const Process& proc : procs) {
+    const TransistorEstimator xe(proc);
+    for (MosType type : {MosType::Nmos, MosType::Pmos}) {
+      const spice::MosModelCard& card = proc.card(type);
+      for (double id : {2e-6, 30e-6, 400e-6}) {
+        for (double vbs : {-0.8, -2.0}) {
+          const double w = 20e-6, l = 2.4e-6, vds = 2.5;
+          const double vgs = xe.vgs_for_id(type, w, l, id, vds, vbs);
+          const double got = spice::mos_eval(card, vgs, vds, vbs, w, l).ids;
+          EXPECT_NEAR(got, id, 1e-12 * id)
+              << proc.name << " level " << card.level
+              << (type == MosType::Nmos ? " nmos" : " pmos") << " id=" << id
+              << " vbs=" << vbs;
+        }
+      }
+    }
+  }
+}
+
 TEST_F(TransistorEstimatorTest, VgsForIdThrowsWhenUnreachable) {
   // 1 A through a minimum device is not going to happen.
   EXPECT_THROW(xe_.vgs_for_id(MosType::Nmos, proc_.wmin, 2.4e-6, 1.0, 2.5),
