@@ -17,7 +17,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -301,8 +300,9 @@ HealthBench run_health_comparison() {
   // over a fixed inner loop discards scheduler noise, which would
   // otherwise dwarf a 200 bp gate on a microsecond-scale solve.
   const auto time_arm = [&](bool health_on) {
-    std::optional<ScopedNumericHealthMode> off;
-    if (!health_on) off.emplace(NumericHealthMode::Off);
+    ScopedJobContext arm([health_on](JobContext& c) {
+      if (!health_on) c.health_mode = NumericHealthMode::Off;
+    });
     (void)spice::dc_operating_point(ckt, spice::DcOptions{});  // warm
     const int iters = 100;
     double best = 1e300;

@@ -98,7 +98,7 @@ struct BatchStats {
   double jobs_per_second = 0.0;
   CacheStats cache;        ///< cache delta attributable to this batch
   /// Solver-kernel counters summed over every job in the batch (each job
-  /// runs under its own ambient KernelStats sink; per-job tallies are
+  /// runs under its own JobContext::kernel_sink; per-job tallies are
   /// merged with KernelStats::accumulate, so the counter sums are
   /// bit-identical at any thread count). Newton iterations, LU
   /// factorizations, fused AC points, and the sparse-path counters
@@ -115,7 +115,7 @@ struct SupervisionStats {
   int attempts = 0;           ///< ladder attempts actually run
   int retries = 0;            ///< attempts beyond each job's first
   int numeric_recovery_attempts = 0;  ///< attempts under NumericHealthMode::Force
-  int relaxed_attempts = 0;   ///< attempts run under ScopedSolverRelaxation
+  int relaxed_attempts = 0;   ///< attempts run under a SolverRelaxation
   int estimate_fallbacks = 0; ///< jobs resolved by the estimate-only rung
   int backoff_waits = 0;      ///< backoff sleeps taken
   double backoff_seconds = 0.0;

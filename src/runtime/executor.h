@@ -6,10 +6,15 @@
 ///
 /// Design rules that keep pooled runs equivalent to serial runs:
 ///
-///  - The pool never owns randomness or provenance: every job derives its
-///    own Rng stream (Rng::derive_stream) and opens its own ErrorContext
-///    scope, so results are a pure function of (inputs, seed) and
-///    independent of worker count and scheduling order.
+///  - The pool never owns randomness or job state: every job derives its
+///    own Rng stream (Rng::derive_stream), so results are a pure function
+///    of (inputs, seed) and independent of worker count and scheduling
+///    order. Workers start with an empty JobContext (diagnostics.h); the
+///    fan-outs that join before returning (BatchRunner::run, the
+///    multi-start anneal) install JobContext::fork() of the caller's
+///    context in each job — its provenance, budget and solver policy, not
+///    its kernel sink or fault injector — and the serve daemon's
+///    long-lived pool opens a fresh scope per request.
 ///  - submit() returns a std::future; an exception thrown by the job is
 ///    captured into the future and rethrows in the consumer, never in the
 ///    worker (workers cannot die).

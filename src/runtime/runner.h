@@ -6,8 +6,9 @@
 /// them), the estimate-only batches and both corner-sweep phases. Per job
 /// it
 ///
-///  - opens the job's ErrorContext frame ("label[i]") under the chain
-///    open on the calling thread, so a pool job names its batch too;
+///  - runs a pool job under JobContext::fork() of the caller's context,
+///    so it keeps the caller's provenance chain, budget and solver policy;
+///  - opens the job's ErrorContext frame ("label[i]");
 ///  - installs a per-job KernelStats sink and merges the tally into the
 ///    batch total (a commutative sum, max for the gauges), so the total
 ///    is thread-count invariant like the job outcomes;
@@ -58,7 +59,6 @@ public:
   void run(const Label& label, const std::vector<size_t>& indices,
            std::vector<Result>& results, const Job& job,
            const OnDone& on_done) {
-    const std::string parent = ErrorContext::chain();
     auto run_one = [&](size_t i) {
       Result r;
       r.index = i;
@@ -70,13 +70,9 @@ public:
         } else {
           frame = std::string(label) + "[" + std::to_string(i) + "]";
         }
-        // A pool worker starts with an empty provenance stack: re-anchor
-        // the frame to the caller's chain. Inline jobs already sit on it.
-        if (ErrorContext::depth() == 0 && !parent.empty()) {
-          frame = parent + " -> " + frame;
-        }
         ErrorContext scope(std::move(frame));
-        ScopedKernelStatsSink sink(kernel);
+        ScopedJobContext sink(
+            [&kernel](JobContext& c) { c.kernel_sink = &kernel; });
         try {
           job(i, r);
         } catch (const Error& e) {
@@ -98,12 +94,16 @@ public:
       for (size_t i : indices) run_one(i);
       return;
     }
+    const JobContext inherited = job_context().fork();
     Executor pool(static_cast<int>(
         std::min(static_cast<size_t>(threads_), indices.size())));
     std::vector<std::future<void>> futures;
     futures.reserve(indices.size());
     for (size_t i : indices) {
-      futures.push_back(pool.submit([&run_one, i] { run_one(i); }));
+      futures.push_back(pool.submit([&run_one, &inherited, i] {
+        ScopedJobContext job(inherited);
+        run_one(i);
+      }));
     }
     for (auto& f : futures) f.get();
   }

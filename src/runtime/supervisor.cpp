@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <thread>
 #include <type_traits>
@@ -43,8 +42,8 @@ RetryRung rung_from_string(const std::string& s) {
 /// Run job \p index's full recovery ladder (see supervisor.h) into \p r.
 /// Every attempt — a synthesis attempt (detail::run_one) or the
 /// estimate fallback — runs on the current (worker) thread under the
-/// job's ambient budget and, on relaxed rungs, under
-/// ScopedSolverRelaxation.
+/// job's budget and, on relaxed rungs, a SolverRelaxation, both installed
+/// in the job context.
 template <class Spec, class Outcome>
 void supervise_one(const est::Process& proc, const Spec& spec, size_t index,
                    uint64_t fp, const SupervisorOptions& options,
@@ -62,13 +61,13 @@ void supervise_one(const est::Process& proc, const Spec& spec, size_t index,
   }
 
   // One budget for the whole ladder: the deadline bounds the job, not
-  // each attempt. Installed ambiently so every solver poll site below
-  // (Newton ladders, sweeps, transient sub-steps, AC points, the anneal
-  // loop) observes it without options plumbing.
+  // each attempt. Installed in the job context so every solver poll site
+  // below (Newton ladders, sweeps, transient sub-steps, AC points, the
+  // anneal loop) observes it without options plumbing.
   RunBudget budget;
   if (options.job_timeout_s > 0.0) budget.set_deadline_in(options.job_timeout_s);
   if (options.cancel != nullptr) budget.attach_cancel(options.cancel);
-  ScopedJobBudget ambient(budget);
+  ScopedJobContext job([&budget](JobContext& c) { c.budget = &budget; });
 
   Outcome best{};
   bool have_best = false;
@@ -149,24 +148,21 @@ void supervise_one(const est::Process& proc, const Spec& spec, size_t index,
 
     ErrorContext attempt_scope("attempt[" + std::to_string(attempt) + "](" +
                                to_string(rung) + ")");
-    std::optional<ScopedSolverRelaxation> relax;
-    if (rung == RetryRung::Relaxed) relax.emplace(policy.relaxation);
-    // The numeric-recovery rung re-runs the attempt with the health
-    // layer forced on: every solve equilibrates, estimates its condition
-    // and refines (DESIGN.md section 15).
-    std::optional<ScopedNumericHealthMode> health_mode;
-    if (rung == RetryRung::NumericRecovery) {
-      health_mode.emplace(NumericHealthMode::Force);
-    }
     // Per-attempt fault injection (tests): configured and installed here,
-    // on the worker thread, because a thread_local injector installed on
-    // the submitting thread never reaches a pool worker.
+    // on the worker thread, because JobContext::fork drops the submitting
+    // thread's injector (its counters and Rng are unsynchronized).
     spice::FaultInjector injector;
-    std::optional<spice::ScopedFaultInjection> fault;
-    if (options.fault_setup) {
-      options.fault_setup(index, attempt, injector);
-      fault.emplace(injector);
-    }
+    if (options.fault_setup) options.fault_setup(index, attempt, injector);
+    ScopedJobContext attempt_context([&](JobContext& c) {
+      if (rung == RetryRung::Relaxed) c.relaxation = &policy.relaxation;
+      // The numeric-recovery rung re-runs the attempt with the health
+      // layer forced on: every solve equilibrates, estimates its
+      // condition and refines (DESIGN.md section 15).
+      if (rung == RetryRung::NumericRecovery) {
+        c.health_mode = NumericHealthMode::Force;
+      }
+      if (options.fault_setup) c.fault_injector = &injector;
+    });
 
     try {
       if (rung == RetryRung::EstimateOnly) {

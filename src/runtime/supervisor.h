@@ -14,14 +14,14 @@
 ///
 ///  - Deadlines & cancellation: every job runs under a per-job RunBudget
 ///    (wall-clock deadline + the run's CancelToken) installed as the
-///    worker thread's ambient budget (ScopedJobBudget), so every solver
-///    loop — Newton ladders, dc_sweep, transient sub-stepping, AC points,
-///    the anneal loop — doubles as a cooperative stop point. A job past
+///    job context's budget (JobContext::budget), so every solver loop —
+///    Newton ladders, dc_sweep, transient sub-stepping, AC points, the
+///    anneal loop — doubles as a cooperative stop point. A job past
 ///    its deadline stops at the next probe and reports its best-so-far
 ///    outcome (deadline_hit = true) instead of hanging the batch.
 ///  - Retry ladder: failures are classified by ErrorClass (error.h) and
 ///    walked through the RetryPolicy rungs (retry.h): plain retry ->
-///    relaxed solver tolerances (ScopedSolverRelaxation) -> APE
+///    relaxed solver tolerances (JobContext::relaxation) -> APE
 ///    estimate-only fallback -> fail, with deterministic exponential
 ///    backoff between attempts. Permanent failures skip straight to the
 ///    estimate fallback. Simulator-verification failures (sim_failed
@@ -146,8 +146,8 @@ struct SupervisorOptions {
   /// Test hook: configure a per-attempt FaultInjector for (job, attempt)
   /// before the attempt runs on its worker thread. Installed injectors
   /// are scoped to the attempt; keying on (job, attempt) keeps fault
-  /// schedules deterministic at any thread count (the thread_local
-  /// injector of the submitting thread never reaches pool workers).
+  /// schedules deterministic at any thread count (JobContext::fork drops
+  /// the submitting thread's injector, so it never reaches pool workers).
   std::function<void(size_t index, int attempt, spice::FaultInjector&)>
       fault_setup;
 };

@@ -357,7 +357,7 @@ static double request_deadline_s(const Request& req, const ServeOptions& o) {
 std::string Server::run_estimate(const Request& req, bool degraded) {
   RunBudget budget = RunBudget::with_deadline(request_deadline_s(req, options_));
   budget.attach_cancel(&drain_cancel_);
-  ScopedJobBudget ambient(budget);
+  ScopedJobContext job([&budget](JobContext& c) { c.budget = &budget; });
   ErrorContext scope("serve[estimate]");
   try {
     const std::shared_ptr<const est::OpAmpDesign> design =
@@ -546,7 +546,7 @@ std::string Server::run_simulate(Connection& conn, const Request& req) {
     }
     RunBudget budget = RunBudget::with_deadline(remaining);
     budget.attach_cancel(&drain_cancel_);
-    ScopedJobBudget ambient(budget);
+    ScopedJobContext job([&budget](JobContext& c) { c.budget = &budget; });
     try {
       spice::Circuit ckt = spice::parse_netlist(req.netlist);
       ConvergenceReport report;
@@ -561,7 +561,8 @@ std::string Server::run_simulate(Connection& conn, const Request& req) {
         // one re-run under forced numerical health — equilibration,
         // condition estimation and iterative refinement on every solve —
         // before failing the client, mirroring the batch ladder.
-        ScopedNumericHealthMode force(NumericHealthMode::Force);
+        ScopedJobContext force(
+            [](JobContext& c) { c.health_mode = NumericHealthMode::Force; });
         sol = spice::dc_operating_point(ckt, opts);
         recovery_rung = true;
       }
@@ -653,7 +654,7 @@ std::string Server::run_corner_sweep(Connection& conn, const Request& req) {
     }
     RunBudget budget = RunBudget::with_deadline(remaining);
     budget.attach_cancel(&drain_cancel_);
-    ScopedJobBudget ambient(budget);
+    ScopedJobContext job([&budget](JobContext& c) { c.budget = &budget; });
     try {
       runtime::SweepOptions sweep;
       // The sweep runs inside this executor slot: its internal fan-out

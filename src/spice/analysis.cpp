@@ -30,7 +30,7 @@ bool newton_dc(Circuit& ckt, SolveWorkspace& ws, Solution& x, double gmin,
                double src_scale, const DcOptions& opts, ConvergenceReport* rep) {
   const size_t dim = ckt.dim();
   const size_t n_nodes = ckt.num_nodes();
-  FaultInjector* fi = fault_injector();
+  FaultInjector* fi = job_context().fault_injector;
   // gmin and src_scale are fixed for the whole call, so the linear part
   // of the system is too: stamp it once, restore per iteration.
   ws.build_dc_baseline(gmin, src_scale);
@@ -90,7 +90,7 @@ bool newton_dc(Circuit& ckt, SolveWorkspace& ws, Solution& x, double gmin,
 
 /// Throw when the cooperative budget expired (checked between rungs so a
 /// deadline can never abandon a half-updated solution vector). Polls the
-/// options budget AND the thread's ambient job budget, so a supervisor
+/// options budget AND the job context's budget, so a supervisor
 /// deadline or cancellation reaches solves that never saw the options.
 void check_budget(const RunBudget* budget, const char* where) {
   if (const RunBudget* b = exhausted_budget(budget)) {
@@ -98,13 +98,13 @@ void check_budget(const RunBudget* budget, const char* where) {
   }
 }
 
-/// Resolve the effective DC options for this call: when the thread runs
-/// under an ambient SolverRelaxation (the supervision ladder's relaxed
-/// rung), widen the tolerances and stop the gmin ladder at the relaxed
-/// floor; otherwise \p opts passes through untouched.
+/// Resolve the effective DC options for this call: when the job context
+/// carries a SolverRelaxation (the supervision ladder's relaxed rung),
+/// widen the tolerances and stop the gmin ladder at the relaxed floor;
+/// otherwise \p opts passes through untouched.
 const DcOptions* effective_dc_options(const DcOptions& opts, DcOptions& storage,
                                       ConvergenceReport* rep) {
-  const SolverRelaxation* rx = ambient_relaxation();
+  const SolverRelaxation* rx = job_context().relaxation;
   if (rx == nullptr) return &opts;
   storage = opts;
   storage.reltol *= rx->tol_factor;
@@ -320,7 +320,7 @@ TranResult transient(Circuit& ckt, double t_step, double t_stop,
   // extra sub-stepping, mirroring effective_dc_options for DC.
   TranOptions relaxed_storage;
   const TranOptions* eff = &caller_opts;
-  if (const SolverRelaxation* rx = ambient_relaxation()) {
+  if (const SolverRelaxation* rx = job_context().relaxation) {
     relaxed_storage = caller_opts;
     relaxed_storage.reltol *= rx->tol_factor;
     relaxed_storage.vntol *= rx->tol_factor;
@@ -336,7 +336,7 @@ TranResult transient(Circuit& ckt, double t_step, double t_stop,
   out.solutions.push_back(x);
 
   const size_t dim = ckt.dim();
-  FaultInjector* fi = fault_injector();
+  FaultInjector* fi = job_context().fault_injector;
   SolveWorkspace ws(ckt);
   Solution xc;  // Newton candidate, hoisted so the copy-assign below
                 // reuses its capacity (no per-attempt allocation)

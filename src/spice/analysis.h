@@ -34,7 +34,7 @@ struct DcOptions {
   ConvergenceReport* report = nullptr;
   /// Cooperative deadline: checked between ladder rungs; an exhausted
   /// budget aborts the solve with a NumericError (never mid-iteration).
-  /// The thread's ambient job budget (ScopedJobBudget) is polled at the
+  /// The job context's budget (JobContext::budget) is polled at the
   /// same sites, so a supervisor deadline needs no options plumbing.
   const RunBudget* budget = nullptr;
   /// Invoked on the finalized circuit before the first Newton iteration;
@@ -118,7 +118,7 @@ struct TranOptions {
   ConvergenceReport* report = nullptr;
   /// Cooperative deadline: checked between time steps; an exhausted
   /// budget aborts with a NumericError naming the time reached. The
-  /// ambient job budget (ScopedJobBudget) is polled at the same sites.
+  /// job context's budget (JobContext::budget) is polled at the same sites.
   const RunBudget* budget = nullptr;
 };
 

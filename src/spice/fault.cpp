@@ -7,20 +7,6 @@
 #include "src/util/error.h"
 
 namespace ape::spice {
-namespace {
-
-thread_local FaultInjector* g_injector = nullptr;
-
-}  // namespace
-
-FaultInjector* fault_injector() { return g_injector; }
-
-ScopedFaultInjection::ScopedFaultInjection(FaultInjector& injector)
-    : previous_(g_injector) {
-  g_injector = &injector;
-}
-
-ScopedFaultInjection::~ScopedFaultInjection() { g_injector = previous_; }
 
 bool FaultInjector::on_lu_solve() {
   const long ordinal = counts_.lu_solves++;

@@ -3,15 +3,18 @@
 /// Deterministic fault injection for the estimate -> verify -> synthesize
 /// pipeline.
 ///
-/// A FaultInjector is installed per-thread with ScopedFaultInjection
-/// (RAII); instrumented code (newton_dc, the MNA LU call sites, the
-/// transient stepper, the synthesis cost wrappers) consults the
-/// thread-local injector through fault_injector(), which is nullptr in
-/// production. The probe sites reduce to a single thread-local pointer
-/// load plus branch when no injector is installed — zero observable
-/// overhead — and the injector itself is deterministic: faults fire on
-/// configured call ordinals (and, for the randomized knobs, from an
-/// explicitly seeded Rng), so a failing robustness test replays exactly.
+/// A FaultInjector is installed as the JobContext's fault_injector
+/// (ScopedJobContext, src/util/diagnostics.h); instrumented code
+/// (newton_dc, the MNA LU call sites, the transient stepper, the
+/// synthesis cost wrappers) reads job_context().fault_injector, which is
+/// nullptr in production. The probe sites reduce to a single
+/// thread-local pointer load plus branch when no injector is installed
+/// — zero observable overhead — and the injector itself is
+/// deterministic: faults fire on configured call ordinals (and, for the
+/// randomized knobs, from an explicitly seeded Rng), so a failing
+/// robustness test replays exactly. Its counters and Rng are
+/// unsynchronized, so an injector never follows a job into a pool
+/// (JobContext::fork drops it).
 ///
 /// Faults supported:
 ///  - forced singular LU factorization on chosen solve ordinals;
@@ -182,23 +185,6 @@ private:
   long equil_fail_count_ = 0;
   long cond_fail_first_ = -1;
   long cond_fail_count_ = 0;
-};
-
-/// The injector installed on this thread (nullptr in production).
-FaultInjector* fault_injector();
-
-/// RAII installation of a FaultInjector for the current scope/thread.
-/// Nesting replaces the injector and restores the previous one on exit.
-class ScopedFaultInjection {
-public:
-  explicit ScopedFaultInjection(FaultInjector& injector);
-  ~ScopedFaultInjection();
-
-  ScopedFaultInjection(const ScopedFaultInjection&) = delete;
-  ScopedFaultInjection& operator=(const ScopedFaultInjection&) = delete;
-
-private:
-  FaultInjector* previous_;
 };
 
 }  // namespace ape::spice

@@ -10,25 +10,11 @@
 
 namespace ape::spice {
 
-// ---------------------------------------------------------------------------
-// Kernel policy (ambient, thread-local — see the THREAD-SAFETY RULE in
-// src/util/diagnostics.h).
-
-namespace {
-thread_local const KernelPolicy* g_ambient_policy = nullptr;
-}  // namespace
-
-const KernelPolicy& kernel_policy() {
-  static const KernelPolicy kDefault;
-  return g_ambient_policy != nullptr ? *g_ambient_policy : kDefault;
+bool wants_sparse(size_t dim, double density) {
+  const KernelPolicy* policy = job_context().kernel_policy;
+  return (policy != nullptr ? *policy : KernelPolicy{})
+      .wants_sparse(dim, density);
 }
-
-ScopedKernelPolicy::ScopedKernelPolicy(const KernelPolicy& policy)
-    : previous_(g_ambient_policy) {
-  g_ambient_policy = &policy;
-}
-
-ScopedKernelPolicy::~ScopedKernelPolicy() { g_ambient_policy = previous_; }
 
 // ---------------------------------------------------------------------------
 // SolveWorkspace
@@ -56,7 +42,7 @@ SolveWorkspace::SolveWorkspace(Circuit& ckt)
 }
 
 SolveWorkspace::~SolveWorkspace() {
-  if (KernelStats* sink = ambient_kernel_sink()) sink->accumulate(stats());
+  if (KernelStats* sink = job_context().kernel_sink) sink->accumulate(stats());
 }
 
 void SolveWorkspace::begin_capture() {
@@ -126,7 +112,7 @@ void SolveWorkspace::freeze_pattern() {
   base_.set_recorder(nullptr);
   mna_.set_recorder(nullptr);
   pattern_.finalize();
-  use_sparse_ = kernel_policy().wants_sparse(dim_, pattern_.density());
+  use_sparse_ = wants_sparse(dim_, pattern_.density());
   if (use_sparse_) {
     flat_idx_.resize(pattern_.nnz());
     svals_.resize(pattern_.nnz());
@@ -161,7 +147,7 @@ const std::vector<double>& SolveWorkspace::solve() {
   if (!frozen_) freeze_pattern();
   health_ = NumericHealth{};
   equilibrated_now_ = false;
-  const NumericHealthMode mode = ambient_health_mode();
+  const NumericHealthMode mode = job_context().health_mode;
   if (use_sparse_) {
     const double* a = mna_.matrix().data();
     for (size_t s = 0; s < flat_idx_.size(); ++s) svals_[s] = a[flat_idx_[s]];
@@ -247,7 +233,7 @@ const std::vector<double>& SolveWorkspace::solve() {
 }
 
 bool SolveWorkspace::try_equilibrate_sparse() {
-  FaultInjector* fi = fault_injector();
+  FaultInjector* fi = job_context().fault_injector;
   if (fi != nullptr && fi->on_equilibrate()) return false;
   if (!compute_equilibration_csr(pattern_.row_ptr().data(),
                                  pattern_.cols().data(), svals_.data(), dim_,
@@ -262,7 +248,7 @@ bool SolveWorkspace::try_equilibrate_sparse() {
 }
 
 bool SolveWorkspace::try_equilibrate_dense() {
-  FaultInjector* fi = fault_injector();
+  FaultInjector* fi = job_context().fault_injector;
   if (fi != nullptr && fi->on_equilibrate()) return false;
   if (!compute_equilibration(mna_.matrix().data(), dim_, row_scale_,
                              col_scale_)) {
@@ -306,7 +292,7 @@ void SolveWorkspace::run_health_checks(bool sparse, NumericHealthMode mode) {
   const bool suspect = growth > health::kPivotGrowthTrigger ||
                        cond_proxy > health::kCondTrigger;
   if (mode != NumericHealthMode::Force && !suspect) return;
-  FaultInjector* fi = fault_injector();
+  FaultInjector* fi = job_context().fault_injector;
   if (fi != nullptr && fi->on_cond_estimate()) {
     health_.cond_estimate = std::numeric_limits<double>::infinity();
   } else {
@@ -370,7 +356,7 @@ void SolveWorkspace::refine_current(bool sparse) {
         }
         if (equilibrated_now_) scale_vector(d, col_scale_);
       };
-  FaultInjector* fi = fault_injector();
+  FaultInjector* fi = job_context().fault_injector;
   RefineOutcome out;
   if (fi != nullptr && fi->on_refinement()) {
     // Injected divergence: keep the factored solution, measure its
@@ -518,7 +504,7 @@ AcKernel::AcKernel(Circuit& ckt) : ckt_(&ckt), dim_((ckt.finalize(), ckt.dim()))
   // virtual-restamp fallback rebuilds the dense matrix anyway). Gather
   // the per-slot SoA G / C arrays so each frequency point assembles with
   // one contiguous O(nnz) loop.
-  use_sparse_ = exact_split_ && kernel_policy().wants_sparse(dim_, pattern_.density());
+  use_sparse_ = exact_split_ && wants_sparse(dim_, pattern_.density());
   if (use_sparse_) {
     const size_t nnz = pattern_.nnz();
     gs_.resize(nnz);
@@ -540,7 +526,7 @@ AcKernel::AcKernel(Circuit& ckt) : ckt_(&ckt), dim_((ckt.finalize(), ckt.dim()))
 }
 
 AcKernel::~AcKernel() {
-  if (KernelStats* sink = ambient_kernel_sink()) sink->accumulate(stats());
+  if (KernelStats* sink = job_context().kernel_sink) sink->accumulate(stats());
 }
 
 void AcKernel::stamp_virtual(double omega) {
@@ -585,7 +571,7 @@ void AcKernel::factorize() {
   health_ = NumericHealth{};
   equilibrated_now_ = false;
   refine_active_ = false;
-  const NumericHealthMode mode = ambient_health_mode();
+  const NumericHealthMode mode = job_context().health_mode;
   if (use_sparse_) {
     bool factored = false;
     if (mode == NumericHealthMode::Force) try_equilibrate_sparse();
@@ -655,7 +641,7 @@ void AcKernel::factorize() {
 }
 
 bool AcKernel::try_equilibrate_sparse() {
-  FaultInjector* fi = fault_injector();
+  FaultInjector* fi = job_context().fault_injector;
   if (fi != nullptr && fi->on_equilibrate()) return false;
   if (!compute_equilibration_csr(pattern_.row_ptr().data(),
                                  pattern_.cols().data(), avals_.data(), dim_,
@@ -670,7 +656,7 @@ bool AcKernel::try_equilibrate_sparse() {
 }
 
 bool AcKernel::try_equilibrate_dense() {
-  FaultInjector* fi = fault_injector();
+  FaultInjector* fi = job_context().fault_injector;
   if (fi != nullptr && fi->on_equilibrate()) return false;
   if (!compute_equilibration(mna_.matrix().data(), dim_, row_scale_,
                              col_scale_)) {
@@ -708,7 +694,7 @@ void AcKernel::post_factor_health(NumericHealthMode mode) {
   const bool suspect = growth > health::kPivotGrowthTrigger ||
                        cond_proxy > health::kCondTrigger;
   if (mode == NumericHealthMode::Force || suspect) {
-    FaultInjector* fi = fault_injector();
+    FaultInjector* fi = job_context().fault_injector;
     if (fi != nullptr && fi->on_cond_estimate()) {
       health_.cond_estimate = std::numeric_limits<double>::infinity();
     } else {
@@ -799,7 +785,7 @@ void AcKernel::refine_in_place(const std::vector<std::complex<double>>& rhs,
     }
     if (equilibrated_now_) scale_vector(d, col_scale_);
   };
-  FaultInjector* fi = fault_injector();
+  FaultInjector* fi = job_context().fault_injector;
   RefineOutcome out;
   if (fi != nullptr && fi->on_refinement()) {
     // Injected divergence: keep the factored solution (its residual is

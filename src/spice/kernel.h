@@ -28,7 +28,7 @@
 ///
 /// Both workspaces carry the numerical-health layer (DESIGN.md section
 /// 15): every factorization tracks its pivot extremes (an O(1) growth /
-/// condition monitor), and when the ambient NumericHealthMode says so —
+/// condition monitor), and when the job's NumericHealthMode says so —
 /// or the monitors trip — the solve runs Hager's condition estimate,
 /// fixed-precision iterative refinement, and a recovery ladder (refine ->
 /// equilibrate-and-refactorize -> switch kernel -> the gmin ladder above)
@@ -96,25 +96,11 @@ struct KernelPolicy {
   }
 };
 
-/// The policy in effect on this thread (the ambient override installed
-/// by ScopedKernelPolicy, or the defaults).
-const KernelPolicy& kernel_policy();
-
-/// RAII installation of a KernelPolicy on the current thread (same
-/// discipline as ScopedJobBudget: nesting replaces, exit restores, the
-/// policy is not owned). Workspaces snapshot the policy when they freeze
-/// their pattern, so install it before the analysis call.
-class ScopedKernelPolicy {
-public:
-  explicit ScopedKernelPolicy(const KernelPolicy& policy);
-  ~ScopedKernelPolicy();
-
-  ScopedKernelPolicy(const ScopedKernelPolicy&) = delete;
-  ScopedKernelPolicy& operator=(const ScopedKernelPolicy&) = delete;
-
-private:
-  const KernelPolicy* previous_;
-};
+/// Whether a frozen pattern of \p dim / \p density takes the sparse path
+/// under the job context's KernelPolicy (the defaults when none is
+/// installed). Workspaces decide once, when they freeze their pattern,
+/// so install a policy before the analysis call.
+bool wants_sparse(size_t dim, double density);
 
 /// Reusable real-MNA solve workspace with a compiled linear baseline.
 ///
@@ -171,8 +157,8 @@ public:
   /// (workspace_bytes / workspace_regrowths).
   const KernelStats& stats();
 
-  /// Flushes stats() into the thread's ambient kernel-stats sink, if one
-  /// is installed (ScopedKernelStatsSink) — how the batch runtime sees
+  /// Flushes stats() into the job context's kernel-stats sink, if one
+  /// is installed (JobContext::kernel_sink) — how the batch runtime sees
   /// kernel work from jobs that never expose a ConvergenceReport.
   ~SolveWorkspace();
 
@@ -282,7 +268,7 @@ public:
   bool exact_split() const { return exact_split_; }
 
   /// True when the kernel factorizes through the sparse path (requires
-  /// an exact split; decided once at construction from kernel_policy()).
+  /// an exact split; decided once at construction from wants_sparse()).
   bool sparse_path() const { return use_sparse_; }
 
   /// Numerical health of the last factorize() (covers every solve made
@@ -291,7 +277,7 @@ public:
 
   const KernelStats& stats();
 
-  /// Flushes stats() into the thread's ambient kernel-stats sink, if any.
+  /// Flushes stats() into the job context's kernel-stats sink, if any.
   ~AcKernel();
 
 private:

@@ -51,7 +51,7 @@ AnnealResult anneal(const std::function<double(const std::vector<double>&)>& cos
   double t = t_start;
   std::vector<double> cand = x;
   for (int it = 1; it < opts.iterations; ++it, t *= alpha) {
-    // Polls the options budget and the thread's ambient job budget, so a
+    // Polls the options budget and the job context's budget, so a
     // supervisor deadline / cancellation stops the search between moves
     // with best-so-far intact.
     if (exhausted_budget(opts.budget) != nullptr) {

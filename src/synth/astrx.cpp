@@ -61,9 +61,10 @@ struct MultiStartResult {
 /// \p make_cost (called once per restart with that restart's skipped
 /// counter) and pick the winner: lowest best_cost, lowest restart index
 /// on ties. Restart 0 anneals with opts.anneal.seed verbatim; restart
-/// r > 0 with the derived stream Rng::derive_stream(seed, r). Every
-/// restart always runs to completion, so the aggregate is bit-identical
-/// whether the restarts execute serially or on a pool of any size.
+/// r > 0 with the derived stream Rng::derive_stream(seed, r). Unless a
+/// budget stops it, every restart runs to completion, so the aggregate is
+/// bit-identical whether the restarts execute serially or on a pool of
+/// any size.
 MultiStartResult multi_start_anneal(
     const std::function<std::function<double(const std::vector<double>&)>(
         int* skipped)>& make_cost,
@@ -104,16 +105,16 @@ MultiStartResult multi_start_anneal(
       }
     }
   } else {
-    // Worker threads have empty provenance stacks; re-anchor each
-    // restart under the chain open on the calling thread.
-    const std::string parent = ErrorContext::chain();
+    // Each restart runs under the caller's job context (provenance,
+    // budget, solver policy) minus its unsynchronized members.
+    const JobContext inherited = job_context().fork();
     runtime::Executor pool(threads);
     std::vector<std::future<RestartRun>> futures;
     futures.reserve(static_cast<size_t>(m));
     for (int r = 0; r < m; ++r) {
-      futures.push_back(pool.submit([&run_one, &parent, r] {
-        const std::string frame = "restart[" + std::to_string(r) + "]";
-        ErrorContext scope(parent.empty() ? frame : parent + " -> " + frame);
+      futures.push_back(pool.submit([&run_one, &inherited, r] {
+        ScopedJobContext job(inherited);
+        ErrorContext scope("restart[" + std::to_string(r) + "]");
         return run_one(r);
       }));
     }
@@ -207,7 +208,7 @@ SynthesisOutcome synthesize_opamp(const Process& proc, const OpAmpSpec& spec,
     return [&proc, &spec, target, buffered, &corner_term,
             skipped](const std::vector<double>& x) {
       try {
-        if (auto* fi = spice::fault_injector()) fi->on_cost_eval();
+        if (auto* fi = job_context().fault_injector) fi->on_cost_eval();
         const OpAmpVars v = OpAmpVars::unpack(x, buffered);
         return opamp_cost(evaluate_opamp_vars(proc, v, spec.ibias, spec.cload),
                           target) +
@@ -618,7 +619,7 @@ ModuleSynthesisOutcome synthesize_module(const Process& proc,
   auto make_cost = [&proc, &proto, &spec](int* skipped) {
     return [&proc, &proto, &spec, skipped](const std::vector<double>& x) {
       try {
-        if (auto* fi = spice::fault_injector()) fi->on_cost_eval();
+        if (auto* fi = job_context().fault_injector) fi->on_cost_eval();
         bool functional = false;
         const ModuleDesign cand = module_from_vars(proc, proto, x, &functional);
         return module_cost(module_metrics_fast(proc, cand, functional, skipped),

@@ -35,9 +35,11 @@ struct SynthesisOptions {
   int restarts = 1;
   /// Worker threads for the restarts: 0 = min(restarts, hardware
   /// concurrency); 1 forces serial execution on the calling thread.
-  /// Note: a thread_local FaultInjector installed on the calling thread
-  /// is not visible to pool workers (fault tests run serially), and a
-  /// shared anneal.budget makes the outcome scheduling-dependent.
+  /// Pool workers run under JobContext::fork() of the caller's context:
+  /// the job's budget, provenance and solver policy follow each restart,
+  /// but a FaultInjector does not (fault tests run serially). A budget
+  /// that expires mid-search (anneal.budget, shared by every restart, or
+  /// the job's) makes the outcome scheduling-dependent.
   int restart_threads = 0;
 
   /// Optional precomputed APE seed design (used when use_ape_seed is

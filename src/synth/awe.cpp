@@ -127,7 +127,7 @@ AweModel awe_reduce(
     }
   }
   gp.finalize();
-  const bool use_sparse = spice::kernel_policy().wants_sparse(dim, gp.density());
+  const bool use_sparse = spice::wants_sparse(dim, gp.density());
   LuSolver<double> lu;
   SparseLuReal slu;
   if (use_sparse) {

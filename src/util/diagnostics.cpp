@@ -4,60 +4,44 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "src/util/units.h"
 
 namespace ape {
 namespace {
 
-/// The per-thread provenance stack. A plain vector of strings: scopes
-/// are short-lived and shallow (a handful of frames), so no cleverness.
-std::vector<std::string>& context_stack() {
-  static thread_local std::vector<std::string> stack;
-  return stack;
+/// The one thread_local of src/ (the THREAD-SAFETY RULE in
+/// diagnostics.h).
+JobContext& current_context() {
+  static thread_local JobContext ctx;
+  return ctx;
 }
-
-/// The per-thread ambient job budget / solver relaxation / kernel stats
-/// sink / numeric-health mode slots (see the THREAD-SAFETY RULE in
-/// diagnostics.h: these are four of the seven sanctioned thread_local
-/// instances).
-thread_local const RunBudget* g_ambient_budget = nullptr;
-thread_local const SolverRelaxation* g_ambient_relaxation = nullptr;
-thread_local KernelStats* g_ambient_kernel_sink = nullptr;
-thread_local NumericHealthMode g_ambient_health_mode = NumericHealthMode::Auto;
 
 }  // namespace
 
 std::string annotate_with_context(const std::string& what) {
-  const auto& stack = context_stack();
-  if (stack.empty()) return what;
-  std::string out = "[";
-  for (size_t i = 0; i < stack.size(); ++i) {
-    if (i != 0) out += " -> ";
-    out += stack[i];
-  }
-  out += "] ";
-  out += what;
-  return out;
+  if (current_context().frames.empty()) return what;
+  return "[" + ErrorContext::chain() + "] " + what;
 }
 
 ErrorContext::ErrorContext(std::string frame) {
-  context_stack().push_back(std::move(frame));
+  current_context().frames.push_back(std::move(frame));
 }
 
-ErrorContext::~ErrorContext() { context_stack().pop_back(); }
+ErrorContext::~ErrorContext() { current_context().frames.pop_back(); }
 
 std::string ErrorContext::chain() {
-  const auto& stack = context_stack();
+  const auto& frames = current_context().frames;
   std::string out;
-  for (size_t i = 0; i < stack.size(); ++i) {
+  for (size_t i = 0; i < frames.size(); ++i) {
     if (i != 0) out += " -> ";
-    out += stack[i];
+    out += frames[i];
   }
   return out;
 }
 
-size_t ErrorContext::depth() { return context_stack().size(); }
+size_t ErrorContext::depth() { return current_context().frames.size(); }
 
 // ---------------------------------------------------------------------------
 
@@ -235,54 +219,27 @@ double RunBudget::seconds_left() const {
 
 // ---------------------------------------------------------------------------
 
-ScopedJobBudget::ScopedJobBudget(const RunBudget& budget)
-    : previous_(g_ambient_budget) {
-  g_ambient_budget = &budget;
+JobContext JobContext::fork() const {
+  JobContext worker = *this;
+  worker.kernel_sink = nullptr;
+  worker.fault_injector = nullptr;
+  return worker;
 }
 
-ScopedJobBudget::~ScopedJobBudget() { g_ambient_budget = previous_; }
+const JobContext& job_context() { return current_context(); }
 
-const RunBudget* ambient_budget() { return g_ambient_budget; }
+ScopedJobContext::ScopedJobContext(JobContext ctx)
+    : previous_(std::exchange(current_context(), std::move(ctx))) {}
+
+ScopedJobContext::~ScopedJobContext() {
+  current_context() = std::move(previous_);
+}
 
 const RunBudget* exhausted_budget(const RunBudget* local) {
   if (local != nullptr && local->exhausted()) return local;
-  if (g_ambient_budget != nullptr && g_ambient_budget->exhausted()) {
-    return g_ambient_budget;
-  }
+  const RunBudget* job = current_context().budget;
+  if (job != nullptr && job->exhausted()) return job;
   return nullptr;
 }
-
-ScopedSolverRelaxation::ScopedSolverRelaxation(const SolverRelaxation& relax)
-    : previous_(g_ambient_relaxation) {
-  g_ambient_relaxation = &relax;
-}
-
-ScopedSolverRelaxation::~ScopedSolverRelaxation() {
-  g_ambient_relaxation = previous_;
-}
-
-const SolverRelaxation* ambient_relaxation() { return g_ambient_relaxation; }
-
-ScopedKernelStatsSink::ScopedKernelStatsSink(KernelStats& sink)
-    : previous_(g_ambient_kernel_sink) {
-  g_ambient_kernel_sink = &sink;
-}
-
-ScopedKernelStatsSink::~ScopedKernelStatsSink() {
-  g_ambient_kernel_sink = previous_;
-}
-
-KernelStats* ambient_kernel_sink() { return g_ambient_kernel_sink; }
-
-ScopedNumericHealthMode::ScopedNumericHealthMode(NumericHealthMode mode)
-    : previous_(g_ambient_health_mode) {
-  g_ambient_health_mode = mode;
-}
-
-ScopedNumericHealthMode::~ScopedNumericHealthMode() {
-  g_ambient_health_mode = previous_;
-}
-
-NumericHealthMode ambient_health_mode() { return g_ambient_health_mode; }
 
 }  // namespace ape

@@ -2,7 +2,7 @@
 /// \file diagnostics.h
 /// Provenance, convergence and budget diagnostics shared by every layer.
 ///
-/// Three small tools that make failures diagnosable and runs bounded:
+/// Small tools that make failures diagnosable and runs bounded:
 ///
 /// - ErrorContext: an RAII scope stack. Each layer that starts a logical
 ///   unit of work (module -> component -> device -> solver plan) opens a
@@ -20,39 +20,41 @@
 /// - CancelToken: a sticky, thread-safe cancellation flag. A RunBudget
 ///   with an attached token reports exhausted() as soon as the token
 ///   fires, so every budget poll site doubles as a cancellation point.
-/// - ScopedJobBudget: RAII installation of a *job-wide* budget on the
-///   current thread. Solver loops poll the ambient budget in addition to
-///   the one in their options, so a supervisor can impose a deadline on
-///   an entire job (estimate -> anneal -> simulator verification)
+/// - JobContext: everything a job carries ambiently down the layers (the
+///   ErrorContext frames, a job-wide RunBudget, the relaxed-rung solver
+///   tolerances, a kernel-stats sink, the numerical-health mode, a test
+///   FaultInjector and a KernelPolicy override), installed by one RAII
+///   scope, ScopedJobContext. A supervisor imposes a deadline on an
+///   entire job (estimate -> anneal -> simulator verification) this way
 ///   without threading a pointer through every layer.
-/// - ScopedSolverRelaxation: RAII installation of relaxed solver
-///   tolerances on the current thread — the "relaxed" rung of the
-///   supervision retry ladder (DESIGN.md section 10). dc_operating_point
-///   and transient() widen their tolerances and stop the gmin ladder at
-///   a higher floor while a relaxation is installed.
-///
-/// The scope stack is thread_local: it is a deliberate exception to the
-/// "no global mutable state" convention (DESIGN.md section 5), justified
-/// because provenance must cross layers that do not know about each
-/// other, and a thread_local stack keeps it race-free.
 ///
 /// THREAD-SAFETY RULE (binding for all estimation / simulation /
 /// synthesis paths, enforced since the batch runtime runs them on pool
 /// threads — see DESIGN.md section 7): any mutable state reachable from
 /// those paths must be (a) owned by the job (locals / value members
-/// passed explicitly), (b) thread_local (this file's ErrorContext stack,
-/// ambient-budget, solver-relaxation, kernel-stats-sink and
-/// numeric-health-mode slots, plus the FaultInjector slot in
-/// src/spice/fault.h and the KernelPolicy slot in src/spice/kernel.h,
-/// are the only seven
-/// instances), or (c) an explicitly synchronized shared object whose
-/// header documents that property (runtime::MemoCache, RunBudget,
-/// CancelToken, runtime::QuarantineRegistry). A worker thread starts
-/// with *empty* thread_local state: provenance frames, fault injectors,
-/// ambient budgets and relaxations installed on the submitting thread do
-/// not follow a job into the pool — the job must re-open its own scope
-/// (the runtime's batch entry points do this, stamping each job's
-/// index) and, in tests, install its own injector.
+/// passed explicitly), (b) the calling thread's JobContext — the one
+/// thread_local in src/ (CI fails on any other), a deliberate exception
+/// to the "no global mutable state" convention (DESIGN.md section 5)
+/// because provenance and job policy must cross layers that do not know
+/// about each other — or (c) an explicitly synchronized shared object
+/// whose header documents that property (runtime::MemoCache, RunBudget,
+/// CancelToken, runtime::QuarantineRegistry).
+///
+/// A raw thread starts with an empty JobContext. The fan-outs that join
+/// before returning (the batch runner and the multi-start anneal) hand
+/// each pool job JobContext::fork() of the caller's context:
+///
+///   field          | follows a job into the pool? | why
+///   ---------------+------------------------------+---------------------
+///   frames         | yes (copied)                 | provenance chains
+///   budget         | yes                          | RunBudget is thread-safe
+///   relaxation     | yes                          | read-only
+///   health_mode    | yes                          | a value
+///   kernel_policy  | yes                          | read-only
+///   kernel_sink    | no: each job keeps its own   | KernelStats is unsynchronized
+///   fault_injector | no: install one per job      | counters and Rng unsynchronized
+///
+/// Long-lived pools (the serve daemon's Executor) open their own scopes.
 ///
 /// RunBudget is in category (c): charge()/exhausted() are safe to call
 /// concurrently from every job of a batch sharing one budget (the
@@ -62,6 +64,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <concepts>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -75,7 +78,7 @@ namespace ape {
 /// no scope is open). Called by the ape::Error constructor.
 std::string annotate_with_context(const std::string& what);
 
-/// RAII frame on the thread-local provenance stack.
+/// RAII frame on the job context's provenance stack (JobContext::frames).
 ///
 ///   ErrorContext scope("dc_operating_point('" + ckt.title() + "')");
 ///
@@ -277,38 +280,7 @@ private:
 };
 
 // ---------------------------------------------------------------------------
-// Ambient (thread-local) job budget.
-
-/// RAII installation of \p budget as the current thread's ambient job
-/// budget. While installed, every solver loop that polls a RunBudget
-/// (newton ladders, dc_sweep, transient stepping, ac_analysis points,
-/// the anneal loop) also polls this one — the supervision layer's way of
-/// imposing one wall-clock deadline / cancellation point on an entire
-/// job without threading options through every layer. Nesting replaces
-/// the budget and restores the previous one on scope exit; the budget is
-/// not owned and must outlive the scope.
-class ScopedJobBudget {
-public:
-  explicit ScopedJobBudget(const RunBudget& budget);
-  ~ScopedJobBudget();
-
-  ScopedJobBudget(const ScopedJobBudget&) = delete;
-  ScopedJobBudget& operator=(const ScopedJobBudget&) = delete;
-
-private:
-  const RunBudget* previous_;
-};
-
-/// The ambient budget installed on this thread (nullptr when none).
-const RunBudget* ambient_budget();
-
-/// The first exhausted budget of {\p local, the thread's ambient budget},
-/// or nullptr when both are within budget (or absent). Poll sites use
-/// the returned budget's exhaust_reason() to name why they stopped.
-const RunBudget* exhausted_budget(const RunBudget* local);
-
-// ---------------------------------------------------------------------------
-// Ambient (thread-local) solver relaxation.
+// The job context.
 
 /// Relaxed-solver parameters for the "relaxed" rung of the supervision
 /// retry ladder: a second attempt at a non-convergent job re-runs with
@@ -321,55 +293,6 @@ struct SolverRelaxation {
   int extra_step_halvings = 4; ///< added to TranOptions::max_step_halvings
 };
 
-/// RAII installation of a SolverRelaxation on the current thread (same
-/// discipline as ScopedJobBudget: nesting replaces, exit restores, the
-/// object is not owned).
-class ScopedSolverRelaxation {
-public:
-  explicit ScopedSolverRelaxation(const SolverRelaxation& relax);
-  ~ScopedSolverRelaxation();
-
-  ScopedSolverRelaxation(const ScopedSolverRelaxation&) = delete;
-  ScopedSolverRelaxation& operator=(const ScopedSolverRelaxation&) = delete;
-
-private:
-  const SolverRelaxation* previous_;
-};
-
-/// The relaxation installed on this thread (nullptr in normal runs).
-const SolverRelaxation* ambient_relaxation();
-
-// ---------------------------------------------------------------------------
-// Ambient (thread-local) kernel-stats sink.
-
-/// RAII installation of a KernelStats accumulator on the current thread.
-/// While installed, every solver workspace (SolveWorkspace / AcKernel in
-/// src/spice/kernel.h) accumulates its counters into the sink when it is
-/// destroyed, in addition to whatever report the analysis call fills in.
-/// This is how the batch runtime attributes kernel work to jobs whose
-/// entry points (estimate_opamp, synthesis anneal, corner cells) never
-/// expose a ConvergenceReport: the job wrapper installs a sink around
-/// the job body and merges the result into BatchStats under a lock.
-/// Same discipline as ScopedJobBudget: nesting replaces, scope exit
-/// restores, the sink is not owned and must outlive the scope.
-class ScopedKernelStatsSink {
-public:
-  explicit ScopedKernelStatsSink(KernelStats& sink);
-  ~ScopedKernelStatsSink();
-
-  ScopedKernelStatsSink(const ScopedKernelStatsSink&) = delete;
-  ScopedKernelStatsSink& operator=(const ScopedKernelStatsSink&) = delete;
-
-private:
-  KernelStats* previous_;
-};
-
-/// The sink installed on this thread (nullptr when none).
-KernelStats* ambient_kernel_sink();
-
-// ---------------------------------------------------------------------------
-// Ambient (thread-local) numerical-health mode.
-
 /// How aggressively the solver workspaces run the numerical-health layer
 /// (numeric_health.h, DESIGN.md section 15).
 enum class NumericHealthMode {
@@ -380,24 +303,89 @@ enum class NumericHealthMode {
          ///< supervision ladder's numeric-recovery rung
 };
 
-/// RAII installation of a NumericHealthMode on the current thread (same
-/// discipline as ScopedSolverRelaxation: nesting replaces, exit
-/// restores). The supervision ladder installs Force for its
-/// numeric-recovery rung; bench_ape_speed installs Off for its baseline
-/// timing arm.
-class ScopedNumericHealthMode {
-public:
-  explicit ScopedNumericHealthMode(NumericHealthMode mode);
-  ~ScopedNumericHealthMode();
+namespace spice {
+class FaultInjector;
+struct KernelPolicy;
+}  // namespace spice
 
-  ScopedNumericHealthMode(const ScopedNumericHealthMode&) = delete;
-  ScopedNumericHealthMode& operator=(const ScopedNumericHealthMode&) = delete;
+/// The calling thread's ambient job state (see the THREAD-SAFETY RULE
+/// above for the fork table). Pointers are not owned: whoever installs
+/// one keeps the object alive for the scope.
+struct JobContext {
+  /// The ErrorContext stack, outermost frame first.
+  std::vector<std::string> frames;
+  /// Job-wide budget: every solver loop that polls a RunBudget (Newton
+  /// ladders, dc_sweep, transient stepping, ac_analysis points, the
+  /// anneal loop) also polls this one, through exhausted_budget().
+  const RunBudget* budget = nullptr;
+  /// Set on the supervision ladder's relaxed rung: dc_operating_point
+  /// and transient() widen their tolerances and stop the gmin ladder at
+  /// the relaxation's floor.
+  const SolverRelaxation* relaxation = nullptr;
+  /// Every solver workspace (src/spice/kernel.h) adds its counters here
+  /// when it is destroyed — how the batch runtime attributes kernel work
+  /// to jobs whose entry points never expose a ConvergenceReport.
+  KernelStats* kernel_sink = nullptr;
+  /// Force on the numeric-recovery rung; Off in bench baseline arms.
+  NumericHealthMode health_mode = NumericHealthMode::Auto;
+  /// Deterministic fault injection (src/spice/fault.h); null in
+  /// production, so each probe site is one load plus a branch.
+  spice::FaultInjector* fault_injector = nullptr;
+  /// Dense/sparse crossover override (src/spice/kernel.h); null means
+  /// the defaults. Workspaces read it when they freeze their pattern.
+  const spice::KernelPolicy* kernel_policy = nullptr;
 
-private:
-  NumericHealthMode previous_;
+  /// The context a pool job running on behalf of this one starts with:
+  /// a copy without the kernel sink and the fault injector.
+  JobContext fork() const;
 };
 
-/// The mode installed on this thread (Auto when none was installed).
-NumericHealthMode ambient_health_mode();
+/// The calling thread's context (empty on a fresh thread).
+const JobContext& job_context();
+
+/// RAII installation of a JobContext on the calling thread. Nesting
+/// replaces the whole context; scope exit (normal or by exception)
+/// restores the previous one.
+///
+///   ScopedJobContext scope([&](JobContext& c) { c.budget = &budget; });
+class ScopedJobContext {
+public:
+  /// Install \p ctx.
+  explicit ScopedJobContext(JobContext ctx);
+  /// Install the current context as edited by \p edit.
+  template <class Edit>
+    requires std::invocable<Edit&, JobContext&>
+  explicit ScopedJobContext(Edit edit)
+      : ScopedJobContext(edited(job_context(), edit)) {}
+  ~ScopedJobContext();
+
+  ScopedJobContext(const ScopedJobContext&) = delete;
+  ScopedJobContext& operator=(const ScopedJobContext&) = delete;
+
+private:
+  template <class Edit>
+  static JobContext edited(JobContext ctx, Edit& edit) {
+    edit(ctx);
+    return ctx;
+  }
+
+  JobContext previous_;
+};
+
+/// The first exhausted budget of {\p local, the job context's budget},
+/// or nullptr when both are within budget (or absent). Poll sites use
+/// the returned budget's exhaust_reason() to name why they stopped.
+const RunBudget* exhausted_budget(const RunBudget* local);
+
+/// Sets the job context's kernel-stats sink for a scope. Kept for the
+/// standalone benchmark harness; code under src/ uses ScopedJobContext.
+class ScopedKernelStatsSink {
+public:
+  explicit ScopedKernelStatsSink(KernelStats& sink)
+      : scope_([&sink](JobContext& c) { c.kernel_sink = &sink; }) {}
+
+private:
+  ScopedJobContext scope_;
+};
 
 }  // namespace ape

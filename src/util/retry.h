@@ -16,7 +16,7 @@
 ///                                                estimation and iterative
 ///                                                refinement on every solve
 ///                                                — DESIGN.md section 15)
-///   next relaxed_retries attempts  -> Relaxed   (ScopedSolverRelaxation:
+///   next relaxed_retries attempts  -> Relaxed   (JobContext::relaxation:
 ///                                                widened tolerances,
 ///                                                higher gmin floor)
 ///   one more, if estimate_fallback -> EstimateOnly (skip synthesis /
@@ -47,7 +47,7 @@ enum class RetryRung {
   Initial,          ///< attempt 0, normal configuration
   Retry,            ///< plain re-run
   NumericRecovery,  ///< re-run under NumericHealthMode::Force
-  Relaxed,          ///< re-run under ScopedSolverRelaxation
+  Relaxed,          ///< re-run under the policy's SolverRelaxation
   EstimateOnly,     ///< APE estimate fallback, no synthesis / simulation
   Fail,             ///< ladder exhausted
 };

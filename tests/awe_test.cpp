@@ -229,14 +229,16 @@ TEST(Awe, SparseMomentPathMatchesDense) {
   {
     Circuit ckt = spice::parse_netlist(net);
     (void)spice::dc_operating_point(ckt);
-    spice::ScopedKernelPolicy guard(force_dense);
+    ScopedJobContext guard(
+        [&](JobContext& c) { c.kernel_policy = &force_dense; });
     dense = awe_reduce(ckt, "n40", 3);
   }
   AweModel sparse;
   {
     Circuit ckt = spice::parse_netlist(net);
     (void)spice::dc_operating_point(ckt);
-    spice::ScopedKernelPolicy guard(force_sparse);
+    ScopedJobContext guard(
+        [&](JobContext& c) { c.kernel_policy = &force_sparse; });
     sparse = awe_reduce(ckt, "n40", 3);
   }
   EXPECT_NEAR(sparse.dc_gain(), dense.dc_gain(), 1e-9 * std::abs(dense.dc_gain()));

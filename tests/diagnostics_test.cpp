@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
+#include "src/spice/fault.h"
+#include "src/spice/kernel.h"
 #include "src/util/error.h"
 
 namespace ape {
@@ -47,6 +52,114 @@ TEST(ErrorContext, StackIsPerThread) {
   t.join();
   EXPECT_EQ(other_chain, "");
   EXPECT_EQ(ErrorContext::chain(), "main-thread-frame");
+}
+
+// ---------------------------------------------------------------------------
+// JobContext: one table over its fields drives the fork and restore checks.
+
+const RunBudget kBudget;
+const SolverRelaxation kRelaxation;
+KernelStats g_sink;
+spice::FaultInjector g_injector;
+const spice::KernelPolicy kPolicy{spice::KernelPath::ForceSparse};
+
+struct ContextField {
+  const char* name;
+  bool follows_fork;                  ///< JobContext::fork() keeps it
+  void (*mark)(JobContext&);          ///< give the field a non-default value
+  bool (*marked)(const JobContext&);  ///< the field holds that value
+};
+
+const ContextField kFields[] = {
+    {"frames", true, [](JobContext& c) { c.frames = {"batch[3]"}; },
+     [](const JobContext& c) {
+       return c.frames == std::vector<std::string>{"batch[3]"};
+     }},
+    {"budget", true, [](JobContext& c) { c.budget = &kBudget; },
+     [](const JobContext& c) { return c.budget == &kBudget; }},
+    {"relaxation", true, [](JobContext& c) { c.relaxation = &kRelaxation; },
+     [](const JobContext& c) { return c.relaxation == &kRelaxation; }},
+    {"health_mode", true,
+     [](JobContext& c) { c.health_mode = NumericHealthMode::Force; },
+     [](const JobContext& c) {
+       return c.health_mode == NumericHealthMode::Force;
+     }},
+    {"kernel_policy", true, [](JobContext& c) { c.kernel_policy = &kPolicy; },
+     [](const JobContext& c) { return c.kernel_policy == &kPolicy; }},
+    {"kernel_sink", false, [](JobContext& c) { c.kernel_sink = &g_sink; },
+     [](const JobContext& c) { return c.kernel_sink == &g_sink; }},
+    {"fault_injector", false,
+     [](JobContext& c) { c.fault_injector = &g_injector; },
+     [](const JobContext& c) { return c.fault_injector == &g_injector; }},
+};
+
+JobContext all_marked() {
+  JobContext c;
+  for (const ContextField& f : kFields) f.mark(c);
+  return c;
+}
+
+/// Which fields of the calling thread's context are marked.
+std::vector<char> marked_now() {
+  std::vector<char> out;
+  for (const ContextField& f : kFields) out.push_back(f.marked(job_context()));
+  return out;
+}
+
+TEST(JobContext, ForkKeepsOnlyWhatAPoolJobMayShare) {
+  ScopedJobContext job(all_marked());
+  const JobContext inherited = job_context().fork();
+  std::vector<char> raw, pooled;
+  std::thread worker([&] {
+    raw = marked_now();  // a raw thread starts with an empty context
+    ScopedJobContext pool_job(inherited);
+    pooled = marked_now();
+  });
+  worker.join();
+  for (size_t i = 0; i < std::size(kFields); ++i) {
+    EXPECT_FALSE(raw[i]) << kFields[i].name;
+    EXPECT_EQ(bool(pooled[i]), kFields[i].follows_fork) << kFields[i].name;
+  }
+}
+
+TEST(JobContext, NestedScopesRestoreEveryField) {
+  const std::vector<char> none(std::size(kFields), 0);
+  const std::vector<char> all(std::size(kFields), 1);
+  ASSERT_EQ(marked_now(), none);
+  for (size_t i = 0; i < std::size(kFields); ++i) {
+    SCOPED_TRACE(kFields[i].name);
+    std::vector<char> only(std::size(kFields), 0);
+    only[i] = 1;
+    {
+      // An editing scope changes its one field and keeps the others.
+      ScopedJobContext edit([&](JobContext& c) { kFields[i].mark(c); });
+      EXPECT_EQ(marked_now(), only);
+    }
+    EXPECT_EQ(marked_now(), none);
+    try {
+      ScopedJobContext edit([&](JobContext& c) { kFields[i].mark(c); });
+      throw std::runtime_error("unwind");
+    } catch (const std::runtime_error&) {
+    }
+    EXPECT_EQ(marked_now(), none);
+  }
+  {
+    ScopedJobContext outer(all_marked());
+    {
+      ScopedJobContext inner(JobContext{});
+      EXPECT_EQ(marked_now(), none);
+    }
+    EXPECT_EQ(marked_now(), all);
+    try {
+      ScopedJobContext inner(JobContext{});
+      ErrorContext frame("unwound");
+      throw Error("unwind");
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), "[unwound] unwind");
+    }
+    EXPECT_EQ(marked_now(), all);
+  }
+  EXPECT_EQ(marked_now(), none);
 }
 
 // ---------------------------------------------------------------------------

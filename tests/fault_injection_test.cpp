@@ -53,7 +53,7 @@ TEST(FaultInjection, SingularLuOnFirstRungRecoversViaSourceStepping) {
 
   FaultInjector fi;
   fi.fail_lu(0, 1);  // first LU solve reports a singular matrix
-  ScopedFaultInjection scope(fi);
+  ScopedJobContext scope([&](JobContext& c) { c.fault_injector = &fi; });
 
   ConvergenceReport rep;
   DcOptions opts;
@@ -74,7 +74,7 @@ TEST(FaultInjection, PersistentSingularLuSurfacesContextChain) {
 
   FaultInjector fi;
   fi.fail_lu_from(0);  // every LU solve fails: both plans must give up
-  ScopedFaultInjection scope(fi);
+  ScopedJobContext scope([&](JobContext& c) { c.fault_injector = &fi; });
 
   try {
     dc_operating_point(ckt);
@@ -95,7 +95,7 @@ TEST(FaultInjection, PoisonedStampFailsFastAndRecovers) {
 
   FaultInjector fi;
   fi.poison_stamp(0);  // NaN in the very first assembled system
-  ScopedFaultInjection scope(fi);
+  ScopedJobContext scope([&](JobContext& c) { c.fault_injector = &fi; });
 
   ConvergenceReport rep;
   DcOptions opts;
@@ -119,7 +119,7 @@ TEST(FaultInjection, PersistentPoisonSurfacesErrorWithCounters) {
 
   FaultInjector fi;
   fi.poison_stamp(0, std::numeric_limits<long>::max());
-  ScopedFaultInjection scope(fi);
+  ScopedJobContext scope([&](JobContext& c) { c.fault_injector = &fi; });
 
   try {
     dc_operating_point(ckt);
@@ -142,7 +142,7 @@ TEST(FaultInjection, GminRungVetoRecoversViaSourceStepping) {
 
   FaultInjector fi;
   fi.veto_gmin_rung(1e-2, 1);
-  ScopedFaultInjection scope(fi);
+  ScopedJobContext scope([&](JobContext& c) { c.fault_injector = &fi; });
 
   ConvergenceReport rep;
   DcOptions opts;
@@ -164,7 +164,7 @@ TEST(FaultInjection, VetoOnBothPlansSurfacesError) {
 
   FaultInjector fi;
   fi.veto_gmin_rung(1e-2, 2);  // kills Plan A and Plan B's final ladder
-  ScopedFaultInjection scope(fi);
+  ScopedJobContext scope([&](JobContext& c) { c.fault_injector = &fi; });
 
   try {
     dc_operating_point(ckt);
@@ -195,7 +195,7 @@ TEST(FaultInjection, RefineDivergenceEscalatesToEquilibrationAndLands) {
   build_spread_divider(ckt);
   FaultInjector fi;
   fi.refine_diverge(0, 1);  // first refinement "diverges"
-  ScopedFaultInjection scope(fi);
+  ScopedJobContext scope([&](JobContext& c) { c.fault_injector = &fi; });
 
   ConvergenceReport rep;
   DcOptions opts;
@@ -216,14 +216,15 @@ TEST(FaultInjection, EquilibrationOverflowFaultDegradesGracefully) {
   build_spread_divider(ckt);
   FaultInjector fi;
   fi.equilibrate_overflow(0, 1000);  // every equilibration "overflows"
-  ScopedFaultInjection scope(fi);
+  ScopedJobContext scope([&](JobContext& c) { c.fault_injector = &fi; });
 
   ConvergenceReport rep;
   DcOptions opts;
   opts.report = &rep;
   // Even the Force rung must survive equilibration being unavailable:
   // it falls back to refining the unscaled factorization.
-  ScopedNumericHealthMode force(NumericHealthMode::Force);
+  ScopedJobContext force(
+      [](JobContext& c) { c.health_mode = NumericHealthMode::Force; });
   const auto sol = dc_operating_point(ckt, opts);
 
   EXPECT_TRUE(rep.converged);
@@ -238,7 +239,7 @@ TEST(FaultInjection, CondEstimateFaultStillForcesRefinement) {
   build_spread_divider(ckt);
   FaultInjector fi;
   fi.cond_estimate_fail(0, 1000);  // every condest probe fails
-  ScopedFaultInjection scope(fi);
+  ScopedJobContext scope([&](JobContext& c) { c.fault_injector = &fi; });
 
   ConvergenceReport rep;
   DcOptions opts;
@@ -267,7 +268,7 @@ TEST(FaultInjection, DcSweepFailureNamesFailingValue) {
     Circuit ckt("sweep-ckt");
     build_diode_divider(ckt, 0.0);
     FaultInjector counter;
-    ScopedFaultInjection scope(counter);
+    ScopedJobContext scope([&](JobContext& c) { c.fault_injector = &counter; });
     dc_operating_point(ckt);
     first_point_solves = counter.counts().lu_solves;
   }
@@ -276,7 +277,7 @@ TEST(FaultInjection, DcSweepFailureNamesFailingValue) {
   build_diode_divider(ckt, 0.0);
   FaultInjector fi;
   fi.fail_lu_from(first_point_solves);
-  ScopedFaultInjection scope(fi);
+  ScopedJobContext scope([&](JobContext& c) { c.fault_injector = &fi; });
 
   try {
     dc_sweep(ckt, "v1", 0.0, 1.0, 0.25);
@@ -322,7 +323,7 @@ TEST(FaultInjection, TransientSubStepsStayOnUserGrid) {
   build_rc(ckt);
   FaultInjector fi;
   fi.veto_transient(3);  // forces step halvings -> internal sub-steps
-  ScopedFaultInjection scope(fi);
+  ScopedJobContext scope([&](JobContext& c) { c.fault_injector = &fi; });
   ConvergenceReport rep;
   TranOptions opts;
   opts.report = &rep;
@@ -352,7 +353,7 @@ TEST(FaultInjection, TransientExhaustedHalvingsSurfacesError) {
 
   FaultInjector fi;
   fi.veto_transient(1000);  // more vetoes than halvings allow
-  ScopedFaultInjection scope(fi);
+  ScopedJobContext scope([&](JobContext& c) { c.fault_injector = &fi; });
   try {
     transient(ckt, 1e-6, 10e-6);
     FAIL() << "expected NumericError";
@@ -455,7 +456,7 @@ TEST(FaultInjection, SpecErrorMidSynthesisIsCountedNotFatal) {
 
   spice::FaultInjector fi;
   fi.throw_spec_error_every(3);  // every 3rd candidate evaluation throws
-  spice::ScopedFaultInjection scope(fi);
+  ScopedJobContext scope([&](JobContext& c) { c.fault_injector = &fi; });
 
   SynthesisOptions opts;
   opts.use_ape_seed = true;

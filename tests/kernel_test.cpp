@@ -385,7 +385,7 @@ TEST(KernelFaults, AssemblyPoisonStillFiresAndRecovers) {
   Circuit ckt = make_current_mirror();
   FaultInjector fi;
   fi.poison_stamp(1);  // poison the second Newton assembly with a NaN
-  ScopedFaultInjection guard(fi);
+  ScopedJobContext guard([&](JobContext& c) { c.fault_injector = &fi; });
   ConvergenceReport rep;
   DcOptions opts;
   opts.report = &rep;
@@ -401,7 +401,7 @@ TEST(KernelFaults, LuSolveHookStillFiresAndRecovers) {
   Circuit ckt = make_current_mirror();
   FaultInjector fi;
   fi.fail_lu(0);  // first LU solve reports injected singularity
-  ScopedFaultInjection guard(fi);
+  ScopedJobContext guard([&](JobContext& c) { c.fault_injector = &fi; });
   ConvergenceReport rep;
   DcOptions opts;
   opts.report = &rep;
@@ -416,7 +416,7 @@ TEST(KernelFaults, TransientHooksFireOnKernelPath) {
   Circuit ckt = make_sallen_key();
   FaultInjector fi;
   fi.veto_transient(2);  // forces sub-stepping through the kernel path
-  ScopedFaultInjection guard(fi);
+  ScopedJobContext guard([&](JobContext& c) { c.fault_injector = &fi; });
   ConvergenceReport rep;
   TranOptions opts;
   opts.report = &rep;
@@ -486,7 +486,7 @@ TEST(KernelStats_, AccumulateSumsCountersAndMaxesBytes) {
 
 // ---------------------------------------------------------------------------
 // Sparse path equivalence: the same analyses forced through the sparse
-// LU (ScopedKernelPolicy, KernelPath::ForceSparse) must match the dense
+// LU (JobContext::kernel_policy, KernelPath::ForceSparse) must match the dense
 // path to <= 1e-9 relative on every topology, the sparse counters must
 // prove the symbolic factorization was reused (analyses == 1, one
 // refactorization per subsequent solve, zero dense fallbacks), and the
@@ -499,7 +499,8 @@ void check_sparse_dc(Circuit dense_ckt, Circuit sparse_ckt,
                      const std::string& what, double rtol, double atol) {
   Solution dense;
   {
-    ScopedKernelPolicy guard(kForceDense);
+    ScopedJobContext guard(
+        [&](JobContext& c) { c.kernel_policy = &kForceDense; });
     dense = dc_operating_point(dense_ckt);
   }
   ConvergenceReport rep;
@@ -507,7 +508,8 @@ void check_sparse_dc(Circuit dense_ckt, Circuit sparse_ckt,
   opts.report = &rep;
   Solution sparse;
   {
-    ScopedKernelPolicy guard(kForceSparse);
+    ScopedJobContext guard(
+        [&](JobContext& c) { c.kernel_policy = &kForceSparse; });
     sparse = dc_operating_point(sparse_ckt, opts);
   }
   expect_close(dense.x, sparse.x, rtol, atol, what);
@@ -544,14 +546,16 @@ void check_sparse_ac(Circuit dense_ckt, Circuit sparse_ckt, double f0,
                      double f1, int ppd, const std::string& what) {
   AcResult dense;
   {
-    ScopedKernelPolicy guard(kForceDense);
+    ScopedJobContext guard(
+        [&](JobContext& c) { c.kernel_policy = &kForceDense; });
     (void)dc_operating_point(dense_ckt);
     dense = ac_analysis(dense_ckt, f0, f1, ppd);
   }
   AcResult sparse;
   KernelStats ks;
   {
-    ScopedKernelPolicy guard(kForceSparse);
+    ScopedJobContext guard(
+        [&](JobContext& c) { c.kernel_policy = &kForceSparse; });
     (void)dc_operating_point(sparse_ckt);
     sparse = ac_analysis(sparse_ckt, f0, f1, ppd, &ks);
   }
@@ -596,7 +600,8 @@ void check_sparse_tran(Circuit dense_ckt, Circuit sparse_ckt, double t_step,
                        const std::string& what) {
   TranResult dense;
   {
-    ScopedKernelPolicy guard(kForceDense);
+    ScopedJobContext guard(
+        [&](JobContext& c) { c.kernel_policy = &kForceDense; });
     dense = transient(dense_ckt, t_step, t_stop);
   }
   TranResult sparse;
@@ -604,7 +609,8 @@ void check_sparse_tran(Circuit dense_ckt, Circuit sparse_ckt, double t_step,
   TranOptions opts;
   opts.report = &rep;
   {
-    ScopedKernelPolicy guard(kForceSparse);
+    ScopedJobContext guard(
+        [&](JobContext& c) { c.kernel_policy = &kForceSparse; });
     sparse = transient(sparse_ckt, t_step, t_stop, opts);
   }
   ASSERT_EQ(dense.time_s.size(), sparse.time_s.size()) << what;
@@ -636,7 +642,8 @@ TEST(SparseEquivalence, TranTwoStageOpampUnityStep) {
 TEST(SparseEquivalence, NoiseSallenKey) {
   NoiseResult dense;
   {
-    ScopedKernelPolicy guard(kForceDense);
+    ScopedJobContext guard(
+        [&](JobContext& c) { c.kernel_policy = &kForceDense; });
     Circuit ckt = make_sallen_key();
     (void)dc_operating_point(ckt);
     dense = noise_analysis(ckt, "out", 1.0, 1e6, 10, "vin");
@@ -644,7 +651,8 @@ TEST(SparseEquivalence, NoiseSallenKey) {
   NoiseResult sparse;
   KernelStats ks;
   {
-    ScopedKernelPolicy guard(kForceSparse);
+    ScopedJobContext guard(
+        [&](JobContext& c) { c.kernel_policy = &kForceSparse; });
     Circuit ckt = make_sallen_key();
     (void)dc_operating_point(ckt);
     sparse = noise_analysis(ckt, "out", 1.0, 1e6, 10, "vin", &ks);
@@ -670,11 +678,12 @@ TEST(SparseEquivalence, NoiseSallenKey) {
 // keep recovering — with the sparse LU forced on.
 
 TEST(SparseEquivalence, AssemblyPoisonFiresOnSparsePath) {
-  ScopedKernelPolicy policy(kForceSparse);
+  ScopedJobContext policy(
+      [&](JobContext& c) { c.kernel_policy = &kForceSparse; });
   Circuit ckt = make_current_mirror();
   FaultInjector fi;
   fi.poison_stamp(1);
-  ScopedFaultInjection guard(fi);
+  ScopedJobContext guard([&](JobContext& c) { c.fault_injector = &fi; });
   ConvergenceReport rep;
   DcOptions opts;
   opts.report = &rep;
@@ -687,11 +696,12 @@ TEST(SparseEquivalence, AssemblyPoisonFiresOnSparsePath) {
 }
 
 TEST(SparseEquivalence, LuSolveHookFiresOnSparsePath) {
-  ScopedKernelPolicy policy(kForceSparse);
+  ScopedJobContext policy(
+      [&](JobContext& c) { c.kernel_policy = &kForceSparse; });
   Circuit ckt = make_current_mirror();
   FaultInjector fi;
   fi.fail_lu(0);
-  ScopedFaultInjection guard(fi);
+  ScopedJobContext guard([&](JobContext& c) { c.fault_injector = &fi; });
   ConvergenceReport rep;
   DcOptions opts;
   opts.report = &rep;

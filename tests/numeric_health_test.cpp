@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -368,7 +367,8 @@ TEST(KernelHealth, ForcedModeRecordsFullRecord) {
   ConvergenceReport report;
   spice::DcOptions opts;
   opts.report = &report;
-  ScopedNumericHealthMode force(NumericHealthMode::Force);
+  ScopedJobContext force(
+      [](JobContext& c) { c.health_mode = NumericHealthMode::Force; });
   (void)spice::dc_operating_point(ckt, opts);
   EXPECT_TRUE(report.health.equilibrated) << report.health.summary();
   EXPECT_GT(report.health.cond_estimate, 0.0);
@@ -400,11 +400,12 @@ TEST(RecoveryLadder, SupervisedNetlistBatchRecordsRungAndResidual) {
       ASSERT_NE(rung, RetryRung::Fail) << "job " << job << " ran out of ladder";
       spice::FaultInjector fi;
       if (attempt == 0) fi.fail_lu_from(0);  // sabotage the initial attempt
-      spice::ScopedFaultInjection scoped(fi);
-      std::optional<ScopedNumericHealthMode> force;
-      if (rung == RetryRung::NumericRecovery) {
-        force.emplace(NumericHealthMode::Force);
-      }
+      ScopedJobContext scoped([&](JobContext& c) {
+        c.fault_injector = &fi;
+        if (rung == RetryRung::NumericRecovery) {
+          c.health_mode = NumericHealthMode::Force;
+        }
+      });
       try {
         spice::Circuit ckt = spice::parse_netlist(netlists[job]);
         spice::DcOptions opts;

@@ -606,6 +606,37 @@ TEST(RuntimeMultiStart, BestOfRestartsNeverWorseAndDeterministic) {
   EXPECT_EQ(rs.evaluations, r4.evaluations);
 }
 
+// The job's budget follows parallel restarts onto their pool workers: a
+// budget whose CancelToken has already fired stops every restart after its
+// first evaluation, on the pool exactly as on the calling thread.
+TEST(RuntimeMultiStart, ParallelRestartsHonourTheJobBudget) {
+  est::OpAmpSpec spec;
+  spec.gain = 150.0;
+  spec.ugf_hz = 3e6;
+  spec.ibias = 10e-6;
+  spec.cload = 10e-12;
+  synth::SynthesisOptions opts;
+  opts.use_ape_seed = true;
+  opts.anneal.iterations = 150;
+  opts.anneal.seed = 11;
+  opts.restarts = 4;
+
+  CancelToken cancel;
+  cancel.cancel();
+  RunBudget budget;
+  budget.attach_cancel(&cancel);
+  ScopedJobContext job([&budget](JobContext& c) { c.budget = &budget; });
+
+  opts.restart_threads = 4;
+  const auto pooled = synth::synthesize_opamp(proc(), spec, opts);
+  opts.restart_threads = 1;
+  const auto serial = synth::synthesize_opamp(proc(), spec, opts);
+  EXPECT_TRUE(pooled.budget_exhausted);
+  EXPECT_TRUE(serial.budget_exhausted);
+  EXPECT_EQ(pooled.evaluations, serial.evaluations);
+  EXPECT_LT(pooled.evaluations, opts.restarts * opts.anneal.iterations);
+}
+
 TEST(RuntimeMultiStart, SingleRestartMatchesLegacySingleStart) {
   est::OpAmpSpec spec;
   spec.gain = 140.0;
