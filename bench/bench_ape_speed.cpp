@@ -14,6 +14,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -277,58 +278,87 @@ ProveBench run_prove_comparison() {
   return pb;
 }
 
-struct HealthBench {
-  long overhead_bp = 0;   ///< Auto-mode health cost on the headline opamp
-                          ///< DC solve, in basis points of the health-off time
-  double off_us = 0.0;    ///< per-solve latency, health layer disabled
-  double on_us = 0.0;     ///< per-solve latency, ambient Auto mode
+/// One health A/B pair: per-run latency with the layer off and in
+/// ambient Auto mode, and Auto's cost in basis points of the off time.
+struct HealthArm {
+  double off_us = 0.0;
+  double on_us = 0.0;
+  long overhead_bp = 0;
 };
 
-/// Numerical-health A/B (DESIGN.md section 15). The acceptance claim:
-/// on the healthy headline opamp testbench, ambient Auto mode must cost
-/// under 2% (200 bp) of DC-solve wall time versus a run with the layer
-/// forced off — because on a well-conditioned system Auto tracks only
-/// the in-loop pivot min/max (free) and never estimates or refines.
-/// check_bench gates the recorded health_overhead_bp absolutely.
+struct HealthBench {
+  HealthArm dc;    ///< headline opamp open-loop DC solve
+  HealthArm ac;    ///< its open-loop AC sweep (1 Hz - 1 GHz, 20/decade)
+  HealthArm tran;  ///< its unity-gain step transient (the slew run)
+};
+
+/// Best-of-reps latency of \p run in microseconds under health mode
+/// off / Auto. The arms alternate rep by rep, so drift in machine load
+/// hits both alike, and the minimum over a fixed inner loop discards
+/// scheduler noise, which would otherwise dwarf a 200 bp gate on a
+/// microsecond-scale solve.
+template <class Run>
+HealthArm time_health_arms(int iters, int reps, const Run& run) {
+  const auto time_once = [&](bool health_on) {
+    ScopedJobContext arm([health_on](JobContext& c) {
+      if (!health_on) c.health_mode = NumericHealthMode::Off;
+    });
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < iters; ++i) run();
+    const auto t1 = std::chrono::steady_clock::now();
+    return std::chrono::duration<double, std::micro>(t1 - t0).count() / iters;
+  };
+  run();  // warm
+  HealthArm a;
+  a.off_us = a.on_us = 1e300;
+  for (int rep = 0; rep < reps; ++rep) {
+    a.off_us = std::min(a.off_us, time_once(false));
+    a.on_us = std::min(a.on_us, time_once(true));
+  }
+  const double overhead = a.off_us > 0.0 ? (a.on_us - a.off_us) / a.off_us : 0.0;
+  a.overhead_bp = overhead > 0.0 ? long(overhead * 1e4 + 0.5) : 0;
+  return a;
+}
+
+/// Numerical-health A/B (DESIGN.md section 15) on the healthy headline
+/// opamp: ambient Auto mode versus runs with the layer forced off, for
+/// the DC solve, the open-loop AC sweep and the unity-step transient.
+/// On a well-conditioned system Auto tracks only the in-loop pivot
+/// min/max (free), and AC solves whose unscaled proxy trips only check
+/// their residual. check_bench gates the recorded health_overhead_*bp:
+/// the DC arm at 200 bp, the longer AC and transient arms at 3x their
+/// run-to-run spread.
 HealthBench run_health_comparison() {
   HealthBench hb;
   const OpAmpEstimator oe(proc());
   const OpAmpDesign d = oe.estimate(headline_spec());
   spice::Circuit ckt =
       spice::parse_netlist(d.testbench(proc(), OpAmpTb::OpenLoop).netlist);
-  // Per-arm timing mirrors time_estimate_path_us: best-of-reps minimum
-  // over a fixed inner loop discards scheduler noise, which would
-  // otherwise dwarf a 200 bp gate on a microsecond-scale solve.
-  const auto time_arm = [&](bool health_on) {
-    ScopedJobContext arm([health_on](JobContext& c) {
-      if (!health_on) c.health_mode = NumericHealthMode::Off;
-    });
-    (void)spice::dc_operating_point(ckt, spice::DcOptions{});  // warm
-    const int iters = 100;
-    double best = 1e300;
-    for (int rep = 0; rep < 7; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int i = 0; i < iters; ++i) {
-        benchmark::DoNotOptimize(
-            spice::dc_operating_point(ckt, spice::DcOptions{}));
-      }
-      const auto t1 = std::chrono::steady_clock::now();
-      const double us =
-          std::chrono::duration<double, std::micro>(t1 - t0).count() / iters;
-      if (us < best) best = us;
-    }
-    return best;
-  };
-  hb.off_us = time_arm(false);
-  hb.on_us = time_arm(true);
-  const double overhead =
-      hb.off_us > 0.0 ? (hb.on_us - hb.off_us) / hb.off_us : 0.0;
-  hb.overhead_bp = overhead > 0.0 ? long(overhead * 1e4 + 0.5) : 0;
+  hb.dc = time_health_arms(100, 7, [&] {
+    benchmark::DoNotOptimize(spice::dc_operating_point(ckt, spice::DcOptions{}));
+  });
+  hb.ac = time_health_arms(20, 15, [&] {
+    benchmark::DoNotOptimize(spice::ac_analysis(ckt, 1.0, 1e9, 20));
+  });
+  // The unity step as simulate_opamp runs it (grid from the estimated
+  // slew); each run parses afresh because transient() leaves the
+  // devices' integrator state behind.
+  const std::string step = d.testbench(proc(), OpAmpTb::UnityStep).netlist;
+  const double pw = std::clamp(8.0 * 0.8 / std::max(d.perf.slew, 1e3), 2e-6, 5e-3);
+  hb.tran = time_health_arms(3, 9, [&] {
+    spice::Circuit tc = spice::parse_netlist(step);
+    benchmark::DoNotOptimize(spice::transient(tc, pw / 200.0, 1e-6 + 2.0 * pw));
+  });
   std::printf("\n-- numerical-health layer (DESIGN.md 15) --\n");
-  std::printf(
-      "headline opamp DC solve: %.1f us health-off, %.1f us health-on "
-      "(%ld bp)\n",
-      hb.off_us, hb.on_us, hb.overhead_bp);
+  const auto line = [](const char* what, const HealthArm& a, const char* unit,
+                       double scale) {
+    std::printf("headline opamp %s: %.1f %s health-off, %.1f %s health-on (%ld bp)\n",
+                what, a.off_us * scale, unit, a.on_us * scale, unit,
+                a.overhead_bp);
+  };
+  line("DC solve", hb.dc, "us", 1.0);
+  line("open-loop AC sweep", hb.ac, "us", 1.0);
+  line("unity-step transient", hb.tran, "ms", 1e-3);
   return hb;
 }
 
@@ -439,8 +469,12 @@ int run_batch_comparison() {
              std::pair(pb.feasible_without_s, pb.feasible_with_s))
       .field("prove_mixed_seconds",
              std::pair(pb.mixed_without_s, pb.mixed_with_s))
-      .field("health_overhead_bp", hb.overhead_bp)
-      .field("health_solve_us", std::pair(hb.off_us, hb.on_us))
+      .field("health_overhead_bp", hb.dc.overhead_bp)
+      .field("health_solve_us", std::pair(hb.dc.off_us, hb.dc.on_us))
+      .field("health_overhead_ac_bp", hb.ac.overhead_bp)
+      .field("health_ac_us", std::pair(hb.ac.off_us, hb.ac.on_us))
+      .field("health_overhead_tran_bp", hb.tran.overhead_bp)
+      .field("health_tran_us", std::pair(hb.tran.off_us, hb.tran.on_us))
       .field("kernel", ks)
       .field("batch_kernel", pooled.stats.kernel)
       .end_object();

@@ -170,6 +170,29 @@ else()
   message(STATUS "check_bench: health_overhead_bp: ok (${cur_hlt} bp <= 200 bp)")
 endif()
 
+# Absolute gates: the same Auto-vs-off A/B on the headline opamp's
+# open-loop AC sweep and unity-step transient. A tripped AC pivot proxy
+# only arms a per-solve residual check (before that, the Hager estimate
+# plus refinement on every point read ~15,700 bp). These arms run for
+# milliseconds and a shared host adds noise, so each bound is 3x the
+# spread of seven fresh runs on a shared 4-core Xeon, GCC 12,
+# RelWithDebInfo (AC 0..1433 bp, transient 0..997 bp), rounded up.
+foreach(arm IN ITEMS "ac;4500" "tran;3000")
+  list(GET arm 0 name)
+  list(GET arm 1 bound)
+  string(JSON cur ERROR_VARIABLE cur_err GET "${cur_json}" health_overhead_${name}_bp)
+  if(cur_err)
+    message(STATUS "check_bench: health_overhead_${name}_bp: skipped (absent)")
+  elseif(cur GREATER bound)
+    message(SEND_ERROR
+      "check_bench: numerical-health layer cost ${cur} bp of the headline "
+      "opamp ${name} time (bound: ${bound} bp)")
+    set(failed 1)
+  else()
+    message(STATUS "check_bench: health_overhead_${name}_bp: ok (${cur} bp <= ${bound} bp)")
+  endif()
+endforeach()
+
 # -- BENCH_spice_kernel.json metrics (dense AND sparse LU paths) -----------
 check_metric(dense_n64_ns LOWER_IS_BETTER)
 check_metric(sparse_n64_ns LOWER_IS_BETTER)

@@ -68,6 +68,15 @@ void NetlistBuilder::mosfet(const Process& proc, const TransistorDesign& t,
                    " L=" + fmt(t.l));
 }
 
+void NetlistBuilder::nodeset(
+    const std::vector<std::pair<std::string, double>>& guesses) {
+  std::string card = ".nodeset";
+  for (const auto& [node, volts] : guesses) {
+    card += " V(" + node + ")=" + fmt(volts);
+  }
+  lines_.push_back(card);
+}
+
 void NetlistBuilder::line(const std::string& text) { lines_.push_back(text); }
 
 std::string NetlistBuilder::fresh(const std::string& prefix) {

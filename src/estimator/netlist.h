@@ -5,6 +5,7 @@
 /// estimates - this is what produces the "sim" columns of Tables 2/3/5.
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/estimator/process.h"
@@ -38,6 +39,9 @@ public:
   void mosfet(const Process& proc, const TransistorDesign& t,
               const std::string& d, const std::string& g, const std::string& s,
               const std::string& b);
+
+  /// `.nodeset` card: DC initial guesses, one V(node)=volts pair each.
+  void nodeset(const std::vector<std::pair<std::string, double>>& guesses);
 
   /// Raw line escape hatch.
   void line(const std::string& text);

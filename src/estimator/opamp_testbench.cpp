@@ -11,18 +11,53 @@ namespace {
 
 std::string fmt(double v) { return units::format_eng(v, 6); }
 
+const TransistorDesign* find_role(const OpAmpDesign& d, const std::string& role) {
+  for (size_t i = 0; i < d.roles.size(); ++i) {
+    if (d.roles[i] == role) return &d.transistors[i];
+  }
+  return nullptr;
+}
+
+/// The design's own bias point as DC guesses for the internal nodes emit()
+/// creates under \p prefix, with the inputs and (unity DC feedback) the
+/// output at \p in_dc. Every level comes from a per-device Vgs the
+/// estimator (or synth::design_from_vars) already solved for, so the
+/// simulator's Newton starts next to the answer instead of at zero.
+std::vector<std::pair<std::string, double>> bias_guess(
+    const OpAmpDesign& d, const std::string& prefix, double in_dc, double vdd) {
+  auto vgs = [&](const char* role) {
+    const TransistorDesign* t = find_role(d, role);
+    if (t == nullptr) throw LookupError(std::string("opamp nodeset: missing role ") + role);
+    return t->vgs;
+  };
+  const double tail = in_dc - vgs("m1");
+  const double load = vdd - vgs("m3");
+  std::vector<std::pair<std::string, double>> g;
+  if (find_role(d, "w_in") != nullptr) {
+    const double wb = vgs("w_diode");
+    g.emplace_back(prefix + "_wb", wb);
+    g.emplace_back(prefix + "_wa", wb + vgs("w_casc"));
+  } else {
+    g.emplace_back(prefix + "_bn", vgs("m8"));
+  }
+  g.emplace_back(prefix + "_tail", tail);
+  g.emplace_back(prefix + "_tailx", tail);
+  g.emplace_back(prefix + "_n1", load);
+  g.emplace_back(prefix + "_o1", load);
+  g.emplace_back(prefix + "_zx", load);
+  if (find_role(d, "m9") != nullptr) {
+    g.emplace_back(prefix + "_out2", in_dc + vgs("m9"));
+  }
+  return g;
+}
+
 }  // namespace
 
 void OpAmpDesign::emit(NetlistBuilder& nb, const Process& proc,
                        const std::string& prefix, const std::string& inp,
                        const std::string& inn, const std::string& out,
                        const std::string& vdd_node) const {
-  auto t = [&](const std::string& role) -> const TransistorDesign* {
-    for (size_t i = 0; i < roles.size(); ++i) {
-      if (roles[i] == role) return &transistors[i];
-    }
-    return nullptr;
-  };
+  auto t = [&](const std::string& role) { return find_role(*this, role); };
   auto need = [&](const std::string& role) -> const TransistorDesign& {
     const TransistorDesign* p = t(role);
     if (p == nullptr) throw LookupError("opamp emit: missing role " + role);
@@ -136,6 +171,18 @@ Testbench OpAmpDesign::testbench(const Process& proc, OpAmpTb mode) const {
       break;
     }
   }
+
+  // Start the DC solve at the design's own bias point (the Seeded plan of
+  // spice::dc_operating_point). The unity step's DC point is the pulse's
+  // initial level; every other bench sits at the common mode.
+  const double in_dc = mode == OpAmpTb::UnityStep ? cm - 0.4 : cm;
+  std::vector<std::pair<std::string, double>> seed{
+      {"vdd", proc.vdd}, {"vp", in_dc}, {"out", in_dc}};
+  if (mode != OpAmpTb::UnityStep) seed.emplace_back("vm", in_dc);
+  if (mode == OpAmpTb::CommonMode) seed.emplace_back("cmx", 0.0);
+  const auto internal = bias_guess(*this, "x1", in_dc, proc.vdd);
+  seed.insert(seed.end(), internal.begin(), internal.end());
+  nb.nodeset(seed);
 
   tb.netlist = nb.str();
   return tb;

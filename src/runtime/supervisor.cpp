@@ -100,10 +100,16 @@ void supervise_one(const est::Process& proc, const Spec& spec, size_t index,
   // verdict nor the follow-on estimate-fallback failure may feed the
   // quarantine registry (it tracks fingerprints that fail *unexpectedly*).
   bool lint_verdict = false;
+  bool attempt_failed = false;
   auto record_attempt_failure = [&](const std::string& error) {
     last_error = error;
-    if (!lint_verdict && options.quarantine != nullptr &&
-        options.quarantine->record_failure(fp, error,
+    attempt_failed = true;
+  };
+  // The breaker counts failed jobs, not attempts: one job whose every
+  // rung failed is one strike, recorded when its ladder runs out.
+  auto record_job_failure = [&]() {
+    if (attempt_failed && !lint_verdict && options.quarantine != nullptr &&
+        options.quarantine->record_failure(fp, last_error,
                                            options.quarantine_threshold)) {
       ++stats.quarantined_new;
     }
@@ -171,6 +177,7 @@ void supervise_one(const est::Process& proc, const Spec& spec, size_t index,
         r.ok = true;
         r.estimate_fallback = true;
         ++stats.estimate_fallbacks;
+        record_job_failure();
         return;
       }
       Outcome out = detail::run_one(proc, spec, index, options.batch);
@@ -243,6 +250,7 @@ void supervise_one(const est::Process& proc, const Spec& spec, size_t index,
   }
 
   // Ladder exhausted.
+  record_job_failure();
   if (have_best) {
     r.outcome = std::move(best);
     r.ok = true;

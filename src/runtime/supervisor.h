@@ -28,7 +28,9 @@
 ///    outcomes) escalate the same way but never discard a synthesized
 ///    design for a bare estimate: they keep the best-so-far outcome.
 ///  - Quarantine: a spec failing quarantine_threshold consecutive
-///    attempts is quarantined in the (shareable) QuarantineRegistry with
+///    jobs (each failed job counts once, when its ladder runs out,
+///    however many attempts it burned) is quarantined in the
+///    (shareable) QuarantineRegistry with
 ///    its full provenance-annotated error; later jobs with the same
 ///    content fingerprint fail fast instead of burning their ladder.
 ///    Quarantine state is advisory and timing-dependent across thread
@@ -76,7 +78,7 @@ public:
   /// True when \p fp is quarantined; *why receives the recorded error.
   bool quarantined(uint64_t fp, std::string* why = nullptr) const;
 
-  /// Record one failed attempt. Once \p threshold consecutive failures
+  /// Record one failed job. Once \p threshold consecutive failures
   /// accumulate the fingerprint is quarantined with \p error (the first
   /// quarantining error wins). Returns true when this call newly
   /// quarantined the fingerprint.
@@ -123,7 +125,7 @@ struct SupervisorOptions {
   /// Optional shared quarantine registry (not owned; nullptr disables
   /// quarantine entirely).
   QuarantineRegistry* quarantine = nullptr;
-  /// Consecutive failed attempts before a fingerprint is quarantined.
+  /// Consecutive failed jobs before a fingerprint is quarantined.
   int quarantine_threshold = 3;
 
   /// Checkpoint file path ("" disables checkpointing). Written

@@ -579,6 +579,7 @@ std::string Server::run_simulate(Connection& conn, const Request& req) {
       }
       json::Writer w = response(req.id, "ok", false);
       w.field("converged", report.converged)
+          .field("dc_plan", to_string(report.plan))
           .field("newton_iterations", report.newton_iterations)
           .field("numeric_recoveries", recoveries)
           .field("refinement_solves", report.kernel.refinement_solves)

@@ -23,18 +23,19 @@ bool all_finite(const std::vector<double>& v) {
 }
 
 /// One damped Newton solve of the (already finalized) circuit at a fixed
-/// gmin / source scale, on the caller's compiled workspace. Returns true
-/// on convergence; x is updated in place. Counters are accumulated into
-/// \p rep when non-null.
+/// gmin / source scale, on the caller's compiled workspace, capped at
+/// \p max_iterations. Returns true on convergence; x is updated in
+/// place. Counters are accumulated into \p rep when non-null.
 bool newton_dc(Circuit& ckt, SolveWorkspace& ws, Solution& x, double gmin,
-               double src_scale, const DcOptions& opts, ConvergenceReport* rep) {
+               double src_scale, const DcOptions& opts, int max_iterations,
+               ConvergenceReport* rep) {
   const size_t dim = ckt.dim();
   const size_t n_nodes = ckt.num_nodes();
   FaultInjector* fi = job_context().fault_injector;
   // gmin and src_scale are fixed for the whole call, so the linear part
   // of the system is too: stamp it once, restore per iteration.
   ws.build_dc_baseline(gmin, src_scale);
-  for (int iter = 0; iter < opts.max_iterations; ++iter) {
+  for (int iter = 0; iter < max_iterations; ++iter) {
     ws.assemble_dc(x, src_scale);
     if (fi != nullptr) fi->on_assembly(ws.mna());
     if (rep != nullptr) ++rep->newton_iterations;
@@ -149,18 +150,44 @@ Solution dc_operating_point(Circuit& ckt, const DcOptions& caller_opts) {
   x.x.assign(ckt.dim(), 0.0);
   SolveWorkspace ws(ckt);
 
-  // Plan A: gmin stepping from a heavily damped system down to ~ideal.
-  bool ok = true;
-  for (double gmin : opts.gmin_steps) {
+  bool ok = false;
+  // Seeded plan: one capped Newton solve at the ladder's final gmin from
+  // the circuit's .nodeset guess. On failure x returns to zero, so the
+  // ladders below run exactly as they would without a seed.
+  if (!ckt.nodesets().empty() && !opts.gmin_steps.empty()) {
     check_budget(opts.budget, "dc_operating_point");
-    if (!newton_dc(ckt, ws, x, gmin, 1.0, opts, rep)) {
-      ok = false;
-      break;
+    for (const Circuit::NodeSet& ns : ckt.nodesets()) {
+      x.x[static_cast<size_t>(ns.node)] = ns.volts;
     }
-    ++rep->gmin_rungs_completed;
-    rep->final_gmin = gmin;
+    const double gmin = opts.gmin_steps.back();
+    ok = newton_dc(ckt, ws, x, gmin, 1.0, opts, kSeededMaxIterations, rep);
+    FaultInjector* fi = job_context().fault_injector;
+    if (ok && fi != nullptr && fi->on_seeded_convergence()) {
+      ++rep->convergence_vetoes;
+      ok = false;
+    }
+    if (ok) {
+      rep->plan = DcPlan::Seeded;
+      rep->final_gmin = gmin;
+    } else {
+      x.x.assign(ckt.dim(), 0.0);
+    }
   }
-  if (ok) rep->plan = DcPlan::GminLadder;
+
+  if (!ok) {
+    // Plan A: gmin stepping from a heavily damped system down to ~ideal.
+    ok = true;
+    for (double gmin : opts.gmin_steps) {
+      check_budget(opts.budget, "dc_operating_point");
+      if (!newton_dc(ckt, ws, x, gmin, 1.0, opts, opts.max_iterations, rep)) {
+        ok = false;
+        break;
+      }
+      ++rep->gmin_rungs_completed;
+      rep->final_gmin = gmin;
+    }
+    if (ok) rep->plan = DcPlan::GminLadder;
+  }
 
   if (!ok) {
     // Plan B: source stepping with a fixed medium gmin, then the ladder.
@@ -169,7 +196,7 @@ Solution dc_operating_point(Circuit& ckt, const DcOptions& caller_opts) {
     ok = true;
     for (double s : opts.source_steps) {
       check_budget(opts.budget, "dc_operating_point");
-      if (!newton_dc(ckt, ws, x, 1e-9, s, opts, rep)) {
+      if (!newton_dc(ckt, ws, x, 1e-9, s, opts, opts.max_iterations, rep)) {
         ok = false;
         break;
       }
@@ -178,7 +205,7 @@ Solution dc_operating_point(Circuit& ckt, const DcOptions& caller_opts) {
     if (ok) {
       for (double gmin : opts.gmin_steps) {
         check_budget(opts.budget, "dc_operating_point");
-        if (!newton_dc(ckt, ws, x, gmin, 1.0, opts, rep)) {
+        if (!newton_dc(ckt, ws, x, gmin, 1.0, opts, opts.max_iterations, rep)) {
           ok = false;
           break;
         }
@@ -248,7 +275,8 @@ DcSweepResult dc_sweep(Circuit& ckt, const std::string& vsource, double start,
       throw NumericError("dc_sweep('" + vsource + "'): " + b->exhaust_reason() +
                          " at sweep value " + units::format_eng(v) + " V");
     }
-    if (!newton_dc(ckt, ws, x, opts.gmin_steps.back(), 1.0, opts, opts.report)) {
+    if (!newton_dc(ckt, ws, x, opts.gmin_steps.back(), 1.0, opts,
+                   opts.max_iterations, opts.report)) {
       // Fall back to the full ladder if the warm start fails.
       x.x.assign(ckt.dim(), 0.0);
       solve_at(v, x);

@@ -45,11 +45,26 @@ struct DcOptions {
   std::function<void(const Circuit&)> preflight;
 };
 
-/// Solve the DC operating point. On success every device has its
-/// operating point cached (Device::save_op) so AC / transient analyses
-/// can follow. Throws NumericError if Newton fails to converge; the
-/// message carries the ErrorContext provenance chain and the
-/// ConvergenceReport summary of how far the recovery ladder got.
+/// Newton iterations the Seeded plan of dc_operating_point() may spend
+/// before it gives up on the .nodeset guess and climbs the ladders from
+/// zero. A seed near the answer converges in a handful; a bad one must
+/// not cost more than a few ladder rungs.
+inline constexpr int kSeededMaxIterations = 20;
+
+/// Solve the DC operating point. Plans run in order until one converges
+/// (ConvergenceReport::plan records which):
+///   1. Seeded: when the circuit carries .nodeset guesses
+///      (Circuit::nodesets()), one damped Newton solve at the final gmin
+///      rung from those voltages, capped at a fixed iteration count. On
+///      failure x resets to zero, so the ladders below are unchanged.
+///   2. GminLadder (Plan A): Newton down DcOptions::gmin_steps from zero.
+///   3. SourceStepping (Plan B): source ramp at gmin 1e-9, then the ladder.
+/// On success every device has its operating point cached
+/// (Device::save_op) so AC / transient analyses can follow. Throws
+/// NumericError if Newton fails to converge; the message carries the
+/// ErrorContext provenance chain and the ConvergenceReport summary of
+/// how far the recovery ladder got. transient() and dc_sweep() solve
+/// their initial points through this function, so they honour the seed.
 Solution dc_operating_point(Circuit& ckt, const DcOptions& opts = {});
 
 /// Node voltage by name from a solution.

@@ -58,6 +58,17 @@ const MosModelCard* Circuit::model(const std::string& name) const {
   return &it->second;
 }
 
+void Circuit::set_nodeset(NodeId node, double volts) {
+  if (node == kGround) return;
+  for (NodeSet& ns : nodesets_) {
+    if (ns.node == node) {
+      ns.volts = volts;
+      return;
+    }
+  }
+  nodesets_.push_back({node, volts});
+}
+
 Device* Circuit::find(const std::string& name) {
   const std::string key = lower(name);
   for (auto& d : devices_) {

@@ -88,6 +88,21 @@ public:
   /// MNA dimension = nodes + branches (valid after finalize()).
   size_t dim() const { return mna_dim_; }
 
+  /// One `.nodeset` entry: an initial guess for a node voltage.
+  struct NodeSet {
+    NodeId node;
+    double volts;
+  };
+
+  /// Record a DC initial guess for \p node (a later entry for the same
+  /// node replaces the earlier one; the reference node is ignored).
+  /// dc_operating_point() first tries one Newton solve from these values
+  /// before falling back to its ladders (analysis.h).
+  void set_nodeset(NodeId node, double volts);
+
+  /// The recorded guesses, in first-set order (empty: no seed).
+  const std::vector<NodeSet>& nodesets() const { return nodesets_; }
+
 private:
   void ensure_not_finalized() const {
     if (finalized_) throw Error("circuit is finalized; no further edits allowed");
@@ -100,6 +115,7 @@ private:
   std::vector<std::unique_ptr<Device>> devices_;
   std::vector<Device*> linear_devices_;
   std::vector<Device*> nonlinear_devices_;
+  std::vector<NodeSet> nodesets_;
   size_t mna_dim_ = 0;
   bool finalized_ = false;
 };

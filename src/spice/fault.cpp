@@ -43,6 +43,13 @@ bool FaultInjector::on_dc_convergence(double gmin, double src_scale) {
   return true;
 }
 
+bool FaultInjector::on_seeded_convergence() {
+  if (veto_seeded_left_ <= 0) return false;
+  --veto_seeded_left_;
+  ++counts_.injected_vetoes;
+  return true;
+}
+
 bool FaultInjector::on_transient_step() {
   ++counts_.tran_steps;
   if (tran_stall_s_ > 0.0) {

@@ -20,7 +20,7 @@
 ///  - forced singular LU factorization on chosen solve ordinals;
 ///  - non-finite (NaN) poisoning of assembled MNA stamps;
 ///  - convergence veto at a chosen gmin rung (forces the DC recovery
-///    ladder onto its next plan);
+///    ladder onto its next plan) or of the .nodeset-seeded solve;
 ///  - transient Newton veto (forces step halvings / sub-stepping);
 ///  - transient stall (sleeps per step — a "hanging spec" for deadline
 ///    and cancellation tests of the supervised runtime);
@@ -93,6 +93,11 @@ public:
     veto_gmin_left_ = times;
   }
 
+  /// Veto the first \p times converged Seeded-plan solves of
+  /// dc_operating_point: the .nodeset guess is discarded and the ladders
+  /// run from zero, as for a netlist without one.
+  void veto_seeded(int times) { veto_seeded_left_ = times; }
+
   /// Veto the first \p times transient Newton solves (each veto forces a
   /// step halving, i.e. sub-stepping below the user grid).
   void veto_transient(int times) { veto_tran_left_ = times; }
@@ -145,6 +150,10 @@ public:
   /// convergence and report failure for this rung.
   bool on_dc_convergence(double gmin, double src_scale);
 
+  /// Seeded-plan probe, called by dc_operating_point after the solve
+  /// from the .nodeset guess converged. Returns true to discard it.
+  bool on_seeded_convergence();
+
   /// Transient Newton probe. Returns true to veto this solve attempt.
   bool on_transient_step();
 
@@ -176,6 +185,7 @@ private:
   long poison_count_ = 0;
   double veto_gmin_ = -1.0;
   int veto_gmin_left_ = 0;
+  int veto_seeded_left_ = 0;
   int veto_tran_left_ = 0;
   double tran_stall_s_ = 0.0;
   long spec_error_period_ = 0;

@@ -334,39 +334,37 @@ void SolveWorkspace::refine_current(bool sparse) {
   // authoritative unscaled system on both paths (the sparse solve
   // gathers its values *from* it).
   const double anorm_inf = norm_inf_dense(mna_.matrix().data(), dim_);
-  const std::function<void(const std::vector<double>&, std::vector<double>&)>
-      matvec = [&](const std::vector<double>& v, std::vector<double>& y) {
-        const double* a = mna_.matrix().data();
-        y.resize(dim_);
-        for (size_t i = 0; i < dim_; ++i) {
-          double acc = 0.0;
-          const double* row = a + i * dim_;
-          for (size_t j = 0; j < dim_; ++j) acc += row[j] * v[j];
-          y[i] = acc;
-        }
-      };
-  const std::function<void(const std::vector<double>&, std::vector<double>&)>
-      correct = [&](const std::vector<double>& r, std::vector<double>& d) {
-        hwork_ = r;
-        if (equilibrated_now_) scale_vector(hwork_, row_scale_);
-        if (sparse) {
-          slu_.solve_into(hwork_, d);
-        } else {
-          lu_.solve_into(hwork_, d);
-        }
-        if (equilibrated_now_) scale_vector(d, col_scale_);
-      };
+  const auto matvec = [&](const std::vector<double>& v, std::vector<double>& y) {
+    const double* a = mna_.matrix().data();
+    y.resize(dim_);
+    for (size_t i = 0; i < dim_; ++i) {
+      double acc = 0.0;
+      const double* row = a + i * dim_;
+      for (size_t j = 0; j < dim_; ++j) acc += row[j] * v[j];
+      y[i] = acc;
+    }
+  };
+  const auto correct = [&](const std::vector<double>& r, std::vector<double>& d) {
+    hwork_ = r;
+    if (equilibrated_now_) scale_vector(hwork_, row_scale_);
+    if (sparse) {
+      slu_.solve_into(hwork_, d);
+    } else {
+      lu_.solve_into(hwork_, d);
+    }
+    if (equilibrated_now_) scale_vector(d, col_scale_);
+  };
   FaultInjector* fi = job_context().fault_injector;
   RefineOutcome out;
   if (fi != nullptr && fi->on_refinement()) {
     // Injected divergence: keep the factored solution, measure its
     // residual, and escalate exactly like a real divergence below.
-    out.residual = relative_residual<double>(mna_.rhs(), xnew_, matvec,
-                                             anorm_inf, hresid_);
+    out.residual =
+        relative_residual(mna_.rhs(), xnew_, matvec, anorm_inf, hresid_);
     out.diverged = true;
   } else {
-    out = refine_solution<double>(mna_.rhs(), xnew_, matvec, correct,
-                                  anorm_inf, hresid_, hdx_, hbest_);
+    out = refine_solution(mna_.rhs(), xnew_, matvec, correct, anorm_inf,
+                          hresid_, hdx_, hbest_);
   }
   ++stats_.refinement_solves;
   stats_.refinement_iterations += out.iterations;
@@ -405,9 +403,8 @@ void SolveWorkspace::refine_current(bool sparse) {
     if (redone) {
       health_.recovered = true;
       ++stats_.solves;
-      const RefineOutcome again =
-          refine_solution<double>(mna_.rhs(), xnew_, matvec, correct,
-                                  anorm_inf, hresid_, hdx_, hbest_);
+      const RefineOutcome again = refine_solution(
+          mna_.rhs(), xnew_, matvec, correct, anorm_inf, hresid_, hdx_, hbest_);
       stats_.refinement_iterations += again.iterations;
       out.residual = again.residual;
       out.iterations += again.iterations;
@@ -571,6 +568,7 @@ void AcKernel::factorize() {
   health_ = NumericHealth{};
   equilibrated_now_ = false;
   refine_active_ = false;
+  check_residual_ = false;
   const NumericHealthMode mode = job_context().health_mode;
   if (use_sparse_) {
     bool factored = false;
@@ -693,7 +691,15 @@ void AcKernel::post_factor_health(NumericHealthMode mode) {
   const double cond_proxy = min_piv > 0.0 ? scale / min_piv : 0.0;
   const bool suspect = growth > health::kPivotGrowthTrigger ||
                        cond_proxy > health::kCondTrigger;
-  if (mode == NumericHealthMode::Force || suspect) {
+  // Auto mode: the unscaled proxy trips on healthy AC matrices (G next
+  // to jwC spans many decades before equilibration), so a tripped proxy
+  // only arms a residual check on each solve; refinement runs when that
+  // residual misses the target. Force keeps the full record below.
+  if (mode == NumericHealthMode::Auto && suspect) {
+    check_residual_ = true;
+    anorm_inf_ = norm_inf_current();
+  }
+  if (mode == NumericHealthMode::Force) {
     FaultInjector* fi = job_context().fault_injector;
     if (fi != nullptr && fi->on_cond_estimate()) {
       health_.cond_estimate = std::numeric_limits<double>::infinity();
@@ -727,15 +733,8 @@ void AcKernel::post_factor_health(NumericHealthMode mode) {
       health_.cond_estimate =
           condest_1norm<std::complex<double>>(dim_, anorm1, sol, sol_t, cwork2_);
     }
-    refine_active_ = mode == NumericHealthMode::Force ||
-                     growth > health::kPivotGrowthTrigger ||
-                     !(health_.cond_estimate < health::kCondTrigger);
-    if (refine_active_) {
-      anorm_inf_ =
-          sparse_live_
-              ? norm_inf_csr(pattern_.row_ptr().data(), avals_.data(), dim_)
-              : norm_inf_dense(mna_.matrix().data(), dim_);
-    }
+    refine_active_ = true;
+    anorm_inf_ = norm_inf_current();
   }
   if (health_.pivot_growth > stats_.pivot_growth_max) {
     stats_.pivot_growth_max = health_.pivot_growth;
@@ -747,35 +746,47 @@ void AcKernel::post_factor_health(NumericHealthMode mode) {
   if (health_.recovered) ++stats_.numeric_recoveries;
 }
 
+double AcKernel::norm_inf_current() const {
+  return sparse_live_
+             ? norm_inf_csr(pattern_.row_ptr().data(), avals_.data(), dim_)
+             : norm_inf_dense(mna_.matrix().data(), dim_);
+}
+
 void AcKernel::matvec_current(const std::vector<std::complex<double>>& v,
                               std::vector<std::complex<double>>& y) const {
   y.resize(dim_);
+  const std::vector<int>& rp = pattern_.row_ptr();
+  const std::vector<int>& cols = pattern_.cols();
   if (sparse_live_) {
-    const std::vector<int>& rp = pattern_.row_ptr();
-    const std::vector<int>& cols = pattern_.cols();
     for (size_t i = 0; i < dim_; ++i) {
       std::complex<double> acc;
       for (int s = rp[i]; s < rp[i + 1]; ++s) acc += avals_[s] * v[cols[s]];
       y[i] = acc;
     }
-  } else {
-    const std::complex<double>* a = mna_.matrix().data();
-    for (size_t i = 0; i < dim_; ++i) {
-      std::complex<double> acc;
-      const std::complex<double>* row = a + i * dim_;
+    return;
+  }
+  const std::complex<double>* a = mna_.matrix().data();
+  for (size_t i = 0; i < dim_; ++i) {
+    std::complex<double> acc;
+    const std::complex<double>* row = a + i * dim_;
+    if (exact_split_) {
+      // With the G + jwC split every nonzero of A(w) sits on a slot of
+      // the compiled pattern: an O(nnz) pass, equal to the full-row sum
+      // (the skipped entries are exact zeros).
+      for (int s = rp[i]; s < rp[i + 1]; ++s) acc += row[cols[s]] * v[cols[s]];
+    } else {
       for (size_t j = 0; j < dim_; ++j) acc += row[j] * v[j];
-      y[i] = acc;
     }
+    y[i] = acc;
   }
 }
 
 void AcKernel::refine_in_place(const std::vector<std::complex<double>>& rhs,
-                               std::vector<std::complex<double>>& x) {
+                               std::vector<std::complex<double>>& x,
+                               double r0) {
   using CVec = std::vector<std::complex<double>>;
-  const std::function<void(const CVec&, CVec&)> matvec =
-      [this](const CVec& v, CVec& y) { matvec_current(v, y); };
-  const std::function<void(const CVec&, CVec&)> correct = [&](const CVec& r,
-                                                              CVec& d) {
+  const auto matvec = [this](const CVec& v, CVec& y) { matvec_current(v, y); };
+  const auto correct = [&](const CVec& r, CVec& d) {
     cwork_ = r;
     if (equilibrated_now_) scale_vector(cwork_, row_scale_);
     if (sparse_live_) {
@@ -791,13 +802,11 @@ void AcKernel::refine_in_place(const std::vector<std::complex<double>>& rhs,
     // Injected divergence: keep the factored solution (its residual is
     // still measured and surfaced); the AC sweep has no further rung —
     // the dense rescue already ran at factorization time.
-    out.residual = relative_residual<std::complex<double>>(rhs, x, matvec,
-                                                           anorm_inf_, cresid_);
+    out.residual = r0;
     out.diverged = true;
   } else {
-    out = refine_solution<std::complex<double>>(rhs, x, matvec, correct,
-                                                anorm_inf_, cresid_, cdx_,
-                                                cbest_);
+    out = refine_from(r0, rhs, x, matvec, correct, anorm_inf_, cresid_, cdx_,
+                      cbest_);
   }
   ++stats_.refinement_solves;
   stats_.refinement_iterations += out.iterations;
@@ -825,7 +834,20 @@ void AcKernel::solve_current(const std::vector<std::complex<double>>& rhs,
     lu_.solve_into(rhs, out);
   }
   ++stats_.solves;
-  if (refine_active_) refine_in_place(rhs, out);
+  if (!refine_active_ && !check_residual_) return;
+  // One residual measurement serves both policies: Force refines from
+  // it unconditionally, Auto only when it misses the target.
+  const double r0 = relative_residual(
+      rhs, out,
+      [this](const std::vector<std::complex<double>>& v,
+             std::vector<std::complex<double>>& y) { matvec_current(v, y); },
+      anorm_inf_, cresid_);
+  if (refine_active_ || r0 > health::kResidualTarget) {
+    refine_in_place(rhs, out, r0);
+    return;
+  }
+  if (r0 > health_.residual_norm) health_.residual_norm = r0;
+  if (r0 > stats_.residual_norm_max) stats_.residual_norm_max = r0;
 }
 
 void AcKernel::solve_into(std::vector<std::complex<double>>& out) {

@@ -32,8 +32,15 @@
 /// or the monitors trip — the solve runs Hager's condition estimate,
 /// fixed-precision iterative refinement, and a recovery ladder (refine ->
 /// equilibrate-and-refactorize -> switch kernel -> the gmin ladder above)
-/// before giving up. The per-solve outcome is exposed through health()
-/// and aggregated into KernelStats.
+/// before giving up. One exception: in Auto mode a tripped monitor on an
+/// AcKernel factorization runs no condition estimate; each solve against
+/// it measures its relative residual (the refinement's own measurement:
+/// an O(nnz) matvec, ||A||_inf once per factorization) and is refined
+/// only when that residual misses health::kResidualTarget (AC matrices
+/// mix G and jwC over many decades, so the unscaled proxy trips on
+/// healthy sweeps). Force mode is the same for both workspaces. The
+/// per-solve outcome is exposed through health() and aggregated into
+/// KernelStats.
 ///
 /// Both workspaces additionally carry a *sparse* factorization path
 /// (src/util/sparse.h, DESIGN.md section 13): the stamp recorder on
@@ -287,20 +294,23 @@ private:
   void assemble_dense(double omega);
   size_t measured_bytes() const;
 
-  // Numerical-health helpers (DESIGN.md section 15). Refinement state is
-  // per-factorization: factorize() decides whether subsequent solves
-  // need refining, so the noise analysis' many solve_rhs() calls against
-  // one factorization are all refined consistently.
+  // Numerical-health helpers (DESIGN.md section 15). factorize() decides
+  // per factorization whether every solve against it is refined (Force)
+  // or each solve checks its own residual first (Auto, monitor tripped);
+  // the noise analysis' many solve_rhs() calls follow the same rule.
   bool try_equilibrate_sparse();
   bool try_equilibrate_dense();
   void factor_dense();
   void post_factor_health(NumericHealthMode mode);
   void solve_current(const std::vector<std::complex<double>>& rhs,
                      std::vector<std::complex<double>>& out);
+  /// Refine \p x from its measured relative residual \p r0 (b - Ax in
+  /// cresid_).
   void refine_in_place(const std::vector<std::complex<double>>& rhs,
-                       std::vector<std::complex<double>>& x);
+                       std::vector<std::complex<double>>& x, double r0);
   void matvec_current(const std::vector<std::complex<double>>& v,
                       std::vector<std::complex<double>>& y) const;
+  double norm_inf_current() const;
 
   Circuit* ckt_;
   size_t dim_;
@@ -339,6 +349,7 @@ private:
   std::vector<std::complex<double>> cwork2_;
   bool equilibrated_now_ = false;  ///< current factorization is of RAC
   bool refine_active_ = false;     ///< refine every solve of this factorization
+  bool check_residual_ = false;    ///< Auto: refine solves whose residual misses
   double anorm_inf_ = 0.0;         ///< inf-norm of the assembled A(omega)
 };
 

@@ -216,14 +216,37 @@ Circuit parse_netlist(const std::string& text) {
     bool is_cccs;
   };
   std::vector<PendingCc> pending_cc;
+  // .nodeset may name nodes that devices later in the deck create, so
+  // guesses resolve after every element exists.
+  struct PendingNodeSet {
+    std::string ctx, node;
+    double volts;
+  };
+  std::vector<PendingNodeSet> pending_ns;
   std::set<std::string> seen_names;
 
   for (size_t li = 1; li < lines.size(); ++li) {
     const std::string& line = lines[li];
     const std::string ctx = "line " + std::to_string(li + 1);
     if (line[0] == '.') {
-      const std::string card = lower(tokenize(line)[0]);
+      const std::vector<std::string> toks = tokenize(line);
+      const std::string card = lower(toks[0]);
       if (card == ".model" || card == ".end" || card == ".ends") continue;
+      if (card == ".nodeset") {
+        // .nodeset V(n1)=v1 V(n2)=v2 ...: the tokenizer splits each pair
+        // into "V", node, value.
+        if (toks.size() < 4 || (toks.size() - 1) % 3 != 0) {
+          throw ParseError(ctx + ": .nodeset needs V(node)=value pairs");
+        }
+        for (size_t i = 1; i < toks.size(); i += 3) {
+          if (lower(toks[i]) != "v") {
+            throw ParseError(ctx + ": .nodeset expects V(node)=value, got '" +
+                             toks[i] + "'");
+          }
+          pending_ns.push_back({ctx, toks[i + 1], num(toks[i + 2], ctx)});
+        }
+        continue;
+      }
       throw ParseError(ctx + ": unsupported card '" + card + "'");
     }
     const std::vector<std::string> toks = tokenize(line);
@@ -336,6 +359,15 @@ Circuit parse_netlist(const std::string& text) {
     } else {
       ckt.add<Ccvs>(pc.name, p, n, &ctrl, pc.gain);
     }
+  }
+  for (const auto& ns : pending_ns) {
+    NodeId node;
+    try {
+      node = ckt.find_node(ns.node);
+    } catch (const LookupError&) {
+      throw ParseError(ns.ctx + ": .nodeset names unknown node '" + ns.node + "'");
+    }
+    ckt.set_nodeset(node, ns.volts);
   }
   return ckt;
 }

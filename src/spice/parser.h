@@ -4,7 +4,8 @@
 ///
 /// Supported elements: R, C, L, V, I, E (VCVS), G (VCCS), F (CCCS),
 /// H (CCVS), D (diode), M (MOSFET). Supported cards: .model (nmos/pmos,
-/// level 1/2/3), .end. Lines starting with '*' are comments; '+' is a
+/// level 1/2/3), .nodeset V(node)=value ... (DC initial guesses, see
+/// Circuit::set_nodeset), .end. Lines starting with '*' are comments; '+' is a
 /// continuation; everything is case-insensitive; engineering suffixes
 /// (k, u, meg, ...) are accepted on all numbers.
 ///

@@ -130,6 +130,7 @@ void KernelStats::to_json(json::Writer& w) const {
 
 const char* to_string(DcPlan plan) {
   switch (plan) {
+    case DcPlan::Seeded: return "seeded";
     case DcPlan::GminLadder: return "gmin-ladder";
     case DcPlan::SourceStepping: return "source-stepping";
     case DcPlan::None: break;

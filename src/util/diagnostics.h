@@ -152,6 +152,7 @@ struct KernelStats {
 /// Which plan finally converged a DC operating-point solve.
 enum class DcPlan {
   None,            ///< no solve recorded / nothing converged
+  Seeded,          ///< one Newton solve from the circuit's .nodeset guess
   GminLadder,      ///< plain gmin stepping (Plan A)
   SourceStepping,  ///< source stepping then the gmin ladder (Plan B)
 };
@@ -297,8 +298,10 @@ struct SolverRelaxation {
 /// (numeric_health.h, DESIGN.md section 15).
 enum class NumericHealthMode {
   Off,   ///< no monitoring at all (bench baseline arm)
-  Auto,  ///< monitor pivot growth; estimate condition and refine only
-         ///< when growth / condition thresholds trip (the default)
+  Auto,  ///< monitor pivot growth; when growth / condition thresholds
+         ///< trip, DC and transient solves estimate condition and refine,
+         ///< while AC solves check their residual and refine only those
+         ///< that miss health::kResidualTarget (the default)
   Force, ///< always equilibrate, estimate condition and refine — the
          ///< supervision ladder's numeric-recovery rung
 };

@@ -13,6 +13,12 @@ namespace {
 double abs_of(double v) { return std::abs(v); }
 double abs_of(const std::complex<double>& v) { return std::abs(v); }
 
+/// The infinity-norm magnitude: |re| + |im| for complex values.
+double inf_mag(double v) { return std::abs(v); }
+double inf_mag(const std::complex<double>& v) {
+  return std::abs(v.real()) + std::abs(v.imag());
+}
+
 /// Elementwise sign for Hager's probe: y/|y|, 1 where y == 0.
 double sign_of(double v) { return v >= 0.0 ? 1.0 : -1.0; }
 std::complex<double> sign_of(const std::complex<double>& v) {
@@ -194,7 +200,7 @@ double norm_inf_dense(const T* a, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     double s = 0.0;
     const T* row = a + i * n;
-    for (size_t j = 0; j < n; ++j) s += abs_of(row[j]);
+    for (size_t j = 0; j < n; ++j) s += inf_mag(row[j]);
     m = std::max(m, s);
   }
   return m;
@@ -206,7 +212,7 @@ double norm_inf_csr(const int* row_ptr, const T* vals, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     double s = 0.0;
     for (int slot = row_ptr[i]; slot < row_ptr[i + 1]; ++slot) {
-      s += abs_of(vals[slot]);
+      s += inf_mag(vals[slot]);
     }
     m = std::max(m, s);
   }
@@ -216,7 +222,7 @@ double norm_inf_csr(const int* row_ptr, const T* vals, size_t n) {
 template <typename T>
 double norm_inf_vec(const std::vector<T>& v) {
   double m = 0.0;
-  for (const T& x : v) m = std::max(m, abs_of(x));
+  for (const T& x : v) m = std::max(m, inf_mag(x));
   return m;
 }
 
@@ -270,64 +276,6 @@ double condest_1norm(size_t n, double anorm1,
   return anorm1 * est;
 }
 
-template <typename T>
-double relative_residual(
-    const std::vector<T>& b, const std::vector<T>& x,
-    const std::function<void(const std::vector<T>&, std::vector<T>&)>& matvec,
-    double anorm_inf, std::vector<T>& resid) {
-  matvec(x, resid);
-  for (size_t i = 0; i < b.size(); ++i) resid[i] = b[i] - resid[i];
-  const double denom = anorm_inf * norm_inf_vec(x) + norm_inf_vec(b);
-  if (!(denom > 0.0)) return 0.0;
-  const double r = norm_inf_vec(resid) / denom;
-  return std::isfinite(r) ? r : std::numeric_limits<double>::infinity();
-}
-
-template <typename T>
-RefineOutcome refine_solution(
-    const std::vector<T>& b, std::vector<T>& x,
-    const std::function<void(const std::vector<T>&, std::vector<T>&)>& matvec,
-    const std::function<void(const std::vector<T>&, std::vector<T>&)>& correct,
-    double anorm_inf, std::vector<T>& resid, std::vector<T>& dx,
-    std::vector<T>& best_x) {
-  RefineOutcome out;
-  out.residual = relative_residual(b, x, matvec, anorm_inf, resid);
-  double best = out.residual;
-  best_x = x;
-  if (out.residual <= health::kResidualTarget) {
-    out.converged = true;
-    return out;
-  }
-  for (int it = 0; it < health::kMaxRefineIters; ++it) {
-    // resid already holds b - A x from the last measurement.
-    correct(resid, dx);
-    for (size_t i = 0; i < x.size(); ++i) x[i] += dx[i];
-    ++out.iterations;
-    const double r = relative_residual(b, x, matvec, anorm_inf, resid);
-    if (r < best) {
-      best = r;
-      best_x = x;
-    }
-    if (r <= health::kResidualTarget) {
-      out.residual = r;
-      out.converged = true;
-      return out;
-    }
-    // Divergence or stagnation: a correction that does not at least
-    // halve the residual will not start converging later in fixed
-    // precision — stop and report the best iterate.
-    if (!(r < 0.5 * out.residual)) {
-      out.diverged = r > 2.0 * out.residual || !std::isfinite(r);
-      break;
-    }
-    out.residual = r;
-  }
-  x = best_x;
-  out.residual = best;
-  out.converged = best <= health::kResidualTarget;
-  return out;
-}
-
 // Explicit instantiations for the two MNA value types.
 #define APE_HEALTH_INSTANTIATE(T)                                            \
   template bool compute_equilibration<T>(const T*, size_t,                   \
@@ -355,16 +303,7 @@ RefineOutcome refine_solution(
   template double norm_inf_vec<T>(const std::vector<T>&);                    \
   template double condest_1norm<T>(                                          \
       size_t, double, const std::function<void(std::vector<T>&)>&,           \
-      const std::function<void(std::vector<T>&)>&, std::vector<T>&);         \
-  template double relative_residual<T>(                                      \
-      const std::vector<T>&, const std::vector<T>&,                          \
-      const std::function<void(const std::vector<T>&, std::vector<T>&)>&,    \
-      double, std::vector<T>&);                                              \
-  template RefineOutcome refine_solution<T>(                                 \
-      const std::vector<T>&, std::vector<T>&,                                \
-      const std::function<void(const std::vector<T>&, std::vector<T>&)>&,    \
-      const std::function<void(const std::vector<T>&, std::vector<T>&)>&,    \
-      double, std::vector<T>&, std::vector<T>&, std::vector<T>&)
+      const std::function<void(std::vector<T>&)>&, std::vector<T>&)
 
 APE_HEALTH_INSTANTIATE(double);
 APE_HEALTH_INSTANTIATE(std::complex<double>);

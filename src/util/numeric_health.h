@@ -32,8 +32,10 @@
 /// ConvergenceReport and matrix.h can emit the unified singularity
 /// message without an include cycle.
 
+#include <cmath>
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -142,6 +144,10 @@ template <typename T>
 double norm1_csr(const int* row_ptr, const int* cols, const T* vals, size_t n,
                  std::vector<double>& col_sums);
 
+/// The infinity norms below (the refinement residual's) take |z| as
+/// |re| + |im| for complex entries, like LAPACK's CABS1: within sqrt(2)
+/// of the modulus, and no hypot per entry in the per-solve checks.
+
 /// Infinity norm (max row absolute sum) of a dense row-major matrix.
 template <typename T>
 double norm_inf_dense(const T* a, size_t n);
@@ -175,26 +181,84 @@ struct RefineOutcome {
   bool diverged = false;  ///< residual grew — factorization unusable
 };
 
-/// Fixed-precision iterative refinement of A x = b. \p matvec computes
-/// y = A v against the ORIGINAL (unequilibrated) matrix; \p correct
-/// solves A d = r through the current factorization (the caller handles
-/// equilibration inside the callback). The relative residual is
-/// ||b - Ax||_inf / (||A||_inf ||x||_inf + ||b||_inf); iteration stops
-/// at health::kResidualTarget, on stagnation, on divergence (x is then
-/// rolled back to its best iterate), or after health::kMaxRefineIters.
-template <typename T>
-RefineOutcome refine_solution(
-    const std::vector<T>& b, std::vector<T>& x,
-    const std::function<void(const std::vector<T>&, std::vector<T>&)>& matvec,
-    const std::function<void(const std::vector<T>&, std::vector<T>&)>& correct,
-    double anorm_inf, std::vector<T>& resid, std::vector<T>& dx,
-    std::vector<T>& best_x);
+/// One residual measurement without correction: leaves b - A x in
+/// \p resid and returns ||b - Ax||_inf / (||A||_inf ||x||_inf + ||b||_inf)
+/// (+inf when non-finite). \p matvec(v, y) computes y = A v against the
+/// ORIGINAL (unequilibrated) matrix; it is a template parameter so the
+/// per-solve checks inline it.
+template <typename T, typename MatVec>
+double relative_residual(const std::vector<T>& b, const std::vector<T>& x,
+                         MatVec&& matvec, double anorm_inf,
+                         std::vector<T>& resid) {
+  matvec(x, resid);
+  for (size_t i = 0; i < b.size(); ++i) resid[i] = b[i] - resid[i];
+  const double denom = anorm_inf * norm_inf_vec(x) + norm_inf_vec(b);
+  if (!(denom > 0.0)) return 0.0;
+  const double r = norm_inf_vec(resid) / denom;
+  return std::isfinite(r) ? r : std::numeric_limits<double>::infinity();
+}
 
-/// One residual measurement without correction (the acceptance probe).
-template <typename T>
-double relative_residual(
-    const std::vector<T>& b, const std::vector<T>& x,
-    const std::function<void(const std::vector<T>&, std::vector<T>&)>& matvec,
-    double anorm_inf, std::vector<T>& resid);
+/// Fixed-precision iterative refinement of A x = b, continuing from a
+/// measurement \p r0 = relative_residual(b, x, matvec, anorm_inf, resid)
+/// whose b - A x is still in \p resid (so a caller that already checked
+/// the residual pays no second matvec). \p correct(r, d) solves A d = r
+/// through the current factorization (the caller handles equilibration
+/// inside it). Iteration stops at health::kResidualTarget, on
+/// stagnation, on divergence (x is then rolled back to its best
+/// iterate), or after health::kMaxRefineIters.
+template <typename T, typename MatVec, typename Correct>
+RefineOutcome refine_from(double r0, const std::vector<T>& b,
+                          std::vector<T>& x, MatVec&& matvec,
+                          Correct&& correct, double anorm_inf,
+                          std::vector<T>& resid, std::vector<T>& dx,
+                          std::vector<T>& best_x) {
+  RefineOutcome out;
+  out.residual = r0;
+  double best = out.residual;
+  best_x = x;
+  if (out.residual <= health::kResidualTarget) {
+    out.converged = true;
+    return out;
+  }
+  for (int it = 0; it < health::kMaxRefineIters; ++it) {
+    // resid already holds b - A x from the last measurement.
+    correct(resid, dx);
+    for (size_t i = 0; i < x.size(); ++i) x[i] += dx[i];
+    ++out.iterations;
+    const double r = relative_residual(b, x, matvec, anorm_inf, resid);
+    if (r < best) {
+      best = r;
+      best_x = x;
+    }
+    if (r <= health::kResidualTarget) {
+      out.residual = r;
+      out.converged = true;
+      return out;
+    }
+    // Divergence or stagnation: a correction that does not at least
+    // halve the residual will not start converging later in fixed
+    // precision — stop and report the best iterate.
+    if (!(r < 0.5 * out.residual)) {
+      out.diverged = r > 2.0 * out.residual || !std::isfinite(r);
+      break;
+    }
+    out.residual = r;
+  }
+  x = best_x;
+  out.residual = best;
+  out.converged = best <= health::kResidualTarget;
+  return out;
+}
+
+/// Fixed-precision iterative refinement of A x = b: measure the
+/// residual, then refine_from() it.
+template <typename T, typename MatVec, typename Correct>
+RefineOutcome refine_solution(const std::vector<T>& b, std::vector<T>& x,
+                              MatVec&& matvec, Correct&& correct,
+                              double anorm_inf, std::vector<T>& resid,
+                              std::vector<T>& dx, std::vector<T>& best_x) {
+  const double r0 = relative_residual(b, x, matvec, anorm_inf, resid);
+  return refine_from(r0, b, x, matvec, correct, anorm_inf, resid, dx, best_x);
+}
 
 }  // namespace ape

@@ -517,8 +517,13 @@ const FaultSite kEscalatingSites[] = {
      [](spice::FaultInjector& fi) {
        fi.poison_stamp(0, std::numeric_limits<long>::max());
      }},
+    // The veto must also discard the .nodeset-seeded solve, which runs
+    // before the ladders and never visits the 1e-2 rung.
     {"gmin-veto",
-     [](spice::FaultInjector& fi) { fi.veto_gmin_rung(1e-2, 1 << 20); }},
+     [](spice::FaultInjector& fi) {
+       fi.veto_seeded(1 << 20);
+       fi.veto_gmin_rung(1e-2, 1 << 20);
+     }},
 };
 
 est::OpAmpSpec matrix_spec() {

@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
+#include "src/estimator/opamp.h"
 #include "src/lint/lint.h"
 #include "src/runtime/supervisor.h"
 #include "src/spice/analysis.h"
@@ -473,6 +475,124 @@ TEST(RecoveryLadder, SupervisedOpAmpBatchUsesNumericRecoveryRung) {
       << to_string(r.jobs[0].final_rung);
   EXPECT_GE(r.supervision.numeric_recovery_attempts, 1);
   EXPECT_EQ(r.jobs[0].attempts, 2);
+}
+
+// ---------------------------------------------------------------------------
+// The AC monitor must not raise false alarms. The unscaled pivot proxy
+// trips on every healthy opamp sweep (G next to jwC over many decades),
+// so in Auto mode a tripped AC factorization runs no condition estimate:
+// each solve checks its own residual and only a miss refines.
+
+/// Open-loop, common-mode and Zout sweeps of every Table 1 APE design,
+/// over the ranges simulate_opamp uses.
+struct AcBench {
+  std::string name;
+  std::string netlist;
+  double f0, f1;
+  int ppd;
+};
+
+std::vector<AcBench> table1_ac_benches() {
+  const est::Process proc = est::Process::default_1u2();
+  const est::OpAmpEstimator oe(proc);
+  std::vector<AcBench> out;
+  for (const auto& row : bench::table1_specs()) {
+    const est::OpAmpDesign d = oe.estimate(bench::to_spec(row));
+    const std::string name = row.name;
+    out.push_back({name + " open-loop",
+                   d.testbench(proc, est::OpAmpTb::OpenLoop).netlist, 1.0, 1e9,
+                   20});
+    out.push_back({name + " common-mode",
+                   d.testbench(proc, est::OpAmpTb::CommonMode).netlist, 1.0,
+                   1e3, 5});
+    out.push_back({name + " zout",
+                   d.testbench(proc, est::OpAmpTb::ZoutProbe).netlist, 1.0,
+                   10.0, 5});
+  }
+  return out;
+}
+
+spice::AcResult sweep_in_mode(spice::Circuit& ckt, const AcBench& b,
+                              NumericHealthMode mode, KernelStats* ks) {
+  ScopedJobContext scope([mode](JobContext& c) { c.health_mode = mode; });
+  return spice::ac_analysis(ckt, b.f0, b.f1, b.ppd, ks);
+}
+
+TEST(AcHealthGate, HealthyTable1SweepsRunNoConditionEstimateNorRefinement) {
+  for (const AcBench& b : table1_ac_benches()) {
+    SCOPED_TRACE(b.name);
+    spice::Circuit ckt = spice::parse_netlist(b.netlist);
+    (void)spice::dc_operating_point(ckt);
+    KernelStats autos, offs;
+    const spice::AcResult got =
+        sweep_in_mode(ckt, b, NumericHealthMode::Auto, &autos);
+    const spice::AcResult off =
+        sweep_in_mode(ckt, b, NumericHealthMode::Off, &offs);
+    EXPECT_EQ(autos.cond_estimate_max, 0.0) << autos.summary();
+    EXPECT_EQ(autos.refinement_solves, 0) << autos.summary();
+    EXPECT_EQ(autos.factorizations, offs.factorizations);
+    ASSERT_EQ(got.solutions.size(), off.solutions.size());
+    for (size_t k = 0; k < got.solutions.size(); ++k) {
+      EXPECT_EQ(got.solutions[k], off.solutions[k]) << "point " << k;
+    }
+  }
+}
+
+/// A VCCS network whose nodal matrix is Wilkinson's growth matrix (unit
+/// diagonal, -1 below it, +1 in the last column), driven at every node:
+/// partial pivoting keeps the diagonal pivots and the last column doubles
+/// at every step, so the unrefined LU solve misses the residual target by
+/// orders of magnitude.
+std::string growth_netlist(int n) {
+  std::string net = "wilkinson growth\n";
+  // Sources and resistors first, so node k is MNA row k.
+  for (int i = 0; i < n; ++i) {
+    const std::string k = std::to_string(i);
+    net += "I" + k + " 0 n" + k + " AC " + std::to_string(1 + i * 7 % 5) + "\n";
+    net += "Rn" + k + " n" + k + " 0 1\n";
+  }
+  for (int i = 0; i < n; ++i) {
+    const std::string ni = "n" + std::to_string(i);
+    for (int j = 0; j < i; ++j) {
+      net += "G" + std::to_string(i) + "_" + std::to_string(j) + " " + ni +
+             " 0 n" + std::to_string(j) + " 0 -1\n";
+    }
+    if (i + 1 < n) {
+      net += "Gc" + std::to_string(i) + " " + ni + " 0 n" +
+             std::to_string(n - 1) + " 0 1\n";
+    }
+  }
+  return net;
+}
+
+TEST(AcHealthGate, AutoStillRefinesASolveThatMissesTheResidualTarget) {
+  const AcBench b{"growth", growth_netlist(40), 1e3, 1e4, 2};
+  spice::Circuit ckt = spice::parse_netlist(b.netlist);
+  (void)spice::dc_operating_point(ckt);
+  spice::FaultInjector fi;  // counts refinement probes, injects nothing
+  KernelStats ks;
+  {
+    ScopedJobContext scope([&](JobContext& c) { c.fault_injector = &fi; });
+    (void)sweep_in_mode(ckt, b, NumericHealthMode::Auto, &ks);
+  }
+  const long points = ks.ac_points_fused + ks.ac_points_virtual;
+  ASSERT_GT(points, 0);
+  EXPECT_EQ(ks.refinement_solves, points) << ks.summary();
+  EXPECT_EQ(fi.counts().refinements, points);
+  EXPECT_GT(ks.refinement_iterations, 0) << ks.summary();
+  // Refinement only runs on a missed target, and lands every point.
+  EXPECT_LE(ks.residual_norm_max, health::kResidualTarget) << ks.summary();
+  EXPECT_EQ(ks.cond_estimate_max, 0.0) << "Auto AC runs no Hager estimate";
+}
+
+TEST(AcHealthGate, ForceStillEstimatesConditionAndRefines) {
+  const AcBench b = table1_ac_benches().front();
+  spice::Circuit ckt = spice::parse_netlist(b.netlist);
+  (void)spice::dc_operating_point(ckt);
+  KernelStats ks;
+  (void)sweep_in_mode(ckt, b, NumericHealthMode::Force, &ks);
+  EXPECT_GT(ks.cond_estimate_max, 0.0) << ks.summary();
+  EXPECT_EQ(ks.refinement_solves, ks.ac_points_fused) << ks.summary();
 }
 
 }  // namespace

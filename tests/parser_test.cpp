@@ -159,6 +159,50 @@ TEST(Parser, RejectsUnknownCard) {
   EXPECT_THROW(parse_netlist("t\n.tran 1n 1u\n"), ParseError);
 }
 
+TEST(Parser, NodesetCardsSeedTheCircuit) {
+  // Several pairs per card, spaces around '=', engineering suffixes, a
+  // continuation line, a card before the devices that create its nodes,
+  // and a later entry for the same node replacing the earlier one.
+  const char* net = R"(nodeset
+.nodeset V(mid)=1 V(Top) = 2.5
+V1 top 0 DC 5
+R1 top mid 1k
+R2 mid 0 1k
+.nodeset v(mid)=2500m
++ V(top)=4.9
+)";
+  Circuit ckt = parse_netlist(net);
+  ASSERT_EQ(ckt.nodesets().size(), 2u);
+  EXPECT_EQ(ckt.nodesets()[0].node, ckt.find_node("mid"));
+  EXPECT_DOUBLE_EQ(ckt.nodesets()[0].volts, 2.5);
+  EXPECT_EQ(ckt.nodesets()[1].node, ckt.find_node("top"));
+  EXPECT_DOUBLE_EQ(ckt.nodesets()[1].volts, 4.9);
+  // A guess is only a starting point: the answer is the circuit's.
+  const auto sol = dc_operating_point(ckt);
+  EXPECT_NEAR(node_voltage(ckt, sol, "mid"), 2.5, 1e-6);
+}
+
+TEST(Parser, NodesetErrorsNameTheLine) {
+  auto message = [](const char* net) {
+    try {
+      parse_netlist(net);
+    } catch (const ParseError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no ParseError");
+  };
+  const std::string unknown =
+      message("t\nV1 a 0 DC 1\nR1 a 0 1k\n.nodeset V(a)=1 V(nope)=2\n");
+  EXPECT_NE(unknown.find("line 4"), std::string::npos) << unknown;
+  EXPECT_NE(unknown.find("nope"), std::string::npos) << unknown;
+  EXPECT_NE(message("t\nR1 a 0 1k\n.nodeset I(a)=1\n").find("line 3"),
+            std::string::npos);
+  EXPECT_NE(message("t\nR1 a 0 1k\n.nodeset V(a)\n").find("line 3"),
+            std::string::npos);
+  EXPECT_NE(message("t\nR1 a 0 1k\n.nodeset V(a)=high\n").find("line 3"),
+            std::string::npos);
+}
+
 TEST(Parser, RejectsEmpty) { EXPECT_THROW(parse_netlist(""), ParseError); }
 
 TEST(Parser, MosfetNeedsKnownModel) {

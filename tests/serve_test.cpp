@@ -416,6 +416,16 @@ TEST(ServeDaemon, SimulateSolvesADeck) {
   const json::Value* out = nodes->find("out");
   ASSERT_NE(out, nullptr);
   EXPECT_NEAR(out->as_number(), 1.0, 1e-6);
+  EXPECT_EQ(field(r, "dc_plan"), "gmin-ladder");
+
+  // A .nodeset deck is answered from the seed, and the reply says so.
+  json::Value seeded = call_json(
+      client,
+      "{\"op\":\"simulate\",\"netlist\":\"divider\\n"
+      "V1 in 0 2\\nR1 in out 1k\\nR2 out 0 1k\\n"
+      ".nodeset V(in)=2 V(out)=1\\n.end\\n\"}");
+  ASSERT_EQ(field(seeded, "status"), "ok") << field(seeded, "error");
+  EXPECT_EQ(field(seeded, "dc_plan"), "seeded");
 
   json::Value bad = call_json(
       client, "{\"op\":\"simulate\",\"netlist\":\"garbage deck\\n\"}");

@@ -5,6 +5,8 @@
 #include "src/spice/analysis.h"
 #include "src/spice/circuit.h"
 #include "src/spice/devices.h"
+#include "src/spice/fault.h"
+#include "src/spice/parser.h"
 #include "tests/test_models.h"
 
 namespace ape::spice {
@@ -168,6 +170,101 @@ TEST(SpiceDc, EditAfterFinalizeThrows) {
   ckt.add<Resistor>("r1", ckt.node("a"), kGround, 50.0);
   (void)dc_operating_point(ckt);
   EXPECT_THROW(ckt.add<Resistor>("r2", ckt.node("a"), kGround, 50.0), Error);
+}
+
+// ---------------------------------------------------------------------------
+// The Seeded plan: a .nodeset guess tried before the ladders.
+
+constexpr const char* kMirrorNetlist = R"(mirror
+.model modn nmos (level=1 vto=0.8 kp=80u lambda=0.02 gamma=0.4 phi=0.6)
+Vdd vdd 0 DC 5
+Iref vdd ref DC 100u
+M1 ref ref 0 0 modn W=20u L=2u
+M2 out ref 0 0 modn W=20u L=2u
+Rl vdd out 10k
+)";
+
+Solution solve(const std::string& netlist, ConvergenceReport& rep) {
+  Circuit ckt = parse_netlist(netlist);
+  DcOptions opts;
+  opts.report = &rep;
+  return dc_operating_point(ckt, opts);
+}
+
+TEST(SpiceDcSeeded, NoNodesetKeepsLadderCountersExactly) {
+  // Pinned from the ladder-only solver: a netlist without .nodeset must
+  // take exactly the same path, iteration for iteration.
+  ConvergenceReport rep;
+  (void)solve(kMirrorNetlist, rep);
+  EXPECT_EQ(rep.plan, DcPlan::GminLadder);
+  EXPECT_EQ(rep.newton_iterations, 37);
+  EXPECT_EQ(rep.gmin_rungs_completed, 11);
+  EXPECT_EQ(rep.source_steps_completed, 0);
+  EXPECT_EQ(rep.final_gmin, 1e-12);
+  EXPECT_EQ(rep.kernel.factorizations, 37);
+  EXPECT_EQ(rep.kernel.solves, 37);
+  EXPECT_EQ(rep.lu_failures, 0);
+  EXPECT_EQ(rep.convergence_vetoes, 0);
+}
+
+TEST(SpiceDcSeeded, GoodSeedConvergesOnTheSeededPlan) {
+  ConvergenceReport ladder;
+  const Solution want = solve(kMirrorNetlist, ladder);
+  ConvergenceReport rep;
+  const Solution got = solve(std::string(kMirrorNetlist) +
+                                 ".nodeset V(vdd)=5 V(ref)=1.3 V(out)=3.9\n",
+                             rep);
+  EXPECT_TRUE(rep.converged);
+  EXPECT_EQ(rep.plan, DcPlan::Seeded);
+  EXPECT_STREQ(to_string(rep.plan), "seeded");
+  EXPECT_EQ(rep.final_gmin, 1e-12);  // the ladder's final rung
+  EXPECT_EQ(rep.gmin_rungs_completed, 0);
+  EXPECT_LE(rep.newton_iterations, 6);
+  EXPECT_LT(rep.newton_iterations, ladder.newton_iterations);
+  ASSERT_EQ(got.x.size(), want.x.size());
+  for (size_t i = 0; i < got.x.size(); ++i) {
+    EXPECT_NEAR(got.x[i], want.x[i], 1e-6 + 1e-6 * std::fabs(want.x[i]))
+        << "entry " << i;
+  }
+}
+
+TEST(SpiceDcSeeded, WrongSeedFallsBackToTheLadderAnswer) {
+  // Hundreds of volts away: the damped Newton closes at most a tenth of
+  // the gap per iteration, so the capped seeded solve cannot land, and
+  // the ladders then run from zero exactly as without a seed.
+  ConvergenceReport ladder;
+  const Solution want = solve(kMirrorNetlist, ladder);
+  ConvergenceReport rep;
+  const Solution got = solve(std::string(kMirrorNetlist) +
+                                 ".nodeset V(ref)=400 V(out)=-500\n",
+                             rep);
+  EXPECT_TRUE(rep.converged);
+  EXPECT_EQ(rep.plan, DcPlan::GminLadder);
+  EXPECT_EQ(rep.gmin_rungs_completed, ladder.gmin_rungs_completed);
+  EXPECT_EQ(rep.newton_iterations,
+            kSeededMaxIterations + ladder.newton_iterations);
+  EXPECT_EQ(got.x, want.x);  // bit-identical to the unseeded solve
+}
+
+TEST(SpiceDcSeeded, TransientAndSweepStartFromTheSeed) {
+  // The DC solves inside transient() and dc_sweep() go through
+  // dc_operating_point, so the seed reaches them too: each run makes
+  // fewer LU solves (counted by a fault injector that injects nothing).
+  const std::string seeded = std::string(kMirrorNetlist) +
+                             ".nodeset V(vdd)=5 V(ref)=1.3 V(out)=3.9\n";
+  auto lu_solves = [](const std::string& netlist, bool sweep) {
+    FaultInjector fi;
+    ScopedJobContext scope([&](JobContext& c) { c.fault_injector = &fi; });
+    Circuit ckt = parse_netlist(netlist);
+    if (sweep) {
+      (void)dc_sweep(ckt, "Vdd", 4.0, 5.0, 0.5);
+    } else {
+      (void)transient(ckt, 1e-9, 4e-9);
+    }
+    return fi.counts().lu_solves;
+  };
+  EXPECT_LT(lu_solves(seeded, false) + 30, lu_solves(kMirrorNetlist, false));
+  EXPECT_LT(lu_solves(seeded, true) + 30, lu_solves(kMirrorNetlist, true));
 }
 
 }  // namespace

@@ -345,7 +345,7 @@ TEST(SupervisorBatch, HangingTransientAndPermanentSpecsEachRecover) {
   sup.job_timeout_s = 1.0;
   QuarantineRegistry quarantine;
   sup.quarantine = &quarantine;
-  sup.quarantine_threshold = 2;
+  sup.quarantine_threshold = 1;  // the breaker counts failed jobs
   sup.fault_setup = [](size_t index, int attempt, spice::FaultInjector& fi) {
     if (index == 1) fi.stall_transient(0.010);           // the hanging spec
     if (index == 2 && attempt == 0) fi.fail_lu_from(0);  // clears on retry
@@ -367,8 +367,8 @@ TEST(SupervisorBatch, HangingTransientAndPermanentSpecsEachRecover) {
   EXPECT_FALSE(r.jobs[2].outcome.sim_failed);
 
   // Job 3: permanent estimator failure -> the ladder jumps to the
-  // estimate fallback, which fails the same way -> job fails and the
-  // second failed attempt trips the quarantine.
+  // estimate fallback, which fails the same way -> job fails, and that
+  // one failed job (two failed attempts) trips the quarantine.
   EXPECT_FALSE(r.jobs[3].ok);
   EXPECT_EQ(r.jobs[3].attempts, 2);
   EXPECT_FALSE(r.jobs[3].quarantined) << "job 3 itself ran, not skipped";
@@ -397,6 +397,42 @@ TEST(SupervisorBatch, HangingTransientAndPermanentSpecsEachRecover) {
     ASSERT_TRUE(r.jobs[i].ok) << r.jobs[i].error;
     expect_same_outcome(unsup.jobs[i].outcome, r.jobs[i].outcome, i);
   }
+}
+
+// The breaker counts failed jobs, not attempts (DESIGN.md section 10):
+// a job whose verification fails on every rung is one strike however
+// many attempts it burned, so at threshold 3 it takes three such jobs.
+TEST(SupervisorBatch, QuarantineCountsFailedJobsNotAttempts) {
+  SupervisorOptions sup = fast_supervised_options();
+  sup.batch.threads = 1;  // deterministic strike order
+  sup.retry.plain_retries = 1;
+  sup.retry.relaxed_retries = 1;  // three attempts per job
+  QuarantineRegistry quarantine;
+  sup.quarantine = &quarantine;
+  sup.quarantine_threshold = 3;
+  sup.fault_setup = [](size_t, int, spice::FaultInjector& fi) {
+    fi.fail_lu_from(0);  // every verification fails, every attempt
+  };
+  const OpAmpSpec spec = clean_spec(0);
+
+  const auto one = run_supervised_opamp_batch(proc(), {spec}, sup);
+  ASSERT_EQ(one.jobs.size(), 1u);
+  EXPECT_EQ(one.jobs[0].attempts, 3);
+  EXPECT_TRUE(one.jobs[0].outcome.sim_failed);
+  EXPECT_EQ(one.supervision.quarantined_new, 0);
+  EXPECT_EQ(quarantine.quarantined_count(), 0u)
+      << "one job failing three attempts is one strike";
+
+  // Two more failing jobs with the same fingerprint reach the threshold;
+  // the fourth is refused without an attempt.
+  const auto more =
+      run_supervised_opamp_batch(proc(), {spec, spec, spec}, sup);
+  ASSERT_EQ(more.jobs.size(), 3u);
+  EXPECT_EQ(more.supervision.quarantined_new, 1);
+  EXPECT_EQ(quarantine.quarantined_count(), 1u);
+  EXPECT_FALSE(more.jobs[1].quarantined);
+  EXPECT_TRUE(more.jobs[2].quarantined);
+  EXPECT_EQ(more.jobs[2].attempts, 0);
 }
 
 // A spec proven infeasible over the whole sizing box (APE-F001,

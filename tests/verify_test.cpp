@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "bench/bench_util.h"
 #include "src/spice/analysis.h"
 #include "src/spice/parser.h"
 #include "src/util/error.h"
@@ -137,6 +139,89 @@ TEST_F(VerifyTest, ComponentReportContainsCmrrOnlyForDiffPairs) {
   ComponentSpec diff{ComponentKind::DiffCmos, 1e-6, 1000.0, 0.0, 0.5e-12};
   const ComponentSimReport rd = simulate_component(ce.estimate(diff), proc_);
   EXPECT_TRUE(rd.cmrr_db.has_value());
+}
+
+// ---------------------------------------------------------------------------
+// The APE bias point as the simulator's starting point (.nodeset, the
+// Seeded plan of spice::dc_operating_point).
+
+std::string without_nodeset(std::string netlist) {
+  const size_t at = netlist.find(".nodeset");
+  if (at != std::string::npos) {
+    netlist.erase(at, netlist.find('\n', at) + 1 - at);
+  }
+  return netlist;
+}
+
+TEST_F(VerifyTest, EveryTable1TestbenchConvergesFromTheEstimate) {
+  // Ten Table 1 rows x (nominal + three perturbed gain/UGF specs) x four
+  // testbenches: 160 DC solves, each on the Seeded plan in a handful of
+  // Newton iterations and, wherever the gmin ladder from zero finds an
+  // operating point at all, on the same one.
+  const OpAmpEstimator oe(proc_);
+  const double gain_scale[] = {1.0, 0.92, 1.08, 1.05};
+  const double ugf_scale[] = {1.0, 1.08, 0.92, 0.95};
+  int solves = 0;
+  for (const auto& row : bench::table1_specs()) {
+    for (int p = 0; p < 4; ++p) {
+      OpAmpSpec spec = bench::to_spec(row);
+      spec.gain *= gain_scale[p];
+      spec.ugf_hz *= ugf_scale[p];
+      const OpAmpDesign d = oe.estimate(spec);
+      for (OpAmpTb mode : {OpAmpTb::OpenLoop, OpAmpTb::CommonMode,
+                           OpAmpTb::ZoutProbe, OpAmpTb::UnityStep}) {
+        SCOPED_TRACE(std::string(row.name) + " perturbation " +
+                     std::to_string(p) + " testbench " +
+                     std::to_string(static_cast<int>(mode)));
+        const std::string netlist = d.testbench(proc_, mode).netlist;
+        spice::Circuit seeded = spice::parse_netlist(netlist);
+        ConvergenceReport rep;
+        spice::DcOptions opts;
+        opts.report = &rep;
+        const spice::Solution x = spice::dc_operating_point(seeded, opts);
+        EXPECT_EQ(rep.plan, DcPlan::Seeded);
+        EXPECT_LE(rep.newton_iterations, 10);
+        ++solves;
+        spice::Circuit ladder = spice::parse_netlist(without_nodeset(netlist));
+        spice::Solution want;
+        try {
+          want = spice::dc_operating_point(ladder);
+        } catch (const NumericError&) {
+          continue;  // e.g. unity steps the ladder cannot start
+        }
+        for (size_t n = 0; n < seeded.num_nodes(); ++n) {
+          EXPECT_NEAR(x.x[n], want.x[n], 1e-6)
+              << seeded.node_name(static_cast<int>(n));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(solves, 160);
+}
+
+TEST_F(VerifyTest, UnityStepsTheLadderCouldNotStartNowReportASlew) {
+  // Perturbed Table 1 specs whose unity-gain step found no DC operating
+  // point from zero (the gmin and source-stepping ladders both failed,
+  // so simulate_opamp reported slew 0); from the estimate's bias point
+  // the transient starts and the slew is measured.
+  struct Case {
+    size_t row;
+    double gain, ugf_hz;
+  };
+  const Case cases[] = {{1, 67.047237990586225, 3074993.0540314522},
+                        {3, 242.97732920476528, 7563749.5357360495},
+                        {8, 101.71279575528465, 1889752.800374052}};
+  const auto rows = bench::table1_specs();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(rows.at(c.row).name);
+    OpAmpSpec spec = bench::to_spec(rows.at(c.row));
+    spec.gain = c.gain;
+    spec.ugf_hz = c.ugf_hz;
+    const OpAmpDesign d = OpAmpEstimator(proc_).estimate(spec);
+    const OpAmpSimReport r = simulate_opamp(d, proc_, /*with_transient=*/true);
+    EXPECT_GT(r.slew, 0.0);
+    ASSERT_TRUE(r.ugf_hz.has_value());
+  }
 }
 
 }  // namespace
