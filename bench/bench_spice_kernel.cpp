@@ -4,7 +4,8 @@
 ///    allocate-a-solver-per-iteration path, over system sizes 4..256;
 ///  - sparse LU with reusable symbolic factorization (src/util/sparse.h)
 ///    vs dense LU on circuit-shaped (ladder/banded) systems — the
-///    crossover table behind KernelPolicy's Auto heuristic;
+///    crossover table that, with the per-testbench measurements of
+///    DESIGN.md section 13, made the sparse LU the kernel's only path;
 ///  - serial (re-factorize per RHS) vs batch (one factorization, many
 ///    RHS) solve scheduling, the shape the AC/noise sweeps and the AWE
 ///    moment recursion use;
@@ -73,7 +74,7 @@ RealMatrix make_system(size_t n, std::vector<double>* rhs) {
 /// long-range coupling every 8 rows (a feedback / bias net), diagonally
 /// dominant. Dense random matrices are the sparse solver's worst case;
 /// real MNA systems look like this instead, and this is the shape the
-/// KernelPolicy crossover defaults were measured on.
+/// crossover table is measured on.
 RealMatrix make_ladder_system(size_t n, std::vector<double>* rhs) {
   RealMatrix a(n, n);
   uint64_t s = 0xc6a4a7935bd1e995ull + n;
@@ -121,8 +122,8 @@ SparsePattern pattern_of(const RealMatrix& a, std::vector<double>* vals) {
 }
 
 /// RC ladder with an AC stimulus: pure linear circuit whose AC sweep is
-/// the fused-assembly showcase; at 120+ stages it is also the shape the
-/// sparse kernel path exists for (dim > sparse_min_dim, density ~0.02).
+/// the fused-assembly showcase; at 120+ stages (density ~0.02) it is
+/// also the shape the sparse LU wins biggest on.
 Circuit make_rc_ladder(int stages) {
   Circuit ckt("ladder");
   Waveform w;
@@ -281,7 +282,7 @@ BENCHMARK(BM_AcPoint_Fused);
 static void BM_AcPoint_SparseLadder(benchmark::State& state) {
   Circuit ckt = make_rc_ladder(120);
   (void)dc_operating_point(ckt);
-  AcKernel kern(ckt);  // Auto policy picks sparse at this dim/density
+  AcKernel kern(ckt);
   std::vector<std::complex<double>> x(kern.dim());
   double omega = 1e3;
   for (auto _ : state) {
@@ -385,7 +386,6 @@ void write_audit(json::Writer& w, const char* name, size_t dim,
       .field("dim", dim)
       .field("points_fused", ks.ac_points_fused)
       .field("points_virtual", ks.ac_points_virtual)
-      .field("dense_factorizations", ks.factorizations)
       .field("nnz", ks.sparse_nnz)
       .field("fill_in", ks.sparse_fill_in);
   ks.to_json(w);
@@ -441,7 +441,7 @@ int write_json(bool quick) {
   w.end_array();
 
   // Sparse-vs-dense crossover on circuit-shaped (ladder/banded) systems:
-  // the empirical basis of KernelPolicy's Auto heuristic. The steady
+  // the LU micro-benchmark behind the kernel's one sparse path. The steady
   // state compared is one numeric (re)factorization + solve per path;
   // the one-time symbolic cost is recorded separately.
   const size_t xsizes[] = {8, 16, 32, 48, 64, 96, 128, 256};
@@ -485,7 +485,7 @@ int write_json(bool quick) {
       .field("crossover_n", crossover_n);
 
   // AC assembly comparison + the allocation audit on a real sweep (small
-  // ladder: dense fused path).
+  // ladder).
   Circuit ckt = make_rc_ladder(10);
   (void)dc_operating_point(ckt);
   KernelStats ks;
@@ -516,12 +516,11 @@ int write_json(bool quick) {
       .end_object();
   write_audit(w, "ac_sweep_audit", kern.dim(), ks);
 
-  // Sparse sweep audits on a 120-stage ladder (dim 122): the Auto policy
-  // must engage the sparse path on its own, the symbolic factorization
-  // must be reused across every Newton iteration / AC point, no solve
-  // may fall back to dense, and the steady-state loops must stay
-  // allocation-free (workspace_regrowths == 0) — the committed JSON is
-  // the acceptance record for all four claims.
+  // Sparse sweep audits on a 120-stage ladder (dim 122): the symbolic
+  // factorization must be reused across every Newton iteration / AC
+  // point, no replay may need a re-order, and the steady-state loops
+  // must stay allocation-free (workspace_regrowths == 0) — the committed
+  // JSON is the acceptance record for all three claims.
   Circuit big = make_rc_ladder(120);
   ConvergenceReport rep;
   DcOptions dopts;

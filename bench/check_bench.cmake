@@ -171,7 +171,8 @@ else()
 endif()
 
 # Absolute gates: the same Auto-vs-off A/B on the headline opamp's
-# open-loop AC sweep and unity-step transient. A tripped AC pivot proxy
+# open-loop AC sweep and unity-step transient. The AC arm's trigger is
+# the row-scaled pivot proxy, quiet on healthy sweeps; a tripped one
 # only arms a per-solve residual check (before that, the Hager estimate
 # plus refinement on every point read ~15,700 bp). These arms run for
 # milliseconds and a shared host adds noise, so each bound is 3x the

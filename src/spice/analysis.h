@@ -107,8 +107,8 @@ struct AcResult {
 
 /// Logarithmic AC sweep. Requires a previous dc_operating_point() so the
 /// devices have cached small-signal parameters. When \p kstats is set it
-/// receives the compiled AC kernel's counters for the sweep (fused vs
-/// virtual points, factorizations, workspace footprint). Polls the
+/// receives the compiled AC kernel's counters for the sweep (fused
+/// points, factorizations, workspace footprint). Polls the
 /// thread's ambient job budget per point (there is no per-call budget
 /// knob) so supervisor deadlines reach frequency sweeps too.
 AcResult ac_analysis(Circuit& ckt, double f_start, double f_stop,

@@ -458,25 +458,22 @@ void Mosfet::resize(double w, double l) {
   ps_ = pd_;
 }
 
-MosEval Mosfet::eval_at(const Solution& x, double* id_true) const {
-  double vgs = x.at(g_) - x.at(s_);
-  double vds = x.at(d_) - x.at(s_);
-  double vbs = x.at(b_) - x.at(s_);
+Mosfet::Bias Mosfet::bias_at(const Solution& x) const {
+  Bias v{x.at(g_) - x.at(s_), x.at(d_) - x.at(s_), x.at(b_) - x.at(s_)};
   if (model_->type == MosType::Pmos) {
-    vgs = -vgs;
-    vds = -vds;
-    vbs = -vbs;
+    v.vgs = -v.vgs;
+    v.vds = -v.vds;
+    v.vbs = -v.vbs;
   }
-  MosEval e = mos_eval(*model_, vgs, vds, vbs, w_, l_, ad_, as_, pd_, ps_);
-  // For PMOS the drain-terminal current is the negative of the normalized
-  // current; the conductances are sign-invariant under the mapping.
-  *id_true = (model_->type == MosType::Pmos) ? -e.ids : e.ids;
-  return e;
+  return v;
 }
 
 void Mosfet::stamp_dc(MnaReal& mna, const Solution& x, double) const {
-  double id = 0.0;
-  const MosEval e = eval_at(x, &id);
+  const Bias v = bias_at(x);
+  const MosEval e = mos_eval_dc(*model_, v.vgs, v.vds, v.vbs, w_, l_);
+  // For PMOS the drain-terminal current is the negative of the normalized
+  // current; the conductances are sign-invariant under the mapping.
+  const double id = (model_->type == MosType::Pmos) ? -e.ids : e.ids;
   const double gm = std::max(e.gm, 0.0);
   const double gds = std::max(e.gds, kGmin);
   const double gmb = std::max(e.gmb, 0.0);
@@ -500,9 +497,10 @@ void Mosfet::stamp_dc(MnaReal& mna, const Solution& x, double) const {
 }
 
 void Mosfet::save_op(const Solution& x) {
-  double id = 0.0;
-  op_ = eval_at(x, &id);
-  // Initialize transient companions at the DC point.
+  const Bias v = bias_at(x);
+  op_ = mos_eval(*model_, v.vgs, v.vds, v.vbs, w_, l_, ad_, as_, pd_, ps_);
+  // Initialize transient companions and capacitances at the DC point.
+  caps_ = {op_.cgs, op_.cgd, op_.cgb, op_.cdb, op_.csb};
   cgs_st_ = {x.at(g_) - x.at(s_), 0.0};
   cgd_st_ = {x.at(g_) - x.at(d_), 0.0};
   cgb_st_ = {x.at(g_) - x.at(b_), 0.0};
@@ -540,11 +538,11 @@ void Mosfet::stamp_ac(MnaComplex& mna, double omega) const {
 
 void Mosfet::stamp_tran(MnaReal& mna, const Solution& x, const TranContext& tc) const {
   stamp_dc(mna, x, 1.0);  // resistive companion at candidate x
-  cgs_st_.stamp(mna, g_, s_, op_.cgs, x, tc);
-  cgd_st_.stamp(mna, g_, d_, op_.cgd, x, tc);
-  cgb_st_.stamp(mna, g_, b_, op_.cgb, x, tc);
-  cdb_st_.stamp(mna, d_, b_, op_.cdb, x, tc);
-  csb_st_.stamp(mna, s_, b_, op_.csb, x, tc);
+  cgs_st_.stamp(mna, g_, s_, caps_.cgs, x, tc);
+  cgd_st_.stamp(mna, g_, d_, caps_.cgd, x, tc);
+  cgb_st_.stamp(mna, g_, b_, caps_.cgb, x, tc);
+  cdb_st_.stamp(mna, d_, b_, caps_.cdb, x, tc);
+  csb_st_.stamp(mna, s_, b_, caps_.csb, x, tc);
 }
 
 void Mosfet::noise_sources(std::vector<NoiseSource>& out) const {
@@ -571,14 +569,15 @@ DeviceStructure Mosfet::structure() const {
 }
 
 void Mosfet::accept_tran_step(const Solution& x, const TranContext& tc) {
-  cgs_st_.accept(g_, s_, op_.cgs, x, tc);
-  cgd_st_.accept(g_, d_, op_.cgd, x, tc);
-  cgb_st_.accept(g_, b_, op_.cgb, x, tc);
-  cdb_st_.accept(d_, b_, op_.cdb, x, tc);
-  csb_st_.accept(s_, b_, op_.csb, x, tc);
-  // Refresh the bias-dependent capacitances for the next step.
-  double id = 0.0;
-  op_ = eval_at(x, &id);
+  cgs_st_.accept(g_, s_, caps_.cgs, x, tc);
+  cgd_st_.accept(g_, d_, caps_.cgd, x, tc);
+  cgb_st_.accept(g_, b_, caps_.cgb, x, tc);
+  cdb_st_.accept(d_, b_, caps_.cdb, x, tc);
+  csb_st_.accept(s_, b_, caps_.csb, x, tc);
+  // Refresh the bias-dependent capacitances for the next step; op_ keeps
+  // the DC operating point the AC and noise analyses linearize around.
+  const Bias v = bias_at(x);
+  caps_ = mos_caps(*model_, v.vgs, v.vds, v.vbs, w_, l_, ad_, as_, pd_, ps_);
 }
 
 }  // namespace ape::spice

@@ -245,7 +245,8 @@ public:
   void accept_tran_step(const Solution& x, const TranContext& tc) override;
   void noise_sources(std::vector<NoiseSource>& out) const override;
 
-  /// Cached operating-point evaluation from the last save_op().
+  /// Cached operating-point evaluation from the last save_op(); a
+  /// transient leaves it alone.
   const MosEval& op() const { return op_; }
   double width() const { return w_; }
   double length() const { return l_; }
@@ -257,15 +258,19 @@ public:
   DeviceStructure structure() const override;
 
 private:
-  /// NMOS-normalized evaluation at candidate x, plus the drain-terminal
-  /// current with true sign.
-  MosEval eval_at(const Solution& x, double* id_true) const;
+  /// NMOS-normalized terminal voltages at candidate x.
+  struct Bias {
+    double vgs, vds, vbs;
+  };
+  Bias bias_at(const Solution& x) const;
 
   NodeId d_, g_, s_, b_;
   const MosModelCard* model_;
   double w_, l_, ad_, as_, pd_, ps_;
   MosEval op_;
-  // Transient companion state for the five Meyer/junction capacitances.
+  // Transient state: the five Meyer/junction capacitances at the last
+  // accepted point (save_op's at the start) and their companions.
+  MosCaps caps_;
   CapCompanion cgs_st_, cgd_st_, cgb_st_, cdb_st_, csb_st_;
 };
 

@@ -6,52 +6,53 @@
 ///
 /// The analyses in analysis.cpp used to restamp *every* device through
 /// virtual dispatch on every Newton iteration, heap-allocate a fresh
-/// LuSolver and solution vector per solve, and rebuild the full complex
-/// MNA per AC frequency point. This layer compiles a finalized Circuit
-/// into flat stamp programs instead:
+/// dense LU solver and solution vector per solve, and rebuild the full
+/// complex MNA per AC frequency point. This layer compiles a finalized
+/// Circuit into flat stamp programs instead:
 ///
 /// - SolveWorkspace (real systems, DC + transient): stamps the linear
 ///   devices (Circuit::linear_devices()) plus the gmin diagonal once into
 ///   a baseline (G0, RHS0), then each Newton iteration memcpy-restores
 ///   the baseline and restamps only the nonlinear devices
 ///   (Circuit::nonlinear_devices(): MOSFETs, diodes). The MNA matrix,
-///   RHS, LU storage, pivot array and solution buffer are all owned by
-///   the workspace, so a whole analysis performs zero heap allocations
-///   after setup (KernelStats::workspace_regrowths stays 0).
-/// - AcKernel (complex systems): assembles real G and C matrices once per
-///   operating point from one virtual stamp pass, then forms G + jwC per
-///   frequency with a fused loop over the flat storage. The split is
+///   RHS, LU storage and solution buffer are all owned by the
+///   workspace, so a whole analysis performs zero heap allocations after
+///   setup (KernelStats::workspace_regrowths stays 0).
+/// - AcKernel (complex systems): assembles real G and C slot arrays once
+///   per operating point from one virtual stamp pass, then forms
+///   G + jwC per frequency with a fused loop over them. The split is
 ///   validated at compile time against a second stamp pass (every
-///   shipped device is affine in w: A(w) = G + jwC); if a future device
-///   ever breaks that contract the kernel falls back to per-point
-///   virtual stamping and counts it in KernelStats::ac_points_virtual.
+///   shipped device is affine in w: A(w) = G + jwC); a device that
+///   breaks that contract makes the constructor throw NumericError.
+///
+/// Both workspaces factorize through one path, the sparse LU of
+/// src/util/sparse.h (DESIGN.md section 13): the stamp recorder on
+/// MnaReal/MnaComplex captures the structural slot pattern once per
+/// topology, a Markowitz symbolic factorization is done once and then
+/// *reused* — each Newton iteration / AC point only gathers slot values
+/// and replays the compiled elimination program. A replay whose pivots
+/// collapse, or whose pivot growth exceeds health::kPivotGrowthTrigger
+/// when the ordering's own pass stayed below it (the values drifted away
+/// from the ones the ordering was chosen for), re-runs the ordering on
+/// the current values and counts KernelStats::sparse_fallbacks.
 ///
 /// Both workspaces carry the numerical-health layer (DESIGN.md section
 /// 15): every factorization tracks its pivot extremes (an O(1) growth /
 /// condition monitor), and when the job's NumericHealthMode says so —
 /// or the monitors trip — the solve runs Hager's condition estimate,
 /// fixed-precision iterative refinement, and a recovery ladder (refine ->
-/// equilibrate-and-refactorize -> switch kernel -> the gmin ladder above)
-/// before giving up. One exception: in Auto mode a tripped monitor on an
-/// AcKernel factorization runs no condition estimate; each solve against
-/// it measures its relative residual (the refinement's own measurement:
+/// equilibrate-and-refactorize -> re-order -> the gmin ladder above)
+/// before giving up. One exception: AcKernel's Auto-mode condition
+/// monitor is the row-scaled proxy (SparseLu::row_scaled_cond_proxy;
+/// AC matrices mix G and jwC over many decades across rows, so the
+/// unscaled proxy trips on healthy sweeps), and a tripped monitor runs
+/// no condition estimate: each solve against that factorization
+/// measures its relative residual (the refinement's own measurement:
 /// an O(nnz) matvec, ||A||_inf once per factorization) and is refined
-/// only when that residual misses health::kResidualTarget (AC matrices
-/// mix G and jwC over many decades, so the unscaled proxy trips on
-/// healthy sweeps). Force mode is the same for both workspaces. The
+/// only when that residual misses health::kResidualTarget. Force mode
+/// is the same for both workspaces. The
 /// per-solve outcome is exposed through health() and aggregated into
 /// KernelStats.
-///
-/// Both workspaces additionally carry a *sparse* factorization path
-/// (src/util/sparse.h, DESIGN.md section 13): the stamp recorder on
-/// MnaReal/MnaComplex captures the structural slot pattern once per
-/// topology, a Markowitz symbolic factorization is done once and then
-/// *reused* — each Newton iteration / AC point only gathers slot values
-/// and replays the compiled elimination program. A crossover heuristic
-/// (KernelPolicy) keeps tiny systems on the dense path, where flat
-/// O(n^3) loops still win; a sparse refactor whose pivots collapse
-/// (stale ordering) falls back to the dense solver for that solve and
-/// counts KernelStats::sparse_fallbacks.
 ///
 /// Ownership / thread-safety: a workspace borrows the Circuit it was
 /// compiled from and is valid for one analysis call on one thread; it
@@ -66,48 +67,55 @@
 
 #include "src/spice/circuit.h"
 #include "src/util/diagnostics.h"
-#include "src/util/matrix.h"
+#include "src/util/numeric_health.h"
 #include "src/util/sparse.h"
 
 namespace ape::spice {
 
-// ---------------------------------------------------------------------------
-// Dense / sparse path selection.
+namespace detail {
 
-/// Which factorization path a solver workspace uses.
-enum class KernelPath {
-  Auto,        ///< crossover heuristic: sparse for large, sparse systems
-  ForceDense,  ///< always the dense LuSolver (the pre-sparse behaviour)
-  ForceSparse, ///< always the sparse path (equivalence tests)
+/// The factorization ladder and allocation audit shared by SolveWorkspace
+/// (T = double) and AcKernel (T = std::complex<double>): the sparse LU
+/// over the structural pattern, the equilibration scales and the health
+/// and stats records the rungs update.
+template <typename T>
+class FactorLadder {
+protected:
+  /// Factorize the slot values \p vals (pattern_ CSR order). Rungs:
+  /// replay -> equilibrate + replay -> re-order -> equilibrate +
+  /// re-order -> throw NumericError; equilibration is skipped in Off
+  /// mode and applied up front in Force mode. A replay that succeeds
+  /// with pivot growth above health::kPivotGrowthTrigger also re-orders
+  /// unless the cached ordering grew that much on its own values. Each
+  /// re-order counts in sparse_fallbacks. \p reset writes the unscaled
+  /// values back into \p vals. After every symbolic analysis (the first,
+  /// or a re-order) \p measure, the owner's footprint, becomes the
+  /// audited setup size: the factor storage is sized then and only then.
+  template <typename Reset, typename Measure>
+  void factor_values(std::vector<T>& vals, NumericHealthMode mode,
+                     const Reset& reset, const Measure& measure);
+
+  /// Scale \p vals to RAC with power-of-two row / column scales; false
+  /// when the fault injector vetoes it or no scaling exists.
+  bool try_equilibrate(std::vector<T>& vals);
+
+  /// Copy the LU counters into stats_ and audit the footprint \p now
+  /// against the setup size: any change since is a regrowth.
+  const KernelStats& audited_stats(size_t now);
+
+  SparsePattern pattern_;
+  SparseLu<T> slu_;
+  KernelStats stats_;
+  NumericHealth health_;
+  std::vector<double> row_scale_;  ///< power-of-two row equilibration
+  std::vector<double> col_scale_;  ///< power-of-two column equilibration
+  size_t setup_bytes_ = 0;         ///< audited footprint after setup
+  long settled_analyses_ = 0;      ///< symbolic analyses folded into setup_bytes_
+  bool order_grew_ = false;        ///< the cached ordering's own pass tripped growth
+  bool equilibrated_now_ = false;  ///< current factorization is of RAC
 };
 
-/// Crossover policy for KernelPath::Auto. Dense LU wins at tiny n — the
-/// flat O(n^3) loops beat the sparse machinery's indirection until the
-/// system is both big enough and sparse enough; the defaults keep every
-/// opamp estimate testbench (dim ~15-30) on the proven dense path and
-/// were chosen from the bench_spice_kernel crossover table
-/// (BENCH_spice_kernel.json).
-struct KernelPolicy {
-  KernelPath path = KernelPath::Auto;
-  size_t sparse_min_dim = 48;        ///< Auto: dense below this dimension
-  double sparse_max_density = 0.35;  ///< Auto: dense above this pattern density
-
-  /// The Auto decision for a frozen pattern of \p dim / \p density.
-  bool wants_sparse(size_t dim, double density) const {
-    switch (path) {
-      case KernelPath::ForceDense: return false;
-      case KernelPath::ForceSparse: return true;
-      case KernelPath::Auto: break;
-    }
-    return dim >= sparse_min_dim && density <= sparse_max_density;
-  }
-};
-
-/// Whether a frozen pattern of \p dim / \p density takes the sparse path
-/// under the job context's KernelPolicy (the defaults when none is
-/// installed). Workspaces decide once, when they freeze their pattern,
-/// so install a policy before the analysis call.
-bool wants_sparse(size_t dim, double density);
+}  // namespace detail
 
 /// Reusable real-MNA solve workspace with a compiled linear baseline.
 ///
@@ -117,7 +125,7 @@ bool wants_sparse(size_t dim, double density);
 ///     ws.assemble_dc(x, src_scale);              // restore + nonlinear
 ///     ... fault probes on ws.mna() ...
 ///     const auto& xnew = ws.solve();             // in-place LU
-class SolveWorkspace {
+class SolveWorkspace : private detail::FactorLadder<double> {
 public:
   /// Compile against a finalized circuit (finalizes it if needed).
   explicit SolveWorkspace(Circuit& ckt);
@@ -145,15 +153,10 @@ public:
   const std::vector<double>& solve();
 
   /// The assembled system (for fault-injection probes). Always fully
-  /// assembled dense, even on the sparse path: the sparse solve gathers
-  /// its slot values *from* this matrix, so a probe poking any pattern
-  /// slot (the (0, 0) gmin diagonal included) reaches both paths.
+  /// assembled dense: the solve gathers its slot values *from* this
+  /// matrix, so a probe poking any pattern slot (the (0, 0) gmin
+  /// diagonal included) reaches the factorization.
   MnaReal& mna() { return mna_; }
-
-  /// True once the pattern froze onto the sparse factorization path
-  /// (after the first solve; see the symbolic-reuse lifecycle in
-  /// DESIGN.md section 13).
-  bool sparse_path() const { return use_sparse_; }
 
   /// Numerical health of the last solve() (reset per solve; zero-valued
   /// gauges mean the corresponding check did not run).
@@ -184,15 +187,12 @@ private:
   void begin_capture();
   void freeze_pattern();
   void note_baseline_kind(BaselineKind kind);
-  void sync_sparse_stats();
+  void gather_values();
   size_t measured_bytes() const;
 
   // Numerical-health helpers (DESIGN.md section 15).
-  bool try_equilibrate_sparse();
-  bool try_equilibrate_dense();
-  void factor_dense();
-  void run_health_checks(bool sparse, NumericHealthMode mode);
-  void refine_current(bool sparse);
+  void run_health_checks(NumericHealthMode mode);
+  void refine_current();
   void record_health();
 
   Circuit* ckt_;
@@ -200,55 +200,44 @@ private:
   size_t n_nodes_;
   MnaReal mna_;                    ///< assembled system
   MnaReal base_;                   ///< compiled linear baseline (G0, RHS0)
-  LuSolver<double> lu_;            ///< dense factorization (and sparse rescue)
   std::vector<double> xnew_;       ///< solution buffer
   Solution zero_x_;                ///< dummy operating point for linear stamps
-  KernelStats stats_;
-  size_t setup_bytes_ = 0;         ///< workspace footprint right after setup
 
-  // Sparse path (DESIGN.md section 13): pattern captured by the stamp
-  // recorder until the first solve, then frozen; per-solve the values are
-  // gathered from the dense mna_ storage through flat_idx_ and handed to
-  // the reusable-symbolic sparse LU.
-  SparsePattern pattern_;
-  SparseLuReal slu_;
+  // Factorization (DESIGN.md section 13): pattern_ is captured by the
+  // stamp recorder until the first solve, then frozen; per-solve the
+  // values are gathered from the dense mna_ storage through flat_idx_
+  // and handed to the reusable-symbolic sparse LU.
   std::vector<double> svals_;      ///< gathered slot values (CSR order)
   std::vector<size_t> flat_idx_;   ///< slot -> dense row-major index
   BaselineKind baseline_kind_ = BaselineKind::None;
   bool frozen_ = false;
-  bool use_sparse_ = false;
-  bool sparse_bytes_settled_ = false;  ///< setup_bytes_ recomputed post-freeze
 
-  // Numerical-health state. The scratch vectors are preallocated at
-  // construction (and folded into the audited setup bytes) so even the
-  // recovery rungs run without growing the workspace.
-  NumericHealth health_;
-  std::vector<double> row_scale_;  ///< power-of-two row equilibration
-  std::vector<double> col_scale_;  ///< power-of-two column equilibration
+  // Numerical-health scratch, preallocated at construction (and folded
+  // into the audited setup bytes) so even the recovery rungs run without
+  // growing the workspace.
   std::vector<double> col_sums_;   ///< 1-norm scratch
   std::vector<double> hresid_;     ///< refinement residual
   std::vector<double> hdx_;        ///< refinement correction
   std::vector<double> hbest_;      ///< refinement best-iterate rollback
   std::vector<double> hwork_;      ///< scaled-RHS / out-of-place-solve scratch
   std::vector<double> hwork2_;     ///< condition-estimator probe vector
-  bool equilibrated_now_ = false;  ///< current factorization is of RAC
 };
 
 // ---------------------------------------------------------------------------
 
 /// Compiled complex-MNA kernel for AC sweeps: A(w) = G + jwC formed per
-/// frequency with a fused loop over flat real G / C arrays compiled once
-/// per operating point.
-class AcKernel {
+/// frequency with a fused loop over per-slot real G / C arrays compiled
+/// once per operating point.
+class AcKernel : private detail::FactorLadder<std::complex<double>> {
 public:
   /// Compile G, C and the (w-independent) stimulus from the circuit's
   /// small-signal stamps at the cached operating point. Requires a
-  /// finalized circuit (a prior dc_operating_point()).
+  /// finalized circuit (a prior dc_operating_point()). Throws
+  /// NumericError when a device's stamps are not affine in w.
   explicit AcKernel(Circuit& ckt);
 
-  /// Assemble A(omega) into the owned complex system. Uses the fused
-  /// G + jwC path when the compile-time split validated, else falls back
-  /// to per-device virtual stamping.
+  /// Assemble A(omega) = G + jwC into the owned slot values and restore
+  /// the stimulus into mna().rhs().
   void assemble(double omega);
 
   /// Factorize the assembled system in place and solve into \p out
@@ -256,8 +245,9 @@ public:
   /// Throws NumericError on a singular system.
   void solve_into(std::vector<std::complex<double>>& out);
 
-  /// The assembled system (for reuse of the factorization, e.g. the
-  /// noise analysis solving many right-hand sides per frequency).
+  /// The stimulus of the assembled system in mna().rhs() (the noise
+  /// analysis solves it and many unit injections per frequency). The
+  /// matrix part holds the w = 2 validation stamps, not A(omega).
   MnaComplex& mna() { return mna_; }
 
   /// Solve against an explicit RHS using the factorization of the last
@@ -269,14 +259,6 @@ public:
   void factorize();
 
   size_t dim() const { return dim_; }
-
-  /// False when a device's stamps were not affine in w and the kernel
-  /// reverted to per-point virtual stamping.
-  bool exact_split() const { return exact_split_; }
-
-  /// True when the kernel factorizes through the sparse path (requires
-  /// an exact split; decided once at construction from wants_sparse()).
-  bool sparse_path() const { return use_sparse_; }
 
   /// Numerical health of the last factorize() (covers every solve made
   /// against that factorization, including noise-analysis solve_rhs()).
@@ -291,16 +273,13 @@ private:
   static constexpr double kFloatingNodeGmin = 1e-12;
 
   void stamp_virtual(double omega);
-  void assemble_dense(double omega);
+  void restore_values();
   size_t measured_bytes() const;
 
   // Numerical-health helpers (DESIGN.md section 15). factorize() decides
   // per factorization whether every solve against it is refined (Force)
   // or each solve checks its own residual first (Auto, monitor tripped);
   // the noise analysis' many solve_rhs() calls follow the same rule.
-  bool try_equilibrate_sparse();
-  bool try_equilibrate_dense();
-  void factor_dense();
   void post_factor_health(NumericHealthMode mode);
   void solve_current(const std::vector<std::complex<double>>& rhs,
                      std::vector<std::complex<double>>& out);
@@ -314,40 +293,24 @@ private:
 
   Circuit* ckt_;
   size_t dim_;
-  std::vector<double> g_;          ///< flat row-major Re part (w-independent)
-  std::vector<double> c_;          ///< flat row-major dA/d(jw)
   std::vector<std::complex<double>> rhs0_;  ///< w-independent stimulus
   MnaComplex mna_;
-  LuSolver<std::complex<double>> lu_;
-  bool exact_split_ = true;
-  KernelStats stats_;
-  size_t setup_bytes_ = 0;
 
-  // Sparse sweep path: SoA per-slot G / C arrays (structure-of-arrays,
-  // so the per-point assembly a[s] = gs[s] + jw*cs[s] is one contiguous
-  // vectorizable loop of O(nnz) instead of the O(n^2) dense fill).
-  SparsePattern pattern_;
-  SparseLuComplex slu_;
+  // SoA per-slot G / C arrays over pattern_ (structure-of-arrays, so the
+  // per-point assembly a[s] = gs[s] + jw*cs[s] is one contiguous
+  // vectorizable loop of O(nnz)).
   std::vector<double> gs_;         ///< per-slot Re part (pattern order)
   std::vector<double> cs_;         ///< per-slot dA/d(jw) (pattern order)
   std::vector<std::complex<double>> avals_;  ///< assembled slot values
-  bool use_sparse_ = false;
-  bool sparse_live_ = false;       ///< last factorization was sparse
-  bool sparse_bytes_settled_ = false;  ///< setup_bytes_ recomputed after the
-                                       ///< first symbolic factorization
-  double last_omega_ = 0.0;        ///< for the dense rescue re-assembly
+  double last_omega_ = 0.0;        ///< for re-assembling the slot values
 
-  // Numerical-health state (preallocated, see SolveWorkspace).
-  NumericHealth health_;
-  std::vector<double> row_scale_;
-  std::vector<double> col_scale_;
+  // Numerical-health scratch (preallocated, see SolveWorkspace).
   std::vector<double> col_sums_;
   std::vector<std::complex<double>> cresid_;
   std::vector<std::complex<double>> cdx_;
   std::vector<std::complex<double>> cbest_;
   std::vector<std::complex<double>> cwork_;
   std::vector<std::complex<double>> cwork2_;
-  bool equilibrated_now_ = false;  ///< current factorization is of RAC
   bool refine_active_ = false;     ///< refine every solve of this factorization
   bool check_residual_ = false;    ///< Auto: refine solves whose residual misses
   double anorm_inf_ = 0.0;         ///< inf-norm of the assembled A(omega)

@@ -161,9 +161,12 @@ inline MosIdGm ids_gm(const MosModelCard& m, double vgs, double vds,
   return {core.ids, gm, core.vth, core.vdsat, core.region};
 }
 
-/// Reverse-biased junction capacitance (linear extension under forward bias).
-double junction_cap(double c0_area, double mj, double c0_perim, double mjsw,
-                    double pb, double vr) {
+/// Reverse-biased junction capacitance (linear extension under forward
+/// bias). Forced inline, like dc_part and charge_part, so that mos_eval
+/// stays a single function.
+[[gnu::always_inline]] inline double junction_cap(double c0_area, double mj,
+                                                  double c0_perim, double mjsw,
+                                                  double pb, double vr) {
   // vr = reverse bias (>= 0 in normal operation).
   auto term = [&](double c0, double grading) {
     if (c0 <= 0.0) return 0.0;
@@ -172,6 +175,67 @@ double junction_cap(double c0_area, double mj, double c0_perim, double mjsw,
     return c0 * (1.0 - grading * vr / pb);
   };
   return term(c0_area, mj) + term(c0_perim, mjsw);
+}
+
+/// The DC part of mos_eval (inlined into it and into mos_eval_dc): the
+/// mos_ids_gm body plus the gds and gmb probes, 7 current evaluations.
+/// Forced inline, like charge_part: with two callers each, GCC outlines
+/// both, and mos_eval (the annealer's hot call) then pays two calls and
+/// two struct round trips through memory, about 5% per evaluation.
+[[gnu::always_inline]] inline MosEval dc_part(const MosModelCard& m, double vgs,
+                                              double vds, double vbs, double w,
+                                              double l) {
+  const MosIdGm dc = ids_gm(m, vgs, vds, vbs, w, l);
+  MosEval r;
+  r.ids = dc.ids;
+  r.gm = dc.gm;
+  r.vth = dc.vth;
+  r.vdsat = dc.vdsat;
+  r.region = dc.region;
+  r.gds = (ids_any(m, vgs, vds + kDiffStep, vbs, w, l).ids -
+           ids_any(m, vgs, vds - kDiffStep, vbs, w, l).ids) /
+          (2.0 * kDiffStep);
+  r.gmb = (ids_any(m, vgs, vds, vbs + kDiffStep, w, l).ids -
+           ids_any(m, vgs, vds, vbs - kDiffStep, w, l).ids) /
+          (2.0 * kDiffStep);
+  return r;
+}
+
+/// The charge part of mos_eval (inlined into it and into mos_caps): the
+/// Meyer gate capacitances of \p region plus the junction capacitances.
+[[gnu::always_inline]] inline MosCaps charge_part(
+    const MosModelCard& m, MosRegion region, double vds, double vbs, double w,
+    double l, double ad, double as, double pd, double ps) {
+  // Meyer gate capacitances, piecewise by region (forward orientation).
+  const double leff = std::max(m.leff(l), 1e-8);
+  const double cox_tot = m.cox() * w * leff;
+  const double c_ov_s = m.cgso * w;
+  const double c_ov_d = m.cgdo * w;
+  const double c_ov_b = m.cgbo * l;
+  MosCaps c;
+  switch (region) {
+    case MosRegion::Cutoff:
+      c.cgb = cox_tot + c_ov_b;
+      c.cgs = c_ov_s;
+      c.cgd = c_ov_d;
+      break;
+    case MosRegion::Triode:
+      c.cgs = 0.5 * cox_tot + c_ov_s;
+      c.cgd = 0.5 * cox_tot + c_ov_d;
+      c.cgb = c_ov_b;
+      break;
+    case MosRegion::Saturation:
+      c.cgs = (2.0 / 3.0) * cox_tot + c_ov_s;
+      c.cgd = c_ov_d;
+      c.cgb = c_ov_b;
+      break;
+  }
+
+  // Junction capacitances: reverse bias of drain-bulk is vdb = vds - vbs,
+  // of source-bulk is vsb = -vbs (NMOS-normalized voltages).
+  c.cdb = junction_cap(m.cj * ad, m.mj, m.cjsw * pd, m.mjsw, m.pb, vds - vbs);
+  c.csb = junction_cap(m.cj * as, m.mj, m.cjsw * ps, m.mjsw, m.pb, -vbs);
+  return c;
 }
 
 }  // namespace
@@ -200,52 +264,31 @@ MosIdGm mos_ids_gm(const MosModelCard& m, double vgs, double vds, double vbs,
   return ids_gm(m, vgs, vds, vbs, w, l);
 }
 
+MosEval mos_eval_dc(const MosModelCard& m, double vgs, double vds, double vbs,
+                    double w, double l) {
+  if (w <= 0.0 || l <= 0.0) throw NumericError("mos_eval_dc: non-positive W or L");
+  return dc_part(m, vgs, vds, vbs, w, l);
+}
+
+MosCaps mos_caps(const MosModelCard& m, double vgs, double vds, double vbs,
+                 double w, double l, double ad, double as, double pd,
+                 double ps) {
+  if (w <= 0.0 || l <= 0.0) throw NumericError("mos_caps: non-positive W or L");
+  const MosRegion region = ids_any(m, vgs, vds, vbs, w, l).region;
+  return charge_part(m, region, vds, vbs, w, l, ad, as, pd, ps);
+}
+
 MosEval mos_eval(const MosModelCard& m, double vgs, double vds, double vbs,
                  double w, double l, double ad, double as, double pd,
                  double ps) {
   if (w <= 0.0 || l <= 0.0) throw NumericError("mos_eval: non-positive W or L");
-  const MosIdGm dc = ids_gm(m, vgs, vds, vbs, w, l);
-  MosEval r;
-  r.ids = dc.ids;
-  r.gm = dc.gm;
-  r.vth = dc.vth;
-  r.vdsat = dc.vdsat;
-  r.region = dc.region;
-  r.gds = (ids_any(m, vgs, vds + kDiffStep, vbs, w, l).ids -
-           ids_any(m, vgs, vds - kDiffStep, vbs, w, l).ids) /
-          (2.0 * kDiffStep);
-  r.gmb = (ids_any(m, vgs, vds, vbs + kDiffStep, w, l).ids -
-           ids_any(m, vgs, vds, vbs - kDiffStep, w, l).ids) /
-          (2.0 * kDiffStep);
-
-  // Meyer gate capacitances, piecewise by region (forward orientation).
-  const double leff = std::max(m.leff(l), 1e-8);
-  const double cox_tot = m.cox() * w * leff;
-  const double c_ov_s = m.cgso * w;
-  const double c_ov_d = m.cgdo * w;
-  const double c_ov_b = m.cgbo * l;
-  switch (r.region) {
-    case MosRegion::Cutoff:
-      r.cgb = cox_tot + c_ov_b;
-      r.cgs = c_ov_s;
-      r.cgd = c_ov_d;
-      break;
-    case MosRegion::Triode:
-      r.cgs = 0.5 * cox_tot + c_ov_s;
-      r.cgd = 0.5 * cox_tot + c_ov_d;
-      r.cgb = c_ov_b;
-      break;
-    case MosRegion::Saturation:
-      r.cgs = (2.0 / 3.0) * cox_tot + c_ov_s;
-      r.cgd = c_ov_d;
-      r.cgb = c_ov_b;
-      break;
-  }
-
-  // Junction capacitances: reverse bias of drain-bulk is vdb = vds - vbs,
-  // of source-bulk is vsb = -vbs (NMOS-normalized voltages).
-  r.cdb = junction_cap(m.cj * ad, m.mj, m.cjsw * pd, m.mjsw, m.pb, vds - vbs);
-  r.csb = junction_cap(m.cj * as, m.mj, m.cjsw * ps, m.mjsw, m.pb, -vbs);
+  MosEval r = dc_part(m, vgs, vds, vbs, w, l);
+  const MosCaps c = charge_part(m, r.region, vds, vbs, w, l, ad, as, pd, ps);
+  r.cgs = c.cgs;
+  r.cgd = c.cgd;
+  r.cgb = c.cgb;
+  r.cdb = c.cdb;
+  r.csb = c.csb;
   return r;
 }
 

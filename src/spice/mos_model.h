@@ -131,9 +131,34 @@ struct MosIdGm {
 MosIdGm mos_ids_gm(const MosModelCard& m, double vgs, double vds, double vbs,
                    double w, double l);
 
-/// Evaluate the model at NMOS-normalized terminal voltages.
-/// For PMOS devices, negate (vgs, vds, vbs) before calling and interpret
-/// the current as source->drain; `mos_eval_signed` does this for you.
+/// The bias-dependent capacitances of one evaluation: the charge part of
+/// MosEval (same fields, same units).
+struct MosCaps {
+  double cgs = 0.0;
+  double cgd = 0.0;
+  double cgb = 0.0;
+  double cdb = 0.0;
+  double csb = 0.0;
+};
+
+/// The DC part of mos_eval: ids, gm, gds, gmb, vth, vdsat and region
+/// (7 current evaluations), with the capacitance fields left zero. What a
+/// Newton stamp reads; each field is bitwise equal to mos_eval's. Throws
+/// NumericError on a non-positive W or L.
+MosEval mos_eval_dc(const MosModelCard& m, double vgs, double vds, double vbs,
+                    double w, double l);
+
+/// The charge part of mos_eval: one drain-current evaluation for the
+/// region, then the Meyer gate and junction capacitances, each bitwise
+/// equal to mos_eval's. Throws NumericError on a non-positive W or L.
+MosCaps mos_caps(const MosModelCard& m, double vgs, double vds, double vbs,
+                 double w, double l, double ad, double as, double pd,
+                 double ps);
+
+/// Evaluate the model at NMOS-normalized terminal voltages: the DC part
+/// and the charge part above in one call. For PMOS devices, negate (vgs,
+/// vds, vbs) before calling and interpret the current as source->drain;
+/// `mos_eval_signed` does this for you.
 ///
 /// \param w,l drawn width / length [m]; \param ad,as,pd,ps drain/source
 /// junction areas [m^2] and perimeters [m] for the junction caps.

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/spice/device.h"
-#include "src/spice/kernel.h"
 #include "src/util/error.h"
 #include "src/util/matrix.h"
 #include "src/util/poly.h"
@@ -108,78 +107,51 @@ AweModel awe_reduce(
     for (size_t j = 0; j < dim; ++j) c(i, j) = mna.matrix()(i, j).imag();
   }
 
-  // Moment recursion: one factorization, 2q in-place solves. Only the
-  // latest moment vector is needed, so two reused buffers replace the
-  // old per-order allocations (the recursion only ever reads m_cur).
-  //
-  // Large reduced networks (interconnect ladders) go through the sparse
-  // LU and a CSR matvec for C, selected by the same crossover policy as
-  // the MNA kernel. A plain value scan is a safe pattern source here —
-  // unlike the Newton kernel, G and C are fixed for the whole reduction,
-  // so a zero entry can never "turn on" later.
+  // Moment recursion: one sparse factorization of G, 2q in-place solves
+  // and a CSR matvec for C. Only the latest moment vector is needed, so
+  // two reused buffers hold the recursion. A plain value scan is a safe
+  // pattern source here — unlike the Newton kernel, G and C are fixed for
+  // the whole reduction, so a zero entry can never "turn on" later.
   SparsePattern gp(dim);
-  std::vector<double> gvals;
-  std::vector<int> c_rp, c_cols;
-  std::vector<double> c_vals;
   for (size_t i = 0; i < dim; ++i) {
     for (size_t j = 0; j < dim; ++j) {
       if (g(i, j) != 0.0) gp.add(static_cast<int>(i), static_cast<int>(j));
     }
   }
   gp.finalize();
-  const bool use_sparse = spice::wants_sparse(dim, gp.density());
-  LuSolver<double> lu;
-  SparseLuReal slu;
-  if (use_sparse) {
-    gvals.resize(gp.nnz());
-    for (size_t i = 0; i < dim; ++i) {
-      for (int s = gp.row_ptr()[i]; s < gp.row_ptr()[i + 1]; ++s) {
-        gvals[s] = g(i, static_cast<size_t>(gp.cols()[s]));
-      }
+  std::vector<double> gvals(gp.nnz());
+  for (size_t i = 0; i < dim; ++i) {
+    for (int s = gp.row_ptr()[i]; s < gp.row_ptr()[i + 1]; ++s) {
+      gvals[s] = g(i, static_cast<size_t>(gp.cols()[s]));
     }
-    slu.factorize(gp, gvals);
-    c_rp.assign(dim + 1, 0);
-    for (size_t i = 0; i < dim; ++i) {
-      for (size_t j = 0; j < dim; ++j) {
-        if (c(i, j) != 0.0) {
-          c_cols.push_back(static_cast<int>(j));
-          c_vals.push_back(c(i, j));
-        }
-      }
-      c_rp[i + 1] = static_cast<int>(c_cols.size());
-    }
-  } else {
-    lu.factorize(g);
   }
-  auto solve = [&](const std::vector<double>& rhs_in, std::vector<double>& x_out) {
-    if (use_sparse) {
-      slu.solve_into(rhs_in, x_out);
-    } else {
-      lu.solve_into(rhs_in, x_out);
+  SparseLuReal slu;
+  slu.factorize(gp, gvals);
+  std::vector<int> c_rp(dim + 1, 0), c_cols;
+  std::vector<double> c_vals;
+  for (size_t i = 0; i < dim; ++i) {
+    for (size_t j = 0; j < dim; ++j) {
+      if (c(i, j) != 0.0) {
+        c_cols.push_back(static_cast<int>(j));
+        c_vals.push_back(c(i, j));
+      }
     }
-  };
+    c_rp[i + 1] = static_cast<int>(c_cols.size());
+  }
   std::vector<double> m_cur(dim), mrhs(dim);
-  solve(b, m_cur);
+  slu.solve_into(b, m_cur);
   std::vector<double> mu;
   mu.reserve(static_cast<size_t>(2 * q));
   mu.push_back(m_cur[static_cast<size_t>(out)]);
   for (int k = 1; k < 2 * q; ++k) {
-    if (use_sparse) {
-      for (size_t i = 0; i < dim; ++i) {
-        double acc = 0.0;
-        for (int s = c_rp[i]; s < c_rp[i + 1]; ++s) {
-          acc += c_vals[s] * m_cur[static_cast<size_t>(c_cols[s])];
-        }
-        mrhs[i] = -acc;
+    for (size_t i = 0; i < dim; ++i) {
+      double acc = 0.0;
+      for (int s = c_rp[i]; s < c_rp[i + 1]; ++s) {
+        acc += c_vals[s] * m_cur[static_cast<size_t>(c_cols[s])];
       }
-    } else {
-      for (size_t i = 0; i < dim; ++i) {
-        double acc = 0.0;
-        for (size_t j = 0; j < dim; ++j) acc += c(i, j) * m_cur[j];
-        mrhs[i] = -acc;
-      }
+      mrhs[i] = -acc;
     }
-    solve(mrhs, m_cur);
+    slu.solve_into(mrhs, m_cur);
     mu.push_back(m_cur[static_cast<size_t>(out)]);
   }
 

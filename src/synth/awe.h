@@ -31,6 +31,9 @@ public:
   /// Model poles [rad/s] (negative real parts for a stable circuit).
   const std::vector<std::complex<double>>& poles() const { return poles_; }
 
+  /// Residue of each pole: H(s) = sum_i residues()[i] / (s - poles()[i]).
+  const std::vector<std::complex<double>>& residues() const { return residues_; }
+
   /// First |H| = 1 crossing, found by bisection on the model [Hz];
   /// 0 when the model never crosses unity below f_max.
   double unity_gain_freq(double f_max = 1e12) const;

@@ -23,7 +23,7 @@
 /// - JobContext: everything a job carries ambiently down the layers (the
 ///   ErrorContext frames, a job-wide RunBudget, the relaxed-rung solver
 ///   tolerances, a kernel-stats sink, the numerical-health mode, a test
-///   FaultInjector and a KernelPolicy override), installed by one RAII
+///   FaultInjector), installed by one RAII
 ///   scope, ScopedJobContext. A supervisor imposes a deadline on an
 ///   entire job (estimate -> anneal -> simulator verification) this way
 ///   without threading a pointer through every layer.
@@ -50,7 +50,6 @@
 ///   budget         | yes                          | RunBudget is thread-safe
 ///   relaxation     | yes                          | read-only
 ///   health_mode    | yes                          | a value
-///   kernel_policy  | yes                          | read-only
 ///   kernel_sink    | no: each job keeps its own   | KernelStats is unsynchronized
 ///   fault_injector | no: install one per job      | counters and Rng unsynchronized
 ///
@@ -112,19 +111,21 @@ struct KernelStats {
   long baseline_restores = 0;    ///< memcpy restorations of a baseline
   long linear_stamps_skipped = 0;///< per-device restamps avoided by restores
   long nonlinear_stamps = 0;     ///< per-iteration nonlinear device restamps
-  long factorizations = 0;       ///< in-place LU factorizations
+  long factorizations = 0;       ///< numeric LU factorizations: first
+                                 ///< orderings, replays and re-orderings
   long solves = 0;               ///< forward/back substitution passes
   long ac_points_fused = 0;      ///< AC points assembled as fused G + jwC
-  long ac_points_virtual = 0;    ///< AC points via per-device virtual stamps
-                                 ///< (fallback for non-affine-in-w devices)
+  long ac_points_virtual = 0;    ///< retired: no AC point is restamped per
+                                 ///< device any more, so this stays 0
   size_t workspace_bytes = 0;    ///< bytes of preallocated solver workspace
   long workspace_regrowths = 0;  ///< times a workspace buffer grew after
                                  ///< setup (0 == allocation-free inner loops)
-  // Sparse-path counters (src/util/sparse.h; 0 on dense-only runs).
+  // Sparse LU counters (src/util/sparse.h).
   long symbolic_analyses = 0;    ///< Markowitz order-and-factor passes
   long symbolic_reuses = 0;      ///< refactors replaying a cached program
   long numeric_refactors = 0;    ///< sparse numeric factorizations (total)
-  long sparse_fallbacks = 0;     ///< sparse solves rescued by the dense path
+  long sparse_fallbacks = 0;     ///< replays whose pivots collapsed, rescued
+                                 ///< by re-ordering on the current values
   size_t sparse_nnz = 0;         ///< structural nonzeros (max over workspaces)
   size_t sparse_fill_in = 0;     ///< L+U fill entries (max over workspaces)
   // Numerical-health counters (DESIGN.md section 15; 0 on healthy runs).
@@ -132,7 +133,7 @@ struct KernelStats {
   long refinement_iterations = 0;///< total refinement correction steps
   long equilibrated_solves = 0;  ///< solves under row/column equilibration
   long numeric_recoveries = 0;   ///< solves that landed only via a recovery
-                                 ///< rung (equilibrate / kernel switch)
+                                 ///< rung (equilibrate / re-order)
   double cond_estimate_max = 0.0;///< worst Hager 1-norm estimate (gauge)
   double pivot_growth_max = 0.0; ///< worst pivot growth factor (gauge)
   double residual_norm_max = 0.0;///< worst measured relative residual (gauge)
@@ -308,7 +309,6 @@ enum class NumericHealthMode {
 
 namespace spice {
 class FaultInjector;
-struct KernelPolicy;
 }  // namespace spice
 
 /// The calling thread's ambient job state (see the THREAD-SAFETY RULE
@@ -334,9 +334,6 @@ struct JobContext {
   /// Deterministic fault injection (src/spice/fault.h); null in
   /// production, so each probe site is one load plus a branch.
   spice::FaultInjector* fault_injector = nullptr;
-  /// Dense/sparse crossover override (src/spice/kernel.h); null means
-  /// the defaults. Workspaces read it when they freeze their pattern.
-  const spice::KernelPolicy* kernel_policy = nullptr;
 
   /// The context a pool job running on behalf of this one starts with:
   /// a copy without the kernel sink and the fault injector.

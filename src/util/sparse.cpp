@@ -71,6 +71,12 @@ void SparseLu<T>::factorize(const SparsePattern& pattern, const std::vector<T>& 
 }
 
 template <typename T>
+void SparseLu<T>::reorder(const SparsePattern& pattern, const std::vector<T>& values) {
+  analyzed_signature_ = 0;
+  factorize(pattern, values);
+}
+
+template <typename T>
 void SparseLu<T>::order_and_factor(const SparsePattern& pattern, const std::vector<T>& values) {
   n_ = pattern.n();
   const int n = static_cast<int>(n_);
@@ -279,6 +285,8 @@ void SparseLu<T>::order_and_factor(const SparsePattern& pattern, const std::vect
       scatter_[slot] = f_slot(pos_row[r], pos_col[pc[slot]]);
     }
   }
+  a_row_ptr_ = rp;
+  row_max_.assign(n_, 0.0);
 
   // Compile the elimination program. The U-row slots of step k are the
   // contiguous factor slots (f_diag_[k], f_row_ptr_[k+1]); each pair
@@ -313,10 +321,15 @@ void SparseLu<T>::refactor(const std::vector<T>& values) {
   ++stats_.numeric_refactors;
   std::fill(f_vals_.begin(), f_vals_.end(), T{});
   double scale = 0.0;
-  for (size_t slot = 0; slot < values.size(); ++slot) {
-    f_vals_[scatter_[slot]] = values[slot];
-    const double m = std::abs(values[slot]);
-    if (m > scale) scale = m;
+  for (size_t r = 0; r < n_; ++r) {
+    double rmax = 0.0;
+    for (int slot = a_row_ptr_[r]; slot < a_row_ptr_[r + 1]; ++slot) {
+      f_vals_[scatter_[slot]] = values[slot];
+      const double m = std::abs(values[slot]);
+      if (m > rmax) rmax = m;
+    }
+    row_max_[r] = rmax;
+    if (rmax > scale) scale = rmax;
   }
   scale_ = scale;
   max_pivot_ = 0.0;
@@ -347,6 +360,18 @@ void SparseLu<T>::refactor(const std::vector<T>& values) {
       for (int t = 0; t < ulen; ++t) f_vals_[d[t]] -= m * urow[t];
     }
   }
+}
+
+template <typename T>
+double SparseLu<T>::row_scaled_cond_proxy() const {
+  // Squared magnitudes (std::norm, no square root per pivot), one root.
+  double proxy2 = 0.0;
+  for (size_t k = 0; k < n_; ++k) {
+    const double r = row_max_[row_orig_[k]];
+    const double ratio2 = r * r / std::norm(f_vals_[f_diag_[k]]);
+    if (ratio2 > proxy2) proxy2 = ratio2;
+  }
+  return std::sqrt(proxy2);
 }
 
 template <typename T>
@@ -407,7 +432,8 @@ template <typename T>
 size_t SparseLu<T>::memory_bytes() const {
   auto bytes = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
   return bytes(row_orig_) + bytes(col_orig_) + bytes(f_row_ptr_) + bytes(f_cols_) +
-         bytes(f_diag_) + bytes(f_vals_) + bytes(scatter_) + bytes(pair_ptr_) + bytes(l_slot_) +
+         bytes(f_diag_) + bytes(f_vals_) + bytes(scatter_) + bytes(a_row_ptr_) +
+         bytes(row_max_) + bytes(pair_ptr_) + bytes(l_slot_) +
          bytes(dst_ptr_) + bytes(dst_) + bytes(y_);
 }
 

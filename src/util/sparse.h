@@ -130,6 +130,13 @@ public:
   /// before the next solve.
   void factorize(const SparsePattern& pattern, const std::vector<T>& values);
 
+  /// factorize() with a fresh order-and-factor pass on \p values even
+  /// when the pattern was analyzed already: the rescue when a replay's
+  /// pivot collapsed because the values drifted away from the ones the
+  /// cached ordering was chosen for. Counts as a symbolic analysis.
+  /// Throws NumericError when the system is singular.
+  void reorder(const SparsePattern& pattern, const std::vector<T>& values);
+
   /// Solve A x = b into \p x (resized; no allocation at steady state).
   /// \p b and \p x must not alias. Requires a successful factorize().
   void solve_into(const std::vector<T>& b, std::vector<T>& x) const;
@@ -153,6 +160,14 @@ public:
   double min_pivot() const { return min_pivot_; }
   /// max|a_ij| of the last refactored values (the singularity scale).
   double max_abs_scale() const { return scale_; }
+  /// max_k max_j|a_{r(k), j}| / |u_kk| over the last refactor, where
+  /// r(k) is the original row pivoted at step k: the condition proxy of
+  /// the row-equilibrated system under the same pivot order (row scaling
+  /// scales each U row by its row's factor), taken from the current
+  /// factors in O(n). Unlike scale / min_pivot it ignores the spread of
+  /// row magnitudes, which on AC systems (G next to jwC) spans many
+  /// decades without costing accuracy.
+  double row_scaled_cond_proxy() const;
 
   /// Bytes of owned storage (for the workspace allocation audit).
   size_t memory_bytes() const;
@@ -160,7 +175,7 @@ public:
   /// Numeric pivot-acceptance threshold for the ordering pass: an entry
   /// competes for the pivot only when |a_ij| >= tau * max|a_:j|. 0.01
   /// trades a little growth for much less fill (Sparse1.3 default
-  /// territory); the kernel falls back to dense when a refactor pivot
+  /// territory); the kernel re-orders (reorder()) when a refactor pivot
   /// collapses anyway.
   static constexpr double kPivotThreshold = 0.01;
 
@@ -185,8 +200,11 @@ private:
   std::vector<int> f_diag_;       ///< slot of (i, i) per permuted row
   std::vector<T> f_vals_;
 
-  // Scatter map: pattern slot s lands in LU slot scatter_[s].
+  // Scatter map: pattern slot s lands in LU slot scatter_[s]; the
+  // pattern's CSR rows, so each refactor also records its row maxima.
   std::vector<int> scatter_;
+  std::vector<int> a_row_ptr_;
+  std::vector<double> row_max_;   ///< max|a_ij| per original row, last refactor
 
   // Compiled elimination program. For pivot step k the U-row slots are
   // the contiguous factor slots (f_diag_[k], f_row_ptr_[k+1]); each

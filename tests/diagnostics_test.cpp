@@ -61,7 +61,6 @@ const RunBudget kBudget;
 const SolverRelaxation kRelaxation;
 KernelStats g_sink;
 spice::FaultInjector g_injector;
-const spice::KernelPolicy kPolicy{spice::KernelPath::ForceSparse};
 
 struct ContextField {
   const char* name;
@@ -84,8 +83,6 @@ const ContextField kFields[] = {
      [](const JobContext& c) {
        return c.health_mode == NumericHealthMode::Force;
      }},
-    {"kernel_policy", true, [](JobContext& c) { c.kernel_policy = &kPolicy; },
-     [](const JobContext& c) { return c.kernel_policy == &kPolicy; }},
     {"kernel_sink", false, [](JobContext& c) { c.kernel_sink = &g_sink; },
      [](const JobContext& c) { return c.kernel_sink == &g_sink; }},
     {"fault_injector", false,

@@ -185,12 +185,14 @@ TEST(MosModel, ThrowsOnNonPositiveGeometry) {
   EXPECT_THROW(mos_eval(nmos_card(), 2.0, 3.0, 0.0, kW, -1e-6), NumericError);
   EXPECT_THROW(mos_ids_gm(nmos_card(), 2.0, 3.0, 0.0, 0.0, kL), NumericError);
   EXPECT_THROW(mos_ids_gm(nmos_card(), 2.0, 3.0, 0.0, kW, -1e-6), NumericError);
+  EXPECT_THROW(mos_eval_dc(nmos_card(), 2.0, 3.0, 0.0, 0.0, kL), NumericError);
+  EXPECT_THROW(mos_caps(nmos_card(), 2.0, 3.0, 0.0, kW, 0.0, 0.0, 0.0, 0.0, 0.0),
+               NumericError);
 }
 
-TEST(MosModel, IdsGmIsBitwiseEqualToMosEval) {
-  // mos_eval and mos_ids_gm share one body, so the fields they share
-  // must agree to the last bit on every level, device type, vds sign,
-  // body bias and region.
+/// The NMOS and PMOS test cards at LEVEL 1, 2, 3 and 4, each with the
+/// level's own options switched on.
+std::vector<MosModelCard> level_cards() {
   std::vector<MosModelCard> cards;
   for (const MosModelCard& base : {nmos_card(), pmos_card()}) {
     MosModelCard m = base;
@@ -218,8 +220,15 @@ TEST(MosModel, IdsGmIsBitwiseEqualToMosEval) {
     m.eta = 0.01;
     cards.push_back(m);
   }
+  return cards;
+}
+
+TEST(MosModel, IdsGmIsBitwiseEqualToMosEval) {
+  // mos_eval and mos_ids_gm share one body, so the fields they share
+  // must agree to the last bit on every level, device type, vds sign,
+  // body bias and region.
   int regions[3] = {0, 0, 0};
-  for (const MosModelCard& m : cards) {
+  for (const MosModelCard& m : level_cards()) {
     for (double vgs : {0.3, 1.4, 3.0}) {
       for (double vds : {0.2, 3.0, -0.2, -3.0}) {
         for (double vbs : {0.0, -1.2}) {
@@ -239,6 +248,57 @@ TEST(MosModel, IdsGmIsBitwiseEqualToMosEval) {
     }
   }
   // The grid must reach cutoff, triode and saturation.
+  EXPECT_GT(regions[static_cast<int>(MosRegion::Cutoff)], 0);
+  EXPECT_GT(regions[static_cast<int>(MosRegion::Triode)], 0);
+  EXPECT_GT(regions[static_cast<int>(MosRegion::Saturation)], 0);
+}
+
+TEST(MosModel, DcAndChargePartsAreBitwiseEqualToMosEval) {
+  // A Newton stamp reads the DC part (mos_eval_dc), an accepted
+  // transient step the charge part (mos_caps); together they must be
+  // mos_eval to the last bit, with overlap and junction capacitances on
+  // so every capacitance term is exercised (a negative vds forward-biases
+  // the drain junction).
+  constexpr double kAd = 3e-11, kAs = 2.5e-11, kPd = 26e-6, kPs = 22e-6;
+  int regions[3] = {0, 0, 0};
+  for (MosModelCard m : level_cards()) {
+    m.cgso = 3e-10;
+    m.cgdo = 3.5e-10;
+    m.cgbo = 2e-10;
+    m.cj = 3e-4;
+    m.mj = 0.45;
+    m.cjsw = 4e-10;
+    m.mjsw = 0.3;
+    m.pb = 0.75;
+    for (double vgs : {0.3, 1.4, 3.0}) {
+      for (double vds : {0.2, 3.0, -0.2, -3.0}) {
+        for (double vbs : {0.0, -1.2}) {
+          const MosEval e = mos_eval(m, vgs, vds, vbs, kW, kL, kAd, kAs, kPd, kPs);
+          const MosEval dc = mos_eval_dc(m, vgs, vds, vbs, kW, kL);
+          const MosCaps c = mos_caps(m, vgs, vds, vbs, kW, kL, kAd, kAs, kPd, kPs);
+          SCOPED_TRACE(to_card_string(m) + " vgs=" + std::to_string(vgs) +
+                       " vds=" + std::to_string(vds) +
+                       " vbs=" + std::to_string(vbs));
+          EXPECT_EQ(dc.ids, e.ids);
+          EXPECT_EQ(dc.gm, e.gm);
+          EXPECT_EQ(dc.gds, e.gds);
+          EXPECT_EQ(dc.gmb, e.gmb);
+          EXPECT_EQ(dc.vth, e.vth);
+          EXPECT_EQ(dc.vdsat, e.vdsat);
+          EXPECT_EQ(dc.region, e.region);
+          EXPECT_EQ(c.cgs, e.cgs);
+          EXPECT_EQ(c.cgd, e.cgd);
+          EXPECT_EQ(c.cgb, e.cgb);
+          EXPECT_EQ(c.cdb, e.cdb);
+          EXPECT_EQ(c.csb, e.csb);
+          EXPECT_GT(e.cdb, 0.0);
+          // The DC part computes no capacitance.
+          EXPECT_EQ(dc.cgs + dc.cgd + dc.cgb + dc.cdb + dc.csb, 0.0);
+          ++regions[static_cast<int>(e.region)];
+        }
+      }
+    }
+  }
   EXPECT_GT(regions[static_cast<int>(MosRegion::Cutoff)], 0);
   EXPECT_GT(regions[static_cast<int>(MosRegion::Triode)], 0);
   EXPECT_GT(regions[static_cast<int>(MosRegion::Saturation)], 0);

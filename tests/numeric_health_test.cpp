@@ -530,6 +530,8 @@ TEST(AcHealthGate, HealthyTable1SweepsRunNoConditionEstimateNorRefinement) {
         sweep_in_mode(ckt, b, NumericHealthMode::Off, &offs);
     EXPECT_EQ(autos.cond_estimate_max, 0.0) << autos.summary();
     EXPECT_EQ(autos.refinement_solves, 0) << autos.summary();
+    // The row-scaled trigger stays quiet, so no solve measured a residual.
+    EXPECT_EQ(autos.residual_norm_max, 0.0) << autos.summary();
     EXPECT_EQ(autos.factorizations, offs.factorizations);
     ASSERT_EQ(got.solutions.size(), off.solutions.size());
     for (size_t k = 0; k < got.solutions.size(); ++k) {

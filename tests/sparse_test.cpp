@@ -316,7 +316,7 @@ TEST(SparseLu, NanPropagatesLikeDensePath) {
 TEST(SparseLu, RefactorPivotCollapseThrows) {
   // First factorization sees a well-conditioned system; a refactor whose
   // values make the chosen pivot exactly zero must throw (the kernel
-  // then falls back to dense and re-pivots).
+  // then re-orders on the current values).
   RealMatrix m(2, 2);
   m(0, 0) = 1.0;
   m(1, 1) = 1.0;
@@ -327,6 +327,74 @@ TEST(SparseLu, RefactorPivotCollapseThrows) {
   lu.factorize(p, vals);
   std::vector<double> collapsed = {0.0, 1.0};
   EXPECT_THROW(lu.factorize(p, collapsed), NumericError);
+}
+
+TEST(SparseLu, ReorderRescuesACollapsedReplayPivot) {
+  // The ordering of [[4, 1], [1, 4]] pivots on (0, 0); zeroing it makes
+  // the replay collapse although [[0, 1], [1, 4]] is nonsingular. A
+  // re-order picks new pivots on the current values and solves exactly.
+  RealMatrix m(2, 2);
+  m(0, 0) = 4.0;
+  m(0, 1) = 1.0;
+  m(1, 0) = 1.0;
+  m(1, 1) = 4.0;
+  SparsePattern p;
+  std::vector<double> vals;
+  from_dense(m, p, vals);
+  SparseLuReal lu;
+  lu.factorize(p, vals);
+  vals[0] = 0.0;  // slot (0, 0)
+  EXPECT_THROW(lu.factorize(p, vals), NumericError);
+  lu.reorder(p, vals);
+  std::vector<double> x;
+  lu.solve_into({1.0, 6.0}, x);
+  EXPECT_DOUBLE_EQ(x[0], 2.0);
+  EXPECT_DOUBLE_EQ(x[1], 1.0);
+  EXPECT_EQ(lu.stats().symbolic_analyses, 2);
+  // The next replay reuses the new ordering.
+  lu.factorize(p, vals);
+  EXPECT_EQ(lu.stats().symbolic_reuses, 2);
+}
+
+TEST(SparseLu, RowScaledProxyIsTheRowEquilibratedReplaysProxy) {
+  // Rows spanning 15 decades make the unscaled proxy max|a| / min|u_kk|
+  // huge on a well-conditioned system. Dividing every row by its largest
+  // magnitude and replaying under the same order yields the system the
+  // row-scaled proxy describes: its max|a| is 1, so its plain proxy is
+  // 1 / min|u_kk| and must equal the proxy read off the unscaled factors.
+  std::mt19937_64 gen(11);
+  std::uniform_real_distribution<double> unif(-1.0, 1.0);
+  const size_t n = 17;
+  ComplexMatrix m(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    m(i, i) = {4.0 + unif(gen), unif(gen)};
+    m(i, (i + 1) % n) = {unif(gen), unif(gen)};
+    m((i + 3) % n, i) += std::complex<double>(unif(gen), unif(gen));
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const double row_scale = std::pow(10.0, -12.0 + 15.0 * static_cast<double>(i % 6) / 5.0);
+    for (size_t j = 0; j < n; ++j) m(i, j) *= row_scale;
+  }
+  SparsePattern p;
+  std::vector<std::complex<double>> vals;
+  from_dense(m, p, vals);
+  SparseLuComplex lu;
+  lu.factorize(p, vals);
+  const double proxy = lu.row_scaled_cond_proxy();
+  EXPECT_GT(lu.max_abs_scale() / lu.min_pivot(), 1e14);
+  EXPECT_LT(proxy, 1e3);
+  for (size_t r = 0; r < n; ++r) {
+    double row_max = 0.0;
+    for (int s = p.row_ptr()[r]; s < p.row_ptr()[r + 1]; ++s) {
+      row_max = std::max(row_max, std::abs(vals[s]));
+    }
+    for (int s = p.row_ptr()[r]; s < p.row_ptr()[r + 1]; ++s) vals[s] /= row_max;
+  }
+  lu.factorize(p, vals);
+  EXPECT_EQ(lu.stats().symbolic_reuses, 1);
+  EXPECT_NEAR(lu.max_abs_scale(), 1.0, 1e-15);
+  EXPECT_NEAR(lu.max_abs_scale() / lu.min_pivot(), proxy, 1e-12 * proxy);
+  EXPECT_NEAR(lu.row_scaled_cond_proxy(), proxy, 1e-12 * proxy);
 }
 
 }  // namespace

@@ -125,6 +125,44 @@ TEST(SpiceTran, InverterSwitchesAndDelays) {
   EXPECT_LT(*tcross, 3e-7);
 }
 
+TEST(SpiceTran, TransientLeavesTheAcOperatingPointAlone) {
+  // Common-source stage whose gate steps from 1.5 V to 2.5 V: the final
+  // transient state sits far from the DC point. The AC sweep linearizes
+  // around the DC operating point (Mosfet::op(), from the last save_op),
+  // so a transient in between must not move it by a single bit.
+  Circuit ckt("cs");
+  const auto* m = ckt.add_model(test::nmos_card());
+  ckt.add<VSource>("vdd", ckt.node("vdd"), kGround, [] {
+    Waveform w;
+    w.dc = 5.0;
+    return w;
+  }());
+  Waveform vg = step(1.5, 2.5, 1e-7);
+  vg.ac_mag = 1.0;
+  ckt.add<VSource>("vg", ckt.node("g"), kGround, vg);
+  ckt.add<Resistor>("rd", ckt.node("vdd"), ckt.node("d"), 20e3);
+  ckt.add<Capacitor>("cl", ckt.node("d"), kGround, 1e-12);
+  const auto& m1 = ckt.add<Mosfet>("m1", ckt.node("d"), ckt.node("g"), kGround,
+                                   kGround, m, 10e-6, 2e-6);
+  (void)dc_operating_point(ckt);
+  const AcResult before = ac_analysis(ckt, 1e3, 1e9, 5);
+  const double gm_dc = m1.op().gm;
+  const auto tr = transient(ckt, 2e-9, 1e-6);
+  const NodeId d = ckt.find_node("d");
+  ASSERT_GT(std::fabs(final_value(tr, d) - tr.voltage(d, 0)), 0.5);
+  EXPECT_EQ(m1.op().gm, gm_dc);
+  const AcResult after = ac_analysis(ckt, 1e3, 1e9, 5);
+  ASSERT_EQ(before.freq_hz.size(), after.freq_hz.size());
+  for (size_t k = 0; k < before.freq_hz.size(); ++k) {
+    EXPECT_EQ(before.freq_hz[k], after.freq_hz[k]);
+    ASSERT_EQ(before.solutions[k].size(), after.solutions[k].size());
+    for (size_t i = 0; i < before.solutions[k].size(); ++i) {
+      EXPECT_EQ(before.solutions[k][i], after.solutions[k][i])
+          << "point " << k << " entry " << i;
+    }
+  }
+}
+
 TEST(SpiceTran, BadRangeThrows) {
   Circuit ckt("bad");
   ckt.add<VSource>("v1", ckt.node("a"), kGround, step(0, 1));
