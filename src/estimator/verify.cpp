@@ -177,66 +177,72 @@ OpAmpSimReport simulate_opamp(const OpAmpDesign& design, const Process& proc,
   } catch (const Error&) {
   }
 
-  // Unity-gain pulse for the slew rate: the slower of the two edges is
-  // the circuit's slew limit (matches the textbook min() composition).
-  // Non-fatal: transient non-convergence reports slew = 0.
+  // Unity-gain pulse for the slew rate. Non-fatal: transient
+  // non-convergence reports slew = 0.
   if (with_transient) try {
     const Testbench tb = design.testbench(proc, OpAmpTb::UnityStep);
     Circuit ckt = spice::parse_netlist(tb.netlist);
-    const double est_slew = std::max(design.perf.slew, 1e3);
-    const double pw = std::clamp(8.0 * 0.8 / est_slew, 2e-6, 5e-3);
-    const double t_stop = 1e-6 + 2.0 * pw;
-    const auto tr = spice::transient(ckt, pw / 200.0, t_stop);
-    const NodeId out = ckt.find_node("out");
-
-    // 20-80% edge slew of the segment [k0, k1).
-    auto edge_slew = [&](size_t k0, size_t k1) -> double {
-      if (k1 <= k0 + 2) return 0.0;
-      const double v0 = tr.voltage(out, k0);
-      const double v1 = tr.voltage(out, k1 - 1);
-      if (std::fabs(v1 - v0) < 0.1) return 0.0;
-      const double lo = v0 + 0.2 * (v1 - v0);
-      const double hi = v0 + 0.8 * (v1 - v0);
-      double t_lo = -1.0, t_hi = -1.0;
-      for (size_t k = k0 + 1; k < k1; ++k) {
-        const double va = tr.voltage(out, k - 1), vb = tr.voltage(out, k);
-        auto crosses = [&](double level) {
-          return (va - level) * (vb - level) <= 0.0 && va != vb;
-        };
-        if (t_lo < 0.0 && crosses(lo)) {
-          t_lo = tr.time_s[k - 1] + (lo - va) / (vb - va) *
-                                        (tr.time_s[k] - tr.time_s[k - 1]);
-        }
-        if (t_lo >= 0.0 && crosses(hi)) {
-          t_hi = tr.time_s[k - 1] + (hi - va) / (vb - va) *
-                                        (tr.time_s[k] - tr.time_s[k - 1]);
-          break;
-        }
-      }
-      if (t_lo < 0.0 || t_hi <= t_lo) return 0.0;
-      return 0.6 * std::fabs(v1 - v0) / (t_hi - t_lo);
-    };
-
-    // Split at the pulse's falling input edge (t = 1 us + pw).
-    size_t split = tr.time_s.size() - 1;
-    for (size_t k = 0; k < tr.time_s.size(); ++k) {
-      if (tr.time_s[k] >= 1e-6 + pw) {
-        split = k;
-        break;
-      }
-    }
-    const double rise = edge_slew(0, split);
-    const double fall = edge_slew(split, tr.time_s.size());
-    if (rise > 0.0 && fall > 0.0) {
-      r.slew = std::min(rise, fall);
-    } else {
-      r.slew = std::max(rise, fall);
-    }
-    if (r.slew == 0.0) r.slew = spice::slew_rate(tr, out);
+    const UnityStepGrid grid = unity_step_grid(design);
+    const auto tr = spice::transient(ckt, grid.t_step, grid.t_stop);
+    r.slew = unity_step_slew(tr, ckt.find_node("out"), grid.fall_edge);
   } catch (const Error&) {
     r.slew = 0.0;
   }
   return r;
+}
+
+UnityStepGrid unity_step_grid(const OpAmpDesign& design) {
+  const double est_slew = std::max(design.perf.slew, 1e3);
+  const double pw = std::clamp(8.0 * 0.8 / est_slew, 2e-6, 5e-3);
+  return {pw / 200.0, 1e-6 + 2.0 * pw, 1e-6 + pw};
+}
+
+double unity_step_slew(const spice::TranResult& tr, NodeId out, double fall_edge) {
+  // 20-80% edge slew of the segment [k0, k1).
+  auto edge_slew = [&](size_t k0, size_t k1) -> double {
+    if (k1 <= k0 + 2) return 0.0;
+    const double v0 = tr.voltage(out, k0);
+    const double v1 = tr.voltage(out, k1 - 1);
+    if (std::fabs(v1 - v0) < 0.1) return 0.0;
+    const double lo = v0 + 0.2 * (v1 - v0);
+    const double hi = v0 + 0.8 * (v1 - v0);
+    double t_lo = -1.0, t_hi = -1.0;
+    for (size_t k = k0 + 1; k < k1; ++k) {
+      const double va = tr.voltage(out, k - 1), vb = tr.voltage(out, k);
+      auto crosses = [&](double level) {
+        return (va - level) * (vb - level) <= 0.0 && va != vb;
+      };
+      if (t_lo < 0.0 && crosses(lo)) {
+        t_lo = tr.time_s[k - 1] + (lo - va) / (vb - va) *
+                                      (tr.time_s[k] - tr.time_s[k - 1]);
+      }
+      if (t_lo >= 0.0 && crosses(hi)) {
+        t_hi = tr.time_s[k - 1] + (hi - va) / (vb - va) *
+                                      (tr.time_s[k] - tr.time_s[k - 1]);
+        break;
+      }
+    }
+    if (t_lo < 0.0 || t_hi <= t_lo) return 0.0;
+    return 0.6 * std::fabs(v1 - v0) / (t_hi - t_lo);
+  };
+
+  // Split at the pulse's falling input edge.
+  size_t split = tr.time_s.size() - 1;
+  for (size_t k = 0; k < tr.time_s.size(); ++k) {
+    if (tr.time_s[k] >= fall_edge) {
+      split = k;
+      break;
+    }
+  }
+  const double rise = edge_slew(0, split);
+  const double fall = edge_slew(split, tr.time_s.size());
+  double slew = 0.0;
+  if (rise > 0.0 && fall > 0.0) {
+    slew = std::min(rise, fall);
+  } else {
+    slew = std::max(rise, fall);
+  }
+  return slew == 0.0 ? spice::slew_rate(tr, out) : slew;
 }
 
 }  // namespace ape::est

@@ -10,6 +10,7 @@
 #include "src/estimator/components.h"
 #include "src/estimator/netlist.h"
 #include "src/estimator/opamp.h"
+#include "src/spice/analysis.h"
 
 namespace ape::est {
 
@@ -62,5 +63,22 @@ struct OpAmpSimReport {
 /// \p with_transient can be disabled to save time in sweeps.
 OpAmpSimReport simulate_opamp(const OpAmpDesign& design, const Process& proc,
                               bool with_transient = true);
+
+/// The grid of simulate_opamp's unity-gain step: the testbench pulses the
+/// input for pw (sized from the estimated slew) from t = 1 us, sampled
+/// every pw / 200 up to 1 us + 2 pw; the input falls at fall_edge.
+struct UnityStepGrid {
+  double t_step = 0.0;     ///< [s]
+  double t_stop = 0.0;     ///< [s]
+  double fall_edge = 0.0;  ///< [s]
+};
+UnityStepGrid unity_step_grid(const OpAmpDesign& design);
+
+/// The slew rate simulate_opamp reports for a unity-step waveform at
+/// \p out: the slower of the rising and falling 20-80% edges (split at
+/// \p fall_edge; the textbook min() composition), the one measurable edge
+/// when only one is, and spice::slew_rate as the last resort.
+double unity_step_slew(const spice::TranResult& tr, spice::NodeId out,
+                       double fall_edge);
 
 }  // namespace ape::est

@@ -357,7 +357,11 @@ TranResult transient(Circuit& ckt, double t_step, double t_stop,
     rep->relaxed_tolerances = true;
   }
   const TranOptions& opts = *eff;
-  Solution x = dc_operating_point(ckt);
+  // The initial operating point runs under the same per-call budget as
+  // the time steps.
+  DcOptions dc_opts;
+  dc_opts.budget = opts.budget;
+  Solution x = dc_operating_point(ckt, dc_opts);
 
   TranResult out;
   out.time_s.push_back(0.0);
@@ -383,13 +387,15 @@ TranResult transient(Circuit& ckt, double t_step, double t_stop,
                            " at t=" + units::format_eng(t) + " s");
       }
       dt = std::min(dt, t_target - t);
-      TranContext tc{dt, t + dt, first};
+      // The bypass window is the Newton convergence tolerance, so the
+      // relaxed rung's tol_factor widens both alike.
+      TranContext tc{dt, t + dt, first, opts.vntol, opts.reltol};
       xc = x;  // start Newton from previous accepted point
       bool converged = false;
       const bool vetoed = fi != nullptr && fi->on_transient_step();
       if (vetoed) ++rep->convergence_vetoes;
       // dt, time and the integrator state are fixed for the whole solve
-      // attempt, so the linear companion stamps are too.
+      // attempt, so the linear stamps and every charge companion are too.
       if (!vetoed) ws.build_tran_baseline(tc);
       for (int iter = 0; !vetoed && iter < opts.max_iterations; ++iter) {
         ws.assemble_tran(xc, tc);

@@ -126,22 +126,42 @@ struct TranResult {
 
 struct TranOptions {
   int max_iterations = 100;
+  /// Newton convergence: every entry of successive iterates agrees to
+  /// vntol + reltol * |x|. The same two values are the MOSFET bypass
+  /// window (see transient()); the relaxed supervision rung scales both
+  /// by SolverRelaxation::tol_factor.
   double reltol = 1e-4;
-  double vntol = 1e-6;
+  double vntol = 1e-6;     ///< [V]
   int max_step_halvings = 8;  ///< local dt refinement on Newton failure
-  /// When set, filled with step-halving / failure counters for the run.
+  /// When set, filled with step-halving / failure counters for the run;
+  /// report->kernel carries the work counters (device_bypasses,
+  /// factor_reuses, factorizations, solves).
   ConvergenceReport* report = nullptr;
-  /// Cooperative deadline: checked between time steps; an exhausted
-  /// budget aborts with a NumericError naming the time reached. The
-  /// job context's budget (JobContext::budget) is polled at the same sites.
+  /// Cooperative deadline: checked before the initial operating point's
+  /// ladder rungs (it is handed to dc_operating_point()) and between time
+  /// steps; an exhausted budget aborts with a NumericError naming where
+  /// it stopped. The job context's budget (JobContext::budget) is polled
+  /// at the same sites.
   const RunBudget* budget = nullptr;
 };
 
 /// Fixed-step transient from the DC operating point at t = 0.
-/// Runs dc_operating_point() internally to establish initial conditions.
+/// Runs dc_operating_point() internally (under opts.budget) to establish
+/// initial conditions.
 /// The output grid is exactly the user grid (0, t_step, 2*t_step, ...,
 /// t_stop) even when Newton failures force internal sub-stepping;
 /// sub-step solutions are used for integration but never recorded.
+///
+/// Each Newton iteration redoes only the work whose inputs changed
+/// (DESIGN.md section 8): the charge companions are stamped once per
+/// step attempt into the linear baseline; a MOSFET whose vgs, vds and vbs
+/// each moved at most vntol since its last evaluation, with a predicted
+/// current change of at most reltol * |ids| + 1e-12 A, stamps that
+/// evaluation again instead of re-evaluating (and an accepted step keeps
+/// its capacitances under the same voltage rule); and a solve whose
+/// matrix is bitwise the one last factored reuses the factors. The
+/// result differs from a full-Newton transient by second-order terms in
+/// a move of at most vntol.
 TranResult transient(Circuit& ckt, double t_step, double t_stop,
                      const TranOptions& opts = {});
 

@@ -119,6 +119,28 @@ struct TranContext {
   double dt = 0.0;        ///< current step size [s]
   double time = 0.0;      ///< time being solved for [s]
   bool first_step = true; ///< true on the step leaving the DC operating point
+  /// Device-bypass window (DESIGN.md section 8): a device whose
+  /// controlling voltages each moved by at most bypass_vntol since its
+  /// last evaluation, and whose predicted current change is at most
+  /// bypass_reltol * |i| + 1e-12 A, may reuse that evaluation
+  /// (Device::stamp_tran_iteration, Device::accept_tran_step).
+  /// transient() sets both from its effective TranOptions; the default
+  /// 0 lets only bitwise-unchanged voltages reuse, which is exact.
+  double bypass_vntol = 0.0;
+  double bypass_reltol = 0.0;
+};
+
+/// One nonlinear device's last DC linearization in a transient run: the
+/// controlling voltages it was taken at, the current there and its
+/// conductances (MOSFET: v = {vgs, vds, vbs}, g = {gm, gds, gmb}, i =
+/// the drain-terminal current). The run's SolveWorkspace owns one per
+/// nonlinear device and hands it to Device::stamp_tran_iteration; the
+/// device keeps no copy, so the bypass state lives and dies with the run.
+struct Linearization {
+  double v[3] = {0.0, 0.0, 0.0};
+  double g[3] = {0.0, 0.0, 0.0};
+  double i = 0.0;
+  bool valid = false;  ///< false until the first evaluation
 };
 
 // ---------------------------------------------------------------------------
@@ -184,11 +206,35 @@ public:
   /// Stamp the small-signal model at angular frequency \p omega.
   virtual void stamp_ac(MnaComplex& mna, double omega) const = 0;
 
-  /// Stamp for one transient Newton iteration at candidate \p x.
-  /// Default: same as DC (resistive elements).
+  /// Stamp for one transient Newton iteration at candidate \p x: a full
+  /// evaluation, charge companions included. Default: same as DC
+  /// (resistive elements).
   virtual void stamp_tran(MnaReal& mna, const Solution& x, const TranContext& tc) const {
     (void)tc;
     stamp_dc(mna, x, 1.0);
+  }
+
+  /// The part of a nonlinear device's stamp_tran that is fixed for a
+  /// whole step attempt: its charge companions, whose integrator state
+  /// and capacitances change only in accept_tran_step. The kernel stamps
+  /// it once per attempt into the transient baseline. Default: nothing.
+  virtual void stamp_tran_companions(MnaReal& mna, const TranContext& tc) const {
+    (void)mna;
+    (void)tc;
+  }
+
+  /// The rest of stamp_tran for one transient Newton iteration at \p x:
+  /// stamp_tran_companions plus this stamps what stamp_tran stamps. \p lin
+  /// is the run's slot for this device: when x lies inside tc's bypass
+  /// window around lin the device may stamp lin verbatim instead of
+  /// re-evaluating, otherwise it re-evaluates into lin. Returns true when
+  /// it bypassed. Default: stamp_tran, never bypasses (so a device that
+  /// overrides stamp_tran_companions overrides this too).
+  virtual bool stamp_tran_iteration(MnaReal& mna, const Solution& x,
+                                    const TranContext& tc, Linearization& lin) const {
+    (void)lin;
+    stamp_tran(mna, x, tc);
+    return false;
   }
 
   /// Accept the converged transient step (update integrator state).

@@ -13,13 +13,19 @@ namespace {
 constexpr double kGmin = 1e-12;
 constexpr double kVt = 0.02585;   // thermal voltage at 300K [V]
 constexpr double k4kT = 4.0 * 1.380649e-23 * 300.0;  // 4kT at 300K [J]
+/// Absolute floor of the MOSFET bypass's current test [A].
+constexpr double kBypassAbstol = 1e-12;
+
+/// The bypass window's voltage test: every move at most \p tol.
+bool within(double dv1, double dv2, double dv3, double tol) {
+  return std::fabs(dv1) <= tol && std::fabs(dv2) <= tol && std::fabs(dv3) <= tol;
+}
 }  // namespace
 
 // --- CapCompanion -----------------------------------------------------------
 
 void CapCompanion::stamp(MnaReal& mna, NodeId p, NodeId n, double c,
-                         const Solution& x, const TranContext& tc) const {
-  (void)x;
+                         const TranContext& tc) const {
   if (c <= 0.0 || tc.dt <= 0.0) return;
   // Trapezoidal: i = (2C/dt)(v - v_prev) - i_prev; BE on the first step.
   const double geq = (tc.first_step ? 1.0 : 2.0) * c / tc.dt;
@@ -100,8 +106,8 @@ void Capacitor::stamp_ac(MnaComplex& mna, double omega) const {
   mna.add(n_, p_, -y);
 }
 
-void Capacitor::stamp_tran(MnaReal& mna, const Solution& x, const TranContext& tc) const {
-  state_.stamp(mna, p_, n_, farads_, x, tc);
+void Capacitor::stamp_tran(MnaReal& mna, const Solution&, const TranContext& tc) const {
+  state_.stamp(mna, p_, n_, farads_, tc);
 }
 
 void Capacitor::save_op(const Solution& x) {
@@ -468,21 +474,29 @@ Mosfet::Bias Mosfet::bias_at(const Solution& x) const {
   return v;
 }
 
-void Mosfet::stamp_dc(MnaReal& mna, const Solution& x, double) const {
+Linearization Mosfet::linearize(const Solution& x) const {
   const Bias v = bias_at(x);
   const MosEval e = mos_eval_dc(*model_, v.vgs, v.vds, v.vbs, w_, l_);
+  Linearization lin;
+  lin.v[0] = x.at(g_) - x.at(s_);
+  lin.v[1] = x.at(d_) - x.at(s_);
+  lin.v[2] = x.at(b_) - x.at(s_);
   // For PMOS the drain-terminal current is the negative of the normalized
   // current; the conductances are sign-invariant under the mapping.
-  const double id = (model_->type == MosType::Pmos) ? -e.ids : e.ids;
-  const double gm = std::max(e.gm, 0.0);
-  const double gds = std::max(e.gds, kGmin);
-  const double gmb = std::max(e.gmb, 0.0);
+  lin.i = (model_->type == MosType::Pmos) ? -e.ids : e.ids;
+  lin.g[0] = std::max(e.gm, 0.0);
+  lin.g[1] = std::max(e.gds, kGmin);
+  lin.g[2] = std::max(e.gmb, 0.0);
+  lin.valid = true;
+  return lin;
+}
 
-  const double vgs = x.at(g_) - x.at(s_);
-  const double vds = x.at(d_) - x.at(s_);
-  const double vbs = x.at(b_) - x.at(s_);
+void Mosfet::stamp_linearization(MnaReal& mna, const Linearization& lin) const {
+  const double gm = lin.g[0];
+  const double gds = lin.g[1];
+  const double gmb = lin.g[2];
   // Companion: Id(x) linearized in (vgs, vds, vbs).
-  const double ieq = id - gm * vgs - gds * vds - gmb * vbs;
+  const double ieq = lin.i - gm * lin.v[0] - gds * lin.v[1] - gmb * lin.v[2];
 
   mna.add(d_, g_, gm);
   mna.add(d_, d_, gds);
@@ -496,11 +510,16 @@ void Mosfet::stamp_dc(MnaReal& mna, const Solution& x, double) const {
   mna.add_rhs(s_, ieq);
 }
 
+void Mosfet::stamp_dc(MnaReal& mna, const Solution& x, double) const {
+  stamp_linearization(mna, linearize(x));
+}
+
 void Mosfet::save_op(const Solution& x) {
   const Bias v = bias_at(x);
   op_ = mos_eval(*model_, v.vgs, v.vds, v.vbs, w_, l_, ad_, as_, pd_, ps_);
   // Initialize transient companions and capacitances at the DC point.
   caps_ = {op_.cgs, op_.cgd, op_.cgb, op_.cdb, op_.csb};
+  caps_bias_ = v;
   cgs_st_ = {x.at(g_) - x.at(s_), 0.0};
   cgd_st_ = {x.at(g_) - x.at(d_), 0.0};
   cgb_st_ = {x.at(g_) - x.at(b_), 0.0};
@@ -538,11 +557,29 @@ void Mosfet::stamp_ac(MnaComplex& mna, double omega) const {
 
 void Mosfet::stamp_tran(MnaReal& mna, const Solution& x, const TranContext& tc) const {
   stamp_dc(mna, x, 1.0);  // resistive companion at candidate x
-  cgs_st_.stamp(mna, g_, s_, caps_.cgs, x, tc);
-  cgd_st_.stamp(mna, g_, d_, caps_.cgd, x, tc);
-  cgb_st_.stamp(mna, g_, b_, caps_.cgb, x, tc);
-  cdb_st_.stamp(mna, d_, b_, caps_.cdb, x, tc);
-  csb_st_.stamp(mna, s_, b_, caps_.csb, x, tc);
+  stamp_tran_companions(mna, tc);
+}
+
+void Mosfet::stamp_tran_companions(MnaReal& mna, const TranContext& tc) const {
+  cgs_st_.stamp(mna, g_, s_, caps_.cgs, tc);
+  cgd_st_.stamp(mna, g_, d_, caps_.cgd, tc);
+  cgb_st_.stamp(mna, g_, b_, caps_.cgb, tc);
+  cdb_st_.stamp(mna, d_, b_, caps_.cdb, tc);
+  csb_st_.stamp(mna, s_, b_, caps_.csb, tc);
+}
+
+bool Mosfet::stamp_tran_iteration(MnaReal& mna, const Solution& x, const TranContext& tc,
+                                  Linearization& lin) const {
+  const double dvgs = x.at(g_) - x.at(s_) - lin.v[0];
+  const double dvds = x.at(d_) - x.at(s_) - lin.v[1];
+  const double dvbs = x.at(b_) - x.at(s_) - lin.v[2];
+  const bool bypass =
+      lin.valid && within(dvgs, dvds, dvbs, tc.bypass_vntol) &&
+      std::fabs(lin.g[0] * dvgs + lin.g[1] * dvds + lin.g[2] * dvbs) <=
+          tc.bypass_reltol * std::fabs(lin.i) + kBypassAbstol;
+  if (!bypass) lin = linearize(x);
+  stamp_linearization(mna, lin);
+  return bypass;
 }
 
 void Mosfet::noise_sources(std::vector<NoiseSource>& out) const {
@@ -574,10 +611,17 @@ void Mosfet::accept_tran_step(const Solution& x, const TranContext& tc) {
   cgb_st_.accept(g_, b_, caps_.cgb, x, tc);
   cdb_st_.accept(d_, b_, caps_.cdb, x, tc);
   csb_st_.accept(s_, b_, caps_.csb, x, tc);
-  // Refresh the bias-dependent capacitances for the next step; op_ keeps
-  // the DC operating point the AC and noise analyses linearize around.
+  // Refresh the bias-dependent capacitances for the next step, unless
+  // the bias stayed inside the bypass window of the one they were
+  // evaluated at; op_ keeps the DC operating point the AC and noise
+  // analyses linearize around.
   const Bias v = bias_at(x);
+  if (within(v.vgs - caps_bias_.vgs, v.vds - caps_bias_.vds, v.vbs - caps_bias_.vbs,
+             tc.bypass_vntol)) {
+    return;
+  }
   caps_ = mos_caps(*model_, v.vgs, v.vds, v.vbs, w_, l_, ad_, as_, pd_, ps_);
+  caps_bias_ = v;
 }
 
 }  // namespace ape::spice

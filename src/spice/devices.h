@@ -18,8 +18,9 @@ struct CapCompanion {
   double v_prev = 0.0;  ///< voltage across at last accepted step
   double i_prev = 0.0;  ///< current through at last accepted step
 
-  void stamp(MnaReal& mna, NodeId p, NodeId n, double c, const Solution& x,
-             const TranContext& tc) const;
+  /// The companion reads no candidate solution: it is fixed for a whole
+  /// step attempt.
+  void stamp(MnaReal& mna, NodeId p, NodeId n, double c, const TranContext& tc) const;
   void accept(NodeId p, NodeId n, double c, const Solution& x,
               const TranContext& tc);
 };
@@ -242,6 +243,14 @@ public:
   void save_op(const Solution& x) override;
   void stamp_ac(MnaComplex& mna, double omega) const override;
   void stamp_tran(MnaReal& mna, const Solution& x, const TranContext& tc) const override;
+  void stamp_tran_companions(MnaReal& mna, const TranContext& tc) const override;
+  /// Bypasses when each of |dvgs|, |dvds|, |dvbs| against \p lin is at
+  /// most tc.bypass_vntol and |gm dvgs + gds dvds + gmb dvbs| is at most
+  /// tc.bypass_reltol * |ids| + 1e-12 A.
+  bool stamp_tran_iteration(MnaReal& mna, const Solution& x, const TranContext& tc,
+                            Linearization& lin) const override;
+  /// Refreshes the capacitances unless every terminal voltage stayed
+  /// within tc.bypass_vntol of the bias they were evaluated at.
   void accept_tran_step(const Solution& x, const TranContext& tc) override;
   void noise_sources(std::vector<NoiseSource>& out) const override;
 
@@ -263,14 +272,20 @@ private:
     double vgs, vds, vbs;
   };
   Bias bias_at(const Solution& x) const;
+  /// The DC companion at candidate x: one mos_eval_dc, conductances
+  /// clamped for Newton, current in drain-terminal sign.
+  Linearization linearize(const Solution& x) const;
+  void stamp_linearization(MnaReal& mna, const Linearization& lin) const;
 
   NodeId d_, g_, s_, b_;
   const MosModelCard* model_;
   double w_, l_, ad_, as_, pd_, ps_;
   MosEval op_;
   // Transient state: the five Meyer/junction capacitances at the last
-  // accepted point (save_op's at the start) and their companions.
+  // accepted point (save_op's at the start), the bias they were
+  // evaluated at, and their companions.
   MosCaps caps_;
+  Bias caps_bias_{0.0, 0.0, 0.0};
   CapCompanion cgs_st_, cgd_st_, cgb_st_, cdb_st_, csb_st_;
 };
 

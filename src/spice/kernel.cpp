@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <limits>
 
@@ -140,6 +141,7 @@ SolveWorkspace::SolveWorkspace(Circuit& ckt)
   hbest_.assign(dim_, 0.0);
   hwork_.assign(dim_, 0.0);
   hwork2_.assign(dim_, 0.0);
+  lins_.assign(ckt.nonlinear_devices().size(), Linearization{});
   begin_capture();
   setup_bytes_ = measured_bytes();
   stats_.workspace_bytes = setup_bytes_;
@@ -181,6 +183,7 @@ void SolveWorkspace::build_tran_baseline(const TranContext& tc) {
   note_baseline_kind(BaselineKind::Tran);
   base_.clear();
   for (const Device* d : ckt_->linear_devices()) d->stamp_tran(base_, zero_x_, tc);
+  for (const Device* d : ckt_->nonlinear_devices()) d->stamp_tran_companions(base_, tc);
   for (size_t i = 0; i < n_nodes_; ++i) {
     base_.add(static_cast<NodeId>(i), static_cast<NodeId>(i), kFloatingNodeGmin);
   }
@@ -202,8 +205,11 @@ void SolveWorkspace::assemble_dc(const Solution& x, double src_scale) {
 
 void SolveWorkspace::assemble_tran(const Solution& x, const TranContext& tc) {
   restore_baseline();
-  for (const Device* d : ckt_->nonlinear_devices()) d->stamp_tran(mna_, x, tc);
-  stats_.nonlinear_stamps += static_cast<long>(ckt_->nonlinear_devices().size());
+  const std::vector<Device*>& nl = ckt_->nonlinear_devices();
+  for (size_t k = 0; k < nl.size(); ++k) {
+    if (nl[k]->stamp_tran_iteration(mna_, x, tc, lins_[k])) ++stats_.device_bypasses;
+  }
+  stats_.nonlinear_stamps += static_cast<long>(nl.size());
 }
 
 void SolveWorkspace::freeze_pattern() {
@@ -216,6 +222,7 @@ void SolveWorkspace::freeze_pattern() {
   pattern_.finalize();
   flat_idx_.resize(pattern_.nnz());
   svals_.resize(pattern_.nnz());
+  fvals_.resize(pattern_.nnz());
   const std::vector<int>& rp = pattern_.row_ptr();
   const std::vector<int>& cols = pattern_.cols();
   for (size_t r = 0; r < dim_; ++r) {
@@ -243,8 +250,22 @@ const std::vector<double>& SolveWorkspace::solve() {
   health_ = NumericHealth{};
   const NumericHealthMode mode = job_context().health_mode;
   gather_values();
-  factor_values(svals_, mode, [this] { gather_values(); },
-                [this] { return measured_bytes(); });
+  // Transient factor reuse: a Newton iteration whose devices all
+  // bypassed, on an unchanged baseline, assembles the very matrix the
+  // live factors came from.
+  const bool reuse = baseline_kind_ == BaselineKind::Tran && mode != NumericHealthMode::Force;
+  if (reuse && factors_plain_ &&
+      std::memcmp(svals_.data(), fvals_.data(), svals_.size() * sizeof(double)) == 0) {
+    ++stats_.factor_reuses;
+  } else {
+    factors_plain_ = false;
+    factor_values(svals_, mode, [this] { gather_values(); },
+                  [this] { return measured_bytes(); });
+    if (reuse && !equilibrated_now_ && !health_.recovered) {
+      std::copy(svals_.begin(), svals_.end(), fvals_.begin());
+      factors_plain_ = true;
+    }
+  }
   if (equilibrated_now_) {
     // The factors hold RAC: solve (RAC) y = R b, then x = C y.
     hwork_ = mna_.rhs();
@@ -339,6 +360,7 @@ void SolveWorkspace::refine_current() {
   if (out.diverged && !equilibrated_now_ && try_equilibrate(svals_)) {
     // Escalation: refinement could not fix the unscaled factorization —
     // equilibrate, refactorize, resolve, refine once more.
+    factors_plain_ = false;
     bool redone = false;
     try {
       slu_.factorize(pattern_, svals_);
@@ -386,7 +408,9 @@ size_t SolveWorkspace::measured_bytes() const {
          (mna_.rhs().capacity() + base_.rhs().capacity() + xnew_.capacity() +
           zero_x_.x.capacity()) * d +
          pattern_.memory_bytes() + slu_.memory_bytes() +
-         svals_.capacity() * d + flat_idx_.capacity() * sizeof(size_t) +
+         (svals_.capacity() + fvals_.capacity()) * d +
+         flat_idx_.capacity() * sizeof(size_t) +
+         lins_.capacity() * sizeof(Linearization) +
          (row_scale_.capacity() + col_scale_.capacity() + col_sums_.capacity() +
           hresid_.capacity() + hdx_.capacity() + hbest_.capacity() +
           hwork_.capacity() + hwork2_.capacity()) * d;

@@ -17,7 +17,11 @@
 ///   (Circuit::nonlinear_devices(): MOSFETs, diodes). The MNA matrix,
 ///   RHS, LU storage and solution buffer are all owned by the
 ///   workspace, so a whole analysis performs zero heap allocations after
-///   setup (KernelStats::workspace_regrowths stays 0).
+///   setup (KernelStats::workspace_regrowths stays 0). A transient
+///   redoes only changed work (DESIGN.md section 8): the baseline also
+///   holds the MOSFET charge companions, a MOSFET inside the bypass
+///   window stamps its last linearization again, and a bitwise-unchanged
+///   matrix reuses its factors.
 /// - AcKernel (complex systems): assembles real G and C slot arrays once
 ///   per operating point from one virtual stamp pass, then forms
 ///   G + jwC per frequency with a fused loop over them. The split is
@@ -134,9 +138,11 @@ public:
   /// linear device stamps plus \p gmin on every node-row diagonal.
   void build_dc_baseline(double gmin, double src_scale);
 
-  /// Stamp the linear baseline for one transient solve attempt at \p tc
-  /// (fixed dt / time / integrator state) plus the floating-node gmin
-  /// diagonal. Valid until the step is accepted or dt changes.
+  /// Stamp the baseline for one transient solve attempt at \p tc (fixed
+  /// dt / time / integrator state): the linear devices, the nonlinear
+  /// devices' charge companions (Device::stamp_tran_companions) and the
+  /// floating-node gmin diagonal. Valid until the step is accepted or dt
+  /// changes.
   void build_tran_baseline(const TranContext& tc);
 
   /// Restore the baseline (memcpy) and restamp the nonlinear devices
@@ -144,12 +150,20 @@ public:
   void assemble_dc(const Solution& x, double src_scale);
 
   /// Restore the baseline and restamp the nonlinear devices for a
-  /// transient iteration at candidate \p x.
+  /// transient iteration at candidate \p x through
+  /// Device::stamp_tran_iteration: each device gets its own slot of the
+  /// run's bypass state and may reuse its last linearization inside tc's
+  /// bypass window (counted in KernelStats::device_bypasses).
   void assemble_tran(const Solution& x, const TranContext& tc);
 
   /// Factorize the assembled system in place and solve into the owned
   /// solution buffer (returned by reference, valid until the next call).
-  /// Throws NumericError on a singular system.
+  /// A transient solve whose gathered values are bitwise equal to those
+  /// of the live plain factorization (not equilibrated, recovered or
+  /// refactored by refinement) reuses its factors instead
+  /// (KernelStats::factor_reuses); Force mode always refactors. The
+  /// health checks run on every solve either way. Throws NumericError on
+  /// a singular system.
   const std::vector<double>& solve();
 
   /// The assembled system (for fault-injection probes). Always fully
@@ -211,6 +225,14 @@ private:
   std::vector<size_t> flat_idx_;   ///< slot -> dense row-major index
   BaselineKind baseline_kind_ = BaselineKind::None;
   bool frozen_ = false;
+
+  // Transient work reuse (DESIGN.md section 8), sized at setup: one
+  // bypass slot per nonlinear device (Circuit::nonlinear_devices()
+  // order), and the slot values of the live factorization, valid for
+  // reuse while factors_plain_ holds.
+  std::vector<Linearization> lins_;
+  std::vector<double> fvals_;
+  bool factors_plain_ = false;
 
   // Numerical-health scratch, preallocated at construction (and folded
   // into the audited setup bytes) so even the recovery rungs run without

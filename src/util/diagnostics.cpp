@@ -50,7 +50,9 @@ void KernelStats::accumulate(const KernelStats& o) {
   baseline_restores += o.baseline_restores;
   linear_stamps_skipped += o.linear_stamps_skipped;
   nonlinear_stamps += o.nonlinear_stamps;
+  device_bypasses += o.device_bypasses;
   factorizations += o.factorizations;
+  factor_reuses += o.factor_reuses;
   solves += o.solves;
   ac_points_fused += o.ac_points_fused;
   ac_points_virtual += o.ac_points_virtual;
@@ -78,6 +80,9 @@ std::string KernelStats::summary() const {
      << " stamps_skipped=" << linear_stamps_skipped
      << " nonlinear_stamps=" << nonlinear_stamps
      << " factorizations=" << factorizations << " solves=" << solves;
+  if (device_bypasses > 0 || factor_reuses > 0) {
+    os << " bypasses=" << device_bypasses << " factor_reuses=" << factor_reuses;
+  }
   if (ac_points_fused > 0) os << " ac_fused=" << ac_points_fused;
   if (ac_points_virtual > 0) os << " ac_virtual=" << ac_points_virtual;
   os << " workspace_bytes=" << workspace_bytes
@@ -107,7 +112,9 @@ void KernelStats::to_json(json::Writer& w) const {
       .field("baseline_restores", baseline_restores)
       .field("linear_stamps_skipped", linear_stamps_skipped)
       .field("nonlinear_stamps", nonlinear_stamps)
+      .field("device_bypasses", device_bypasses)
       .field("factorizations", factorizations)
+      .field("factor_reuses", factor_reuses)
       .field("solves", solves)
       .field("ac_points_fused", ac_points_fused)
       .field("ac_points_virtual", ac_points_virtual)

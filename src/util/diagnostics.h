@@ -111,8 +111,12 @@ struct KernelStats {
   long baseline_restores = 0;    ///< memcpy restorations of a baseline
   long linear_stamps_skipped = 0;///< per-device restamps avoided by restores
   long nonlinear_stamps = 0;     ///< per-iteration nonlinear device restamps
+  long device_bypasses = 0;      ///< transient nonlinear restamps that reused
+                                 ///< the device's last linearization
   long factorizations = 0;       ///< numeric LU factorizations: first
                                  ///< orderings, replays and re-orderings
+  long factor_reuses = 0;        ///< transient solves on the live factors of
+                                 ///< bitwise-equal values (no factorization)
   long solves = 0;               ///< forward/back substitution passes
   long ac_points_fused = 0;      ///< AC points assembled as fused G + jwC
   long ac_points_virtual = 0;    ///< retired: no AC point is restamped per

@@ -20,6 +20,8 @@
 #include "src/spice/kernel.h"
 #include "src/spice/noise.h"
 #include "src/spice/parser.h"
+#include "src/util/json.h"
+#include "tests/reference_analyses.h"
 #include "tests/test_models.h"
 
 namespace ape::spice {
@@ -39,190 +41,13 @@ Waveform dc_ac(double dc, double ac) {
 }
 
 // ---------------------------------------------------------------------------
-// Reference implementations: the pre-kernel analysis algorithms, kept
-// verbatim (minus probes / reporting; plus the .nodeset Seeded plan that
-// dc_operating_point tries first) as the ground truth the compiled path
-// must reproduce.
+// Reference implementations (tests/reference_analyses.h): the pre-kernel
+// analysis algorithms the compiled path must reproduce.
 
-bool ref_all_finite(const std::vector<double>& v) {
-  for (double e : v) {
-    if (!std::isfinite(e)) return false;
-  }
-  return true;
-}
-
-bool ref_newton_dc(Circuit& ckt, Solution& x, double gmin, double src_scale,
-                   const DcOptions& opts) {
-  const size_t dim = ckt.dim();
-  const size_t n_nodes = ckt.num_nodes();
-  MnaReal mna(dim);
-  for (int iter = 0; iter < opts.max_iterations; ++iter) {
-    mna.clear();
-    for (const auto& dev : ckt.devices()) dev->stamp_dc(mna, x, src_scale);
-    for (size_t i = 0; i < n_nodes; ++i) {
-      mna.add(static_cast<NodeId>(i), static_cast<NodeId>(i), gmin);
-    }
-    std::vector<double> xnew;
-    try {
-      LuSolver<double> lu(mna.matrix());
-      xnew = lu.solve(mna.rhs());
-    } catch (const NumericError&) {
-      return false;
-    }
-    if (!ref_all_finite(xnew)) return false;
-    bool converged = true;
-    double max_ratio = 1.0;
-    for (size_t i = 0; i < n_nodes; ++i) {
-      const double dv = std::fabs(xnew[i] - x.x[i]);
-      if (dv > opts.vstep_limit) max_ratio = std::max(max_ratio, dv / opts.vstep_limit);
-    }
-    max_ratio = std::min(max_ratio, opts.max_damping_ratio);
-    for (size_t i = 0; i < dim; ++i) {
-      const double step = (xnew[i] - x.x[i]) / max_ratio;
-      const double next = x.x[i] + step;
-      const double tol = (i < n_nodes)
-                             ? opts.vntol + opts.reltol * std::max(std::fabs(next), std::fabs(x.x[i]))
-                             : opts.abstol + opts.reltol * std::max(std::fabs(next), std::fabs(x.x[i]));
-      if (std::fabs(step) > tol) converged = false;
-      x.x[i] = next;
-    }
-    if (converged && max_ratio == 1.0 && iter > 0) return true;
-  }
-  return false;
-}
-
-Solution ref_dc_operating_point(Circuit& ckt) {
-  const DcOptions opts;
-  ckt.finalize();
-  Solution x;
-  x.x.assign(ckt.dim(), 0.0);
-  bool ok = false;
-  if (!ckt.nodesets().empty()) {
-    DcOptions seeded = opts;
-    seeded.max_iterations = kSeededMaxIterations;
-    for (const Circuit::NodeSet& ns : ckt.nodesets()) {
-      x.x[static_cast<size_t>(ns.node)] = ns.volts;
-    }
-    ok = ref_newton_dc(ckt, x, opts.gmin_steps.back(), 1.0, seeded);
-    if (!ok) x.x.assign(ckt.dim(), 0.0);
-  }
-  if (!ok) {
-    ok = true;
-    for (double gmin : opts.gmin_steps) {
-      if (!ref_newton_dc(ckt, x, gmin, 1.0, opts)) {
-        ok = false;
-        break;
-      }
-    }
-  }
-  if (!ok) {
-    x.x.assign(ckt.dim(), 0.0);
-    ok = true;
-    for (double s : opts.source_steps) {
-      if (!ref_newton_dc(ckt, x, 1e-9, s, opts)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) {
-      for (double gmin : opts.gmin_steps) {
-        if (!ref_newton_dc(ckt, x, gmin, 1.0, opts)) {
-          ok = false;
-          break;
-        }
-      }
-    }
-  }
-  if (!ok) throw NumericError("ref_dc_operating_point: no convergence");
-  for (const auto& dev : ckt.devices()) dev->save_op(x);
-  return x;
-}
-
-AcResult ref_ac_analysis(Circuit& ckt, double f_start, double f_stop,
-                         int points_per_decade) {
-  AcResult out;
-  const double decades = std::log10(f_stop / f_start);
-  const int n = std::max(2, static_cast<int>(std::ceil(decades * points_per_decade)) + 1);
-  const size_t dim = ckt.dim();
-  MnaComplex mna(dim);
-  for (int k = 0; k < n; ++k) {
-    const double f = f_start * std::pow(10.0, decades * k / (n - 1));
-    const double omega = 2.0 * M_PI * f;
-    mna.clear();
-    for (const auto& dev : ckt.devices()) dev->stamp_ac(mna, omega);
-    for (size_t i = 0; i < ckt.num_nodes(); ++i) {
-      mna.add(static_cast<NodeId>(i), static_cast<NodeId>(i), {1e-12, 0.0});
-    }
-    LuSolver<std::complex<double>> lu(mna.matrix());
-    out.freq_hz.push_back(f);
-    out.solutions.push_back(lu.solve(mna.rhs()));
-  }
-  return out;
-}
-
-TranResult ref_transient(Circuit& ckt, double t_step, double t_stop) {
-  const TranOptions opts;
-  Solution x = ref_dc_operating_point(ckt);
-  TranResult out;
-  out.time_s.push_back(0.0);
-  out.solutions.push_back(x);
-  const size_t dim = ckt.dim();
-  const size_t n_nodes = ckt.num_nodes();
-  MnaReal mna(dim);
-  double t = 0.0;
-  bool first = true;
-  while (t < t_stop - 1e-15) {
-    const double t_target = std::min(t + t_step, t_stop);
-    double dt = t_target - t;
-    int halvings = 0;
-    while (t < t_target - 1e-15) {
-      dt = std::min(dt, t_target - t);
-      TranContext tc{dt, t + dt, first};
-      Solution xc = x;
-      bool converged = false;
-      for (int iter = 0; iter < opts.max_iterations; ++iter) {
-        mna.clear();
-        for (const auto& dev : ckt.devices()) dev->stamp_tran(mna, xc, tc);
-        for (size_t i = 0; i < n_nodes; ++i) {
-          mna.add(static_cast<NodeId>(i), static_cast<NodeId>(i), 1e-12);
-        }
-        std::vector<double> xnew;
-        try {
-          LuSolver<double> lu(mna.matrix());
-          xnew = lu.solve(mna.rhs());
-        } catch (const NumericError&) {
-          break;
-        }
-        if (!ref_all_finite(xnew)) break;
-        converged = true;
-        for (size_t i = 0; i < dim; ++i) {
-          const double step = xnew[i] - xc.x[i];
-          const double tol = opts.vntol + opts.reltol *
-                                 std::max(std::fabs(xnew[i]), std::fabs(xc.x[i]));
-          if (std::fabs(step) > tol) converged = false;
-          xc.x[i] = xnew[i];
-        }
-        if (converged && iter > 0) break;
-        converged = false;
-      }
-      if (converged) {
-        for (const auto& dev : ckt.devices()) dev->accept_tran_step(xc, tc);
-        x = std::move(xc);
-        t += dt;
-        first = false;
-        continue;
-      }
-      if (++halvings > opts.max_step_halvings) {
-        throw NumericError("ref_transient: Newton failed");
-      }
-      dt *= 0.5;
-    }
-    t = t_target;
-    out.time_s.push_back(t);
-    out.solutions.push_back(x);
-  }
-  return out;
-}
+using test::ref_ac_analysis;
+using test::ref_all_finite;
+using test::ref_dc_operating_point;
+using test::ref_transient;
 
 // ---------------------------------------------------------------------------
 // Topologies. Each builder constructs a fresh identical circuit so the
@@ -674,10 +499,18 @@ TEST(KernelStats_, AccumulateSumsCountersAndMaxesBytes) {
   b.factorizations = 4;
   b.workspace_bytes = 200;
   b.ac_points_fused = 7;
+  b.device_bypasses = 11;
+  b.factor_reuses = 5;
   a.accumulate(b);
   EXPECT_EQ(a.factorizations, 7);
   EXPECT_EQ(a.ac_points_fused, 7);
   EXPECT_EQ(a.workspace_bytes, 200u);
+  EXPECT_EQ(a.device_bypasses, 11);
+  EXPECT_EQ(a.factor_reuses, 5);
+  EXPECT_NE(a.summary().find("bypasses=11 factor_reuses=5"), std::string::npos);
+  const std::string js = json::dump(a);
+  EXPECT_NE(js.find("\"device_bypasses\":11"), std::string::npos) << js;
+  EXPECT_NE(js.find("\"factor_reuses\":5"), std::string::npos) << js;
 }
 
 // ---------------------------------------------------------------------------
