@@ -1,40 +1,58 @@
 #include "src/spice/circuit.h"
 
 #include <algorithm>
-#include <cctype>
 
 namespace ape::spice {
 namespace {
 
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return s;
+/// ASCII (C-locale) lower case.
+char fold(char c) { return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c; }
+
+std::string lower(std::string_view s) {
+  std::string out(s);
+  for (char& c : out) c = fold(c);
+  return out;
 }
 
-bool is_ground_name(const std::string& name) {
-  const std::string l = lower(name);
-  return l == "0" || l == "gnd" || l == "ground";
+bool iequals(std::string_view a, std::string_view lower_word) {
+  if (a.size() != lower_word.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (fold(a[i]) != lower_word[i]) return false;
+  }
+  return true;
+}
+
+bool is_ground_name(std::string_view name) {
+  return iequals(name, "0") || iequals(name, "gnd") || iequals(name, "ground");
 }
 
 }  // namespace
 
-NodeId Circuit::node(const std::string& name) {
+bool CaseFoldLess::operator()(std::string_view a, std::string_view b) const {
+  const size_t n = std::min(a.size(), b.size());
+  for (size_t i = 0; i < n; ++i) {
+    const auto x = static_cast<unsigned char>(fold(a[i]));
+    const auto y = static_cast<unsigned char>(fold(b[i]));
+    if (x != y) return x < y;
+  }
+  return a.size() < b.size();
+}
+
+NodeId Circuit::node(std::string_view name) {
   if (is_ground_name(name)) return kGround;
-  const std::string key = lower(name);
-  auto it = node_ids_.find(key);
+  auto it = node_ids_.find(name);
   if (it != node_ids_.end()) return it->second;
   ensure_not_finalized();
   const NodeId id = static_cast<NodeId>(node_names_.size());
-  node_names_.push_back(name);
-  node_ids_.emplace(key, id);
+  node_names_.emplace_back(name);
+  node_ids_.emplace(lower(name), id);
   return id;
 }
 
-NodeId Circuit::find_node(const std::string& name) const {
+NodeId Circuit::find_node(std::string_view name) const {
   if (is_ground_name(name)) return kGround;
-  auto it = node_ids_.find(lower(name));
-  if (it == node_ids_.end()) throw LookupError("no node named '" + name + "'");
+  auto it = node_ids_.find(name);
+  if (it == node_ids_.end()) throw LookupError("no node named '" + std::string(name) + "'");
   return it->second;
 }
 
@@ -52,9 +70,9 @@ const MosModelCard* Circuit::add_model(MosModelCard card) {
   return &it->second;
 }
 
-const MosModelCard* Circuit::model(const std::string& name) const {
-  auto it = models_.find(lower(name));
-  if (it == models_.end()) throw LookupError("no .model named '" + name + "'");
+const MosModelCard* Circuit::model(std::string_view name) const {
+  auto it = models_.find(name);
+  if (it == models_.end()) throw LookupError("no .model named '" + std::string(name) + "'");
   return &it->second;
 }
 

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/spice/device.h"
@@ -12,6 +13,13 @@
 #include "src/util/error.h"
 
 namespace ape::spice {
+
+/// Case-insensitive ordering of names (ASCII case folding), transparent so
+/// a lookup takes a std::string_view without building a lower-cased key.
+struct CaseFoldLess {
+  using is_transparent = void;
+  bool operator()(std::string_view a, std::string_view b) const;
+};
 
 /// A flat circuit: named nodes, .model cards and devices. Nodes named
 /// "0", "gnd" or "ground" (case-insensitive) map to the reference node.
@@ -24,10 +32,10 @@ public:
   void set_title(std::string t) { title_ = std::move(t); }
 
   /// Get or create the node with this name.
-  NodeId node(const std::string& name);
+  NodeId node(std::string_view name);
 
   /// Look up an existing node; throws LookupError if absent.
-  NodeId find_node(const std::string& name) const;
+  NodeId find_node(std::string_view name) const;
 
   /// Name of a node id (for reporting).
   const std::string& node_name(NodeId id) const;
@@ -39,7 +47,7 @@ public:
   const MosModelCard* add_model(MosModelCard card);
 
   /// Find a model card by name; throws LookupError if absent.
-  const MosModelCard* model(const std::string& name) const;
+  const MosModelCard* model(std::string_view name) const;
 
   /// Construct a device in place. Example:
   ///   ckt.add<Resistor>("r1", ckt.node("a"), ckt.node("b"), 1e3);
@@ -110,8 +118,8 @@ private:
 
   std::string title_;
   std::vector<std::string> node_names_;
-  std::map<std::string, NodeId> node_ids_;
-  std::map<std::string, MosModelCard> models_;
+  std::map<std::string, NodeId, CaseFoldLess> node_ids_;
+  std::map<std::string, MosModelCard, CaseFoldLess> models_;
   std::vector<std::unique_ptr<Device>> devices_;
   std::vector<Device*> linear_devices_;
   std::vector<Device*> nonlinear_devices_;

@@ -20,11 +20,15 @@
 namespace ape::spice {
 
 /// Parse a full netlist (first line is the title, per SPICE convention).
-/// Throws ParseError with a line number on malformed input.
+/// Throws ParseError naming the line on malformed input, and LookupError
+/// naming the line for a MOSFET whose model card does not exist. Line N
+/// counts logical lines: comment and blank lines are not counted and a
+/// '+' continuation belongs to the line it continues.
 Circuit parse_netlist(const std::string& text);
 
 /// Parse a single ".model name nmos|pmos (k=v ...)" card body.
 /// \p line is the full card text including the ".model" keyword.
+/// Throws ParseError on a malformed card.
 MosModelCard parse_model_card(const std::string& line);
 
 }  // namespace ape::spice

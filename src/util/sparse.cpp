@@ -21,6 +21,38 @@ uint64_t fnv1a(uint64_t h, const void* data, size_t bytes) {
   return h;
 }
 
+/// Items (the rows or the columns of the active submatrix) kept on
+/// doubly linked lists by their active entry count, so the ordering pass
+/// visits rows in count order and finds the smallest column count without
+/// a scan over all of them.
+class CountBuckets {
+public:
+  explicit CountBuckets(size_t n) : head_(n + 1, -1), next_(n, -1), prev_(n, -1), at_(n, -1) {}
+
+  void insert(int item, int count) {
+    at_[item] = count;
+    prev_[item] = -1;
+    next_[item] = head_[count];
+    if (next_[item] >= 0) prev_[next_[item]] = item;
+    head_[count] = item;
+  }
+  void remove(int item) {
+    (prev_[item] >= 0 ? next_[prev_[item]] : head_[at_[item]]) = next_[item];
+    if (next_[item] >= 0) prev_[next_[item]] = prev_[item];
+    at_[item] = -1;
+  }
+  void move(int item, int count) {
+    if (at_[item] == count) return;
+    remove(item);
+    insert(item, count);
+  }
+  int first(int count) const { return head_[count]; }
+  int next(int item) const { return next_[item]; }
+
+private:
+  std::vector<int> head_, next_, prev_, at_;
+};
+
 }  // namespace
 
 void SparsePattern::finalize() {
@@ -90,171 +122,236 @@ void SparseLu<T>::order_and_factor(const SparsePattern& pattern, const std::vect
   }
   if (scale == 0.0) throw NumericError("sparse LU: zero matrix");
 
-  // Dense working copies in permuted coordinates: W holds values (then
-  // multipliers below the diagonal), S the structural pattern including
-  // fill. O(n^2) scratch is acceptable because this pass runs once per
-  // topology; it is freed before the first refactor.
-  std::vector<T> w(n_ * n_, T{});
-  std::vector<uint8_t> s(n_ * n_, 0);
+  // Every structural entry of the elimination, original or fill, in
+  // original coordinates, with its current value and magnitude. Entry s <
+  // nnz is pattern slot s. Each entry sits on a doubly linked list of its
+  // row's and of its column's *active* entries (those whose row and column
+  // are not yet pivoted), so one pivot step costs the active submatrix's
+  // entries, not n^2.
+  struct Entry {
+    int row, col;
+    int row_prev, row_next, col_prev, col_next;
+    T val;
+    double mag;
+  };
+  std::vector<Entry> ent;
+  ent.reserve(2 * pattern.nnz());
+  std::vector<int> row_head(n_, -1), col_head(n_, -1), row_cnt(n_, 0), col_cnt(n_, 0);
+  auto link = [&](int e) {
+    Entry& x = ent[e];
+    x.row_prev = -1;
+    x.row_next = row_head[x.row];
+    if (x.row_next >= 0) ent[x.row_next].row_prev = e;
+    row_head[x.row] = e;
+    ++row_cnt[x.row];
+    x.col_prev = -1;
+    x.col_next = col_head[x.col];
+    if (x.col_next >= 0) ent[x.col_next].col_prev = e;
+    col_head[x.col] = e;
+    ++col_cnt[x.col];
+  };
+  auto unlink_row = [&](int e) {
+    const Entry& x = ent[e];
+    (x.row_prev >= 0 ? ent[x.row_prev].row_next : row_head[x.row]) = x.row_next;
+    if (x.row_next >= 0) ent[x.row_next].row_prev = x.row_prev;
+    --row_cnt[x.row];
+  };
+  auto unlink_col = [&](int e) {
+    const Entry& x = ent[e];
+    (x.col_prev >= 0 ? ent[x.col_prev].col_next : col_head[x.col]) = x.col_next;
+    if (x.col_next >= 0) ent[x.col_next].col_prev = x.col_prev;
+    --col_cnt[x.col];
+  };
+  auto add_entry = [&](int r, int c, const T& v) {
+    ent.push_back({r, c, -1, -1, -1, -1, v, std::abs(v)});
+    link(static_cast<int>(ent.size()) - 1);
+    return static_cast<int>(ent.size()) - 1;
+  };
+
   const std::vector<int>& rp = pattern.row_ptr();
   const std::vector<int>& pc = pattern.cols();
+  std::vector<double> colmax(n_, 0.0);  // active column value maxima, NaN-ignoring
   for (int r = 0; r < n; ++r) {
     for (int slot = rp[r]; slot < rp[r + 1]; ++slot) {
-      w[static_cast<size_t>(r) * n_ + pc[slot]] = values[slot];
-      s[static_cast<size_t>(r) * n_ + pc[slot]] = 1;
+      const Entry& x = ent[add_entry(r, pc[slot], values[slot])];
+      if (x.mag > colmax[x.col]) colmax[x.col] = x.mag;
     }
   }
+
+  // Permutations and their inverses. The pivot of step k is brought to
+  // position (k, k) by swapping positions, so the active rows at step k
+  // are row_orig_[k..n) and "first in permuted row-major order" compares
+  // (row_pos, col_pos).
   row_orig_.resize(n_);
   col_orig_.resize(n_);
-  for (int i = 0; i < n; ++i) row_orig_[i] = col_orig_[i] = i;
+  std::vector<int> row_pos(n_), col_pos(n_);
+  for (int i = 0; i < n; ++i) row_orig_[i] = col_orig_[i] = row_pos[i] = col_pos[i] = i;
 
+  CountBuckets row_buckets(n_), col_buckets(n_);
+  for (int i = 0; i < n; ++i) {
+    row_buckets.insert(i, row_cnt[i]);
+    col_buckets.insert(i, col_cnt[i]);
+  }
+
+  std::vector<int> col_stamp(n_, -1), col_entry(n_);  // one row's columns, per stamp
+  int stamp = 0;
   size_t fill = 0;
-  std::vector<int> r_cnt(n_), c_cnt(n_);
-  std::vector<double> colmax(n_);
 
   for (int k = 0; k < n; ++k) {
-    // Active-submatrix row/column structural counts and column value
-    // maxima for the Markowitz cost and the numeric threshold.
-    for (int j = k; j < n; ++j) {
-      c_cnt[j] = 0;
-      colmax[j] = 0.0;
-    }
-    for (int i = k; i < n; ++i) {
-      int rc = 0;
-      const uint8_t* srow = &s[static_cast<size_t>(i) * n_];
-      const T* wrow = &w[static_cast<size_t>(i) * n_];
-      for (int j = k; j < n; ++j) {
-        if (!srow[j]) continue;
-        ++rc;
-        ++c_cnt[j];
-        const double m = std::abs(wrow[j]);
-        if (m > colmax[j]) colmax[j] = m;
-      }
-      r_cnt[i] = rc;
-    }
-
-    // Markowitz selection: minimize (r - 1)(c - 1) over structural
-    // entries whose magnitude passes the threshold; ties prefer the
-    // original diagonal, then the larger magnitude (growth control).
+    // Markowitz selection: minimize (r - 1)(c - 1) over active entries
+    // whose magnitude passes the threshold; ties prefer the original
+    // diagonal, then the larger magnitude (growth control), then the
+    // first in permuted row-major order.
     long best_cost = std::numeric_limits<long>::max();
-    int bi = -1, bj = -1;
+    int best = -1, best_p = 0, best_q = 0;
+    bool best_diag = false;
     double best_mag = 0.0;
-    for (int i = k; i < n; ++i) {
-      const uint8_t* srow = &s[static_cast<size_t>(i) * n_];
-      const T* wrow = &w[static_cast<size_t>(i) * n_];
-      const long rm = r_cnt[i] - 1;
-      for (int j = k; j < n; ++j) {
-        if (!srow[j]) continue;
-        const double m = std::abs(wrow[j]);
-        if (!(m > 0.0) || !(m >= kPivotThreshold * colmax[j])) continue;
-        const long cost = rm * (c_cnt[j] - 1);
-        bool better;
-        if (cost != best_cost) {
-          better = cost < best_cost;
-        } else {
-          const bool cand_diag = row_orig_[i] == col_orig_[j];
-          const bool cur_diag = bi >= 0 && row_orig_[bi] == col_orig_[bj];
-          better = cand_diag != cur_diag ? cand_diag : m > best_mag;
-        }
-        if (better) {
-          best_cost = cost;
-          bi = i;
-          bj = j;
-          best_mag = m;
-        }
+    auto earlier = [&](int p, int q) { return p < best_p || (p == best_p && q < best_q); };
+    auto consider = [&](int e) {
+      const Entry& x = ent[e];
+      const double m = x.mag;
+      if (!(m > 0.0) || !(m >= kPivotThreshold * colmax[x.col])) return;
+      const long cost = static_cast<long>(row_cnt[x.row] - 1) * (col_cnt[x.col] - 1);
+      const bool diag = x.row == x.col;
+      const int p = row_pos[x.row];
+      const int q = col_pos[x.col];
+      bool better = cost < best_cost;
+      if (cost == best_cost) {
+        better = diag != best_diag ? diag : m != best_mag ? m > best_mag : earlier(p, q);
       }
+      if (better) {
+        best_cost = cost;
+        best = e;
+        best_p = p;
+        best_q = q;
+        best_diag = diag;
+        best_mag = m;
+      }
+    };
+    // The Markowitz search order: rows and columns of count 1, then of
+    // count 2, ... Once every row and column of count <= c is seen, any
+    // other entry costs at least c * c, so the search stops when that
+    // exceeds the best cost (ties still compete: only a strictly higher
+    // bound stops). The winner is the same as a full scan's because the
+    // comparison is a total order on (cost, diagonal, magnitude, position).
+    for (int c = 1; c <= n; ++c) {
+      for (int r = row_buckets.first(c); r >= 0; r = row_buckets.next(r)) {
+        for (int e = row_head[r]; e >= 0; e = ent[e].row_next) consider(e);
+      }
+      for (int col = col_buckets.first(c); col >= 0; col = col_buckets.next(col)) {
+        for (int e = col_head[col]; e >= 0; e = ent[e].col_next) consider(e);
+      }
+      if (static_cast<long>(c) * c > best_cost) break;
     }
-    if (bi < 0) {
-      // No entry passed the threshold. Fall back to the largest
-      // magnitude; if everything is zero, check for non-finite poison
-      // (which must propagate, matching the dense solver) before
-      // declaring the matrix singular.
-      for (int i = k; i < n; ++i) {
-        for (int j = k; j < n; ++j) {
-          if (!s[static_cast<size_t>(i) * n_ + j]) continue;
-          const double m = std::abs(w[static_cast<size_t>(i) * n_ + j]);
-          if (m > best_mag) {
-            best_mag = m;
-            bi = i;
-            bj = j;
+    if (best < 0) {
+      // No candidate means no active entry has a positive magnitude (the
+      // entry holding its column's maximum always passes the threshold).
+      // Non-finite poison must propagate, matching the dense solver:
+      // pivot on the first NaN in permuted row-major order; with none,
+      // the matrix is singular.
+      for (int p = k; p < n; ++p) {
+        for (int e = row_head[row_orig_[p]]; e >= 0; e = ent[e].row_next) {
+          const int q = col_pos[ent[e].col];
+          if (!std::isfinite(ent[e].mag) && (best < 0 || earlier(p, q))) {
+            best = e;
+            best_p = p;
+            best_q = q;
           }
         }
       }
-      if (bi < 0 || best_mag == 0.0) {
-        int nf_i = -1, nf_j = -1;
-        for (int i = k; i < n && nf_i < 0; ++i) {
-          for (int j = k; j < n; ++j) {
-            if (s[static_cast<size_t>(i) * n_ + j] &&
-                !std::isfinite(std::abs(w[static_cast<size_t>(i) * n_ + j]))) {
-              nf_i = i;
-              nf_j = j;
-              break;
-            }
-          }
-        }
-        if (nf_i < 0) {
-          throw NumericError(singular_message("sparse", static_cast<size_t>(k),
-                                              n_, scale,
-                                              health::kSingularRelTol));
-        }
-        bi = nf_i;
-        bj = nf_j;
+      if (best < 0) {
+        throw NumericError(singular_message("sparse", static_cast<size_t>(k),
+                                            n_, scale,
+                                            health::kSingularRelTol));
       }
     }
 
-    // Bring the pivot to (k, k) by physical row/column swaps.
-    if (bi != k) {
-      std::swap_ranges(w.begin() + static_cast<size_t>(k) * n_,
-                       w.begin() + static_cast<size_t>(k + 1) * n_,
-                       w.begin() + static_cast<size_t>(bi) * n_);
-      std::swap_ranges(s.begin() + static_cast<size_t>(k) * n_,
-                       s.begin() + static_cast<size_t>(k + 1) * n_,
-                       s.begin() + static_cast<size_t>(bi) * n_);
-      std::swap(row_orig_[k], row_orig_[bi]);
+    // Bring the pivot to position (k, k).
+    const int pr = ent[best].row;
+    const int pcol = ent[best].col;
+    if (best_p != k) {
+      std::swap(row_orig_[k], row_orig_[best_p]);
+      row_pos[row_orig_[k]] = k;
+      row_pos[row_orig_[best_p]] = best_p;
     }
-    if (bj != k) {
-      for (int r = 0; r < n; ++r) {
-        std::swap(w[static_cast<size_t>(r) * n_ + k], w[static_cast<size_t>(r) * n_ + bj]);
-        std::swap(s[static_cast<size_t>(r) * n_ + k], s[static_cast<size_t>(r) * n_ + bj]);
-      }
-      std::swap(col_orig_[k], col_orig_[bj]);
+    if (best_q != k) {
+      std::swap(col_orig_[k], col_orig_[best_q]);
+      col_pos[col_orig_[k]] = k;
+      col_pos[col_orig_[best_q]] = best_q;
     }
 
     // Structural elimination with numeric values along for the ride —
     // fill is decided by the pattern, never by value cancellation, so a
     // slot that happens to be 0.0 this time still reserves its storage.
-    const T piv = w[static_cast<size_t>(k) * n_ + k];
-    const uint8_t* skrow = &s[static_cast<size_t>(k) * n_];
-    const T* wkrow = &w[static_cast<size_t>(k) * n_];
-    for (int i = k + 1; i < n; ++i) {
-      if (!s[static_cast<size_t>(i) * n_ + k]) continue;
-      const T m = w[static_cast<size_t>(i) * n_ + k] / piv;
-      w[static_cast<size_t>(i) * n_ + k] = m;
-      uint8_t* sirow = &s[static_cast<size_t>(i) * n_];
-      T* wirow = &w[static_cast<size_t>(i) * n_];
-      for (int j = k + 1; j < n; ++j) {
-        if (!skrow[j]) continue;
-        if (!sirow[j]) {
-          sirow[j] = 1;
+    const T piv = ent[best].val;
+    for (int e = col_head[pcol]; e >= 0; e = ent[e].col_next) {
+      const int i = ent[e].row;
+      if (i == pr) continue;
+      const T m = ent[e].val / piv;
+      ent[e].val = m;
+      ++stamp;
+      for (int f = row_head[i]; f >= 0; f = ent[f].row_next) {
+        col_stamp[ent[f].col] = stamp;
+        col_entry[ent[f].col] = f;
+      }
+      for (int u = row_head[pr]; u >= 0; u = ent[u].row_next) {
+        const int j = ent[u].col;
+        if (j == pcol) continue;
+        int t = col_entry[j];
+        if (col_stamp[j] != stamp) {
+          t = add_entry(i, j, T{});
           ++fill;
         }
-        wirow[j] -= m * wkrow[j];
+        ent[t].val -= m * ent[u].val;
+        ent[t].mag = std::abs(ent[t].val);
       }
+    }
+
+    // Retire the pivot row and column from the active lists; the columns
+    // of the pivot row lost an entry and changed values, so their maxima
+    // are the only ones to refresh.
+    for (int u = row_head[pr]; u >= 0; u = ent[u].row_next) unlink_col(u);
+    for (int e = col_head[pcol]; e >= 0; e = ent[e].col_next) {
+      unlink_row(e);
+      row_buckets.move(ent[e].row, row_cnt[ent[e].row]);
+    }
+    row_buckets.remove(pr);
+    col_buckets.remove(pcol);
+    for (int u = row_head[pr]; u >= 0; u = ent[u].row_next) {
+      const int j = ent[u].col;
+      if (j == pcol) continue;
+      col_buckets.move(j, col_cnt[j]);
+      double cm = 0.0;
+      for (int e = col_head[j]; e >= 0; e = ent[e].col_next) {
+        if (ent[e].mag > cm) cm = ent[e].mag;
+      }
+      colmax[j] = cm;
     }
   }
 
-  // Freeze the L + U pattern into CSR over permuted rows.
+  // Freeze the L + U pattern into CSR over permuted rows, columns
+  // ascending: a counting sort of the entries by column position, then a
+  // stable one by row position.
+  const size_t total = ent.size();
+  std::vector<int> by_col(total), next(n_ + 1, 0), slot_of(total);
+  for (const Entry& x : ent) ++next[col_pos[x.col] + 1];
+  for (size_t q = 0; q < n_; ++q) next[q + 1] += next[q];
+  for (size_t e = 0; e < total; ++e) by_col[next[col_pos[ent[e].col]]++] = static_cast<int>(e);
   f_row_ptr_.assign(n_ + 1, 0);
-  f_cols_.clear();
+  for (const Entry& x : ent) ++f_row_ptr_[row_pos[x.row] + 1];
+  for (size_t p = 0; p < n_; ++p) f_row_ptr_[p + 1] += f_row_ptr_[p];
+  std::copy(f_row_ptr_.begin(), f_row_ptr_.end() - 1, next.begin());
+  f_cols_.resize(total);
   f_diag_.assign(n_, -1);
+  for (int e : by_col) {
+    const int p = row_pos[ent[e].row];
+    const int q = col_pos[ent[e].col];
+    const int slot = next[p]++;
+    f_cols_[slot] = q;
+    slot_of[e] = slot;
+    if (p == q) f_diag_[p] = slot;
+  }
   for (int i = 0; i < n; ++i) {
-    const uint8_t* srow = &s[static_cast<size_t>(i) * n_];
-    for (int j = 0; j < n; ++j) {
-      if (!srow[j]) continue;
-      if (j == i) f_diag_[i] = static_cast<int>(f_cols_.size());
-      f_cols_.push_back(j);
-    }
-    f_row_ptr_[i + 1] = static_cast<int>(f_cols_.size());
     if (f_diag_[i] < 0) {
       // Unreachable: the step-i pivot sits at (i, i) by construction.
       throw NumericError("sparse LU: missing diagonal in factor row " + std::to_string(i));
@@ -262,53 +359,57 @@ void SparseLu<T>::order_and_factor(const SparsePattern& pattern, const std::vect
   }
   f_vals_.assign(f_cols_.size(), T{});
 
-  // Slot lookup in a factor row (columns sorted ascending).
-  auto f_slot = [&](int i, int j) {
-    const int* begin = f_cols_.data() + f_row_ptr_[i];
-    const int* end = f_cols_.data() + f_row_ptr_[i + 1];
-    const int* it = std::lower_bound(begin, end, j);
-    if (it == end || *it != j) {
-      throw NumericError("sparse LU: internal pattern inconsistency");
-    }
-    return static_cast<int>(f_row_ptr_[i] + (it - begin));
-  };
-
   // Scatter map: original pattern slot -> factor slot.
-  std::vector<int> pos_row(n_), pos_col(n_);
-  for (int p = 0; p < n; ++p) {
-    pos_row[row_orig_[p]] = p;
-    pos_col[col_orig_[p]] = p;
-  }
-  scatter_.resize(pattern.nnz());
-  for (int r = 0; r < n; ++r) {
-    for (int slot = rp[r]; slot < rp[r + 1]; ++slot) {
-      scatter_[slot] = f_slot(pos_row[r], pos_col[pc[slot]]);
-    }
-  }
+  scatter_.assign(slot_of.begin(), slot_of.begin() + static_cast<std::ptrdiff_t>(pattern.nnz()));
   a_row_ptr_ = rp;
   row_max_.assign(n_, 0.0);
 
   // Compile the elimination program. The U-row slots of step k are the
   // contiguous factor slots (f_diag_[k], f_row_ptr_[k+1]); each pair
-  // stores its multiplier slot plus destination slots aligned with them.
+  // (step k, row i > k with an L entry in column k), ordered by k then
+  // i, stores its multiplier slot plus destination slots aligned with
+  // them. Pairs of step k all have the U-row length of k, so their
+  // storage offsets follow from the per-column L counts; rows are then
+  // walked in ascending order, each resolving its columns through a
+  // column -> slot map.
   pair_ptr_.assign(n_ + 1, 0);
-  l_slot_.clear();
-  dst_ptr_.clear();
-  dst_.clear();
+  for (int i = 0; i < n; ++i) {
+    for (int slot = f_row_ptr_[i]; slot < f_diag_[i]; ++slot) ++pair_ptr_[f_cols_[slot] + 1];
+  }
+  for (size_t k = 0; k < n_; ++k) pair_ptr_[k + 1] += pair_ptr_[k];
+  const size_t pairs = static_cast<size_t>(pair_ptr_[n_]);
+  l_slot_.resize(pairs);
+  dst_ptr_.resize(pairs + 1);
   size_t flops = 0;
   for (int k = 0; k < n; ++k) {
-    const int ub = f_diag_[k] + 1;
-    const int ue = f_row_ptr_[k + 1];
-    for (int i = k + 1; i < n; ++i) {
-      if (!s[static_cast<size_t>(i) * n_ + k]) continue;
-      l_slot_.push_back(f_slot(i, k));
-      dst_ptr_.push_back(static_cast<int>(dst_.size()));
-      for (int us = ub; us < ue; ++us) dst_.push_back(f_slot(i, f_cols_[us]));
-      flops += static_cast<size_t>(ue - ub);
+    const size_t ulen = static_cast<size_t>(f_row_ptr_[k + 1] - f_diag_[k] - 1);
+    for (int p = pair_ptr_[k]; p < pair_ptr_[k + 1]; ++p) {
+      dst_ptr_[p] = static_cast<int>(flops);
+      flops += ulen;
     }
-    pair_ptr_[k + 1] = static_cast<int>(l_slot_.size());
   }
-  dst_ptr_.push_back(static_cast<int>(dst_.size()));
+  dst_ptr_[pairs] = static_cast<int>(flops);
+  dst_.resize(flops);
+  std::copy(pair_ptr_.begin(), pair_ptr_.end() - 1, next.begin());
+  std::fill(col_stamp.begin(), col_stamp.end(), -1);
+  for (int i = 0; i < n; ++i) {
+    for (int slot = f_row_ptr_[i]; slot < f_row_ptr_[i + 1]; ++slot) {
+      col_stamp[f_cols_[slot]] = i;
+      col_entry[f_cols_[slot]] = slot;
+    }
+    for (int slot = f_row_ptr_[i]; slot < f_diag_[i]; ++slot) {
+      const int k = f_cols_[slot];
+      const int pair = next[k]++;
+      l_slot_[pair] = slot;
+      int* d = dst_.data() + dst_ptr_[pair];
+      for (int us = f_diag_[k] + 1; us < f_row_ptr_[k + 1]; ++us) {
+        if (col_stamp[f_cols_[us]] != i) {
+          throw NumericError("sparse LU: internal pattern inconsistency");
+        }
+        *d++ = col_entry[f_cols_[us]];
+      }
+    }
+  }
 
   y_.resize(n_);
   stats_.nnz = pattern.nnz();

@@ -14,11 +14,16 @@
 ///
 ///  - ORDER AND FACTOR (once per topology): numeric-threshold Markowitz
 ///    pivoting — pick the structural entry minimizing the fill estimate
-///    (r_i - 1)(c_j - 1) among entries passing |a_ij| >= tau * colmax —
-///    while recording the row/column permutations, the fill-in pattern
-///    of L + U, and a compiled elimination "program": flat slot-index
-///    arrays that name, for every elimination pair, exactly which L + U
-///    storage slots participate. This is the symbolic factorization.
+///    (r_i - 1)(c_j - 1) among entries passing |a_ij| >= tau * colmax;
+///    ties go to an original diagonal, then the larger magnitude, then
+///    the first in permuted row-major order — while recording the
+///    row/column permutations, the fill-in pattern of L + U, and a
+///    compiled elimination "program": flat slot-index arrays that name,
+///    for every elimination pair, exactly which L + U storage slots
+///    participate. This is the symbolic factorization. The pass keeps
+///    per-row and per-column lists of the active entries and searches
+///    rows and columns by increasing count, so it costs the entries it
+///    touches rather than n^2 per pivot.
 ///  - REFACTOR (every Newton iteration / AC point): scatter the new
 ///    values through the precomputed slot map and replay the program —
 ///    no searching, no allocation, no index arithmetic beyond array
@@ -80,7 +85,7 @@ public:
   const std::vector<int>& row_ptr() const { return row_ptr_; }
   const std::vector<int>& cols() const { return cols_; }
 
-  /// Pattern density nnz / n^2 (0 for empty), the crossover input.
+  /// Pattern density nnz / n^2 (0 for empty).
   double density() const {
     return n_ == 0 ? 0.0 : static_cast<double>(nnz()) / (static_cast<double>(n_) * static_cast<double>(n_));
   }
@@ -148,6 +153,16 @@ public:
 
   size_t size() const { return n_; }
   const SparseLuStats& stats() const { return stats_; }
+
+  /// The analyzed ordering, read-only: permuted position p holds original
+  /// row row_order()[p] and original column col_order()[p].
+  const std::vector<int>& row_order() const { return row_orig_; }
+  const std::vector<int>& col_order() const { return col_orig_; }
+  /// The L + U pattern in CSR over permuted rows (columns are permuted
+  /// positions, ascending); its row r holds the multipliers of unit-lower
+  /// L left of the diagonal and U from the diagonal on.
+  const std::vector<int>& factor_row_ptr() const { return f_row_ptr_; }
+  const std::vector<int>& factor_cols() const { return f_cols_; }
 
   /// max_k|u_kk| / max|a| of the last refactor — the O(1) diagonal
   /// pivot-growth monitor used by the numerical-health layer (same proxy

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "src/util/error.h"
 
@@ -32,10 +33,21 @@ std::optional<double> parse(std::string_view text) {
   }
   if (text.empty()) return std::nullopt;
 
-  std::string buf(text);
+  // strtod needs a terminated string: copy the token to the stack (the
+  // heap only for a token longer than any SPICE number).
+  char stack[64];
+  std::string heap;
+  const char* buf = stack;
+  if (text.size() < sizeof stack) {
+    std::memcpy(stack, text.data(), text.size());
+    stack[text.size()] = '\0';
+  } else {
+    heap.assign(text);
+    buf = heap.c_str();
+  }
   char* end = nullptr;
-  const double mantissa = std::strtod(buf.c_str(), &end);
-  if (end == buf.c_str()) return std::nullopt;
+  const double mantissa = std::strtod(buf, &end);
+  if (end == buf) return std::nullopt;
 
   std::string_view rest(end);
   double scale = 1.0;

@@ -209,6 +209,80 @@ TEST(Parser, MosfetNeedsKnownModel) {
   EXPECT_THROW(parse_netlist("t\nM1 d g 0 0 nosuch W=1u L=1u\n"), LookupError);
 }
 
+/// The what() of the ape::Error \p net throws, with its dynamic type
+/// checked as \p E ("" and a test failure otherwise).
+template <typename E>
+std::string error_of(const std::string& net) {
+  try {
+    parse_netlist(net);
+  } catch (const E& e) {
+    return e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "wrong exception type: " << e.what();
+    return "";
+  }
+  ADD_FAILURE() << "no exception from:\n" << net;
+  return "";
+}
+
+TEST(Parser, UnknownMosfetModelNamesTheLine) {
+  // Still a LookupError (MosfetNeedsKnownModel), now naming its line.
+  const std::string msg =
+      error_of<LookupError>("t\nR1 d 0 1k\nM1 d g 0 0 nosuch W=1u L=1u\n");
+  EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("nosuch"), std::string::npos) << msg;
+}
+
+TEST(Parser, CccsWithUnknownControlIsAParseErrorNamingItsLine) {
+  const std::string msg = error_of<ParseError>("t\nR1 a 0 1k\nF1 f 0 Vnope 2\n");
+  EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("F1"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("Vnope"), std::string::npos) << msg;
+}
+
+TEST(Parser, CcvsControlledThroughANonSourceIsAParseErrorNamingItsLine) {
+  const std::string msg = error_of<ParseError>("t\nR1 a 0 1k\nR2 f 0 1k\nH1 f 0 R1 2\n");
+  EXPECT_NE(msg.find("line 4"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("H1"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("'R1'"), std::string::npos) << msg;
+}
+
+TEST(Parser, ControlledSourceSelfLoopNamesItsLine) {
+  const std::string msg = error_of<ParseError>("t\nV1 a 0 DC 1\nF1 b b v1 2\n");
+  EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("both terminals"), std::string::npos) << msg;
+}
+
+TEST(Parser, ModelCardErrorsNameTheLine) {
+  // A bad value, an unknown parameter and an unsupported type in a
+  // netlist's .model card all name the card's line; parse_model_card on
+  // its own has no line to name.
+  const std::string bad_value = error_of<ParseError>(
+      "t\nR1 a 0 1k\n.model m nmos (kp=abc)\n");
+  EXPECT_NE(bad_value.find("line 3"), std::string::npos) << bad_value;
+  EXPECT_NE(bad_value.find("cannot parse number 'abc' in .model m"), std::string::npos)
+      << bad_value;
+  const std::string unknown = error_of<ParseError>("t\n.model m nmos (zzz=1)\n");
+  EXPECT_NE(unknown.find("line 2: .model m: unknown parameter 'zzz'"), std::string::npos)
+      << unknown;
+  const std::string type = error_of<ParseError>("t\n.model m xmos\n");
+  EXPECT_NE(type.find("line 2"), std::string::npos) << type;
+  try {
+    parse_model_card(".model m nmos (kp=abc)");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(std::string(e.what()).find("line"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Parser, ModelLevelOutsideTheIntRangeIsRejected) {
+  // Converting 1e300 (or NaN) to int would be undefined; it is simply an
+  // unsupported LEVEL.
+  EXPECT_THROW(parse_model_card(".model m nmos (level=1e300)"), ParseError);
+  EXPECT_THROW(parse_model_card(".model m nmos (level=nan)"), ParseError);
+  EXPECT_EQ(parse_model_card(".model m nmos (level=3.9)").level, 3);
+}
+
 TEST(Parser, RejectsDuplicateDeviceName) {
   try {
     parse_netlist("t\nR1 a 0 1k\nr1 a 0 2k\n");

@@ -4,9 +4,16 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <random>
+#include <string>
 
+#include "src/spice/analysis.h"
+#include "src/spice/devices.h"
+#include "src/spice/parser.h"
 #include "src/util/matrix.h"
+#include "tests/netlist_corpus.h"
+#include "tests/reference_sparse_order.h"
 
 namespace ape {
 namespace {
@@ -395,6 +402,254 @@ TEST(SparseLu, RowScaledProxyIsTheRowEquilibratedReplaysProxy) {
   EXPECT_NEAR(lu.max_abs_scale(), 1.0, 1e-15);
   EXPECT_NEAR(lu.max_abs_scale() / lu.min_pivot(), proxy, 1e-12 * proxy);
   EXPECT_NEAR(lu.row_scaled_cond_proxy(), proxy, 1e-12 * proxy);
+}
+
+// ---------------------------------------------------------------------------
+// Ordering equivalence: the sparse Markowitz pass against the dense-scratch
+// reference it replaced (tests/reference_sparse_order.h). Same pivots, same
+// L + U pattern, same fill and flops, bitwise-equal solutions, and the same
+// exception text where the reference throws.
+
+/// Factor (pattern, vals) with both and compare everything observable.
+/// Returns whether the system factored (both agree on that too).
+template <typename T>
+bool expect_same_ordering(const SparsePattern& p, const std::vector<T>& vals,
+                          const std::string& what) {
+  SCOPED_TRACE(what);
+  test::DenseOrderLu<T> ref;
+  SparseLu<T> lu;
+  std::string ref_err, got_err;
+  try {
+    ref.factorize(p, vals);
+  } catch (const NumericError& e) {
+    ref_err = e.what();
+  }
+  try {
+    lu.factorize(p, vals);
+  } catch (const NumericError& e) {
+    got_err = e.what();
+  }
+  EXPECT_EQ(got_err, ref_err);
+  if (!ref_err.empty() || !got_err.empty()) return false;
+  EXPECT_EQ(lu.row_order(), ref.row_order());
+  EXPECT_EQ(lu.col_order(), ref.col_order());
+  EXPECT_EQ(lu.factor_row_ptr(), ref.factor_row_ptr());
+  EXPECT_EQ(lu.factor_cols(), ref.factor_cols());
+  EXPECT_EQ(lu.stats().fill_in, ref.stats().fill_in);
+  EXPECT_EQ(lu.stats().flops, ref.stats().flops);
+  const size_t n = p.n();
+  std::vector<T> b(n), xs, xr;
+  for (size_t i = 0; i < n; ++i) {
+    b[i] = T(1.0 + 0.25 * static_cast<double>(i % 9) - 0.5 * static_cast<double>(i % 2));
+  }
+  lu.solve_into(b, xs);
+  ref.solve_into(b, xr);
+  EXPECT_EQ(std::memcmp(xs.data(), xr.data(), n * sizeof(T)), 0) << "solutions differ";
+  return true;
+}
+
+/// A random sparse system: ~\p per_row off-diagonal entries per row, a
+/// diagonal present with probability \p diag_prob, magnitudes spread over
+/// \p decades, and (when \p ties) values from a small integer set so
+/// cost, diagonal and magnitude ties are common.
+template <typename T>
+void random_system(std::mt19937_64& gen, size_t n, int per_row, double diag_prob,
+                   double decades, bool ties, SparsePattern& p, std::vector<T>& vals) {
+  std::uniform_real_distribution<double> unif(0.0, 1.0);
+  auto value = [&]() -> double {
+    if (ties) return static_cast<double>(static_cast<int>(gen() % 5) - 2);  // -2..2, zeros too
+    const double mag = std::pow(10.0, decades * (unif(gen) - 0.5));
+    return unif(gen) < 0.5 ? -mag : mag;
+  };
+  auto scalar = [&]() -> T {
+    if constexpr (std::is_same_v<T, double>) {
+      return value();
+    } else {
+      return T(value(), ties ? 0.0 : value());
+    }
+  };
+  Matrix<T> a(n, n);
+  std::vector<std::pair<int, int>> slots;
+  for (size_t i = 0; i < n; ++i) {
+    if (unif(gen) < diag_prob) {
+      a(i, i) = scalar();
+      slots.emplace_back(static_cast<int>(i), static_cast<int>(i));
+    }
+    for (int k = 0; k < per_row; ++k) {
+      const size_t j = gen() % n;
+      a(i, j) = scalar();
+      slots.emplace_back(static_cast<int>(i), static_cast<int>(j));
+    }
+  }
+  // Every slot is structural, zero-valued ones included (a cutoff gm).
+  p.reset(n);
+  for (const auto& [r, c] : slots) p.add(r, c);
+  p.finalize();
+  vals.assign(p.nnz(), T{});
+  for (size_t r = 0; r < n; ++r) {
+    for (int s = p.row_ptr()[r]; s < p.row_ptr()[r + 1]; ++s) {
+      vals[s] = a(r, static_cast<size_t>(p.cols()[s]));
+    }
+  }
+}
+
+template <typename T>
+void random_equivalence_sweep(uint64_t seed) {
+  std::mt19937_64 gen(seed);
+  int factored = 0, thrown = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t n = 1 + static_cast<size_t>(gen() % 40);
+    const int per_row = 1 + static_cast<int>(gen() % 4);
+    const double diag_prob = (trial % 4 == 0) ? 0.3 : 0.9;  // structurally zero diagonals
+    const double decades = (trial % 3 == 0) ? 12.0 : 2.0;   // threshold rejections
+    const bool ties = trial % 5 == 1;
+    SparsePattern p;
+    std::vector<T> vals;
+    random_system(gen, n, per_row, diag_prob, decades, ties, p, vals);
+    if (expect_same_ordering(p, vals, "trial " + std::to_string(trial))) {
+      ++factored;
+    } else {
+      ++thrown;
+    }
+  }
+  // Both outcomes are exercised: most systems factor, singular ones throw.
+  EXPECT_GT(factored, 200);
+  EXPECT_GT(thrown, 10);
+}
+
+TEST(SparseOrderingEquivalence, RandomRealSystems) { random_equivalence_sweep<double>(101); }
+
+TEST(SparseOrderingEquivalence, RandomComplexSystems) {
+  random_equivalence_sweep<std::complex<double>>(202);
+}
+
+TEST(SparseOrderingEquivalence, ThresholdRejectsTheCheapestEntries) {
+  // Row 0 and column 0 are singletons apart from tiny entries: the
+  // cheapest (cost-0) candidates sit below 1% of their column maxima, so
+  // the threshold must steer the pick to costlier but larger entries.
+  RealMatrix m(5, 5);
+  for (size_t i = 0; i < 5; ++i) m(i, i) = 1e-6;
+  for (size_t i = 1; i < 5; ++i) {
+    m(i, 0) = 1.0;
+    m(0, i) = 1.0;
+    m(i, (i % 4) + 1) += 2.0;
+  }
+  SparsePattern p;
+  std::vector<double> vals;
+  from_dense(m, p, vals);
+  EXPECT_TRUE(expect_same_ordering(p, vals, "threshold"));
+}
+
+TEST(SparseOrderingEquivalence, NanPoisonAndSingularCases) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* name;
+    std::vector<std::vector<double>> rows;
+  };
+  const Case cases[] = {
+      {"nan diagonal", {{nan, 1, 0}, {1, 2, 0}, {0, 0, 3}}},
+      {"nan only column", {{nan, 1, 0}, {nan, 0, 0}, {0, 0, 3}}},
+      {"all nan", {{nan, nan}, {nan, nan}}},
+      {"nan block after a finite pivot", {{1, 0, 0}, {0, nan, nan}, {0, nan, nan}}},
+      {"nan and zero block", {{2, 0, 0}, {0, 0, nan}, {0, nan, 0}}},
+      {"inf entry", {{inf, 1, 0}, {1, 2, 1}, {0, 1, 3}}},
+      {"structurally singular", {{1, 1, 0}, {1, 1, 0}, {0, 0, 0}}},
+      {"rank one", {{1, 2}, {2, 4}}},
+      {"zero row after elimination", {{1, 1, 1}, {1, 1, 1}, {1, 2, 3}}},
+  };
+  for (const Case& c : cases) {
+    const size_t n = c.rows.size();
+    SparsePattern p(n);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < n; ++j) p.add(static_cast<int>(i), static_cast<int>(j));
+    }
+    p.finalize();
+    std::vector<double> vals;
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < n; ++j) vals.push_back(c.rows[i][j]);
+    }
+    expect_same_ordering(p, vals, c.name);
+    std::vector<std::complex<double>> cvals(vals.begin(), vals.end());
+    expect_same_ordering(p, cvals, std::string(c.name) + " (complex)");
+  }
+}
+
+// --- MNA systems of real circuits ------------------------------------------
+
+/// Capture the pattern (every stamp call) and values of one assembly.
+template <typename Mna, typename T, typename Stamp>
+void capture(size_t dim, const Stamp& stamp, SparsePattern& p, std::vector<T>& vals) {
+  Mna mna(dim);
+  p.reset(dim);
+  mna.set_recorder(&p);
+  stamp(mna);
+  p.finalize();
+  vals.assign(p.nnz(), T{});
+  for (size_t r = 0; r < dim; ++r) {
+    for (int s = p.row_ptr()[r]; s < p.row_ptr()[r + 1]; ++s) {
+      vals[s] = mna.matrix()(r, static_cast<size_t>(p.cols()[s]));
+    }
+  }
+}
+
+/// The DC (at the operating point), transient (first step off it) and AC
+/// (1 Hz .. 1 GHz) systems of \p ckt, as the kernel assembles them.
+void expect_circuit_orderings(spice::Circuit& ckt, const std::string& name) {
+  using namespace spice;
+  const Solution op = dc_operating_point(ckt);
+  const size_t dim = ckt.dim();
+  const auto nodes = static_cast<NodeId>(ckt.num_nodes());
+  SparsePattern p;
+  std::vector<double> rv;
+  capture<MnaReal>(dim, [&](MnaReal& m) {
+    for (const auto& d : ckt.devices()) d->stamp_dc(m, op, 1.0);
+    for (NodeId i = 0; i < nodes; ++i) m.add(i, i, 1e-12);
+  }, p, rv);
+  EXPECT_TRUE(expect_same_ordering(p, rv, name + " dc"));
+
+  TranContext tc;
+  tc.dt = 1e-9;
+  tc.time = 1e-9;
+  capture<MnaReal>(dim, [&](MnaReal& m) {
+    for (const auto& d : ckt.devices()) d->stamp_tran(m, op, tc);
+    for (NodeId i = 0; i < nodes; ++i) m.add(i, i, 1e-12);
+  }, p, rv);
+  EXPECT_TRUE(expect_same_ordering(p, rv, name + " tran"));
+
+  std::vector<std::complex<double>> cv;
+  for (double f : {1.0, 1e3, 1e6, 1e9}) {
+    capture<MnaComplex>(dim, [&](MnaComplex& m) {
+      for (const auto& d : ckt.devices()) d->stamp_ac(m, 2.0 * M_PI * f);
+      for (NodeId i = 0; i < nodes; ++i) m.add(i, i, 1e-12);
+    }, p, cv);
+    EXPECT_TRUE(expect_same_ordering(p, cv, name + " ac " + std::to_string(f)));
+  }
+}
+
+TEST(SparseOrderingEquivalence, RcLadder120Stages) {
+  spice::Circuit ckt("ladder");
+  spice::Waveform w;
+  w.ac_mag = 1.0;
+  ckt.add<spice::VSource>("vin", ckt.node("n0"), spice::kGround, w);
+  for (int i = 0; i < 120; ++i) {
+    const std::string a = "n" + std::to_string(i);
+    const std::string b = "n" + std::to_string(i + 1);
+    ckt.add<spice::Resistor>("r" + std::to_string(i), ckt.node(a), ckt.node(b), 1e3);
+    ckt.add<spice::Capacitor>("c" + std::to_string(i), ckt.node(b), spice::kGround, 1e-9);
+  }
+  expect_circuit_orderings(ckt, "ladder");
+}
+
+TEST(SparseOrderingEquivalence, PaperTestbenches) {
+  // Every Table 1 opamp testbench (four modes) and the five Table 5
+  // module testbenches.
+  const std::vector<test::NamedNetlist> tbs = test::paper_testbenches();
+  ASSERT_EQ(tbs.size(), 45u);
+  for (const test::NamedNetlist& tb : tbs) {
+    spice::Circuit ckt = spice::parse_netlist(tb.text);
+    expect_circuit_orderings(ckt, tb.name);
+  }
 }
 
 }  // namespace
