@@ -3,23 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/spice/analysis.h"
 #include "src/spice/measure.h"
-#include "src/spice/parser.h"
 #include "src/util/error.h"
 
 namespace ape::est {
 namespace {
-
-/// Macromodel Bode of one module design.
-spice::Bode module_bode(const ModuleDesign& d, const Process& proc,
-                        double f_lo, double f_hi) {
-  const Testbench tb = macro_testbench(d, proc);
-  spice::Circuit ckt = spice::parse_netlist(tb.netlist);
-  (void)spice::dc_operating_point(ckt);
-  const auto ac = spice::ac_analysis(ckt, f_lo, f_hi, 20);
-  return spice::Bode(ac, ckt.find_node("out"));
-}
 
 /// -3 dB corner of a product of responses, by bisection on a log grid.
 /// Valid for buffered (non-loading) stage interfaces.
@@ -51,7 +39,7 @@ void fill_totals(ChainAllocation& out, const Process& proc, double f_ref) {
   for (const auto& d : out.designs) {
     out.total_area += d.perf.gate_area;
     out.total_power += d.perf.dc_power;
-    bodes.push_back(module_bode(d, proc, f_ref * 1e-2, f_ref * 1e2));
+    bodes.push_back(macro_bode(d, proc, f_ref * 1e-2, f_ref * 1e2, 20));
   }
   double g = 1.0;
   for (const auto& b : bodes) g *= b.mag_at(f_ref * 1e-2);
@@ -107,7 +95,7 @@ ChainAllocation allocate_amp_filter_chain(const Process& proc, double gain,
   lpf.f0_hz = f0_hz;
   const ModuleDesign lpf_design = me.estimate(lpf);
   const spice::Bode lpf_bode =
-      module_bode(lpf_design, proc, f0_hz * 1e-2, f0_hz * 1e2);
+      macro_bode(lpf_design, proc, f0_hz * 1e-2, f0_hz * 1e2, 20);
 
   // Directed interval search on the amplifier bandwidth multiplier k:
   // widen until the composed corner stops sagging below the filter's own
@@ -122,7 +110,7 @@ ChainAllocation allocate_amp_filter_chain(const Process& proc, double gain,
     amp.bw_hz = k * f0_hz;
     const ModuleDesign amp_design = me.estimate(amp);
     const spice::Bode amp_bode =
-        module_bode(amp_design, proc, f0_hz * 1e-2, f0_hz * 1e2);
+        macro_bode(amp_design, proc, f0_hz * 1e-2, f0_hz * 1e2, 20);
     const double fc =
         composed_corner({amp_bode, lpf_bode}, f0_hz * 1e-2, f0_hz * 1e2);
     const double lpf_corner = lpf_bode.f_3db().value_or(f0_hz);

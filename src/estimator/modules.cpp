@@ -283,19 +283,28 @@ Testbench wire_module(const ModuleDesign& d, const Process& proc,
   return tb;
 }
 
-double sum_amp_area(const std::vector<OpAmpDesign>& amps) {
+}  // namespace
+
+spice::Bode macro_bode(const ModuleDesign& d, const Process& proc, double f_lo,
+                       double f_hi, int points_per_decade) {
+  const Testbench tb = macro_testbench(d, proc);
+  spice::Circuit ckt = spice::parse_netlist(tb.netlist);
+  (void)spice::dc_operating_point(ckt);
+  const auto ac = spice::ac_analysis(ckt, f_lo, f_hi, points_per_decade);
+  return spice::Bode(ac, ckt.find_node("out"));
+}
+
+double amp_area(const ModuleDesign& d) {
   double a = 0.0;
-  for (const auto& o : amps) a += o.perf.gate_area;
+  for (const auto& o : d.opamps) a += o.perf.gate_area;
   return a;
 }
 
-double sum_amp_power(const std::vector<OpAmpDesign>& amps) {
+double amp_power(const ModuleDesign& d) {
   double p = 0.0;
-  for (const auto& o : amps) p += o.perf.dc_power;
+  for (const auto& o : d.opamps) p += o.perf.dc_power;
   return p;
 }
-
-}  // namespace
 
 const char* to_string(ModuleKind kind) {
   switch (kind) {
@@ -360,14 +369,13 @@ ModuleDesign ModuleEstimator::audio_amp(const ModuleSpec& s) const {
   d.passives = {{"Ra", ra}, {"Rb", (s.gain - 1.0) * ra}};
 
   // Macromodel sweep gives the non-ideal gain and bandwidth estimate.
-  MacroAmps macro(d.opamps);
-  const Testbench mtb = wire_module(d, proc_, macro, /*with_supply=*/false);
+  const Testbench mtb = macro_testbench(d, proc_);
   const SimMeasurement m = simulate(mtb, std::max(s.bw_hz * 1e-3, 0.1),
                                     s.bw_hz * 300.0, 20);
   d.perf.gain = std::fabs(m.dc_gain);
   d.perf.bw_hz = m.f3db_hz.value_or(0.0);
-  d.perf.gate_area = sum_amp_area(d.opamps);
-  d.perf.dc_power = sum_amp_power(d.opamps);
+  d.perf.gate_area = amp_area(d);
+  d.perf.dc_power = amp_power(d);
   d.perf.slew = d.opamps[0].perf.slew;
   return d;
 }
@@ -415,15 +423,14 @@ ModuleDesign ModuleEstimator::sample_hold(const ModuleSpec& s) const {
                 {"Ch", ch},
                 {"Ron", ron}};
 
-  MacroAmps macro(d.opamps);
-  const Testbench mtb = wire_module(d, proc_, macro, /*with_supply=*/false);
+  const Testbench mtb = macro_testbench(d, proc_);
   const SimMeasurement m = simulate(mtb, std::max(s.bw_hz * 1e-3, 0.1),
                                     s.bw_hz * 300.0, 20);
   d.perf.gain = std::fabs(m.dc_gain);
   d.perf.bw_hz = m.f3db_hz.value_or(0.0);
   d.perf.slew = amp.perf.slew;
-  d.perf.gate_area = sum_amp_area(d.opamps) + sw.gate_area();
-  d.perf.dc_power = sum_amp_power(d.opamps);
+  d.perf.gate_area = amp_area(d) + sw.gate_area();
+  d.perf.dc_power = amp_power(d);
   return d;
 }
 
@@ -461,9 +468,9 @@ ModuleDesign ModuleEstimator::flash_adc(const ModuleSpec& s) const {
   const double cin = comp.transistors.front().cgs * 2.0;
   const double t_ladder = 3.0 * r_ladder * cin;
   d.perf.delay_s = std::max(t_linear, t_slew) + t_ladder;
-  d.perf.gate_area = sum_amp_area(d.opamps);
+  d.perf.gate_area = amp_area(d);
   d.perf.dc_power =
-      sum_amp_power(d.opamps) + proc_.vdd * proc_.vdd / (r_seg * (1 << s.order));
+      amp_power(d) + proc_.vdd * proc_.vdd / (r_seg * (1 << s.order));
   return d;
 }
 
@@ -502,22 +509,17 @@ ModuleDesign ModuleEstimator::low_pass(const ModuleSpec& s) const {
   }
   d.vref = d.opamps[0].perf.input_cm;
 
-  MacroAmps macro(d.opamps);
-  const Testbench mtb = wire_module(d, proc_, macro, /*with_supply=*/false);
+  const Testbench mtb = macro_testbench(d, proc_);
   const SimMeasurement m =
       simulate(mtb, s.f0_hz * 1e-3, s.f0_hz * 100.0, 40);
   d.perf.gain = std::fabs(m.dc_gain);
   d.perf.f3db_hz = m.f3db_hz.value_or(0.0);
   // Re-derive the -20 dB point from the macromodel bode.
-  {
-    spice::Circuit ckt = spice::parse_netlist(mtb.netlist);
-    (void)spice::dc_operating_point(ckt);
-    const auto ac = spice::ac_analysis(ckt, s.f0_hz * 1e-2, s.f0_hz * 100.0, 40);
-    const spice::Bode bode(ac, ckt.find_node("out"));
-    d.perf.f20db_hz = bode.mag_crossing(bode.dc_gain() / 10.0).value_or(0.0);
-  }
-  d.perf.gate_area = sum_amp_area(d.opamps);
-  d.perf.dc_power = sum_amp_power(d.opamps);
+  const spice::Bode bode =
+      macro_bode(d, proc_, s.f0_hz * 1e-2, s.f0_hz * 100.0, 40);
+  d.perf.f20db_hz = bode.mag_crossing(bode.dc_gain() / 10.0).value_or(0.0);
+  d.perf.gate_area = amp_area(d);
+  d.perf.dc_power = amp_power(d);
   return d;
 }
 
@@ -545,17 +547,13 @@ ModuleDesign ModuleEstimator::band_pass(const ModuleSpec& s) const {
 
   d.passives = {{"R1", r1}, {"R2", r2}, {"C", c}};
 
-  MacroAmps macro(d.opamps);
-  const Testbench mtb = wire_module(d, proc_, macro, /*with_supply=*/false);
-  spice::Circuit ckt = spice::parse_netlist(mtb.netlist);
-  (void)spice::dc_operating_point(ckt);
-  const auto ac = spice::ac_analysis(ckt, s.f0_hz * 1e-2, s.f0_hz * 1e2, 40);
-  const spice::Bode bode(ac, ckt.find_node("out"));
+  const spice::Bode bode =
+      macro_bode(d, proc_, s.f0_hz * 1e-2, s.f0_hz * 1e2, 40);
   d.perf.f0_hz = bode.peak_freq();
   d.perf.gain = bode.peak_gain();
   d.perf.bw_hz = bode.bandwidth_3db().value_or(0.0);
-  d.perf.gate_area = sum_amp_area(d.opamps);
-  d.perf.dc_power = sum_amp_power(d.opamps);
+  d.perf.gate_area = amp_area(d);
+  d.perf.dc_power = amp_power(d);
   return d;
 }
 

@@ -23,6 +23,7 @@
 #include "src/estimator/netlist.h"
 #include "src/estimator/opamp.h"
 #include "src/estimator/process.h"
+#include "src/spice/measure.h"
 
 namespace ape::est {
 
@@ -92,6 +93,16 @@ struct ModuleDesign {
 /// attributes (gain, UGF, Zout). This is the estimator's own evaluation
 /// view; the synthesis engine reuses it as a fast cost evaluator.
 Testbench macro_testbench(const ModuleDesign& d, const Process& proc);
+
+/// Macromodel Bode of a module design at its "out" node: macro_testbench
+/// parsed, solved at DC, then swept from \p f_lo to \p f_hi at
+/// \p points_per_decade.
+spice::Bode macro_bode(const ModuleDesign& d, const Process& proc, double f_lo,
+                       double f_hi, int points_per_decade);
+
+/// Summed gate area [m^2] and dc power [W] of a module's opamps.
+double amp_area(const ModuleDesign& d);
+double amp_power(const ModuleDesign& d);
 
 /// Sizes analog modules against a process.
 class ModuleEstimator {

@@ -8,38 +8,13 @@
 #include <cmath>
 
 #include "src/estimator/modules.h"
-#include "src/estimator/verify.h"
-#include "src/spice/analysis.h"
 #include "src/spice/measure.h"
-#include "src/spice/parser.h"
 #include "src/util/error.h"
 
 namespace ape::est {
 namespace {
 
 constexpr double kTwoPi = 2.0 * M_PI;
-
-/// Macromodel Bode of a module design (the estimation view).
-spice::Bode macro_bode(const ModuleDesign& d, const Process& proc, double f_lo,
-                       double f_hi, int ppd = 20) {
-  const Testbench tb = macro_testbench(d, proc);
-  spice::Circuit ckt = spice::parse_netlist(tb.netlist);
-  (void)spice::dc_operating_point(ckt);
-  const auto ac = spice::ac_analysis(ckt, f_lo, f_hi, ppd);
-  return spice::Bode(ac, ckt.find_node("out"));
-}
-
-double amp_area(const ModuleDesign& d) {
-  double a = 0.0;
-  for (const auto& o : d.opamps) a += o.perf.gate_area;
-  return a;
-}
-
-double amp_power(const ModuleDesign& d) {
-  double p = 0.0;
-  for (const auto& o : d.opamps) p += o.perf.dc_power;
-  return p;
-}
 
 }  // namespace
 
@@ -67,7 +42,7 @@ ModuleDesign ModuleEstimator::inverting_amp(const ModuleSpec& s) const {
   d.passives = {{"R1", r1}, {"R2", s.gain * r1}};
 
   const spice::Bode bode =
-      macro_bode(d, proc_, std::max(s.bw_hz * 1e-3, 0.1), s.bw_hz * 300.0);
+      macro_bode(d, proc_, std::max(s.bw_hz * 1e-3, 0.1), s.bw_hz * 300.0, 20);
   d.perf.gain = bode.dc_gain();  // magnitude; the stage inverts
   d.perf.bw_hz = bode.f_3db().value_or(0.0);
   d.perf.gate_area = amp_area(d);
@@ -162,7 +137,7 @@ ModuleDesign ModuleEstimator::adder(const ModuleSpec& s) const {
   d.passives = {{"R1", r1}, {"R2", s.gain * r1}};
 
   const spice::Bode bode =
-      macro_bode(d, proc_, std::max(s.bw_hz * 1e-3, 0.1), s.bw_hz * 300.0);
+      macro_bode(d, proc_, std::max(s.bw_hz * 1e-3, 0.1), s.bw_hz * 300.0, 20);
   d.perf.gain = bode.dc_gain();  // per driven input
   d.perf.bw_hz = bode.f_3db().value_or(0.0);
   d.perf.gate_area = amp_area(d);

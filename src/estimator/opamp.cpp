@@ -46,6 +46,48 @@ TransistorDesign mirror_device(const TransistorEstimator& x, const Process& p,
 
 }  // namespace
 
+SmallSignal small_signal(const TransistorDesign& t) {
+  return {t.gm, t.gds, t.gmb, t.cgd, t.cdb};
+}
+
+SmallSignal small_signal(const spice::MosEval& e) {
+  return {e.gm, e.gds, e.gmb, e.cgd, e.cdb};
+}
+
+double second_stage_load(bool buffered, double cload) {
+  return buffered ? 2e-12 : cload;
+}
+
+OpAmpPerf compose_two_stage(const TwoStagePoint& p) {
+  const SmallSignal& m6 = p.m6;
+  const SmallSignal& m9 = p.m9;
+  // The follower's output conductance: gm + gmb of M9 plus both drains.
+  const double g_buf = m9.gm + m9.gmb + m9.gds + p.m10.gds;
+  // The guards only bind at the synthesis evaluator's wild geometries.
+  const double a1 = p.m1.gm / std::max(p.m1.gds + p.m4.gds, 1e-15);
+  const double a2 = m6.gm / std::max(m6.gds + p.m7.gds, 1e-15);
+  const double ab = p.buffered ? m9.gm / std::max(g_buf, 1e-15) : 1.0;
+
+  OpAmpPerf perf;
+  perf.gain = a1 * a2 * ab;
+  const double fp2 = m6.gm / (kTwoPi * (p.cl2 + m6.cdb + p.m7.cdb));
+  const double fpb = p.buffered ? g_buf / (kTwoPi * p.cload) : 1e18;
+  const double u0 = p.gm_ugf / (kTwoPi * (p.cc + m6.cgd));
+  double fu = u0;
+  for (int i = 0; i < 4; ++i) {
+    fu = u0 / std::sqrt((1.0 + (fu / fp2) * (fu / fp2)) *
+                        (1.0 + (fu / fpb) * (fu / fpb)));
+  }
+  perf.ugf_hz = fu;
+  perf.phase_margin = 90.0 - std::atan(fu / fp2) * 180.0 / M_PI;
+  perf.dc_power = p.vdd * (p.ibias + p.itail + p.i6 + p.i9);
+  perf.slew = std::min(p.itail / p.cc, p.i6 / (p.cl2 + p.cc));
+  if (p.buffered) perf.slew = std::min(perf.slew, p.i9 / p.cload);
+  perf.zout = p.buffered ? 1.0 / std::max(g_buf, 1e-15)
+                         : 1.0 / std::max(m6.gds + p.m7.gds, 1e-15);
+  return perf;
+}
+
 OpAmpDesign OpAmpEstimator::estimate(const OpAmpSpec& spec) const {
   ErrorContext scope("opamp-estimator");
   // Iterate the gm1 margin so the parasitic-corrected UGF estimate meets
@@ -139,7 +181,7 @@ OpAmpDesign OpAmpEstimator::build(const OpAmpSpec& spec, double ugf_margin) cons
   TransistorDesign m2 = m1;
 
   // --- 5. Second stage -------------------------------------------------------
-  const double cl2 = spec.buffer ? 2e-12 : spec.cload;
+  const double cl2 = second_stage_load(spec.buffer, spec.cload);
   const double gm6 = 2.5 * gm1 * std::max(cl2, cc) / cc;
   const double i6 = 0.5 * gm6 * kVovLoad2;
   const double l2 = length_for_gds(proc_, i6, gm6 / a_stage);
@@ -205,43 +247,22 @@ OpAmpDesign OpAmpEstimator::build(const OpAmpSpec& spec, double ugf_margin) cons
     d.roles.insert(d.roles.end(), {"m9", "m10"});
   }
 
-  const double a1 = m1.gm / (m1.gds + m4.gds);
-  const double a2 = m6.gm / (m6.gds + m7.gds);
-  const double ab =
-      spec.buffer ? m9.gm / (m9.gm + m9.gmb + m9.gds + m10.gds) : 1.0;
-  const double tail_gds = wilson
-                              ? w_casc.gds * w_diode.gm / (w_casc.gm)  // boosted
-                              : m5.gds;
-
-  d.perf.gain = a1 * a2 * ab;
-  // Parasitic-corrected UGF: Cc plus M6's Miller overlap, with the
-  // second-pole magnitude droop (same composition as the synth evaluator).
-  const double fp2 = m6.gm / (kTwoPi * (cl2 + m6.cdb + m7.cdb));
-  const double fpb =
-      spec.buffer
-          ? (m9.gm + m9.gmb + m9.gds + m10.gds) / (kTwoPi * spec.cload)
-          : 1e18;
-  const double u0 = gm1 / (kTwoPi * (cc + m6.cgd));
-  double fu = u0;
-  for (int i = 0; i < 4; ++i) {
-    fu = u0 / std::sqrt((1.0 + (fu / fp2) * (fu / fp2)) *
-                        (1.0 + (fu / fpb) * (fu / fpb)));
-  }
-  d.perf.ugf_hz = fu;
-  d.perf.phase_margin =
-      90.0 - std::atan(d.perf.ugf_hz / fp2) * 180.0 / M_PI;
-  d.perf.dc_power = vdd * (spec.ibias + itail + i6 + i9);
+  d.perf = compose_two_stage(
+      {.m1 = small_signal(m1), .m4 = small_signal(m4), .m6 = small_signal(m6),
+       .m7 = small_signal(m7), .m9 = small_signal(m9), .m10 = small_signal(m10),
+       .buffered = spec.buffer, .gm_ugf = gm1, .cc = cc, .cl2 = cl2,
+       .cload = spec.cload, .vdd = vdd, .ibias = spec.ibias, .itail = itail,
+       .i6 = i6, .i9 = i9});
   double area = 0.0;
   for (const auto& t : d.transistors) area += t.gate_area();
   d.perf.gate_area = area;
   d.perf.ibias = itail;
-  d.perf.zout = spec.buffer ? 1.0 / (m9.gm + m9.gmb + m9.gds + m10.gds)
-                            : 1.0 / (m6.gds + m7.gds);
+  const double a1 = m1.gm / (m1.gds + m4.gds);
+  const double tail_gds = wilson
+                              ? w_casc.gds * w_diode.gm / (w_casc.gm)  // boosted
+                              : m5.gds;
   d.perf.cmrr_db =
       20.0 * std::log10(std::max(a1 * 2.0 * m3.gm / tail_gds, 1e-12));
-  double slew = std::min(itail / cc, i6 / (cl2 + cc));
-  if (spec.buffer) slew = std::min(slew, i9 / spec.cload);
-  d.perf.slew = slew;
   // Input-referred white noise: both input devices plus the mirror load
   // referred through gm1 (channel thermal, gamma = 2/3).
   {
@@ -252,10 +273,6 @@ OpAmpDesign OpAmpEstimator::build(const OpAmpSpec& spec, double ugf_margin) cons
   d.perf.cc = cc;
   d.perf.rz = 1.0 / m6.gm;
   d.perf.input_cm = vtail + m1.vgs;
-  if (d.perf.input_cm > vdd - m3.vgs + m1.vth) {
-    // Input CM must keep the load diode and the pair saturated; this is
-    // informational - the testbench uses input_cm directly.
-  }
   return d;
 }
 

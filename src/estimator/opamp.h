@@ -60,6 +60,37 @@ struct OpAmpPerf {
   void to_json(json::Writer& w) const;
 };
 
+/// The small-signal numbers of one device that compose_two_stage reads.
+struct SmallSignal {
+  double gm = 0.0, gds = 0.0, gmb = 0.0, cgd = 0.0, cdb = 0.0;
+};
+SmallSignal small_signal(const TransistorDesign& t);
+SmallSignal small_signal(const spice::MosEval& e);
+
+/// Load on the second stage: the follower's gate when buffered [F].
+double second_stage_load(bool buffered, double cload);
+
+/// The operating point of the two-stage Miller opamp, with its optional
+/// NMOS follower buffer. The estimator fills it from its sized devices
+/// and target gm1, the synthesis evaluator from its solved bias point.
+struct TwoStagePoint {
+  SmallSignal m1, m4;   ///< input device, mirror-load output
+  SmallSignal m6, m7;   ///< second-stage PMOS and sink
+  SmallSignal m9, m10;  ///< follower and its sink (read when buffered)
+  bool buffered = false;
+  double gm_ugf = 0.0;  ///< transconductance that sets the UGF [S]
+  double cc = 0.0, cl2 = 0.0, cload = 0.0;  ///< Miller, stage-2, load [F]
+  double vdd = 0.0;
+  /// Branch currents [A]: reference, tail, stage 2, follower (or 0).
+  double ibias = 0.0, itail = 0.0, i6 = 0.0, i9 = 0.0;
+};
+
+/// The one two-stage performance composition: gain, UGF (Cc plus M6's
+/// Miller overlap, with the second-pole and buffer-pole magnitude
+/// droops), phase margin, dc_power, slew and zout. The other OpAmpPerf
+/// fields stay 0 for the caller.
+OpAmpPerf compose_two_stage(const TwoStagePoint& p);
+
 /// Testbench flavours an opamp design can emit.
 enum class OpAmpTb {
   OpenLoop,    ///< AC differential drive, inductive DC feedback

@@ -64,12 +64,9 @@ double TransistorEstimator::vgs_for_id(MosType type, double w, double l,
   return vgs;
 }
 
-TransistorDesign TransistorEstimator::finish(MosType type, double w, double l,
-                                             double vgs, double vds,
-                                             double vbs) const {
-  const MosEval e = spice::mos_eval(proc_.card(type), vgs, vds, vbs, w, l,
-                                    3.0 * l * w, 3.0 * l * w,
-                                    2.0 * (3.0 * l + w), 2.0 * (3.0 * l + w));
+TransistorDesign design_from_eval(MosType type, double w, double l,
+                                  const MosEval& e, double vgs, double vds,
+                                  double vbs) {
   TransistorDesign d;
   d.type = type;
   d.w = w;
@@ -89,6 +86,15 @@ TransistorDesign TransistorEstimator::finish(MosType type, double w, double l,
   d.cdb = e.cdb;
   d.csb = e.csb;
   return d;
+}
+
+TransistorDesign TransistorEstimator::finish(MosType type, double w, double l,
+                                             double vgs, double vds,
+                                             double vbs) const {
+  const MosEval e = spice::mos_eval(proc_.card(type), vgs, vds, vbs, w, l,
+                                    3.0 * l * w, 3.0 * l * w,
+                                    2.0 * (3.0 * l + w), 2.0 * (3.0 * l + w));
+  return design_from_eval(type, w, l, e, vgs, vds, vbs);
 }
 
 TransistorDesign TransistorEstimator::evaluate(MosType type, double w, double l,

@@ -44,6 +44,13 @@ struct TransistorDesign {
   double self_gain() const { return gds > 0.0 ? gm / gds : 0.0; }
 };
 
+/// The TransistorDesign of geometry (w, l) at bias (vgs, vds, vbs), with
+/// the current, small-signal parameters and capacitances of \p e, the
+/// model evaluated at that bias.
+TransistorDesign design_from_eval(spice::MosType type, double w, double l,
+                                  const spice::MosEval& e, double vgs,
+                                  double vds, double vbs);
+
 /// Sizes transistors against a Process. All entry points return a fully
 /// populated TransistorDesign or throw ape::SpecError when the request is
 /// infeasible in this process (e.g. W below minimum or Vov <= 0).

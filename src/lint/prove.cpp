@@ -6,23 +6,18 @@
 #include <limits>
 
 #include "src/spice/mos_model.h"
+#include "src/synth/sizing.h"
 #include "src/util/error.h"
 #include "src/util/json.h"
 
 namespace ape::lint {
 namespace {
 
+using synth::kMinPhaseMargin;
 using util::Interval;
 
 constexpr double kTwoPi = 2.0 * M_PI;
 constexpr double kBoltzmann = 1.380649e-23;
-/// The synthesizer's phase-margin floor (synth::opamp_cost).
-constexpr double kMinPhaseMargin = 45.0;
-/// Non-functional plateau of synth::opamp_cost: 1e3 * (1 + imbalance).
-constexpr double kPlateauCost = 1e3;
-
-const char* const kVarNames[13] = {"w1", "l1", "w3", "l3", "w5", "l5", "w6",
-                                   "l6", "w7", "l7", "w8", "l8", "cc"};
 
 std::string fmt(const char* f, double a) {
   char buf[64];
@@ -187,27 +182,18 @@ void verdict_upper(Report& rep, const char* name, const char* where,
 }
 
 /// Proven lower bound on synth::opamp_cost over a box with metric
-/// enclosures \p b. Mirrors the cost weights (prove_test pins them
-/// against the real function): each penalty/objective term is minimized
-/// independently, and the non-functional plateau 1e3*(1+imbalance)
-/// floors the whole thing.
+/// enclosures \p b: the cost at the box's best corner (every term is
+/// monotone in its metric), capped by the plateau that every
+/// non-functional point scores at least.
 double cost_floor(const est::OpAmpSpec& spec, const MetricBounds& b) {
-  auto sq = [](double v) { return v * v; };
-  double c = 0.0;
-  if (spec.gain > 0.0) {
-    c += 10.0 * sq(std::max(0.0, 1.0 - b.gain.hi() / spec.gain));
-  }
-  if (spec.ugf_hz > 0.0) {
-    c += 10.0 * sq(std::max(0.0, 1.0 - b.ugf_hz.hi() / spec.ugf_hz));
-  }
-  if (spec.area_budget > 0.0) {
-    c += 4.0 * sq(std::max(0.0, b.gate_area.lo() / spec.area_budget - 1.0));
-  }
-  c += 2.0 * sq(std::max(0.0, kMinPhaseMargin - b.phase_margin.hi()) /
-                kMinPhaseMargin);
-  c += 0.05 * std::max(0.0, b.dc_power.lo()) / 1e-3;
-  c += 0.02 * std::max(0.0, b.gate_area.lo()) / 5e-9;
-  return std::min(c, kPlateauCost);
+  synth::OpAmpEval best;
+  best.functional = true;
+  best.gain = b.gain.hi();
+  best.ugf_hz = b.ugf_hz.hi();
+  best.phase_margin = b.phase_margin.hi();
+  best.gate_area = std::max(0.0, b.gate_area.lo());
+  best.dc_power = std::max(0.0, b.dc_power.lo());
+  return std::min(synth::opamp_cost(best, spec), synth::kNonFunctionalCost);
 }
 
 MetricBounds to_bounds(const Metrics<Interval>& m) {
@@ -262,7 +248,7 @@ bool contract_box(const est::Process& proc, const est::OpAmpSpec& spec,
         }
       }
       if (keep_lo > keep_hi) {
-        dead_var = kVarNames[i];
+        dead_var = synth::OpAmpVars::names(false)[i];
         return false;
       }
       box[i] = {keep_lo, keep_hi};
@@ -272,15 +258,6 @@ bool contract_box(const est::Process& proc, const est::OpAmpSpec& spec,
 }
 
 }  // namespace
-
-std::vector<std::pair<double, double>> default_prove_box(
-    const est::Process& proc) {
-  // Mirrors synth::blind_bounds(proc, /*buffered=*/false); prove_test
-  // pins the two against each other so they cannot drift apart.
-  const std::pair<double, double> w{proc.wmin, 1000e-6};
-  const std::pair<double, double> l{2.0 * proc.lmin, 120e-6};
-  return {w, l, w, l, w, l, w, l, w, l, w, l, {0.1e-12, 30e-12}};
-}
 
 PointMetrics prove_point_metrics(const est::Process& proc,
                                  const est::OpAmpSpec& spec,
@@ -314,7 +291,7 @@ FeasibilityProof prove_opamp_feasibility(const est::Process& proc,
   // not model, so no claim is made: the proof stays neutral (no
   // findings, blind feasible box, zero cost floor).
   std::vector<std::pair<double, double>> box =
-      opts.box.empty() ? default_prove_box(proc) : opts.box;
+      opts.box.empty() ? synth::blind_bounds(proc, false) : opts.box;
   if (box.size() != 13) {
     throw SpecError("prove_opamp_feasibility: sizing box must have 13 "
                     "[lo, hi] pairs, got " +
@@ -323,8 +300,8 @@ FeasibilityProof prove_opamp_feasibility(const est::Process& proc,
   for (size_t i = 0; i < box.size(); ++i) {
     if (!(box[i].first > 0.0) || !(box[i].second >= box[i].first) ||
         !std::isfinite(box[i].second)) {
-      throw SpecError(std::string("prove_opamp_feasibility: bad range for ") +
-                      kVarNames[i]);
+      throw SpecError("prove_opamp_feasibility: bad range for " +
+                      synth::OpAmpVars::names(false)[i]);
     }
   }
   if (spec.buffer) {

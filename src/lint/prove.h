@@ -56,8 +56,8 @@ struct ProveOptions {
   int contraction_passes = 2;
   /// Optional explicit sizing box: 13 [lo, hi] pairs in
   /// synth::OpAmpVars::pack order (w1 l1 w3 l3 w5 l5 w6 l6 w7 l7 w8 l8
-  /// cc, unbuffered layout). Empty = default_prove_box(proc), which
-  /// mirrors the synthesizer's blind bounds.
+  /// cc, unbuffered layout). Empty = the synthesizer's blind box,
+  /// synth::blind_bounds(proc, false).
   std::vector<std::pair<double, double>> box;
 };
 
@@ -95,10 +95,10 @@ struct FeasibilityProof {
   /// that satisfies the spec provably lies inside this box (it is never
   /// empty unless `infeasible`). Same layout as ProveOptions::box.
   std::vector<std::pair<double, double>> feasible_box;
-  /// Proven lower bound on synth::opamp_cost over the input box
-  /// (mirrors the cost weights; prove_test pins them against the real
-  /// cost function). Sound for early termination: no point in the box
-  /// can score below it.
+  /// Proven lower bound on synth::opamp_cost over the input box: the
+  /// cost function itself at the box's best corner, capped by the
+  /// non-functional plateau. Sound for early termination: no point in
+  /// the box can score below it.
   double cost_lower_bound = 0.0;
   std::string corner;  ///< Process::variant the proof was run at
 
@@ -106,12 +106,6 @@ struct FeasibilityProof {
   /// box, floor and "report" (json.h); what `ape_lint --prove` prints.
   void to_json(json::Writer& w) const;
 };
-
-/// The synthesizer's blind sizing box (13 pairs, unbuffered layout).
-/// Kept in lockstep with synth::blind_bounds — prove_test pins the two
-/// against each other.
-std::vector<std::pair<double, double>> default_prove_box(
-    const est::Process& proc);
 
 /// Evaluate the prover's performance equations at one sizing point
 /// \p x (13 values, OpAmpVars::pack order). Used by the soundness

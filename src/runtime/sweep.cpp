@@ -11,10 +11,9 @@ namespace ape::runtime {
 namespace {
 
 /// Pass criteria of one evaluation point: the same 0.9x acceptance band
-/// the synthesis diagnosis uses for gain/UGF, plus the classic 45-degree
-/// stability floor (informational, see stat::PointOutcome).
+/// the synthesis diagnosis uses for gain/UGF, plus the synthesis cost's
+/// phase-margin floor (informational, see stat::PointOutcome).
 constexpr double kPassBand = 0.9;
-constexpr double kMinPhaseMargin = 45.0;
 
 stat::PointOutcome check_point(const est::Process& p, const synth::OpAmpVars& v,
                                const est::OpAmpSpec& spec) {
@@ -26,7 +25,7 @@ stat::PointOutcome check_point(const est::Process& p, const synth::OpAmpVars& v,
     o.functional = e.functional;
     o.gain_ok = e.gain >= kPassBand * spec.gain;
     o.ugf_ok = e.ugf_hz >= kPassBand * spec.ugf_hz;
-    o.pm_ok = e.phase_margin >= kMinPhaseMargin;
+    o.pm_ok = e.phase_margin >= synth::kMinPhaseMargin;
   } catch (const Error&) {
     // An unevaluable point is a failed point, not a dead sweep.
   }

@@ -401,8 +401,7 @@ struct ModuleMetrics {
 ModuleMetrics module_metrics_fast(const Process& proc, const ModuleDesign& d,
                                   bool functional, int* skipped) {
   ModuleMetrics m;
-  m.area = 0.0;
-  for (const auto& a : d.opamps) m.area += a.perf.gate_area;
+  m.area = est::amp_area(d);
   for (const auto& s : d.switches) m.area += s.gate_area();
   if (!functional) return m;
 
@@ -422,15 +421,11 @@ ModuleMetrics module_metrics_fast(const Process& proc, const ModuleDesign& d,
   }
 
   try {
-    const est::Testbench tb = est::macro_testbench(d, proc);
     const double fc = d.spec.kind == ModuleKind::AudioAmp ||
                               d.spec.kind == ModuleKind::SampleHold
                           ? d.spec.bw_hz
                           : d.spec.f0_hz;
-    spice::Circuit ckt = spice::parse_netlist(tb.netlist);
-    (void)spice::dc_operating_point(ckt);
-    const auto ac = spice::ac_analysis(ckt, fc * 1e-2, fc * 1e2, 10);
-    const spice::Bode bode(ac, ckt.find_node("out"));
+    const spice::Bode bode = est::macro_bode(d, proc, fc * 1e-2, fc * 1e2, 10);
     m.gain = bode.dc_gain();
     m.bw = bode.f_3db().value_or(0.0);
     m.f3db = m.bw;
@@ -452,7 +447,7 @@ ModuleMetrics module_metrics_fast(const Process& proc, const ModuleDesign& d,
 
 double module_cost(const ModuleMetrics& m, const ModuleSpec& spec,
                    bool functional) {
-  if (!functional || !m.ok) return 1e3;
+  if (!functional || !m.ok) return kNonFunctionalCost;
   auto rel = [](double value, double target) {
     return target > 0.0 ? value / target - 1.0 : 0.0;
   };
@@ -512,8 +507,7 @@ void verify_module(const Process& proc, const ModuleDesign& d,
   const est::Testbench tb = d.testbench(proc);
   spice::Circuit ckt = spice::parse_netlist(tb.netlist);
 
-  out.sim_area = 0.0;
-  for (const auto& a : d.opamps) out.sim_area += a.perf.gate_area;
+  out.sim_area = est::amp_area(d);
   for (const auto& s : d.switches) out.sim_area += s.gate_area();
 
   if (d.spec.kind == ModuleKind::FlashAdc ||
@@ -602,16 +596,7 @@ ModuleSynthesisOutcome synthesize_module(const Process& proc,
   std::vector<double> x0;
   if (opts.use_ape_seed) {
     x0 = seed;
-    auto nb = bounds;
-    for (size_t i = 0; i < seed.size(); ++i) {
-      nb[i] = {std::max(seed[i] * (1.0 - opts.interval_frac), bounds[i].first),
-               std::min(seed[i] * (1.0 + opts.interval_frac), bounds[i].second)};
-      if (nb[i].first > nb[i].second) {
-        const double pin = std::clamp(seed[i], bounds[i].first, bounds[i].second);
-        nb[i] = {pin, pin};
-      }
-    }
-    bounds = nb;
+    bounds = narrow_box(seed, opts.interval_frac, bounds);
   } else {
     x0 = box_center(bounds);
   }

@@ -13,10 +13,10 @@ using est::OpAmpDesign;
 using est::OpAmpSpec;
 using est::Process;
 using est::TransistorDesign;
+using est::design_from_eval;
 using spice::MosEval;
 using spice::MosType;
 
-constexpr double kTwoPi = 2.0 * M_PI;
 constexpr double kVtail = 0.3;
 
 /// Gate voltage of a diode-connected device conducting \p id
@@ -48,29 +48,6 @@ double vgs_at(const spice::MosModelCard& card, double w, double l, double id,
     }
   }
   return 0.5 * (lo + hi);
-}
-
-TransistorDesign make_design(MosType type, double w, double l, const MosEval& e,
-                             double vgs, double vds, double vbs) {
-  TransistorDesign t;
-  t.type = type;
-  t.w = w;
-  t.l = l;
-  t.id = e.ids;
-  t.vgs = vgs;
-  t.vds = vds;
-  t.vbs = vbs;
-  t.vth = e.vth;
-  t.vdsat = e.vdsat;
-  t.gm = e.gm;
-  t.gds = e.gds;
-  t.gmb = e.gmb;
-  t.cgs = e.cgs;
-  t.cgd = e.cgd;
-  t.cgb = e.cgb;
-  t.cdb = e.cdb;
-  t.csb = e.csb;
-  return t;
 }
 
 /// Everything the evaluation solves; reused by design_from_vars.
@@ -186,6 +163,28 @@ BiasSolution solve_bias(const Process& proc, const OpAmpVars& v, double ibias) {
   return b;
 }
 
+/// The performance composition at a functional bias point.
+est::OpAmpPerf compose(const Process& proc, const OpAmpVars& v,
+                       const BiasSolution& b, double ibias, double cload) {
+  using est::small_signal;
+  return est::compose_two_stage(
+      {.m1 = small_signal(b.e1), .m4 = small_signal(b.e4),
+       .m6 = small_signal(b.e6), .m7 = small_signal(b.e7),
+       .m9 = small_signal(b.e9), .m10 = small_signal(b.e10),
+       .buffered = v.buffered(), .gm_ugf = b.e1.gm, .cc = v.cc,
+       .cl2 = est::second_stage_load(v.buffered(), cload), .cload = cload,
+       .vdd = proc.vdd, .ibias = ibias, .itail = b.itail, .i6 = b.i6,
+       .i9 = b.i9});
+}
+
+/// Gate area of the synthesis template (M1/M2 and M3/M4 counted twice).
+double gate_area(const Process& proc, const OpAmpVars& v) {
+  double area = 2.0 * v.w1 * v.l1 + 2.0 * v.w3 * v.l3 + v.w5 * v.l5 +
+                v.w6 * v.l6 + v.w7 * v.l7 + v.w8 * v.l8;
+  if (v.buffered()) area += (v.w9 + v.w10) * 2.0 * proc.lmin;
+  return area;
+}
+
 }  // namespace
 
 std::vector<double> OpAmpVars::pack() const {
@@ -239,45 +238,21 @@ OpAmpEval evaluate_opamp_vars(const Process& proc, const OpAmpVars& v,
   e.imbalance = b.imbalance;
   if (!b.functional) return e;
 
+  const est::OpAmpPerf p = compose(proc, v, b, ibias, cload);
   e.functional = true;
   e.itail = b.itail;
-  const double a1 = b.e1.gm / std::max(b.e1.gds + b.e4.gds, 1e-15);
-  const double a2 = b.e6.gm / std::max(b.e6.gds + b.e7.gds, 1e-15);
-  double ab = 1.0;
-  if (v.buffered()) {
-    ab = b.e9.gm / std::max(b.e9.gm + b.e9.gmb + b.e9.gds + b.e10.gds, 1e-15);
-  }
-  e.gain = a1 * a2 * ab;
-  const double cl2 = v.buffered() ? 2e-12 : cload;
-  const double fp2 = b.e6.gm / (kTwoPi * (cl2 + b.e6.cdb + b.e7.cdb));
-  const double fpb =
-      v.buffered()
-          ? (b.e9.gm + b.e9.gmb + b.e9.gds + b.e10.gds) / (kTwoPi * cload)
-          : 1e18;
-  // UGF with the M6 Miller overlap added to Cc and the second-pole and
-  // buffer-pole magnitude droops folded in.
-  const double u0 = b.e1.gm / (kTwoPi * (v.cc + b.e6.cgd));
-  double fu = u0;
-  for (int i = 0; i < 4; ++i) {
-    fu = u0 / std::sqrt((1.0 + (fu / fp2) * (fu / fp2)) *
-                        (1.0 + (fu / fpb) * (fu / fpb)));
-  }
-  e.ugf_hz = fu;
-  e.phase_margin = 90.0 - std::atan(e.ugf_hz / fp2) * 180.0 / M_PI;
-  e.gate_area = 2.0 * v.w1 * v.l1 + 2.0 * v.w3 * v.l3 + v.w5 * v.l5 +
-                v.w6 * v.l6 + v.w7 * v.l7 + v.w8 * v.l8;
-  if (v.buffered()) e.gate_area += (v.w9 + v.w10) * 2.0 * proc.lmin;
-  e.dc_power = proc.vdd * (ibias + b.itail + b.i6 + b.i9);
-  e.slew = std::min(b.itail / v.cc, b.i6 / (cl2 + v.cc));
-  if (v.buffered() && b.i9 > 0.0) e.slew = std::min(e.slew, b.i9 / cload);
-  e.zout = v.buffered()
-               ? 1.0 / std::max(b.e9.gm + b.e9.gmb + b.e9.gds + b.e10.gds, 1e-15)
-               : 1.0 / std::max(b.e6.gds + b.e7.gds, 1e-15);
+  e.gain = p.gain;
+  e.ugf_hz = p.ugf_hz;
+  e.phase_margin = p.phase_margin;
+  e.gate_area = gate_area(proc, v);
+  e.dc_power = p.dc_power;
+  e.slew = p.slew;
+  e.zout = p.zout;
   return e;
 }
 
 double opamp_cost(const OpAmpEval& e, const OpAmpSpec& spec) {
-  if (!e.functional) return 1e3 * (1.0 + e.imbalance);
+  if (!e.functional) return kNonFunctionalCost * (1.0 + e.imbalance);
   auto under = [](double value, double target) {
     return target > 0.0 ? std::max(0.0, 1.0 - value / target) : 0.0;
   };
@@ -291,7 +266,8 @@ double opamp_cost(const OpAmpEval& e, const OpAmpSpec& spec) {
   c += 10.0 * g_under * g_under;
   c += 10.0 * u_under * u_under;
   c += 4.0 * a_over * a_over;
-  const double pm_deficit = std::max(0.0, 45.0 - e.phase_margin) / 45.0;
+  const double pm_deficit =
+      std::max(0.0, kMinPhaseMargin - e.phase_margin) / kMinPhaseMargin;
   c += 2.0 * pm_deficit * pm_deficit;
   if (spec.buffer && spec.zout > 0.0) {
     const double z_over = over(e.zout, spec.zout);
@@ -316,67 +292,71 @@ std::vector<std::pair<double, double>> blind_bounds(const Process& proc,
   return b;
 }
 
-std::vector<std::pair<double, double>> seeded_bounds(
-    const std::vector<double>& seed, double frac, const Process& proc,
-    bool buffered) {
-  auto blind = blind_bounds(proc, buffered);
-  if (seed.size() != blind.size()) {
-    throw SpecError("seeded_bounds: seed size mismatch");
-  }
+std::vector<std::pair<double, double>> narrow_box(
+    const std::vector<double>& seed, double frac,
+    const std::vector<std::pair<double, double>>& outer) {
   std::vector<std::pair<double, double>> b(seed.size());
   for (size_t i = 0; i < seed.size(); ++i) {
-    b[i] = {std::max(seed[i] * (1.0 - frac), blind[i].first),
-            std::min(seed[i] * (1.0 + frac), blind[i].second)};
+    b[i] = {std::max(seed[i] * (1.0 - frac), outer[i].first),
+            std::min(seed[i] * (1.0 + frac), outer[i].second)};
     if (b[i].first > b[i].second) {
-      // Seed outside the technology box: pin to the nearest legal point.
-      const double pin = std::clamp(seed[i], blind[i].first, blind[i].second);
+      // Seed outside the outer box: pin to the nearest legal point.
+      const double pin = std::clamp(seed[i], outer[i].first, outer[i].second);
       b[i] = {pin, pin};
     }
   }
   return b;
 }
 
+std::vector<std::pair<double, double>> seeded_bounds(
+    const std::vector<double>& seed, double frac, const Process& proc,
+    bool buffered) {
+  const auto blind = blind_bounds(proc, buffered);
+  if (seed.size() != blind.size()) {
+    throw SpecError("seeded_bounds: seed size mismatch");
+  }
+  return narrow_box(seed, frac, blind);
+}
+
 OpAmpVars vars_from_design(const OpAmpDesign& d) {
-  OpAmpVars v;
   auto find = [&](const std::string& role) -> const TransistorDesign* {
     for (size_t i = 0; i < d.roles.size(); ++i) {
       if (d.roles[i] == role) return &d.transistors[i];
     }
     return nullptr;
   };
-  const TransistorDesign* m1 = find("m1");
-  const TransistorDesign* m3 = find("m3");
-  const TransistorDesign* m6 = find("m6");
-  const TransistorDesign* m7 = find("m7");
-  if (m1 == nullptr || m3 == nullptr || m6 == nullptr || m7 == nullptr) {
-    throw SpecError("vars_from_design: not a two-stage opamp design");
-  }
-  v.w1 = m1->w;
-  v.l1 = m1->l;
-  v.w3 = m3->w;
-  v.l3 = m3->l;
-  v.w6 = m6->w;
-  v.l6 = m6->l;
-  v.w7 = m7->w;
-  v.l7 = m7->l;
+  auto need = [&](const std::string& role) -> const TransistorDesign& {
+    if (const TransistorDesign* t = find(role)) return *t;
+    throw SpecError("vars_from_design: not a two-stage opamp design: no '" +
+                    role + "' device");
+  };
+  OpAmpVars v;
+  const TransistorDesign& m1 = need("m1");
+  const TransistorDesign& m3 = need("m3");
+  const TransistorDesign& m6 = need("m6");
+  const TransistorDesign& m7 = need("m7");
+  v.w1 = m1.w;
+  v.l1 = m1.l;
+  v.w3 = m3.w;
+  v.l3 = m3.l;
+  v.w6 = m6.w;
+  v.l6 = m6.l;
+  v.w7 = m7.w;
+  v.l7 = m7.l;
   v.cc = d.perf.cc;
   // Tail/bias: simple-mirror roles, or the Wilson equivalents mapped onto
   // the mirror template (the synthesis engine optimizes the mirror-tail
   // topology; Wilson seeds land on their equivalent mirror sizing).
-  if (const TransistorDesign* m5 = find("m5")) {
-    v.w5 = m5->w;
-    v.l5 = m5->l;
-    v.w8 = find("m8")->w;
-    v.l8 = find("m8")->l;
-  } else {
-    v.w5 = find("w_diode")->w;
-    v.l5 = find("w_diode")->l;
-    v.w8 = find("w_in")->w;
-    v.l8 = find("w_in")->l;
-  }
+  const bool mirror = find("m5") != nullptr;
+  const TransistorDesign& tail = need(mirror ? "m5" : "w_diode");
+  const TransistorDesign& bias = need(mirror ? "m8" : "w_in");
+  v.w5 = tail.w;
+  v.l5 = tail.l;
+  v.w8 = bias.w;
+  v.l8 = bias.l;
   if (const TransistorDesign* m9 = find("m9")) {
     v.w9 = m9->w;
-    v.w10 = find("m10")->w;
+    v.w10 = need("m10").w;
   }
   return v;
 }
@@ -385,7 +365,6 @@ OpAmpDesign design_from_vars(const Process& proc, const OpAmpVars& v,
                              const OpAmpSpec& spec) {
   const BiasSolution b = solve_bias(proc, v, spec.ibias);
   const double vdd = proc.vdd;
-  const double l8 = v.l8;
   const double l9 = 2.0 * proc.lmin;
 
   OpAmpDesign d;
@@ -393,41 +372,38 @@ OpAmpDesign design_from_vars(const Process& proc, const OpAmpVars& v,
   d.spec.source = est::CurrentSourceKind::Mirror;  // synthesis template
   d.spec.buffer = v.buffered();
 
-  TransistorDesign m1 = make_design(MosType::Nmos, v.w1, v.l1, b.e1, b.vgs1,
-                                    b.o1 - b.vtail, -b.vtail);
+  TransistorDesign m1 = design_from_eval(MosType::Nmos, v.w1, v.l1, b.e1,
+                                         b.vgs1, b.o1 - b.vtail, -b.vtail);
   TransistorDesign m3 =
-      make_design(MosType::Pmos, v.w3, v.l3, b.e3, b.vgs3, b.vgs3, 0.0);
-  TransistorDesign m6 = make_design(MosType::Pmos, v.w6, v.l6, b.e6, b.vgs3,
-                                    vdd - b.out2, 0.0);
+      design_from_eval(MosType::Pmos, v.w3, v.l3, b.e3, b.vgs3, b.vgs3, 0.0);
+  TransistorDesign m6 = design_from_eval(MosType::Pmos, v.w6, v.l6, b.e6,
+                                         b.vgs3, vdd - b.out2, 0.0);
   TransistorDesign m7 =
-      make_design(MosType::Nmos, v.w7, v.l7, b.e7, b.vgs8, b.out2, 0.0);
+      design_from_eval(MosType::Nmos, v.w7, v.l7, b.e7, b.vgs8, b.out2, 0.0);
   TransistorDesign m5 =
-      make_design(MosType::Nmos, v.w5, v.l5, b.e5, b.vgs8, b.vtail, 0.0);
+      design_from_eval(MosType::Nmos, v.w5, v.l5, b.e5, b.vgs8, b.vtail, 0.0);
   TransistorDesign m8 =
-      make_design(MosType::Nmos, v.w8, l8, b.e8, b.vgs8, b.vgs8, 0.0);
+      design_from_eval(MosType::Nmos, v.w8, v.l8, b.e8, b.vgs8, b.vgs8, 0.0);
 
   d.transistors = {m1, m1, m3, m3, m6, m7, m5, m8};
   d.roles = {"m1", "m2", "m3", "m4", "m6", "m7", "m5", "m8"};
   if (v.buffered()) {
-    TransistorDesign m9 = make_design(MosType::Nmos, v.w9, l9, b.e9, b.vgs9,
-                                      vdd - b.out_dc, -b.out_dc);
-    TransistorDesign m10 =
-        make_design(MosType::Nmos, v.w10, l9, b.e10, b.vgs8, b.out_dc, 0.0);
+    TransistorDesign m9 = design_from_eval(MosType::Nmos, v.w9, l9, b.e9,
+                                           b.vgs9, vdd - b.out_dc, -b.out_dc);
+    TransistorDesign m10 = design_from_eval(MosType::Nmos, v.w10, l9, b.e10,
+                                            b.vgs8, b.out_dc, 0.0);
     d.transistors.push_back(m9);
     d.transistors.push_back(m10);
     d.roles.push_back("m9");
     d.roles.push_back("m10");
   }
 
-  const OpAmpEval e = evaluate_opamp_vars(proc, v, spec.ibias, spec.cload);
-  d.perf.gain = e.gain;
-  d.perf.ugf_hz = e.ugf_hz;
-  d.perf.phase_margin = e.phase_margin;
-  d.perf.dc_power = e.dc_power;
-  d.perf.gate_area = e.gate_area;
-  d.perf.ibias = e.itail;
-  d.perf.zout = e.zout;
-  d.perf.slew = e.slew;
+  // A non-functional point keeps zero performance, as its evaluation does.
+  if (b.functional) {
+    d.perf = compose(proc, v, b, spec.ibias, spec.cload);
+    d.perf.gate_area = gate_area(proc, v);
+    d.perf.ibias = b.itail;
+  }
   d.perf.cc = v.cc;
   d.perf.rz = b.e6.gm > 0.0 ? 1.0 / b.e6.gm : 1e3;
   d.perf.input_cm = b.vtail + b.vgs1;

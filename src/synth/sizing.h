@@ -21,6 +21,11 @@
 
 namespace ape::synth {
 
+/// Phase-margin floor of the synthesis cost [deg].
+inline constexpr double kMinPhaseMargin = 45.0;
+/// Cost of a non-functional candidate, before its imbalance hint.
+inline constexpr double kNonFunctionalCost = 1e3;
+
 /// The unknown vector of the two-stage (optionally buffered) opamp.
 struct OpAmpVars {
   double w1 = 10e-6, l1 = 2.4e-6;  ///< input pair
@@ -72,6 +77,12 @@ std::vector<std::pair<double, double>> blind_bounds(const est::Process& proc,
 std::vector<std::pair<double, double>> seeded_bounds(
     const std::vector<double>& seed, double frac,
     const est::Process& proc, bool buffered);
+/// The narrowing seeded_bounds applies: +/- frac around each \p seed
+/// coordinate, clipped to \p outer (same size); a coordinate whose seed
+/// lies outside \p outer is pinned to the nearest legal point.
+std::vector<std::pair<double, double>> narrow_box(
+    const std::vector<double>& seed, double frac,
+    const std::vector<std::pair<double, double>>& outer);
 
 /// Extract the unknown vector from an APE design (the seed point).
 OpAmpVars vars_from_design(const est::OpAmpDesign& d);

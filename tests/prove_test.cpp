@@ -5,10 +5,9 @@
 /// >= 1000 (spec, box, corner) cases, every point sample of the
 /// performance equations lies inside the proven interval — so an
 /// APE-F001 verdict can never reject a spec some sizing could have met.
-/// The synth-layer pins keep the prover's duplicated constants
-/// (default box, cost weights) in lockstep with the real synthesizer,
-/// and the verdict units exercise each APE-F rule plus the consumers'
-/// require_feasible contract.
+/// The synth-layer pins check the cost floor against the real
+/// synthesizer's cost function, and the verdict units exercise each
+/// APE-F rule plus the consumers' require_feasible contract.
 
 #include "src/lint/prove.h"
 
@@ -93,7 +92,7 @@ TEST(ProveSoundness, PointSamplesLieInsideProvenIntervals) {
     const est::Process& proc = corners[iter % corners.size()];
     const est::OpAmpSpec spec = random_spec(rng);
     const std::vector<std::pair<double, double>> box =
-        random_subbox(default_prove_box(proc), rng);
+        random_subbox(synth::blind_bounds(proc, false), rng);
     opts.box = box;
     const FeasibilityProof proof = prove_opamp_feasibility(proc, spec, opts);
     for (int s = 0; s < 3; ++s, ++cases) {
@@ -134,7 +133,7 @@ TEST(ProveSoundness, FeasiblePointsSurviveContraction) {
   for (int iter = 0; iter < 40; ++iter) {
     const est::OpAmpSpec spec = random_spec(rng);
     const std::vector<std::pair<double, double>> box =
-        default_prove_box(proc);
+        synth::blind_bounds(proc, false);
     const FeasibilityProof proof = prove_opamp_feasibility(proc, spec, opts);
     for (int s = 0; s < 50; ++s) {
       const std::vector<double> x = sample_point(box, rng);
@@ -162,21 +161,6 @@ TEST(ProveSoundness, FeasiblePointsSurviveContraction) {
 
 // --- pins against the synthesis layer --------------------------------------
 
-// The prover cannot link against ape_synth (layering), so it duplicates
-// the blind sizing box. This pin makes silent drift impossible.
-TEST(ProvePins, DefaultBoxEqualsSynthBlindBounds) {
-  for (const est::Process& proc :
-       {est::Process::default_1u2(), est::Process::default_1u2_level3()}) {
-    const auto ours = default_prove_box(proc);
-    const auto theirs = synth::blind_bounds(proc, /*buffered=*/false);
-    ASSERT_EQ(ours.size(), theirs.size());
-    for (size_t i = 0; i < ours.size(); ++i) {
-      EXPECT_EQ(ours[i].first, theirs[i].first) << "var " << i;
-      EXPECT_EQ(ours[i].second, theirs[i].second) << "var " << i;
-    }
-  }
-}
-
 // cost_lower_bound mirrors synth::opamp_cost's weights. At a degenerate
 // (point) box the interval metrics collapse to the prover's point
 // metrics, so the floor must equal opamp_cost evaluated on those same
@@ -189,7 +173,7 @@ TEST(ProvePins, CostFloorMatchesOpampCostWeightsAtPointBox) {
   opts.contraction_segments = 0;
   for (int iter = 0; iter < 50; ++iter) {
     const est::OpAmpSpec spec = random_spec(rng);
-    const std::vector<double> x = sample_point(default_prove_box(proc), rng);
+    const std::vector<double> x = sample_point(synth::blind_bounds(proc, false), rng);
     opts.box.clear();
     for (const double v : x) opts.box.push_back({v, v});
     const FeasibilityProof proof = prove_opamp_feasibility(proc, spec, opts);
@@ -292,7 +276,7 @@ TEST(ProveVerdicts, DefaultSpecIsFeasible) {
   const FeasibilityProof proof = prove_opamp_feasibility(proc, spec);
   EXPECT_FALSE(proof.infeasible);
   EXPECT_EQ(proof.report.errors(), 0);
-  const auto outer = default_prove_box(proc);
+  const auto outer = synth::blind_bounds(proc, false);
   ASSERT_EQ(proof.feasible_box.size(), outer.size());
   for (size_t i = 0; i < outer.size(); ++i) {
     EXPECT_GE(proof.feasible_box[i].first, outer[i].first);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "src/estimator/opamp.h"
 #include "src/util/error.h"
@@ -166,6 +167,40 @@ TEST(Sizing, DesignFromVarsRoundTripsThroughVars) {
 TEST(Sizing, VarsFromNonOpAmpDesignThrows) {
   OpAmpDesign empty;
   EXPECT_THROW(vars_from_design(empty), SpecError);
+
+  // A design with the core roles but without a tail, bias or follower
+  // sink role names the missing role instead of reading through null.
+  const Process proc = Process::default_1u2();
+  OpAmpSpec spec = basic_spec();
+  spec.buffer = true;
+  const OpAmpDesign full = OpAmpEstimator(proc).estimate(spec);
+  for (const char* drop : {"m8", "m5", "m10"}) {
+    OpAmpDesign d = full;
+    for (size_t i = 0; i < d.roles.size(); ++i) {
+      if (d.roles[i] == drop) {
+        d.roles.erase(d.roles.begin() + static_cast<long>(i));
+        d.transistors.erase(d.transistors.begin() + static_cast<long>(i));
+        break;
+      }
+    }
+    // Without m5 the tail is read from the Wilson roles, so the first
+    // missing one is w_diode.
+    const std::string missing = std::string(drop) == "m5" ? "w_diode" : drop;
+    try {
+      (void)vars_from_design(d);
+      ADD_FAILURE() << "no throw without " << drop;
+    } catch (const SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + missing + "'"), std::string::npos)
+          << e.what();
+    }
+  }
+  // A Wilson design without its bias diode.
+  spec.source = est::CurrentSourceKind::Wilson;
+  OpAmpDesign wilson = OpAmpEstimator(proc).estimate(spec);
+  for (size_t i = 0; i < wilson.roles.size(); ++i) {
+    if (wilson.roles[i] == "w_in") wilson.roles[i] = "x";
+  }
+  EXPECT_THROW(vars_from_design(wilson), SpecError);
 }
 
 }  // namespace
