@@ -459,6 +459,8 @@ int main(int argc, char** argv) {
             .field("cost", o.cost)
             .field("evaluations", o.evaluations)
             .field("skipped_candidates", o.skipped_candidates)
+            .field("bias_stage_solves", o.bias_stages.solved)
+            .field("bias_stage_reuses", o.bias_stages.reused)
             .field("sim_gain", o.sim.gain)
             .field("sim_ugf_hz", o.sim.ugf_hz.value_or(0.0))
             .field("gate_area", o.design.perf.gate_area)

@@ -262,16 +262,17 @@ void supervise_one(const est::Process& proc, const Spec& spec, size_t index,
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint format (opamp batches), version 1:
+// Checkpoint format (opamp batches), version 2:
 //
-//   { "version": 1, "kind": "opamp", "seed": "<u64 decimal>",
+//   { "version": 2, "kind": "opamp", "seed": "<u64 decimal>",
 //     "jobs": [ { "index": i, "fp": "<u64 decimal>", "done": bool,
 //                 "ok": bool, "error": "...", "attempts": n,
 //                 "rung": "initial|retry|relaxed|estimate-only|fail",
 //                 "deadline_hit": b, "quarantined": b,
 //                 "estimate_fallback": b,
 //                 "cost": "<hex-float>", "evaluations": n, "skipped": n,
-//                 "nonfinite": n, "budget_exhausted": b,
+//                 "nonfinite": n, "bias_solved": n, "bias_reused": n,
+//                 "budget_exhausted": b,
 //                 "restarts_run": n, "best_restart": n,
 //                 "sim_failed": b, "functional": b, "meets_spec": b,
 //                 "comment": "...", "best_x": ["<hex-float>", ...] }, ... ] }
@@ -287,7 +288,7 @@ std::string checkpoint_json(uint64_t seed, const std::vector<uint64_t>& fps,
                             const std::vector<char>& done) {
   json::Writer w;
   w.begin_object()
-      .field("version", 1)
+      .field("version", 2)
       .field("kind", "opamp")
       .field("seed", std::to_string(seed))
       .key("jobs")
@@ -310,6 +311,8 @@ std::string checkpoint_json(uint64_t seed, const std::vector<uint64_t>& fps,
         .field("evaluations", o.evaluations)
         .field("skipped", o.skipped_candidates)
         .field("nonfinite", o.rejected_nonfinite)
+        .field("bias_solved", o.bias_stages.solved)
+        .field("bias_reused", o.bias_stages.reused)
         .field("budget_exhausted", o.budget_exhausted)
         .field("restarts_run", o.restarts_run)
         .field("best_restart", o.best_restart)
@@ -378,7 +381,7 @@ void restore_checkpoint(const std::string& path, const est::Process& proc,
   buf << f.rdbuf();
   const json::Value doc = json::parse(buf.str());
 
-  if (require(doc, "version").as_long() != 1) {
+  if (require(doc, "version").as_long() != 2) {
     throw ParseError("checkpoint: unsupported version");
   }
   if (require(doc, "kind").as_string() != "opamp") {
@@ -453,6 +456,8 @@ void restore_checkpoint(const std::string& path, const est::Process& proc,
           static_cast<int>(require(e, "skipped").as_long());
       r.outcome.rejected_nonfinite =
           static_cast<int>(require(e, "nonfinite").as_long());
+      r.outcome.bias_stages.solved = require(e, "bias_solved").as_long();
+      r.outcome.bias_stages.reused = require(e, "bias_reused").as_long();
       r.outcome.budget_exhausted = require(e, "budget_exhausted").as_bool();
       r.outcome.restarts_run =
           static_cast<int>(require(e, "restarts_run").as_long());

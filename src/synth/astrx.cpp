@@ -39,11 +39,17 @@ std::vector<double> box_center(const std::vector<std::pair<double, double>>& b) 
   return x;
 }
 
-/// One restart's search outcome plus its absorbed-failure counter (the
-/// counter is per-restart so parallel restarts never share a mutable).
+/// One restart's absorbed failures and bias-solve work (per restart, so
+/// parallel restarts never share a mutable).
+struct RestartCounters {
+  int skipped = 0;
+  BiasStageCounts bias;
+};
+
+/// One restart's search outcome plus its counters.
 struct RestartRun {
   AnnealResult ar;
-  int skipped = 0;
+  RestartCounters counters;
 };
 
 /// Aggregated multi-start result.
@@ -54,12 +60,13 @@ struct MultiStartResult {
   int skipped = 0;             ///< summed over restarts
   int rejected_nonfinite = 0;  ///< summed over restarts
   int evaluations = 0;         ///< summed over restarts
+  BiasStageCounts bias;        ///< summed over restarts
   bool budget_exhausted = false;
 };
 
 /// Run opts.restarts independent anneals of the cost produced by
-/// \p make_cost (called once per restart with that restart's skipped
-/// counter) and pick the winner: lowest best_cost, lowest restart index
+/// \p make_cost (called once per restart with that restart's
+/// counters) and pick the winner: lowest best_cost, lowest restart index
 /// on ties. Restart 0 anneals with opts.anneal.seed verbatim; restart
 /// r > 0 with the derived stream Rng::derive_stream(seed, r). Unless a
 /// budget stops it, every restart runs to completion, so the aggregate is
@@ -67,7 +74,7 @@ struct MultiStartResult {
 /// any size.
 MultiStartResult multi_start_anneal(
     const std::function<std::function<double(const std::vector<double>&)>(
-        int* skipped)>& make_cost,
+        RestartCounters* counters)>& make_cost,
     const std::vector<std::pair<double, double>>& bounds,
     const std::vector<double>& x0, const SynthesisOptions& opts) {
   const int m = std::max(opts.restarts, 1);
@@ -77,7 +84,7 @@ MultiStartResult multi_start_anneal(
     AnnealOptions ao = opts.anneal;
     if (r > 0) ao.seed = Rng::derive_stream(opts.anneal.seed, uint64_t(r));
     RestartRun run;
-    run.ar = anneal(make_cost(&run.skipped), bounds, x0, ao);
+    run.ar = anneal(make_cost(&run.counters), bounds, x0, ao);
     return run;
   };
 
@@ -126,7 +133,9 @@ MultiStartResult multi_start_anneal(
   ms.best = runs[0].ar;
   for (int r = 0; r < executed; ++r) {
     const RestartRun& run = runs[size_t(r)];
-    ms.skipped += run.skipped;
+    ms.skipped += run.counters.skipped;
+    ms.bias.solved += run.counters.bias.solved;
+    ms.bias.reused += run.counters.bias.reused;
     ms.rejected_nonfinite += run.ar.rejected_nonfinite;
     ms.evaluations += run.ar.evaluations;
     ms.budget_exhausted = ms.budget_exhausted || run.ar.budget_exhausted;
@@ -182,21 +191,21 @@ SynthesisOutcome synthesize_opamp(const Process& proc, const OpAmpSpec& spec,
   target.gain *= opts.target_margin;
   target.ugf_hz *= opts.target_margin;
   // Worst-corner yield term (SynthesisOptions::yield_weight): score the
-  // candidate at every corner card and add the worst weighted corner
-  // cost on top of the nominal cost. A corner that cannot evaluate the
-  // candidate contributes the skipped plateau, so corner-fragile points
-  // are penalized, never silently accepted.
+  // candidate at every corner card (through that corner's memo) and add
+  // the worst weighted corner cost on top of the nominal cost. A corner
+  // that cannot evaluate the candidate contributes the skipped plateau,
+  // so corner-fragile points are penalized, never silently accepted.
   const bool yield_aware =
       opts.yield_weight > 0.0 && !opts.corner_procs.empty();
-  auto corner_term = [&opts, &spec, target, buffered,
-                      yield_aware](const OpAmpVars& v) {
+  auto corner_term = [&opts, &spec, target, yield_aware](
+                         std::vector<BiasMemo>& corner_memos,
+                         const OpAmpVars& v) {
     if (!yield_aware) return 0.0;
     double worst = 0.0;
-    for (const est::Process& cp : opts.corner_procs) {
+    for (BiasMemo& memo : corner_memos) {
       double c;
       try {
-        c = opamp_cost(evaluate_opamp_vars(cp, v, spec.ibias, spec.cload),
-                       target);
+        c = opamp_cost(evaluate_opamp_vars(memo, v, spec.cload), target);
       } catch (const Error&) {
         c = kSkippedCandidateCost;
       }
@@ -204,19 +213,29 @@ SynthesisOutcome synthesize_opamp(const Process& proc, const OpAmpSpec& spec,
     }
     return opts.yield_weight * worst;
   };
-  auto make_cost = [&proc, &spec, target, buffered, &corner_term](int* skipped) {
-    return [&proc, &spec, target, buffered, &corner_term,
-            skipped](const std::vector<double>& x) {
+  // Each restart's cost owns its bias memos: one for the nominal process
+  // and, for the yield term, one per corner card.
+  auto make_cost = [&proc, &spec, &opts, target, buffered, yield_aware,
+                    &corner_term](RestartCounters* counters) {
+    BiasMemo nominal(proc, spec.ibias, counters->bias);
+    std::vector<BiasMemo> corner_memos;
+    if (yield_aware) {
+      corner_memos.reserve(opts.corner_procs.size());
+      for (const Process& cp : opts.corner_procs) {
+        corner_memos.emplace_back(cp, spec.ibias, counters->bias);
+      }
+    }
+    return [&spec, target, buffered, &corner_term, counters, nominal,
+            corner_memos](const std::vector<double>& x) mutable {
       try {
         if (auto* fi = job_context().fault_injector) fi->on_cost_eval();
         const OpAmpVars v = OpAmpVars::unpack(x, buffered);
-        return opamp_cost(evaluate_opamp_vars(proc, v, spec.ibias, spec.cload),
-                          target) +
-               corner_term(v);
+        return opamp_cost(evaluate_opamp_vars(nominal, v, spec.cload), target) +
+               corner_term(corner_memos, v);
       } catch (const Error&) {
         // A candidate the estimator cannot evaluate (SpecError on a wild
         // geometry, numerical failure) is a bad point, not a dead run.
-        ++*skipped;
+        ++counters->skipped;
         return kSkippedCandidateCost;
       }
     };
@@ -229,6 +248,7 @@ SynthesisOutcome synthesize_opamp(const Process& proc, const OpAmpSpec& spec,
   out.rejected_nonfinite = ms.rejected_nonfinite;
   out.budget_exhausted = ms.budget_exhausted;
   out.evaluations = ms.evaluations;
+  out.bias_stages = ms.bias;
   out.restarts_run = ms.restarts_run;
   out.best_restart = ms.best_restart;
   out.cpu_seconds = now_seconds() - t0;
@@ -245,14 +265,12 @@ SynthesisOutcome finalize_opamp_outcome(const Process& proc,
   out.cost = best_cost;
   out.best_x = best_x;
   const OpAmpVars best = OpAmpVars::unpack(best_x, buffered);
-  const OpAmpEval ev = evaluate_opamp_vars(proc, best, spec.ibias, spec.cload);
-  out.functional = ev.functional;
-  out.design = design_from_vars(proc, best, spec);
+  out.design = design_from_vars(proc, best, spec, &out.functional);
 
   // Verify on the full simulator (skip the transient when clearly broken).
   bool sim_ok = false;
   try {
-    out.sim = est::simulate_opamp(out.design, proc, /*with_transient=*/ev.functional);
+    out.sim = est::simulate_opamp(out.design, proc, /*with_transient=*/out.functional);
     sim_ok = true;
   } catch (const Error&) {
     sim_ok = false;
@@ -261,7 +279,7 @@ SynthesisOutcome finalize_opamp_outcome(const Process& proc,
 
   // Table-1 style diagnosis against the spec.
   const double vdd = proc.vdd;
-  if (!sim_ok || !ev.functional || out.sim.out_dc < 0.25 ||
+  if (!sim_ok || !out.functional || out.sim.out_dc < 0.25 ||
       out.sim.out_dc > vdd - 0.25) {
     out.comment = "doesn't work";
     return out;
@@ -374,9 +392,9 @@ ModuleDesign module_from_vars(const Process& proc, const ModuleDesign& proto,
                             x.begin() + (a + 1) * stride);
     const OpAmpVars v = OpAmpVars::unpack(sub, buffered);
     const OpAmpSpec aspec = proto.opamps[a].spec;
-    const OpAmpEval ev = evaluate_opamp_vars(proc, v, aspec.ibias, aspec.cload);
-    if (!ev.functional) functional = false;
-    OpAmpDesign ad = design_from_vars(proc, v, aspec);
+    bool amp_functional = false;
+    OpAmpDesign ad = design_from_vars(proc, v, aspec, &amp_functional);
+    if (!amp_functional) functional = false;
     if (proto.spec.kind == ModuleKind::FlashAdc) {
       for (auto& amp : d.opamps) amp = ad;
     } else {
@@ -601,16 +619,17 @@ ModuleSynthesisOutcome synthesize_module(const Process& proc,
     x0 = box_center(bounds);
   }
 
-  auto make_cost = [&proc, &proto, &spec](int* skipped) {
-    return [&proc, &proto, &spec, skipped](const std::vector<double>& x) {
+  auto make_cost = [&proc, &proto, &spec](RestartCounters* counters) {
+    return [&proc, &proto, &spec, counters](const std::vector<double>& x) {
       try {
         if (auto* fi = job_context().fault_injector) fi->on_cost_eval();
         bool functional = false;
         const ModuleDesign cand = module_from_vars(proc, proto, x, &functional);
-        return module_cost(module_metrics_fast(proc, cand, functional, skipped),
-                           spec, functional);
+        return module_cost(
+            module_metrics_fast(proc, cand, functional, &counters->skipped),
+            spec, functional);
       } catch (const Error&) {
-        ++*skipped;
+        ++counters->skipped;
         return kSkippedCandidateCost;
       }
     };

@@ -95,6 +95,9 @@ struct SynthesisOutcome {
   int rejected_nonfinite = 0;    ///< NaN/inf costs rejected by the annealer
   bool budget_exhausted = false; ///< search stopped early on RunBudget expiry
   int evaluations = 0;           ///< cost evaluations actually performed
+  /// Bias-solve stages the search solved and reused from its restarts'
+  /// memos (nominal and corner), summed over restarts.
+  BiasStageCounts bias_stages;
   int restarts_run = 1;          ///< anneal restarts executed (multi-start)
   int best_restart = 0;          ///< index of the winning restart
   /// The winning annealer point (packed OpAmpVars). design/sim/comment

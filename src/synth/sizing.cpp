@@ -1,7 +1,10 @@
 #include "src/synth/sizing.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "src/spice/mos_model.h"
 #include "src/util/error.h"
@@ -50,6 +53,181 @@ double vgs_at(const spice::MosModelCard& card, double w, double l, double id,
   return 0.5 * (lo + hi);
 }
 
+/// A device conducting a given current: its gate voltage and its
+/// evaluation at that bias.
+struct DeviceBias {
+  double vgs = 0.0;
+  MosEval e;
+};
+
+/// The second stage's operating point: out2 where M6 and M7 conduct the
+/// same current, or the mid-rail mismatch that grades a stuck output.
+struct CrossingBias {
+  bool stuck = false;
+  double imbalance = 0.0;
+  double out2 = 0.0;
+  MosEval e6, e7;
+};
+
+/// The output follower's level, or the imbalance of a follower that
+/// cannot carry the stage-2 output (the partial solve is kept as is).
+struct FollowerBias {
+  double imbalance = 0.0;  ///< > 0 when the follower failed
+  double out = 0.0;
+  double vgs9 = 0.0, i9 = 0.0;
+  MosEval e9, e10;
+};
+
+/// A diode-connected device conducting \p id.
+DeviceBias diode_bias(const spice::MosModelCard& card, double w, double l,
+                      double id) {
+  const double vgs = diode_vgs(card, w, l, id);
+  return {vgs, spice::mos_eval(card, vgs, vgs, 0.0, w, l)};
+}
+
+/// The input pair conducting \p i1 with its drain at \p o1.
+DeviceBias pair_bias(const Process& proc, const OpAmpVars& v, double i1,
+                     double o1) {
+  const double vgs = vgs_at(proc.nmos, v.w1, v.l1, i1, o1 - kVtail, -kVtail);
+  return {vgs,
+          spice::mos_eval(proc.nmos, vgs, o1 - kVtail, -kVtail, v.w1, v.l1)};
+}
+
+/// Second stage: find out2 where M6 (gate at o1) and M7 (gate at bias)
+/// conduct the same current. No crossing inside the rails means the
+/// output is stuck - the classic blind-search failure.
+CrossingBias crossing_bias(const Process& proc, const OpAmpVars& v,
+                           double vgs3, double vgs8) {
+  const double vdd = proc.vdd;
+  auto i6_at = [&](double out2) {
+    return spice::mos_eval(proc.pmos, vgs3, vdd - out2, 0.0, v.w6, v.l6).ids;
+  };
+  auto i7_at = [&](double out2) {
+    return spice::mos_eval(proc.nmos, vgs8, out2, 0.0, v.w7, v.l7).ids;
+  };
+  CrossingBias c;
+  double lo = 0.05, hi = vdd - 0.05;
+  const double f_lo = i6_at(lo) - i7_at(lo);
+  const double f_hi = i6_at(hi) - i7_at(hi);
+  if (f_lo * f_hi > 0.0) {
+    // Output stuck at a rail: grade the failure by the mid-rail current
+    // mismatch so the annealer has a slope off the plateau.
+    const double i6m = i6_at(0.5 * vdd);
+    const double i7m = i7_at(0.5 * vdd);
+    c.stuck = true;
+    c.imbalance = std::fabs(i6m - i7m) / std::max(i6m + i7m, 1e-15);
+    return c;
+  }
+  for (int i = 0; i < 60; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    if ((i6_at(mid) - i7_at(mid)) * f_lo > 0.0) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  c.out2 = 0.5 * (lo + hi);
+  c.e6 = spice::mos_eval(proc.pmos, vgs3, vdd - c.out2, 0.0, v.w6, v.l6);
+  c.e7 = spice::mos_eval(proc.nmos, vgs8, c.out2, 0.0, v.w7, v.l7);
+  return c;
+}
+
+/// Output buffer: iterate the follower level, since i10 depends on out
+/// and vgs9 on i10.
+FollowerBias follower_bias(const Process& proc, const OpAmpVars& v,
+                           double out2, double vgs8) {
+  const auto& nn = proc.nmos;
+  const double vdd = proc.vdd;
+  const double l9 = 2.0 * proc.lmin;
+  FollowerBias f;
+  double out = out2 - 1.2;
+  for (int it = 0; it < 8; ++it) {
+    f.e10 = spice::mos_eval(nn, vgs8, std::max(out, 0.05), 0.0, v.w10, l9);
+    f.i9 = f.e10.ids;
+    if (f.i9 <= 0.0) {
+      f.imbalance = 0.7;
+      return f;
+    }
+    f.vgs9 = vgs_at(nn, v.w9, l9, f.i9, vdd - std::max(out, 0.05),
+                    -std::max(out, 0.05));
+    out = out2 - f.vgs9;
+  }
+  if (out < 0.1) {
+    f.imbalance = 0.6;
+    return f;
+  }
+  f.out = out;
+  f.e9 = spice::mos_eval(nn, f.vgs9, vdd - out, -out, v.w9, l9);
+  return f;
+}
+
+/// Entries each stage of a BiasMemo keeps: the current point's, plus a
+/// few candidates' (a rejected candidate's stages are dropped first).
+constexpr size_t kStageEntries = 4;
+
+/// The last kStageEntries solves of one stage, keyed on the exact bits of
+/// the N inputs the stage reads, most recently used first.
+template <size_t N, class Value>
+class StageMemo {
+ public:
+  /// solve()'s value for \p inputs: copied from an entry whose key has
+  /// the same bits, else solved and remembered. A solve that throws
+  /// leaves the memo as it was.
+  template <class Solve>
+  Value get(const std::array<double, N>& inputs, BiasStageCounts& counts,
+            Solve&& solve) {
+    std::array<uint64_t, N> key{};
+    for (size_t i = 0; i < N; ++i) key[i] = std::bit_cast<uint64_t>(inputs[i]);
+    const auto first = entries_.begin();
+    for (size_t k = 0; k < size_; ++k) {
+      if (entries_[k].key == key) {
+        std::rotate(first, first + k, first + k + 1);
+        ++counts.reused;
+        return entries_.front().value;
+      }
+    }
+    Value value = solve();
+    ++counts.solved;
+    size_ = std::min(size_ + 1, kStageEntries);
+    std::rotate(first, first + (size_ - 1), first + size_);
+    entries_.front() = {key, value};
+    return value;
+  }
+
+ private:
+  struct Entry {
+    std::array<uint64_t, N> key{};
+    Value value;
+  };
+  std::array<Entry, kStageEntries> entries_{};
+  size_t size_ = 0;
+};
+
+}  // namespace
+
+/// The stages of solve_bias, each keyed on what it reads besides the
+/// memo's (process, ibias).
+struct BiasMemo::Stages {
+  BiasStageCounts* counts = nullptr;
+  StageMemo<2, DeviceBias> bias_diode;    ///< w8, l8 -> vgs8, e8
+  StageMemo<3, DeviceBias> load_diode;    ///< w3, l3, i1 -> vgs3, e3
+  StageMemo<4, DeviceBias> input_pair;    ///< w1, l1, i1, o1 -> vgs1, e1
+  StageMemo<6, CrossingBias> crossing;    ///< vgs3, vgs8, w6, l6, w7, l7
+  StageMemo<4, FollowerBias> follower;    ///< out2, vgs8, w9, w10
+};
+
+namespace {
+
+/// One stage of the bias solve: through \p stage of \p memo when there
+/// is a memo, else solved directly.
+template <size_t N, class Value, class Solve>
+Value staged(BiasMemo::Stages* memo,
+             StageMemo<N, Value> BiasMemo::Stages::*stage,
+             const std::array<double, N>& inputs, Solve&& solve) {
+  if (memo == nullptr) return solve();
+  return (memo->*stage).get(inputs, *memo->counts, solve);
+}
+
 /// Everything the evaluation solves; reused by design_from_vars.
 struct BiasSolution {
   bool functional = false;
@@ -61,16 +239,22 @@ struct BiasSolution {
   MosEval e1, e3, e4, e5, e6, e7, e8, e9, e10;
 };
 
-BiasSolution solve_bias(const Process& proc, const OpAmpVars& v, double ibias) {
+/// The DC bias of a candidate, stage by stage; \p memo (optional) holds
+/// recent stage solves of the same (proc, ibias).
+BiasSolution solve_bias(const Process& proc, const OpAmpVars& v, double ibias,
+                        BiasMemo::Stages* memo) {
+  using Stages = BiasMemo::Stages;
   BiasSolution b;
   const auto& nn = proc.nmos;
   const auto& pp = proc.pmos;
   const double vdd = proc.vdd;
-  const double l8 = v.l8;
 
   // Bias diode and tail mirror.
-  b.vgs8 = diode_vgs(nn, v.w8, l8, ibias);
-  b.e8 = spice::mos_eval(nn, b.vgs8, b.vgs8, 0.0, v.w8, l8);
+  const DeviceBias d8 =
+      staged(memo, &Stages::bias_diode, {v.w8, v.l8},
+             [&] { return diode_bias(nn, v.w8, v.l8, ibias); });
+  b.vgs8 = d8.vgs;
+  b.e8 = d8.e;
   b.e5 = spice::mos_eval(nn, b.vgs8, b.vtail, 0.0, v.w5, v.l5);
   b.itail = b.e5.ids;
   if (b.itail < 0.05 * ibias) {
@@ -80,48 +264,33 @@ BiasSolution solve_bias(const Process& proc, const OpAmpVars& v, double ibias) {
   b.i1 = 0.5 * b.itail;
 
   // First stage: PMOS mirror diode fixes o1.
-  b.vgs3 = diode_vgs(pp, v.w3, v.l3, b.i1);
-  b.e3 = spice::mos_eval(pp, b.vgs3, b.vgs3, 0.0, v.w3, v.l3);
+  const DeviceBias d3 =
+      staged(memo, &Stages::load_diode, {v.w3, v.l3, b.i1},
+             [&] { return diode_bias(pp, v.w3, v.l3, b.i1); });
+  b.vgs3 = d3.vgs;
+  b.e3 = d3.e;
   b.e4 = b.e3;
   b.o1 = vdd - b.vgs3;
   if (b.o1 < b.vtail + 0.2) {
     b.imbalance = 1.0;
     return b;  // no headroom for the pair
   }
-  b.vgs1 = vgs_at(nn, v.w1, v.l1, b.i1, b.o1 - b.vtail, -b.vtail);
-  b.e1 = spice::mos_eval(nn, b.vgs1, b.o1 - b.vtail, -b.vtail, v.w1, v.l1);
+  const DeviceBias d1 =
+      staged(memo, &Stages::input_pair, {v.w1, v.l1, b.i1, b.o1},
+             [&] { return pair_bias(proc, v, b.i1, b.o1); });
+  b.vgs1 = d1.vgs;
+  b.e1 = d1.e;
 
-  // Second stage: find out2 where M6 (gate at o1) and M7 (gate at bias)
-  // conduct the same current. No crossing inside the rails means the
-  // output is stuck - the classic blind-search failure.
-  auto i6_at = [&](double out2) {
-    return spice::mos_eval(pp, b.vgs3, vdd - out2, 0.0, v.w6, v.l6).ids;
-  };
-  auto i7_at = [&](double out2) {
-    return spice::mos_eval(nn, b.vgs8, out2, 0.0, v.w7, v.l7).ids;
-  };
-  double lo = 0.05, hi = vdd - 0.05;
-  const double f_lo = i6_at(lo) - i7_at(lo);
-  const double f_hi = i6_at(hi) - i7_at(hi);
-  if (f_lo * f_hi > 0.0) {
-    // Output stuck at a rail: grade the failure by the mid-rail current
-    // mismatch so the annealer has a slope off the plateau.
-    const double i6m = i6_at(0.5 * vdd);
-    const double i7m = i7_at(0.5 * vdd);
-    b.imbalance = std::fabs(i6m - i7m) / std::max(i6m + i7m, 1e-15);
+  const CrossingBias c =
+      staged(memo, &Stages::crossing, {b.vgs3, b.vgs8, v.w6, v.l6, v.w7, v.l7},
+             [&] { return crossing_bias(proc, v, b.vgs3, b.vgs8); });
+  if (c.stuck) {
+    b.imbalance = c.imbalance;
     return b;
   }
-  for (int i = 0; i < 60; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    if ((i6_at(mid) - i7_at(mid)) * f_lo > 0.0) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  b.out2 = 0.5 * (lo + hi);
-  b.e6 = spice::mos_eval(pp, b.vgs3, vdd - b.out2, 0.0, v.w6, v.l6);
-  b.e7 = spice::mos_eval(nn, b.vgs8, b.out2, 0.0, v.w7, v.l7);
+  b.out2 = c.out2;
+  b.e6 = c.e6;
+  b.e7 = c.e7;
   b.i6 = 0.5 * (b.e6.ids + b.e7.ids);
 
   // Saturation checks: pair, load mirror output, and both stage-2 devices.
@@ -137,26 +306,18 @@ BiasSolution solve_bias(const Process& proc, const OpAmpVars& v, double ibias) {
   // Optional buffer.
   b.out_dc = b.out2;
   if (v.buffered()) {
-    const double l9 = 2.0 * proc.lmin;
-    // Iterate the follower level: i10 depends on out, vgs9 on i10.
-    double out = b.out2 - 1.2;
-    for (int it = 0; it < 8; ++it) {
-      b.e10 = spice::mos_eval(nn, b.vgs8, std::max(out, 0.05), 0.0, v.w10, l9);
-      b.i9 = b.e10.ids;
-      if (b.i9 <= 0.0) {
-        b.imbalance = 0.7;
-        return b;
-      }
-      b.vgs9 = vgs_at(nn, v.w9, l9, b.i9, vdd - std::max(out, 0.05),
-                      -std::max(out, 0.05));
-      out = b.out2 - b.vgs9;
-    }
-    if (out < 0.1) {
-      b.imbalance = 0.6;
+    const FollowerBias f =
+        staged(memo, &Stages::follower, {b.out2, b.vgs8, v.w9, v.w10},
+               [&] { return follower_bias(proc, v, b.out2, b.vgs8); });
+    b.e10 = f.e10;
+    b.i9 = f.i9;
+    b.vgs9 = f.vgs9;
+    b.e9 = f.e9;
+    if (f.imbalance > 0.0) {
+      b.imbalance = f.imbalance;
       return b;
     }
-    b.out_dc = out;
-    b.e9 = spice::mos_eval(nn, b.vgs9, vdd - out, -out, v.w9, l9);
+    b.out_dc = f.out;
   }
 
   b.functional = true;
@@ -183,6 +344,27 @@ double gate_area(const Process& proc, const OpAmpVars& v) {
                 v.w6 * v.l6 + v.w7 * v.l7 + v.w8 * v.l8;
   if (v.buffered()) area += (v.w9 + v.w10) * 2.0 * proc.lmin;
   return area;
+}
+
+/// The analytic evaluation of a candidate; \p memo as in solve_bias.
+OpAmpEval evaluate(const Process& proc, const OpAmpVars& v, double ibias,
+                   double cload, BiasMemo::Stages* memo) {
+  OpAmpEval e;
+  const BiasSolution b = solve_bias(proc, v, ibias, memo);
+  e.imbalance = b.imbalance;
+  if (!b.functional) return e;
+
+  const est::OpAmpPerf p = compose(proc, v, b, ibias, cload);
+  e.functional = true;
+  e.itail = b.itail;
+  e.gain = p.gain;
+  e.ugf_hz = p.ugf_hz;
+  e.phase_margin = p.phase_margin;
+  e.gate_area = gate_area(proc, v);
+  e.dc_power = p.dc_power;
+  e.slew = p.slew;
+  e.zout = p.zout;
+  return e;
 }
 
 }  // namespace
@@ -233,22 +415,24 @@ std::vector<std::string> OpAmpVars::names(bool buffered) {
 
 OpAmpEval evaluate_opamp_vars(const Process& proc, const OpAmpVars& v,
                               double ibias, double cload) {
-  OpAmpEval e;
-  const BiasSolution b = solve_bias(proc, v, ibias);
-  e.imbalance = b.imbalance;
-  if (!b.functional) return e;
+  return evaluate(proc, v, ibias, cload, nullptr);
+}
 
-  const est::OpAmpPerf p = compose(proc, v, b, ibias, cload);
-  e.functional = true;
-  e.itail = b.itail;
-  e.gain = p.gain;
-  e.ugf_hz = p.ugf_hz;
-  e.phase_margin = p.phase_margin;
-  e.gate_area = gate_area(proc, v);
-  e.dc_power = p.dc_power;
-  e.slew = p.slew;
-  e.zout = p.zout;
-  return e;
+BiasMemo::BiasMemo(const Process& proc, double ibias, BiasStageCounts& counts)
+    : proc_(&proc), ibias_(ibias), stages_(std::make_unique<Stages>()) {
+  stages_->counts = &counts;
+}
+
+BiasMemo::BiasMemo(const BiasMemo& other)
+    : proc_(other.proc_),
+      ibias_(other.ibias_),
+      stages_(std::make_unique<Stages>(*other.stages_)) {}
+
+BiasMemo::~BiasMemo() = default;
+
+OpAmpEval evaluate_opamp_vars(BiasMemo& memo, const OpAmpVars& v,
+                              double cload) {
+  return evaluate(*memo.proc_, v, memo.ibias_, cload, memo.stages_.get());
 }
 
 double opamp_cost(const OpAmpEval& e, const OpAmpSpec& spec) {
@@ -362,8 +546,9 @@ OpAmpVars vars_from_design(const OpAmpDesign& d) {
 }
 
 OpAmpDesign design_from_vars(const Process& proc, const OpAmpVars& v,
-                             const OpAmpSpec& spec) {
-  const BiasSolution b = solve_bias(proc, v, spec.ibias);
+                             const OpAmpSpec& spec, bool* functional) {
+  const BiasSolution b = solve_bias(proc, v, spec.ibias, nullptr);
+  if (functional != nullptr) *functional = b.functional;
   const double vdd = proc.vdd;
   const double l9 = 2.0 * proc.lmin;
 

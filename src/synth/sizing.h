@@ -13,6 +13,7 @@
 /// composition. Final designs are always re-verified on the full MNA
 /// simulator.
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -64,6 +65,47 @@ struct OpAmpEval {
 OpAmpEval evaluate_opamp_vars(const est::Process& proc, const OpAmpVars& v,
                               double ibias, double cload);
 
+/// Work counters of a BiasMemo: bias-solve stages solved, and stages
+/// taken from the memo because their inputs matched a remembered solve.
+struct BiasStageCounts {
+  long solved = 0;
+  long reused = 0;
+};
+
+/// A memo of the bias solve's stages for one annealer restart, bound to
+/// its (process, ibias) (DESIGN.md section 7, "Incremental bias solve").
+/// An anneal move changes one coordinate, and the walk returns to the
+/// current point after every rejected candidate, so most stages of a
+/// candidate read inputs a recent evaluation already solved. Each stage
+/// is a pure function of the inputs it reads and is looked up by their
+/// exact bits, so evaluating through the memo returns the same bits as
+/// evaluating without one. Not thread-safe: every restart owns its own.
+/// The process must outlive the memo.
+class BiasMemo {
+ public:
+  /// Stage work is tallied into \p counts (not owned).
+  BiasMemo(const est::Process& proc, double ibias, BiasStageCounts& counts);
+  /// A copy (a cost closure is a copyable std::function) starts from the
+  /// same entries and tallies into the same counts.
+  BiasMemo(const BiasMemo& other);
+  BiasMemo& operator=(const BiasMemo&) = delete;
+  ~BiasMemo();
+
+  struct Stages;  ///< the per-stage entries (sizing.cpp)
+
+ private:
+  friend OpAmpEval evaluate_opamp_vars(BiasMemo& memo, const OpAmpVars& v,
+                                       double cload);
+  const est::Process* proc_;
+  double ibias_;
+  std::unique_ptr<Stages> stages_;
+};
+
+/// evaluate_opamp_vars(proc, v, ibias, cload) for the memo's (proc,
+/// ibias), bit for bit, solving only the stages the memo does not hold.
+OpAmpEval evaluate_opamp_vars(BiasMemo& memo, const OpAmpVars& v,
+                              double cload);
+
 /// Scalarized ASTRX-style cost: sum of squared relative constraint
 /// violations (gain/UGF/area/phase margin) plus a small power objective;
 /// non-functional points get a large plateau plus an imbalance hint.
@@ -89,7 +131,10 @@ OpAmpVars vars_from_design(const est::OpAmpDesign& d);
 
 /// Materialize a full OpAmpDesign (for netlisting / SPICE verification)
 /// from a candidate point; perf fields come from the analytic evaluation.
+/// \p functional (optional) receives evaluate_opamp_vars' verdict on the
+/// point, from the same bias solve.
 est::OpAmpDesign design_from_vars(const est::Process& proc, const OpAmpVars& v,
-                                  const est::OpAmpSpec& spec);
+                                  const est::OpAmpSpec& spec,
+                                  bool* functional = nullptr);
 
 }  // namespace ape::synth

@@ -305,7 +305,9 @@ TEST(Equilibration, PowerOfTwoScalingIsBitExactlyReversible) {
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j < n; ++j) {
       const double mag = std::abs(a(i, j));
-      if (mag > 0.0) EXPECT_LE(mag, 16.0) << i << "," << j;
+      if (mag > 0.0) {
+        EXPECT_LE(mag, 16.0) << i << "," << j;
+      }
     }
   }
   unscale_dense(a.data(), n, row_scale, col_scale);

@@ -290,6 +290,8 @@ std::vector<double> fingerprint(const synth::SynthesisOutcome& r) {
   std::vector<double> f{r.cost, double(r.functional), double(r.meets_spec),
                         double(r.skipped_candidates), double(r.evaluations),
                         double(r.restarts_run), double(r.best_restart),
+                        double(r.bias_stages.solved),
+                        double(r.bias_stages.reused),
                         r.design.perf.gain, r.design.perf.ugf_hz,
                         r.design.perf.gate_area, r.design.perf.cc};
   for (const auto& t : r.design.transistors) {
