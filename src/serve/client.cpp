@@ -97,19 +97,7 @@ std::string Client::call(const std::string& request_json) {
 }
 
 bool Client::send_raw(const void* data, size_t n) {
-  const char* p = static_cast<const char*>(data);
-  size_t sent = 0;
-  while (sent < n) {
-    const ssize_t w = write(fd_, p + sent, n - sent);
-    if (w > 0) {
-      sent += static_cast<size_t>(w);
-    } else if (w < 0 && errno == EINTR) {
-      continue;
-    } else {
-      return false;
-    }
-  }
-  return true;
+  return write_all(fd_, data, n);
 }
 
 void Client::shutdown_write() { shutdown(fd_, SHUT_WR); }

@@ -1,8 +1,10 @@
 #include "src/serve/protocol.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 
 #include <unistd.h>
@@ -83,9 +85,14 @@ bool write_frame(int fd, const std::string& payload) {
   };
   std::string frame(reinterpret_cast<const char*>(header), 4);
   frame += payload;
+  return write_all(fd, frame.data(), frame.size());
+}
+
+bool write_all(int fd, const void* data, size_t n) {
+  const char* p = static_cast<const char*>(data);
   size_t sent = 0;
-  while (sent < frame.size()) {
-    const ssize_t w = write(fd, frame.data() + sent, frame.size() - sent);
+  while (sent < n) {
+    const ssize_t w = write(fd, p + sent, n - sent);
     if (w > 0) {
       sent += static_cast<size_t>(w);
     } else if (w < 0 && errno == EINTR) {
@@ -169,21 +176,16 @@ Request parse_request(const std::string& payload) {
   const json::Value* op = doc.find("op");
   if (op == nullptr) throw ParseError("request: missing 'op'");
   const std::string& kind = op->as_string();
-  if (kind == "estimate") {
-    req.kind = RequestKind::Estimate;
-  } else if (kind == "synthesize") {
-    req.kind = RequestKind::Synthesize;
-  } else if (kind == "simulate") {
-    req.kind = RequestKind::Simulate;
-  } else if (kind == "corner_sweep") {
-    req.kind = RequestKind::CornerSweep;
-  } else if (kind == "stats") {
-    req.kind = RequestKind::Stats;
-  } else if (kind == "ping") {
-    req.kind = RequestKind::Ping;
-  } else {
+  constexpr RequestKind kKinds[] = {
+      RequestKind::Estimate,    RequestKind::Synthesize, RequestKind::Simulate,
+      RequestKind::CornerSweep, RequestKind::Stats,      RequestKind::Ping};
+  const auto known =
+      std::find_if(std::begin(kKinds), std::end(kKinds),
+                   [&](RequestKind k) { return kind == to_string(k); });
+  if (known == std::end(kKinds)) {
     throw ParseError("request: unknown op '" + kind + "'");
   }
+  req.kind = *known;
 
   if (const json::Value* id = doc.find("id")) req.id = id->as_string();
   if (const json::Value* t = doc.find("timeout_ms")) {

@@ -43,6 +43,7 @@
 /// inequality and the guaranteed metric interval. They are answered on
 /// the connection thread in microseconds without an executor slot.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -74,6 +75,10 @@ FrameStatus read_frame(int fd, std::string* payload,
 /// EINTR). Returns false on any write failure, e.g. EPIPE after the
 /// peer vanished — callers treat that as "client gone", never fatal.
 bool write_frame(int fd, const std::string& payload);
+
+/// Write all \p n bytes of \p data (short writes and EINTR retried);
+/// false on any write failure. The unframed primitive under write_frame.
+bool write_all(int fd, const void* data, size_t n);
 
 // ---------------------------------------------------------------------------
 // Request / response model.

@@ -1,5 +1,6 @@
 #include "src/serve/server.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -49,6 +50,39 @@ struct Server::Connection {
   std::atomic<bool> done{false};
   int admitted = 0;  ///< requests admitted on this connection (quota)
 };
+
+/// How one admitted request ended: its response payload and the ledger
+/// entry settle() makes for it. Every admitted request ends in exactly
+/// one of completed_ok (Ok, Degraded), errors or cancelled.
+struct Server::Answer {
+  enum class Fate { Ok, Degraded, Error, Cancelled };
+  std::string payload;
+  Fate fate = Fate::Ok;
+  bool deadline_hit = false;
+};
+
+Server::Answer Server::failure(const Request& req, const std::string& what) {
+  return {error_response(req.id, what), Answer::Fate::Error};
+}
+
+template <class Edit>
+void Server::tally(Edit edit) {
+  std::lock_guard<std::mutex> lock(mu_);
+  edit(stats_);
+}
+
+std::string Server::settle(Answer a) {
+  tally([&a](ServerStats& s) {
+    switch (a.fate) {
+      case Answer::Fate::Degraded: ++s.degraded; [[fallthrough]];
+      case Answer::Fate::Ok: ++s.completed_ok; break;
+      case Answer::Fate::Error: ++s.errors; break;
+      case Answer::Fate::Cancelled: ++s.cancelled; break;
+    }
+    if (a.deadline_hit) ++s.deadline_hits;
+  });
+  return std::move(a.payload);
+}
 
 Server::Server(const est::Process& proc, ServeOptions options)
     : proc_(proc),
@@ -147,33 +181,34 @@ int Server::serve_forever(int wake_fd) {
   accept_loop(wake_fd);
   close_listener();
 
-  // Drain phase 1: half-close every connection and give in-flight work
-  // the grace window to finish naturally.
-  begin_connection_shutdown();
-  const double grace_deadline = now_seconds() + options_.drain_grace_s;
-  auto connections_alive = [&] {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& conn : connections_) {
-      if (!conn->done.load(std::memory_order_acquire)) return true;
-    }
-    return false;
-  };
-  while (connections_alive() && now_seconds() < grace_deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    reap_finished_connections(false);
-  }
-
-  // Drain phase 2: the grace expired — fire the drain token. Every
-  // request budget is attached to it, so remaining jobs resolve at their
-  // next cooperative probe and their connections answer then exit.
-  if (connections_alive()) {
-    drain_cancel_.cancel();
-    const double hard_deadline =
-        now_seconds() + options_.max_deadline_s + options_.drain_grace_s;
-    while (connections_alive() && now_seconds() < hard_deadline) {
+  // Sleep and reap until every connection is done or \p seconds pass;
+  // true when some connection is still alive.
+  auto wait_for_connections = [this](double seconds) {
+    const double deadline = now_seconds() + seconds;
+    for (;;) {
+      bool alive;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        alive = std::any_of(connections_.begin(), connections_.end(),
+                            [](const auto& conn) {
+                              return !conn->done.load(std::memory_order_acquire);
+                            });
+      }
+      if (!alive || now_seconds() >= deadline) return alive;
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
       reap_finished_connections(false);
     }
+  };
+
+  // Drain phase 1: half-close every connection and give in-flight work
+  // the grace window to finish naturally. Phase 2: the grace expired —
+  // fire the drain token. Every request budget is attached to it, so
+  // remaining jobs resolve at their next cooperative probe and their
+  // connections answer then exit.
+  begin_connection_shutdown();
+  if (wait_for_connections(options_.drain_grace_s)) {
+    drain_cancel_.cancel();
+    wait_for_connections(options_.max_deadline_s + options_.drain_grace_s);
   }
 
   reap_finished_connections(/*join_all=*/true);
@@ -207,30 +242,19 @@ void Server::accept_loop(int wake_fd) {
 
     const int fd = accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
-    bool reject = draining();
-    if (!reject) {
-      std::lock_guard<std::mutex> lock(mu_);
-      reject = connections_.size() >=
-               static_cast<size_t>(options_.max_connections);
-    }
-    if (reject) {
-      // Over the connection limit (or drain raced the accept): answer
-      // the first frame with a shed so the client sees a decision, not
-      // a silent hangup... except we have not read a request yet, so the
-      // honest signal is an immediate close.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (draining() || connections_.size() >=
+                          static_cast<size_t>(options_.max_connections)) {
+      // Over the connection limit (or drain raced the accept): no request
+      // has been read yet, so the honest signal is an immediate close.
       close(fd);
-      std::lock_guard<std::mutex> lock(mu_);
       ++stats_.connections_rejected;
       continue;
     }
-    auto conn = std::make_unique<Connection>();
-    conn->fd = fd;
-    Connection* raw = conn.get();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.connections_opened;
-      connections_.push_back(std::move(conn));
-    }
+    ++stats_.connections_opened;
+    Connection* raw =
+        connections_.emplace_back(std::make_unique<Connection>()).get();
+    raw->fd = fd;
     raw->reader = std::thread([this, raw] { handle_connection(raw); });
   }
 }
@@ -241,47 +265,34 @@ void Server::handle_connection(Connection* conn) {
     const FrameStatus status =
         read_frame(conn->fd, &payload, options_.max_frame_bytes);
     if (status == FrameStatus::Eof) break;
-    if (status == FrameStatus::Truncated || status == FrameStatus::IoError) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.framing_errors;
-      break;
-    }
-    if (status == FrameStatus::Oversized || status == FrameStatus::BadLength) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.framing_errors;
+    if (status != FrameStatus::Ok) {
+      tally([](ServerStats& s) { ++s.framing_errors; });
+      // An oversized or zero-length frame cannot be re-aligned (we refuse
+      // to skip an oversized payload): tell the client why, then close.
+      if (status == FrameStatus::Oversized || status == FrameStatus::BadLength) {
+        write_frame(conn->fd,
+                    error_response("", std::string("frame rejected: ") +
+                                           to_string(status)));
       }
-      // The stream cannot be re-aligned (we refuse to skip an oversized
-      // payload); tell the client why, then close.
-      write_frame(conn->fd,
-                  error_response("", std::string("frame rejected: ") +
-                                         to_string(status)));
       break;
     }
 
-    std::string response;
     Request req;
-    bool parsed = false;
     try {
       req = parse_request(payload);
-      parsed = true;
     } catch (const Error& e) {
       // Malformed payload inside an intact frame: the connection state
       // is uncorrupted (framing kept the stream aligned), so answer the
       // error and keep serving this client.
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.malformed_frames;
-      ++stats_.errors;
-      response = error_response("", e.what());
+      tally([](ServerStats& s) {
+        ++s.malformed_frames;
+        ++s.errors;
+      });
+      if (!write_frame(conn->fd, error_response("", e.what()))) break;
+      continue;
     }
-    if (parsed) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.requests;
-      }
-      response = dispatch(*conn, req);
-    }
-    if (!write_frame(conn->fd, response)) break;  // client vanished
+    tally([](ServerStats& s) { ++s.requests; });
+    if (!write_frame(conn->fd, dispatch(*conn, req))) break;  // client gone
   }
   conn->done.store(true, std::memory_order_release);
 }
@@ -289,7 +300,7 @@ void Server::handle_connection(Connection* conn) {
 Server::Admission Server::admit_heavy() {
   // load_ counts admitted-but-unfinished heavy jobs. Full service while
   // a pool worker is free; the queue band answers degraded (synthesize)
-  // or queues (simulate); past the band, shed.
+  // or queues (simulate, corner_sweep); past the band, shed.
   int load = load_.load(std::memory_order_relaxed);
   for (;;) {
     if (load >= options_.max_in_flight + options_.queue_slots) {
@@ -300,10 +311,9 @@ Server::Admission Server::admit_heavy() {
       break;  // `load` holds the pre-increment value we won with
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.peak_in_flight = std::max<long>(stats_.peak_in_flight, load + 1);
-  }
+  tally([load](ServerStats& s) {
+    s.peak_in_flight = std::max<long>(s.peak_in_flight, load + 1);
+  });
   return load < options_.max_in_flight ? Admission::Full : Admission::Degraded;
 }
 
@@ -317,25 +327,19 @@ std::string Server::dispatch(Connection& conn, const Request& req) {
   }
 
   if (draining()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.shed_draining;
+    tally([](ServerStats& s) { ++s.shed_draining; });
     return shed_response(req.id, "draining");
   }
   if (options_.quota_per_conn > 0 && conn.admitted >= options_.quota_per_conn) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.shed_quota;
+    tally([](ServerStats& s) { ++s.shed_quota; });
     return shed_response(req.id, "quota");
   }
 
   switch (req.kind) {
-    case RequestKind::Estimate: {
+    case RequestKind::Estimate:
       ++conn.admitted;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.accepted;
-      }
-      return run_estimate(req, /*degraded=*/false);
-    }
+      tally([](ServerStats& s) { ++s.accepted; });
+      return settle(run_estimate(req, /*degraded=*/false));
     case RequestKind::Synthesize:
       return run_synthesize(conn, req);
     case RequestKind::Simulate:
@@ -354,7 +358,7 @@ static double request_deadline_s(const Request& req, const ServeOptions& o) {
   return asked > 0.0 ? std::min(asked, o.max_deadline_s) : o.max_deadline_s;
 }
 
-std::string Server::run_estimate(const Request& req, bool degraded) {
+Server::Answer Server::run_estimate(const Request& req, bool degraded) {
   RunBudget budget = RunBudget::with_deadline(request_deadline_s(req, options_));
   budget.attach_cancel(&drain_cancel_);
   ScopedJobContext job([&budget](JobContext& c) { c.budget = &budget; });
@@ -364,15 +368,90 @@ std::string Server::run_estimate(const Request& req, bool degraded) {
         cache_.opamp(proc_, req.spec);
     json::Writer w = response(req.id, "ok", degraded);
     w.field("perf", design->perf).end_object();
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.completed_ok;
-    if (degraded) ++stats_.degraded;
-    return w.str();
+    return {w.str(), degraded ? Answer::Fate::Degraded : Answer::Fate::Ok};
   } catch (const Error& e) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.errors;
-    return error_response(req.id, e.what());
+    return failure(req, e.what());
   }
+}
+
+Server::Answer Server::lapsed(const Request& req, Answer error) {
+  if (req.kind == RequestKind::Synthesize) {
+    error = run_estimate(req, /*degraded=*/true);
+  }
+  error.deadline_hit = true;
+  return error;
+}
+
+template <class Body>
+std::string Server::run_heavy(Connection& conn, const Request& req,
+                              Body body) {
+  const Admission admission = admit_heavy();
+  if (admission == Admission::Shed) {
+    tally([](ServerStats& s) { ++s.shed_overload; });
+    return shed_response(req.id, "overload");
+  }
+  // Every way out of this function returns the admitted slot.
+  struct SlotRelease {
+    Server* server;
+    ~SlotRelease() { server->load_.fetch_sub(1, std::memory_order_relaxed); }
+  } release{this};
+  ++conn.admitted;
+  tally([](ServerStats& s) { ++s.accepted; });
+
+  const bool synthesize = req.kind == RequestKind::Synthesize;
+  if (admission == Admission::Degraded && synthesize) {
+    // Saturated: answer now with the cheap analytic estimate instead of
+    // queueing expensive synthesis — the paper's estimate-for-simulation
+    // trade as a shedding discipline. Simulate and corner_sweep have no
+    // cheap form, so the band queues them.
+    return settle(run_estimate(req, /*degraded=*/true));
+  }
+
+  const double deadline_abs = now_seconds() + request_deadline_s(req, options_);
+  const uint64_t ordinal =
+      request_ordinal_.fetch_add(1, std::memory_order_relaxed);
+  // The connection thread waits on the future, so the job may borrow
+  // everything on this frame.
+  std::future<Answer> result = executor_->submit([&]() -> Answer {
+    ErrorContext scope(std::string("serve[") + to_string(req.kind) + "#" +
+                       std::to_string(ordinal) + "]");
+    if (drain_cancel_.cancelled()) {
+      // The drain fired while this request waited: synthesize still
+      // answers with the estimate, the others never started.
+      if (synthesize) return run_estimate(req, /*degraded=*/true);
+      return {shed_response(req.id, "draining"), Answer::Fate::Cancelled};
+    }
+    const double remaining = deadline_abs - now_seconds();
+    if (remaining <= 0.002) {
+      return lapsed(req, failure(req, annotate_with_context(
+                                          "deadline exceeded while queued")));
+    }
+    RunBudget budget = RunBudget::with_deadline(remaining);
+    budget.attach_cancel(&drain_cancel_);
+    ScopedJobContext job([&budget](JobContext& c) { c.budget = &budget; });
+    Answer answer;
+    try {
+      answer = body(ordinal, remaining);
+    } catch (const Error& e) {
+      answer = failure(req, e.what());
+    }
+    // A job that failed because the drain cancelled it counts as
+    // cancelled; one whose deadline passed follows the lapse rule.
+    if (answer.fate != Answer::Fate::Error) return answer;
+    if (budget.cancelled()) {
+      answer.fate = Answer::Fate::Cancelled;
+      return answer;
+    }
+    return budget.exhausted() ? lapsed(req, std::move(answer)) : answer;
+  });
+
+  Answer answer;
+  try {
+    answer = result.get();
+  } catch (const std::exception& e) {
+    answer = failure(req, e.what());
+  }
+  return settle(std::move(answer));
 }
 
 std::string Server::run_synthesize(Connection& conn, const Request& req) {
@@ -380,52 +459,18 @@ std::string Server::run_synthesize(Connection& conn, const Request& req) {
   // bounds over the whole sizing box prove the spec unreachable, the
   // request is answered *now* — microseconds, on the connection thread,
   // no executor slot, no synthesis budget — with the proof attached.
-  const lint::FeasibilityProof proof = [&] {
-    lint::ProveOptions po;
-    po.contraction_segments = 0;  // global check only; admission is hot
-    return lint::prove_opamp_feasibility(proc_, req.spec, po);
-  }();
+  lint::ProveOptions po;
+  po.contraction_segments = 0;  // global check only; admission is hot
+  const lint::FeasibilityProof proof =
+      lint::prove_opamp_feasibility(proc_, req.spec, po);
   if (proof.infeasible) {
     json::Writer w = response(req.id, "infeasible", false);
     w.field("proof", proof.report).end_object();
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.proven_infeasible;
+    tally([](ServerStats& s) { ++s.proven_infeasible; });
     return w.str();
   }
 
-  const Admission admission = admit_heavy();
-  if (admission == Admission::Shed) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.shed_overload;
-    return shed_response(req.id, "overload");
-  }
-  ++conn.admitted;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.accepted;
-  }
-  if (admission == Admission::Degraded) {
-    // Saturated: answer now with the cheap analytic estimate instead of
-    // queueing expensive synthesis — the paper's estimate-for-simulation
-    // trade as a shedding discipline.
-    load_.fetch_sub(1, std::memory_order_relaxed);
-    return run_estimate(req, /*degraded=*/true);
-  }
-
-  const double deadline_abs =
-      now_seconds() + request_deadline_s(req, options_);
-  const uint64_t ordinal =
-      request_ordinal_.fetch_add(1, std::memory_order_relaxed);
-  std::future<std::string> result = executor_->submit([this, req, deadline_abs,
-                                                       ordinal, proof] {
-    ErrorContext scope("serve[synthesize#" + std::to_string(ordinal) + "]");
-    const double remaining = deadline_abs - now_seconds();
-    if (remaining <= 0.002 || drain_cancel_.cancelled()) {
-      // Spent its whole deadline queued (or the drain fired): the honest
-      // cheap answer is the analytic estimate, marked degraded.
-      return run_estimate(req, /*degraded=*/true);
-    }
-
+  return run_heavy(conn, req, [&](uint64_t ordinal, double remaining) {
     runtime::SupervisorOptions sup;
     sup.batch.threads = 1;
     sup.batch.seed = req.seed != 0 ? req.seed : options_.seed;
@@ -452,31 +497,16 @@ std::string Server::run_synthesize(Connection& conn, const Request& req) {
         runtime::run_supervised_opamp_job(proc_, req.spec, sup, ordinal);
 
     if (r.cancelled) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.cancelled;
-      ++stats_.shed_draining;
-      return shed_response(req.id, "draining");
+      return Answer{shed_response(req.id, "draining"), Answer::Fate::Cancelled};
     }
     if (r.quarantined) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.quarantine_hits;
-      ++stats_.errors;
-      return error_response(req.id, r.error);
+      tally([](ServerStats& s) { ++s.quarantine_hits; });
+      return failure(req, r.error);
     }
-    if (!r.ok && r.deadline_hit) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.deadline_hits;
-      }
-      // No usable attempt inside the deadline — fall back to the
-      // analytic estimate rather than failing the client.
-      return run_estimate(req, /*degraded=*/true);
-    }
-    if (!r.ok) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.errors;
-      return error_response(req.id, r.error);
-    }
+    // No usable attempt inside the deadline: the lapse rule answers
+    // with the analytic estimate rather than failing the client.
+    if (!r.ok && r.deadline_hit) return lapsed(req, {});
+    if (!r.ok) return failure(req, r.error);
 
     const synth::SynthesisOutcome& o = r.outcome;
     json::Writer w = response(req.id, "ok", r.estimate_fallback);
@@ -490,229 +520,100 @@ std::string Server::run_synthesize(Connection& conn, const Request& req) {
         .field("comment", o.comment)
         .field("perf", o.design.perf)
         .end_object();
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.completed_ok;
-    if (r.estimate_fallback) ++stats_.degraded;
-    if (r.deadline_hit) ++stats_.deadline_hits;
-    if (r.final_rung == RetryRung::NumericRecovery) ++stats_.numeric_recoveries;
-    return w.str();
-  });
-
-  std::string response;
-  try {
-    response = result.get();
-  } catch (const std::exception& e) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.errors;
+    if (r.final_rung == RetryRung::NumericRecovery) {
+      tally([](ServerStats& s) { ++s.numeric_recoveries; });
     }
-    response = error_response(req.id, e.what());
-  }
-  load_.fetch_sub(1, std::memory_order_relaxed);
-  return response;
+    return Answer{w.str(),
+                  r.estimate_fallback ? Answer::Fate::Degraded
+                                      : Answer::Fate::Ok,
+                  r.deadline_hit};
+  });
 }
 
 std::string Server::run_simulate(Connection& conn, const Request& req) {
-  const Admission admission = admit_heavy();
-  if (admission == Admission::Shed) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.shed_overload;
-    return shed_response(req.id, "overload");
-  }
-  ++conn.admitted;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.accepted;
-  }
-  // Simulation has no analytic degraded form: the queue band queues it
-  // (its deadline keeps ticking, so a long wait degrades into a shed).
-  const double deadline_abs =
-      now_seconds() + request_deadline_s(req, options_);
-  std::future<std::string> result = executor_->submit([this, req,
-                                                       deadline_abs] {
-    ErrorContext scope("serve[simulate]");
-    const double remaining = deadline_abs - now_seconds();
-    if (remaining <= 0.002 || drain_cancel_.cancelled()) {
-      const bool draining = drain_cancel_.cancelled();
-      std::lock_guard<std::mutex> lock(mu_);
-      if (draining) {
-        ++stats_.cancelled;
-        ++stats_.shed_draining;
-      } else {
-        ++stats_.deadline_hits;
-        ++stats_.shed_overload;
-      }
-      return shed_response(req.id, draining ? "draining" : "overload");
-    }
-    RunBudget budget = RunBudget::with_deadline(remaining);
-    budget.attach_cancel(&drain_cancel_);
-    ScopedJobContext job([&budget](JobContext& c) { c.budget = &budget; });
+  return run_heavy(conn, req, [&](uint64_t, double) {
+    spice::Circuit ckt = spice::parse_netlist(req.netlist);
+    ConvergenceReport report;
+    spice::DcOptions opts;
+    opts.report = &report;
+    spice::Solution sol;
+    bool recovery_rung = false;
     try {
-      spice::Circuit ckt = spice::parse_netlist(req.netlist);
-      ConvergenceReport report;
-      spice::DcOptions opts;
-      opts.report = &report;
-      spice::Solution sol;
-      bool recovery_rung = false;
-      try {
-        sol = spice::dc_operating_point(ckt, opts);
-      } catch (const NumericError&) {
-        // The request-level NumericRecovery rung (DESIGN.md section 15):
-        // one re-run under forced numerical health — equilibration,
-        // condition estimation and iterative refinement on every solve —
-        // before failing the client, mirroring the batch ladder.
-        ScopedJobContext force(
-            [](JobContext& c) { c.health_mode = NumericHealthMode::Force; });
-        sol = spice::dc_operating_point(ckt, opts);
-        recovery_rung = true;
-      }
-      // A request counts as a numeric recovery when any rung of the
-      // DESIGN.md section 15 ladder fired on its behalf: the in-kernel
-      // escalation (equilibrate-and-refactorize), the request-level
-      // Force re-run above, or — the ladder's first rung — refinement
-      // itself, which under ambient Auto mode only engages after pivot
-      // growth or the condition estimate crossed the health thresholds.
-      long recoveries =
-          report.kernel.numeric_recoveries + (recovery_rung ? 1 : 0);
-      if (recoveries == 0 && report.kernel.refinement_solves > 0) {
-        recoveries = 1;
-      }
-      json::Writer w = response(req.id, "ok", false);
-      w.field("converged", report.converged)
-          .field("dc_plan", to_string(report.plan))
-          .field("newton_iterations", report.newton_iterations)
-          .field("numeric_recoveries", recoveries)
-          .field("refinement_solves", report.kernel.refinement_solves)
-          .field("equilibrated_solves", report.kernel.equilibrated_solves)
-          .key("nodes")
-          .begin_object();
-      for (size_t n = 0; n < ckt.num_nodes(); ++n) {
-        const int node = static_cast<int>(n);
-        w.field(ckt.node_name(node), sol.at(node));
-      }
-      w.end_object().end_object();
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.completed_ok;
-      stats_.numeric_recoveries += recoveries;
-      stats_.refinement_solves += report.kernel.refinement_solves;
-      return w.str();
-    } catch (const Error& e) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.errors;
-      if (budget.exhausted() && !budget.cancelled()) ++stats_.deadline_hits;
-      if (budget.cancelled()) ++stats_.cancelled;
-      return error_response(req.id, e.what());
+      sol = spice::dc_operating_point(ckt, opts);
+    } catch (const NumericError&) {
+      // The request-level NumericRecovery rung (DESIGN.md section 15):
+      // one re-run under forced numerical health — equilibration,
+      // condition estimation and iterative refinement on every solve —
+      // before failing the client, mirroring the batch ladder.
+      ScopedJobContext force(
+          [](JobContext& c) { c.health_mode = NumericHealthMode::Force; });
+      sol = spice::dc_operating_point(ckt, opts);
+      recovery_rung = true;
     }
+    // A request counts as a numeric recovery when any rung of the
+    // DESIGN.md section 15 ladder fired on its behalf: the in-kernel
+    // escalation (equilibrate-and-refactorize), the request-level
+    // Force re-run above, or — the ladder's first rung — refinement
+    // itself, which under ambient Auto mode only engages after pivot
+    // growth or the condition estimate crossed the health thresholds.
+    long recoveries =
+        report.kernel.numeric_recoveries + (recovery_rung ? 1 : 0);
+    if (recoveries == 0 && report.kernel.refinement_solves > 0) {
+      recoveries = 1;
+    }
+    json::Writer w = response(req.id, "ok", false);
+    w.field("converged", report.converged)
+        .field("dc_plan", to_string(report.plan))
+        .field("newton_iterations", report.newton_iterations)
+        .field("numeric_recoveries", recoveries)
+        .field("refinement_solves", report.kernel.refinement_solves)
+        .field("equilibrated_solves", report.kernel.equilibrated_solves)
+        .key("nodes")
+        .begin_object();
+    for (size_t n = 0; n < ckt.num_nodes(); ++n) {
+      const int node = static_cast<int>(n);
+      w.field(ckt.node_name(node), sol.at(node));
+    }
+    w.end_object().end_object();
+    tally([&](ServerStats& s) {
+      s.numeric_recoveries += recoveries;
+      s.refinement_solves += report.kernel.refinement_solves;
+    });
+    return Answer{w.str()};
   });
-
-  std::string response;
-  try {
-    response = result.get();
-  } catch (const std::exception& e) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.errors;
-    }
-    response = error_response(req.id, e.what());
-  }
-  load_.fetch_sub(1, std::memory_order_relaxed);
-  return response;
 }
 
 std::string Server::run_corner_sweep(Connection& conn, const Request& req) {
-  const Admission admission = admit_heavy();
-  if (admission == Admission::Shed) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.shed_overload;
-    return shed_response(req.id, "overload");
-  }
-  ++conn.admitted;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.accepted;
-  }
-  // A sweep has no cheap degraded form (its whole point is the grid),
-  // so the queue band queues it like simulate; a long wait sheds.
-  const double deadline_abs =
-      now_seconds() + request_deadline_s(req, options_);
-  const uint64_t ordinal =
-      request_ordinal_.fetch_add(1, std::memory_order_relaxed);
-  std::future<std::string> result = executor_->submit([this, req, deadline_abs,
-                                                       ordinal] {
-    ErrorContext scope("serve[corner_sweep#" + std::to_string(ordinal) + "]");
-    const double remaining = deadline_abs - now_seconds();
-    if (remaining <= 0.002 || drain_cancel_.cancelled()) {
-      const bool draining = drain_cancel_.cancelled();
-      std::lock_guard<std::mutex> lock(mu_);
-      if (draining) {
-        ++stats_.cancelled;
-        ++stats_.shed_draining;
-      } else {
-        ++stats_.deadline_hits;
-        ++stats_.shed_overload;
-      }
-      return shed_response(req.id, draining ? "draining" : "overload");
-    }
-    RunBudget budget = RunBudget::with_deadline(remaining);
-    budget.attach_cancel(&drain_cancel_);
-    ScopedJobContext job([&budget](JobContext& c) { c.budget = &budget; });
-    try {
-      runtime::SweepOptions sweep;
-      // The sweep runs inside this executor slot: its internal fan-out
-      // must not claim more workers or the daemon deadlocks under load.
-      sweep.supervisor.batch.threads = 1;
-      sweep.supervisor.batch.seed = req.seed != 0 ? req.seed : options_.seed;
-      sweep.supervisor.batch.cache = &cache_;
-      sweep.supervisor.cancel = &drain_cancel_;
-      sweep.corners =
-          stat::CornerSet::parse(req.corners.empty() ? "all" : req.corners);
-      sweep.mc_samples = std::min(req.mc_samples, options_.mc_samples_cap);
-      const std::vector<est::OpAmpSpec> specs{req.spec};
-      const runtime::SweepResult r =
-          sweep.mc_samples > 0 ? runtime::run_monte_carlo(proc_, specs, sweep)
-                               : runtime::run_corner_sweep(proc_, specs, sweep);
-      const runtime::SweepJobResult& job = r.jobs.at(0);
-      if (!job.ok) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.errors;
-        if (budget.cancelled()) ++stats_.cancelled;
-        return error_response(req.id, job.error);
-      }
-      json::Writer w = response(req.id, "ok", false);
-      w.field("corners", sweep.corners.names())
-          .field("mc_samples", sweep.mc_samples)
-          .field("samples_per_corner", r.samples_per_corner)
-          .field("corner_estimate_ok",
-                 runtime::corner_flags(job.corner_estimate_ok))
-          .field("corner_proven_infeasible",
-                 runtime::corner_flags(job.corner_proven_infeasible))
-          .field("corners_pruned", r.corners_pruned)
-          .field("yield_report", job.report)
-          .end_object();
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.completed_ok;
-      return w.str();
-    } catch (const Error& e) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.errors;
-      if (budget.exhausted() && !budget.cancelled()) ++stats_.deadline_hits;
-      if (budget.cancelled()) ++stats_.cancelled;
-      return error_response(req.id, e.what());
-    }
+  return run_heavy(conn, req, [&](uint64_t, double) {
+    runtime::SweepOptions sweep;
+    // The sweep runs inside this executor slot: its internal fan-out
+    // must not claim more workers or the daemon deadlocks under load.
+    sweep.supervisor.batch.threads = 1;
+    sweep.supervisor.batch.seed = req.seed != 0 ? req.seed : options_.seed;
+    sweep.supervisor.batch.cache = &cache_;
+    sweep.supervisor.cancel = &drain_cancel_;
+    sweep.corners =
+        stat::CornerSet::parse(req.corners.empty() ? "all" : req.corners);
+    sweep.mc_samples = std::min(req.mc_samples, options_.mc_samples_cap);
+    const std::vector<est::OpAmpSpec> specs{req.spec};
+    const runtime::SweepResult r =
+        sweep.mc_samples > 0 ? runtime::run_monte_carlo(proc_, specs, sweep)
+                             : runtime::run_corner_sweep(proc_, specs, sweep);
+    const runtime::SweepJobResult& job = r.jobs.at(0);
+    if (!job.ok) return failure(req, job.error);
+    json::Writer w = response(req.id, "ok", false);
+    w.field("corners", sweep.corners.names())
+        .field("mc_samples", sweep.mc_samples)
+        .field("samples_per_corner", r.samples_per_corner)
+        .field("corner_estimate_ok",
+               runtime::corner_flags(job.corner_estimate_ok))
+        .field("corner_proven_infeasible",
+               runtime::corner_flags(job.corner_proven_infeasible))
+        .field("corners_pruned", r.corners_pruned)
+        .field("yield_report", job.report)
+        .end_object();
+    return Answer{w.str()};
   });
-
-  std::string response;
-  try {
-    response = result.get();
-  } catch (const std::exception& e) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.errors;
-    }
-    response = error_response(req.id, e.what());
-  }
-  load_.fetch_sub(1, std::memory_order_relaxed);
-  return response;
 }
 
 std::string Server::stats_response(const Request& req) const {

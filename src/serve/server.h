@@ -2,16 +2,22 @@
 /// \file server.h
 /// ape_serve: the overload-safe estimation daemon (DESIGN.md section
 /// 11). A long-running server that accepts estimate / synthesize /
-/// simulate jobs over a Unix-domain socket (length-prefixed JSON frames,
-/// protocol.h), multiplexes them onto one shared runtime::Executor, and
-/// runs every heavy request through the supervised job lifecycle
-/// (runtime::run_supervised_opamp_job: deadline, retry ladder,
-/// quarantine) with one bounded EstimateCache shared across all clients.
+/// simulate / corner_sweep jobs over a Unix-domain socket
+/// (length-prefixed JSON frames, protocol.h), multiplexes them onto one
+/// shared runtime::Executor, and runs every synthesize request through
+/// the supervised job lifecycle (runtime::run_supervised_opamp_job:
+/// deadline, retry ladder, quarantine) with one bounded EstimateCache
+/// shared across all clients.
 ///
 /// Robustness is the design driver, not throughput:
 ///
-///  - Admission control. Heavy work (synthesize, simulate) is admitted
-///    only while `load < max_in_flight + queue_slots`, where load counts
+///  - One request path. The heavy ops (synthesize, simulate,
+///    corner_sweep) share run_heavy(): admission, the deadline, the
+///    executor job under its RunBudget, the lapse rule, the ledger and
+///    the release of the load slot are written once; each op supplies
+///    only its job body.
+///  - Admission control. Heavy work is admitted only while
+///    `load < max_in_flight + queue_slots`, where load counts
 ///    admitted-but-unfinished heavy jobs. The executor pool has exactly
 ///    max_in_flight workers, so queue_slots bounds the backlog a client
 ///    burst can park on the daemon.
@@ -20,8 +26,9 @@
 ///    is not queued — it is answered *immediately* with the analytic APE
 ///    estimate (the paper's cheap-estimate-for-expensive-simulation
 ///    trade, applied as a server discipline) and marked
-///    `"degraded": true`. Above the band every heavy request is shed
-///    with `"status":"shed","reason":"overload"`. Estimate requests are
+///    `"degraded": true`; simulate and corner_sweep, which have no cheap
+///    form, queue. Above the band every heavy request is shed with
+///    `"status":"shed","reason":"overload"`. Estimate requests are
 ///    themselves the cheap path: they always run (inline, off the
 ///    executor) unless a per-client quota or drain sheds them.
 ///  - Per-client quotas. Each connection may have at most
@@ -32,7 +39,10 @@
 ///    whose deadline is min(client timeout_ms, max_deadline_s) — always
 ///    finite — wired to the server's drain CancelToken. A request can
 ///    therefore never outlive the server's grace window, and a stalled
-///    solve stops at its next cooperative probe.
+///    solve stops at its next cooperative probe. A deadline that lapses
+///    gets the same answer whether the request was still queued or
+///    already running: synthesize the degraded estimate, simulate and
+///    corner_sweep an error; both count a deadline hit.
 ///  - Malformed input never corrupts connection state. Bad JSON in a
 ///    well-framed payload gets an "error" response and the connection
 ///    continues (framing keeps the stream aligned). Only framing damage
@@ -96,20 +106,24 @@ struct ServerStats {
   long connections_opened = 0;
   long connections_rejected = 0;  ///< at accept: over limit or draining
   long requests = 0;          ///< well-formed requests parsed
-  long accepted = 0;          ///< admitted into service (incl. degraded)
+  long accepted = 0;          ///< admitted into service (incl. degraded);
+                              ///< each ends in exactly one of
+                              ///< completed_ok, errors or cancelled
   long completed_ok = 0;      ///< "ok" responses
   long degraded = 0;          ///< degraded (estimate-only) responses
-  long shed_overload = 0;
+  long shed_overload = 0;     ///< shed_*: never admitted (no `accepted`)
   long shed_quota = 0;
   long shed_draining = 0;
   long proven_infeasible = 0; ///< synthesize requests rejected by an
                               ///< APE-F001 feasibility proof at admission
                               ///< (answered with the proof, no executor slot)
-  long errors = 0;            ///< "error" responses (parse or job failure)
+  long errors = 0;            ///< "error" responses: parse or job failure,
+                              ///< and deadline lapses of simulate and
+                              ///< corner_sweep
   long malformed_frames = 0;  ///< payloads that failed to parse
   long framing_errors = 0;    ///< oversized / zero-length / truncated frames
-  long deadline_hits = 0;
-  long cancelled = 0;
+  long deadline_hits = 0;     ///< requests whose deadline lapsed
+  long cancelled = 0;         ///< accepted requests the drain cut short
   long quarantine_hits = 0;   ///< requests skipped on a quarantined spec
   long numeric_recoveries = 0;///< requests rescued by the numerical-health
                               ///< ladder (kernel-level recoveries plus
@@ -158,11 +172,29 @@ private:
   /// Serve one parsed request on \p conn; returns the response payload.
   std::string dispatch(Connection& conn, const Request& req);
 
-  std::string run_estimate(const Request& req, bool degraded);
+  /// How an admitted request ended (defined in server.cpp).
+  struct Answer;
+  static Answer failure(const Request& req, const std::string& what);
+
+  /// The one request path of every heavy op: admission, the deadline,
+  /// the executor job under its RunBudget, the lapse rule and the
+  /// ledger; \p body(ordinal, remaining_s) runs the op itself.
+  template <class Body>
+  std::string run_heavy(Connection& conn, const Request& req, Body body);
   std::string run_synthesize(Connection& conn, const Request& req);
   std::string run_simulate(Connection& conn, const Request& req);
   std::string run_corner_sweep(Connection& conn, const Request& req);
+  Answer run_estimate(const Request& req, bool degraded);
+  /// The answer to a request whose deadline passed, queued or running:
+  /// synthesize gets the degraded estimate, the other ops \p error.
+  Answer lapsed(const Request& req, Answer error);
   std::string stats_response(const Request& req) const;
+
+  /// Update stats_ under mu_.
+  template <class Edit>
+  void tally(Edit edit);
+  /// Count \p answer in the ledger and return its payload.
+  std::string settle(Answer answer);
 
   /// Admission decision for one heavy request; increments load_ when
   /// admitted. Mode of service under the current load.

@@ -433,30 +433,116 @@ TEST(ServeDaemon, SimulateSolvesADeck) {
   EXPECT_EQ(daemon.stop(), 0);
 }
 
-// ---------------------------------------------------------------------------
-// Overload and drain.
+// A request whose deadline lapses before a worker starts it gets the
+// answer a mid-run lapse gets: a simulate an error, a synthesize the
+// degraded estimate, each with one deadline hit and never a shed.
+TEST(ServeDaemon, DeadlineLapsedInQueueFollowsTheLapseRule) {
+  ServeOptions options = base_options("lapse");
+  options.max_in_flight = 1;
+  options.queue_slots = 1;
+  TestDaemon daemon(options);
 
-TEST(ServeDaemon, OverloadSoakShedsInsteadOfCollapsing) {
+  // A long synthesize holds the only worker...
+  std::thread holder([&] {
+    Client client(daemon.server.socket_path());
+    const json::Value r = json::parse(client.call(
+        "{\"op\":\"synthesize\",\"id\":\"hold\",\"iterations\":4000,"
+        "\"spec\":{\"gain\":2000,\"ugf_hz\":1e6,\"cload\":5e-12}}"));
+    EXPECT_EQ(field(r, "status"), "ok");
+    EXPECT_FALSE(r.find("degraded")->boolean);
+  });
+  for (int i = 0; i < 5000 && daemon.server.load() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // ...while a 1 ms simulate waits behind it in the queue band.
+  Client client(daemon.server.socket_path());
+  const json::Value sim = call_json(
+      client,
+      "{\"op\":\"simulate\",\"id\":\"sim\",\"timeout_ms\":1,\"netlist\":"
+      "\"divider\\nV1 in 0 2\\nR1 in out 1k\\nR2 out 0 1k\\n.end\\n\"}");
+  EXPECT_EQ(field(sim, "id"), "sim");
+  EXPECT_EQ(field(sim, "status"), "error");
+  EXPECT_NE(field(sim, "error").find("deadline exceeded while queued"),
+            std::string::npos)
+      << field(sim, "error");
+  holder.join();
+
+  // A synthesize is queued only with a worker free (the band answers it
+  // degraded at once), so its 1 ms deadline lapses in the 2 ms start
+  // margin: the estimate, marked degraded.
+  const json::Value syn = call_json(
+      client,
+      "{\"op\":\"synthesize\",\"id\":\"syn\",\"timeout_ms\":1,"
+      "\"spec\":{\"gain\":2500,\"ugf_hz\":1e6,\"cload\":5e-12}}");
+  EXPECT_EQ(field(syn, "id"), "syn");
+  EXPECT_EQ(field(syn, "status"), "ok");
+  EXPECT_TRUE(syn.find("degraded")->boolean);
+  ASSERT_NE(syn.find("perf"), nullptr);
+  EXPECT_EQ(syn.find("deadline_hit"), nullptr);  // not a search result
+
+  const ServerStats s = daemon.server.stats();
+  EXPECT_EQ(s.accepted, 3);
+  EXPECT_EQ(s.completed_ok, 2);  // the holder and the degraded estimate
+  EXPECT_EQ(s.degraded, 1);
+  EXPECT_EQ(s.errors, 1);
+  EXPECT_EQ(s.deadline_hits, 2);
+  EXPECT_EQ(s.cancelled, 0);
+  EXPECT_EQ(s.shed_overload, 0);
+  EXPECT_EQ(s.accepted, s.completed_ok + s.cancelled + s.errors);
+  EXPECT_EQ(daemon.server.load(), 0);
+  EXPECT_EQ(daemon.stop(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Overload and drain, once for every heavy op: they share one request
+// path, so they must keep one ledger.
+
+class ServeHeavyOp : public ::testing::TestWithParam<std::string> {
+protected:
+  /// Request \p i of a burst: a distinct spec or deck (cache misses,
+  /// real work). \p synth_body is the synthesize request's tail;
+  /// \p mc_samples sets the depth of a corner sweep.
+  std::string heavy_request(const std::string& id, int i,
+                            const std::string& synth_body,
+                            int mc_samples) const {
+    const std::string head =
+        "{\"op\":\"" + GetParam() + "\",\"id\":\"" + id + "\",";
+    if (GetParam() == "simulate") {
+      return head + "\"netlist\":\"divider\\nV1 in 0 " + std::to_string(2 + i) +
+             "\\nR1 in out 1k\\nR2 out 0 1k\\n.end\\n\"}";
+    }
+    if (GetParam() == "corner_sweep") {
+      return head + "\"corners\":\"all\",\"mc_samples\":" +
+             std::to_string(mc_samples) + ",\"spec\":{\"gain\":" +
+             std::to_string(150 + i) +
+             ",\"ugf_hz\":2e6,\"ibias\":10e-6,\"cload\":10e-12}}";
+    }
+    return head + synth_body;
+  }
+};
+
+TEST_P(ServeHeavyOp, OverloadSoakShedsInsteadOfCollapsing) {
   ServeOptions options = base_options("soak");
   options.max_in_flight = 2;   // K
   options.queue_slots = 2;
   options.cache_capacity = 8;  // force eviction churn under load
   TestDaemon daemon(options);
 
-  // 4x max_in_flight concurrent synthesize bursts, each a distinct spec
-  // (cache misses, real work). Every request is answered ok or shed;
-  // nothing hangs, nothing crashes, nothing gets a corrupt frame.
+  // 4x max_in_flight concurrent bursts, each a distinct request. Every
+  // request is answered ok or shed; nothing hangs, nothing crashes,
+  // nothing gets a corrupt frame.
   const int burst = 4 * options.max_in_flight;
   std::vector<std::thread> threads;
   std::atomic<int> answered{0}, rejected{0};
   for (int i = 0; i < burst; ++i) {
     threads.emplace_back([&, i] {
       Client client(daemon.server.socket_path());
-      const std::string request =
-          "{\"op\":\"synthesize\",\"id\":\"s" + std::to_string(i) +
-          "\",\"iterations\":30,\"spec\":{\"gain\":" +
-          std::to_string(2000 + i * 10) +
-          ",\"ugf_hz\":1e6,\"cload\":5e-12}}";
+      const std::string request = heavy_request(
+          "s" + std::to_string(i), i,
+          "\"iterations\":30,\"spec\":{\"gain\":" +
+              std::to_string(2000 + i * 10) +
+              ",\"ugf_hz\":1e6,\"cload\":5e-12}}",
+          /*mc_samples=*/32);
       const json::Value r = json::parse(client.call(request));
       const std::string s = field(r, "status");
       ASSERT_TRUE(s == "ok" || s == "shed") << s;
@@ -469,6 +555,8 @@ TEST(ServeDaemon, OverloadSoakShedsInsteadOfCollapsing) {
 
   const ServerStats s = daemon.server.stats();
   EXPECT_EQ(s.accepted + s.shed_overload, burst);
+  EXPECT_EQ(s.shed_overload, rejected.load());
+  EXPECT_EQ(s.accepted, s.completed_ok + s.cancelled + s.errors);
   EXPECT_LE(s.peak_in_flight, options.max_in_flight + options.queue_slots);
   EXPECT_EQ(daemon.server.load(), 0);  // nothing leaked a load slot
 
@@ -478,25 +566,34 @@ TEST(ServeDaemon, OverloadSoakShedsInsteadOfCollapsing) {
   EXPECT_EQ(daemon.stop(), 0);
 }
 
-TEST(ServeDaemon, DrainAnswersEveryAcceptedRequest) {
+TEST_P(ServeHeavyOp, DrainAnswersEveryAcceptedRequest) {
   ServeOptions options = base_options("drain");
   options.max_in_flight = 1;
   options.queue_slots = 1;
   options.drain_grace_s = 0.2;  // force the cancel path, not just the grace
+  // Jobs that outlast the grace: the drain token must cut them short.
+  options.synth_iterations_cap = 1000000;
+  options.mc_samples_cap = 1 << 14;
   TestDaemon daemon(options);
 
+  // Simulate and corner_sweep answer a job the drain cancelled mid-run
+  // with an error; synthesize answers it shed "draining".
+  const bool cancel_is_error = GetParam() != "synthesize";
   std::vector<std::thread> threads;
   std::atomic<int> answered{0};
   for (int i = 0; i < 4; ++i) {
     threads.emplace_back([&, i] {
       try {
         Client client(daemon.server.socket_path());
-        const json::Value r = json::parse(client.call(
-            "{\"op\":\"synthesize\",\"id\":\"dr" + std::to_string(i) +
-            "\",\"iterations\":2000,\"spec\":{\"gain\":" +
-            std::to_string(3000 + i) + ",\"ugf_hz\":1e6}}"));
+        const json::Value r = json::parse(client.call(heavy_request(
+            "dr" + std::to_string(i), i,
+            "\"iterations\":200000,\"spec\":{\"gain\":" +
+                std::to_string(3000 + i) + ",\"ugf_hz\":1e6}}",
+            /*mc_samples=*/1 << 14)));
         const std::string s = field(r, "status");
-        EXPECT_TRUE(s == "ok" || s == "shed") << s;
+        EXPECT_TRUE(s == "ok" || s == "shed" ||
+                    (cancel_is_error && s == "error"))
+            << s;
         answered.fetch_add(1);
       } catch (const Error&) {
         // Connection raced the listener close before its frame was read:
@@ -510,11 +607,16 @@ TEST(ServeDaemon, DrainAnswersEveryAcceptedRequest) {
 
   const ServerStats s = daemon.server.stats();
   // Every accepted heavy request produced exactly one response: it
-  // completed (possibly degraded), was cancelled into a shed "draining"
-  // answer, or failed with an error — no fourth fate, nothing dropped.
+  // completed (possibly degraded), was cancelled by the drain, or failed
+  // with an error — no fourth fate, nothing dropped.
   EXPECT_EQ(s.accepted, s.completed_ok + s.cancelled + s.errors);
   EXPECT_EQ(daemon.server.load(), 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(Ops, ServeHeavyOp,
+                         ::testing::Values("synthesize", "simulate",
+                                           "corner_sweep"),
+                         [](const auto& info) { return info.param; });
 
 TEST(ServeDaemon, SigtermWakeFdTriggersCleanDrain) {
   // The real signal path: install the handler, raise SIGTERM, and hand
