@@ -495,33 +495,30 @@ TEST(ServeDaemon, DeadlineLapsedInQueueFollowsTheLapseRule) {
 
 // ---------------------------------------------------------------------------
 // Overload and drain, once for every heavy op: they share one request
-// path, so they must keep one ledger.
+// path, so they must keep one ledger. The synthesize instance keeps its
+// ServeDaemon name; simulate and corner_sweep run as ServeHeavyOp.
 
-class ServeHeavyOp : public ::testing::TestWithParam<std::string> {
-protected:
-  /// Request \p i of a burst: a distinct spec or deck (cache misses,
-  /// real work). \p synth_body is the synthesize request's tail;
-  /// \p mc_samples sets the depth of a corner sweep.
-  std::string heavy_request(const std::string& id, int i,
-                            const std::string& synth_body,
-                            int mc_samples) const {
-    const std::string head =
-        "{\"op\":\"" + GetParam() + "\",\"id\":\"" + id + "\",";
-    if (GetParam() == "simulate") {
-      return head + "\"netlist\":\"divider\\nV1 in 0 " + std::to_string(2 + i) +
-             "\\nR1 in out 1k\\nR2 out 0 1k\\n.end\\n\"}";
-    }
-    if (GetParam() == "corner_sweep") {
-      return head + "\"corners\":\"all\",\"mc_samples\":" +
-             std::to_string(mc_samples) + ",\"spec\":{\"gain\":" +
-             std::to_string(150 + i) +
-             ",\"ugf_hz\":2e6,\"ibias\":10e-6,\"cload\":10e-12}}";
-    }
-    return head + synth_body;
+/// Request \p i of a burst of \p op: a distinct spec or deck (cache
+/// misses, real work). \p synth_body is the synthesize request's tail;
+/// \p mc_samples sets the depth of a corner sweep.
+std::string heavy_request(const std::string& op, const std::string& id,
+                          int i, const std::string& synth_body,
+                          int mc_samples) {
+  const std::string head = "{\"op\":\"" + op + "\",\"id\":\"" + id + "\",";
+  if (op == "simulate") {
+    return head + "\"netlist\":\"divider\\nV1 in 0 " + std::to_string(2 + i) +
+           "\\nR1 in out 1k\\nR2 out 0 1k\\n.end\\n\"}";
   }
-};
+  if (op == "corner_sweep") {
+    return head + "\"corners\":\"all\",\"mc_samples\":" +
+           std::to_string(mc_samples) + ",\"spec\":{\"gain\":" +
+           std::to_string(150 + i) +
+           ",\"ugf_hz\":2e6,\"ibias\":10e-6,\"cload\":10e-12}}";
+  }
+  return head + synth_body;
+}
 
-TEST_P(ServeHeavyOp, OverloadSoakShedsInsteadOfCollapsing) {
+void overload_soak_sheds_instead_of_collapsing(const std::string& op) {
   ServeOptions options = base_options("soak");
   options.max_in_flight = 2;   // K
   options.queue_slots = 2;
@@ -538,7 +535,7 @@ TEST_P(ServeHeavyOp, OverloadSoakShedsInsteadOfCollapsing) {
     threads.emplace_back([&, i] {
       Client client(daemon.server.socket_path());
       const std::string request = heavy_request(
-          "s" + std::to_string(i), i,
+          op, "s" + std::to_string(i), i,
           "\"iterations\":30,\"spec\":{\"gain\":" +
               std::to_string(2000 + i * 10) +
               ",\"ugf_hz\":1e6,\"cload\":5e-12}}",
@@ -566,7 +563,7 @@ TEST_P(ServeHeavyOp, OverloadSoakShedsInsteadOfCollapsing) {
   EXPECT_EQ(daemon.stop(), 0);
 }
 
-TEST_P(ServeHeavyOp, DrainAnswersEveryAcceptedRequest) {
+void drain_answers_every_accepted_request(const std::string& op) {
   ServeOptions options = base_options("drain");
   options.max_in_flight = 1;
   options.queue_slots = 1;
@@ -578,7 +575,7 @@ TEST_P(ServeHeavyOp, DrainAnswersEveryAcceptedRequest) {
 
   // Simulate and corner_sweep answer a job the drain cancelled mid-run
   // with an error; synthesize answers it shed "draining".
-  const bool cancel_is_error = GetParam() != "synthesize";
+  const bool cancel_is_error = op != "synthesize";
   std::vector<std::thread> threads;
   std::atomic<int> answered{0};
   for (int i = 0; i < 4; ++i) {
@@ -586,7 +583,7 @@ TEST_P(ServeHeavyOp, DrainAnswersEveryAcceptedRequest) {
       try {
         Client client(daemon.server.socket_path());
         const json::Value r = json::parse(client.call(heavy_request(
-            "dr" + std::to_string(i), i,
+            op, "dr" + std::to_string(i), i,
             "\"iterations\":200000,\"spec\":{\"gain\":" +
                 std::to_string(3000 + i) + ",\"ugf_hz\":1e6}}",
             /*mc_samples=*/1 << 14)));
@@ -613,9 +610,26 @@ TEST_P(ServeHeavyOp, DrainAnswersEveryAcceptedRequest) {
   EXPECT_EQ(daemon.server.load(), 0);
 }
 
+TEST(ServeDaemon, OverloadSoakShedsInsteadOfCollapsing) {
+  overload_soak_sheds_instead_of_collapsing("synthesize");
+}
+
+TEST(ServeDaemon, DrainAnswersEveryAcceptedRequest) {
+  drain_answers_every_accepted_request("synthesize");
+}
+
+class ServeHeavyOp : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ServeHeavyOp, OverloadSoakShedsInsteadOfCollapsing) {
+  overload_soak_sheds_instead_of_collapsing(GetParam());
+}
+
+TEST_P(ServeHeavyOp, DrainAnswersEveryAcceptedRequest) {
+  drain_answers_every_accepted_request(GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(Ops, ServeHeavyOp,
-                         ::testing::Values("synthesize", "simulate",
-                                           "corner_sweep"),
+                         ::testing::Values("simulate", "corner_sweep"),
                          [](const auto& info) { return info.param; });
 
 TEST(ServeDaemon, SigtermWakeFdTriggersCleanDrain) {
