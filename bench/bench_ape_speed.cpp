@@ -193,9 +193,8 @@ KernelStats kernel_audit() {
   dopts.report = &rep;
   (void)spice::dc_operating_point(ckt, dopts);
   KernelStats ks = rep.kernel;
-  KernelStats ac_ks;
-  (void)spice::ac_analysis(ckt, 1.0, 1e8, 10, &ac_ks);
-  ks.accumulate(ac_ks);
+  ScopedJobContext sink([&ks](JobContext& c) { c.kernel_sink = &ks; });
+  (void)spice::ac_analysis(ckt, 1.0, 1e8, 10);
   return ks;
 }
 

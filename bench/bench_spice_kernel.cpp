@@ -489,7 +489,10 @@ int write_json(bool quick) {
   Circuit ckt = make_rc_ladder(10);
   (void)dc_operating_point(ckt);
   KernelStats ks;
-  (void)ac_analysis(ckt, 1.0, 1e6, 40, &ks);
+  {
+    ScopedJobContext sink([&ks](JobContext& c) { c.kernel_sink = &ks; });
+    (void)ac_analysis(ckt, 1.0, 1e6, 40);
+  }
   AcKernel kern(ckt);
   std::vector<std::complex<double>> xc(kern.dim());
   const int ac_iters = quick ? 500 : 5000;
@@ -528,7 +531,10 @@ int write_json(bool quick) {
   (void)dc_operating_point(big, dopts);
   write_audit(w, "sparse_dc_audit", big.dim(), rep.kernel);
   KernelStats aks;
-  (void)ac_analysis(big, 1.0, 1e6, quick ? 10 : 40, &aks);
+  {
+    ScopedJobContext sink([&aks](JobContext& c) { c.kernel_sink = &aks; });
+    (void)ac_analysis(big, 1.0, 1e6, quick ? 10 : 40);
+  }
   write_audit(w, "sparse_ac_audit", big.dim(), aks);
   w.end_object();
   std::printf("sparse dc audit: %s\n", rep.kernel.summary().c_str());

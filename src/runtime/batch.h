@@ -18,8 +18,9 @@
 /// which worker picks it up — so a batch of N specs produces bit-identical
 /// designs and costs at 1 thread and at k threads. The only supported
 /// sources of nondeterminism are the wall-clock fields (cpu_seconds,
-/// BatchStats timings) and an optional *shared* RunBudget/deadline in
-/// options.synth.anneal.budget, which trades determinism for boundedness.
+/// BatchStats timings) and a budget shared by the whole batch (one
+/// installed around the batch call, which every job's loops poll and the
+/// annealer charges), which trades determinism for boundedness.
 ///
 /// Error isolation: a job whose synthesis or estimation throws fails
 /// alone — the error (already carrying the job's ErrorContext

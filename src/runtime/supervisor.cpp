@@ -63,11 +63,12 @@ void supervise_one(const est::Process& proc, const Spec& spec, size_t index,
   // One budget for the whole ladder: the deadline bounds the job, not
   // each attempt. Installed in the job context so every solver poll site
   // below (Newton ladders, sweeps, transient sub-steps, AC points, the
-  // anneal loop) observes it without options plumbing.
+  // anneal loop) observes it without options plumbing; chained to the
+  // caller's budget, so an enclosing deadline or cancel bounds it too.
   RunBudget budget;
   if (options.job_timeout_s > 0.0) budget.set_deadline_in(options.job_timeout_s);
   if (options.cancel != nullptr) budget.attach_cancel(options.cancel);
-  ScopedJobContext job([&budget](JobContext& c) { c.budget = &budget; });
+  ScopedBudget job(budget);
 
   Outcome best{};
   bool have_best = false;
@@ -75,17 +76,27 @@ void supervise_one(const est::Process& proc, const Spec& spec, size_t index,
   RetryRung rung = RetryRung::Initial;
   std::string last_error;
 
-  auto cancelled_result = [&]() {
-    r.cancelled = true;
-    r.ok = false;
-    r.error = annotate_with_context("cancelled");
-    ++stats.cancelled_jobs;
-  };
-  auto deadline_result = [&]() {
+  // The one stop check, made before every attempt and right after a
+  // synthesis attempt returns (a throwing attempt reaches it through the
+  // loop). Cancellation wins over the deadline; a job stopped by its
+  // deadline keeps its best-so-far outcome, \p partial included.
+  auto stopped = [&](Outcome* partial) {
+    if (budget.cancelled()) {
+      r.cancelled = true;
+      r.ok = false;
+      r.error = annotate_with_context("cancelled");
+      ++stats.cancelled_jobs;
+      return true;
+    }
+    if (!budget.exhausted()) return false;
     r.deadline_hit = true;
     ++stats.deadline_hits;
+    if (partial != nullptr) {
+      best = std::move(*partial);
+      have_best = true;
+    }
     if (have_best) {
-      // Best-so-far from an earlier attempt: partial but reportable.
+      // Partial but reportable.
       r.outcome = std::move(best);
       r.ok = true;
     } else {
@@ -93,6 +104,7 @@ void supervise_one(const est::Process& proc, const Spec& spec, size_t index,
           std::string("deadline exceeded") +
           (last_error.empty() ? "" : " (last attempt: " + last_error + ")"));
     }
+    return true;
   };
   // Set once a lint/feasibility verdict (LintError, e.g. APE-F001) has
   // fired for this job: the spec is provably defective, which is a fact
@@ -125,14 +137,7 @@ void supervise_one(const est::Process& proc, const Spec& spec, size_t index,
   };
 
   for (;;) {
-    if (budget.cancelled()) {
-      cancelled_result();
-      return;
-    }
-    if (budget.exhausted()) {
-      deadline_result();
-      return;
-    }
+    if (stopped(nullptr)) return;
     if (rung == RetryRung::Fail) break;
 
     if (attempt > 0) {
@@ -181,19 +186,9 @@ void supervise_one(const est::Process& proc, const Spec& spec, size_t index,
         return;
       }
       Outcome out = detail::run_one(proc, spec, index, options.batch);
-      if (budget.cancelled()) {
-        cancelled_result();
-        return;
-      }
-      if (budget.exhausted()) {
-        // The deadline fired mid-attempt but the search still returned
-        // (the anneal loop stops cooperatively): keep the partial result.
-        r.outcome = std::move(out);
-        r.ok = true;
-        r.deadline_hit = true;
-        ++stats.deadline_hits;
-        return;
-      }
+      // The deadline may have fired mid-attempt while the search still
+      // returned (the anneal loop stops cooperatively): keep that result.
+      if (stopped(&out)) return;
       if (out.sim_failed && policy.retry_sim_failures) {
         // Synthesis finished but the simulator verification threw —
         // usually transient non-convergence the Relaxed rung can clear.
@@ -215,36 +210,16 @@ void supervise_one(const est::Process& proc, const Spec& spec, size_t index,
       if (options.quarantine != nullptr) options.quarantine->record_success(fp);
       return;
     } catch (const lint::LintError& e) {
-      if (budget.cancelled()) {
-        cancelled_result();
-        return;
-      }
       lint_verdict = true;
       record_attempt_failure(e.what());
-      if (budget.exhausted()) {
-        deadline_result();
-        return;
-      }
       escalate(e.klass());  // Permanent: straight to the estimate fallback
     } catch (const Error& e) {
-      if (budget.cancelled()) {
-        cancelled_result();
-        return;
-      }
       record_attempt_failure(e.what());
-      if (budget.exhausted()) {
-        deadline_result();
-        return;
-      }
       escalate(e.klass());
     } catch (const std::exception& e) {
       // Non-ape exceptions carry no taxonomy; treat them as transient
       // (same safe default as the MemoCache negative-caching policy).
       record_attempt_failure(annotate_with_context(e.what()));
-      if (budget.exhausted()) {
-        deadline_result();
-        return;
-      }
       escalate(ErrorClass::Transient);
     }
   }

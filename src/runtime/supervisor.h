@@ -14,9 +14,11 @@
 ///
 ///  - Deadlines & cancellation: every job runs under a per-job RunBudget
 ///    (wall-clock deadline + the run's CancelToken) installed as the
-///    job context's budget (JobContext::budget), so every solver loop —
-///    Newton ladders, dc_sweep, transient sub-stepping, AC points, the
-///    anneal loop — doubles as a cooperative stop point. A job past
+///    job context's budget (JobContext::budget) by ScopedBudget, so every
+///    solver loop — Newton ladders, dc_sweep, transient sub-stepping, AC
+///    points, the anneal loop — doubles as a cooperative stop point. The
+///    job budget chains to any budget around the batch call (a serve
+///    request's), so that budget's deadline and token stop the job too. A job past
 ///    its deadline stops at the next probe and reports its best-so-far
 ///    outcome (deadline_hit = true) instead of hanging the batch.
 ///  - Retry ladder: failures are classified by ErrorClass (error.h) and

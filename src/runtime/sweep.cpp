@@ -36,8 +36,8 @@ stat::PointOutcome check_point(const est::Process& p, const synth::OpAmpVars& v,
 /// sample's outcome, computed on one worker and aggregated serially.
 struct Cell {
   size_t index = 0;  ///< job * n_corners + corner
-  bool ok = false;   ///< false when skipped (cancellation, failed job)
-  std::string error; ///< set when the cell threw
+  bool ok = false;   ///< false when stopped, skipped (failed job) or thrown
+  std::string error; ///< set when the cell stopped or threw
   std::vector<stat::PointOutcome> points;
   uint8_t estimate_ok = 0;
   uint8_t proven_infeasible = 0;  ///< APE-F001 at this corner; cell pruned
@@ -71,7 +71,6 @@ SweepResult run_corner_sweep(const est::Process& proc,
   SweepResult out;
   out.samples_per_corner = samples;
   EstimateCache* cache = batch.cache;
-  const CancelToken* cancel = options.supervisor.cancel;
   detail::BatchRunner runner(batch.threads, cache);
 
   // ---- Phase A: one nominal design per spec ----
@@ -116,6 +115,19 @@ SweepResult run_corner_sweep(const est::Process& proc,
   }
 
   // ---- Phase B: the (job x corner) grid, one cell per Executor task ----
+  // The run's cancel token joins whatever budget encloses the sweep (a
+  // serve request's deadline and drain), and every cell polls the chain:
+  // before it starts and every 8 samples. A stopped cell leaves its
+  // slots unfinished, so its job fails as incomplete.
+  RunBudget phase_b;
+  phase_b.attach_cancel(options.supervisor.cancel);
+  ScopedBudget phase_b_scope(phase_b);
+  auto poll = [] {
+    if (const RunBudget* b = exhausted_budget()) {
+      throw NumericError(std::string("corner sweep incomplete: ") +
+                         b->exhaust_reason());
+    }
+  };
   std::vector<Cell> cells;
   auto cell_frame = [&](size_t k) {
     return "sweep_cell[" + std::to_string(k / n_corners) + "," +
@@ -125,7 +137,7 @@ SweepResult run_corner_sweep(const est::Process& proc,
     const size_t i = k / n_corners;
     const size_t c = k % n_corners;
     if (!out.jobs[i].ok) return;
-    if (cancel != nullptr && cancel->cancelled()) return;  // cell stays !ok
+    poll();
     cell.ok = true;
     // Feasibility pre-check at the corner card: when no sizing in the
     // whole box can reach the spec under this corner's parameters, the
@@ -157,6 +169,7 @@ SweepResult run_corner_sweep(const est::Process& proc,
     }
     cell.points.reserve(static_cast<size_t>(samples));
     for (int s = 0; s < samples; ++s) {
+      if (s > 0 && s % 8 == 0) poll();
       if (mismatch) {
         try {
           const est::Process p = stat::sample_mismatch(
@@ -185,10 +198,7 @@ SweepResult run_corner_sweep(const est::Process& proc,
     for (size_t c = 0; c < n_corners; ++c) {
       const Cell& cell = cells[i * n_corners + c];
       if (!cell.ok) {
-        if (incomplete.empty()) {
-          incomplete = cell.error.empty() ? "cancelled: corner sweep incomplete"
-                                          : cell.error;
-        }
+        if (incomplete.empty()) incomplete = cell.error;
         continue;
       }
       jr.corner_estimate_ok[c] = cell.estimate_ok;

@@ -22,7 +22,9 @@
 ///  corner card (plus Pelgrom mismatch per Monte-Carlo sample,
 ///  stat/mismatch.h) with the analytic evaluator. Points aggregate into
 ///  per-job YieldReports and a pooled run report in (job, corner,
-///  sample) index order.
+///  sample) index order. Phase B stops mid-cell when the caller's budget
+///  or SupervisorOptions::cancel fires; a stopped cell fails its job as
+///  incomplete.
 ///
 /// Determinism contract: phase A inherits the batch/supervisor
 /// determinism guarantees; every phase-B point is a pure function of
@@ -46,7 +48,9 @@ struct SweepOptions {
   /// Phase-A configuration: batch (threads, seed, synth template,
   /// cache, lint-first) plus the supervision knobs (ladder, deadlines,
   /// cancel, quarantine, checkpoint/resume) used when synthesize is on.
-  /// The cancel token and threads also govern phase B.
+  /// The threads also govern phase B, and the cancel token stops it
+  /// mid-cell: phase B runs under a budget carrying the token, chained
+  /// to the caller's budget, and polls it every 8 samples.
   SupervisorOptions supervisor;
 
   /// The corners to sweep (order = YieldReport slot order).

@@ -361,7 +361,7 @@ static double request_deadline_s(const Request& req, const ServeOptions& o) {
 Server::Answer Server::run_estimate(const Request& req, bool degraded) {
   RunBudget budget = RunBudget::with_deadline(request_deadline_s(req, options_));
   budget.attach_cancel(&drain_cancel_);
-  ScopedJobContext job([&budget](JobContext& c) { c.budget = &budget; });
+  ScopedBudget job(budget);
   ErrorContext scope("serve[estimate]");
   try {
     const std::shared_ptr<const est::OpAmpDesign> design =
@@ -428,15 +428,18 @@ std::string Server::run_heavy(Connection& conn, const Request& req,
     }
     RunBudget budget = RunBudget::with_deadline(remaining);
     budget.attach_cancel(&drain_cancel_);
-    ScopedJobContext job([&budget](JobContext& c) { c.budget = &budget; });
     Answer answer;
-    try {
-      answer = body(ordinal, remaining);
-    } catch (const Error& e) {
-      answer = failure(req, e.what());
+    {
+      ScopedBudget job(budget);
+      try {
+        answer = body(ordinal);
+      } catch (const Error& e) {
+        answer = failure(req, e.what());
+      }
     }
     // A job that failed because the drain cancelled it counts as
-    // cancelled; one whose deadline passed follows the lapse rule.
+    // cancelled; one whose deadline passed follows the lapse rule, whose
+    // estimate runs outside the spent budget.
     if (answer.fate != Answer::Fate::Error) return answer;
     if (budget.cancelled()) {
       answer.fate = Answer::Fate::Cancelled;
@@ -470,7 +473,7 @@ std::string Server::run_synthesize(Connection& conn, const Request& req) {
     return w.str();
   }
 
-  return run_heavy(conn, req, [&](uint64_t ordinal, double remaining) {
+  return run_heavy(conn, req, [&](uint64_t ordinal) {
     runtime::SupervisorOptions sup;
     sup.batch.threads = 1;
     sup.batch.seed = req.seed != 0 ? req.seed : options_.seed;
@@ -488,8 +491,6 @@ std::string Server::run_synthesize(Connection& conn, const Request& req) {
     sup.retry.numeric_recovery_retries = 1;
     sup.retry.relaxed_retries = 1;
     sup.retry.estimate_fallback = true;
-    sup.job_timeout_s = remaining;
-    sup.cancel = &drain_cancel_;
     sup.quarantine = &quarantine_;
     sup.quarantine_threshold = options_.quarantine_threshold;
 
@@ -503,9 +504,8 @@ std::string Server::run_synthesize(Connection& conn, const Request& req) {
       tally([](ServerStats& s) { ++s.quarantine_hits; });
       return failure(req, r.error);
     }
-    // No usable attempt inside the deadline: the lapse rule answers
-    // with the analytic estimate rather than failing the client.
-    if (!r.ok && r.deadline_hit) return lapsed(req, {});
+    // A job with no usable attempt inside its deadline fails here, and
+    // run_heavy's lapse rule answers it with the analytic estimate.
     if (!r.ok) return failure(req, r.error);
 
     const synth::SynthesisOutcome& o = r.outcome;
@@ -531,7 +531,7 @@ std::string Server::run_synthesize(Connection& conn, const Request& req) {
 }
 
 std::string Server::run_simulate(Connection& conn, const Request& req) {
-  return run_heavy(conn, req, [&](uint64_t, double) {
+  return run_heavy(conn, req, [&](uint64_t) {
     spice::Circuit ckt = spice::parse_netlist(req.netlist);
     ConvergenceReport report;
     spice::DcOptions opts;
@@ -584,14 +584,13 @@ std::string Server::run_simulate(Connection& conn, const Request& req) {
 }
 
 std::string Server::run_corner_sweep(Connection& conn, const Request& req) {
-  return run_heavy(conn, req, [&](uint64_t, double) {
+  return run_heavy(conn, req, [&](uint64_t) {
     runtime::SweepOptions sweep;
     // The sweep runs inside this executor slot: its internal fan-out
     // must not claim more workers or the daemon deadlocks under load.
     sweep.supervisor.batch.threads = 1;
     sweep.supervisor.batch.seed = req.seed != 0 ? req.seed : options_.seed;
     sweep.supervisor.batch.cache = &cache_;
-    sweep.supervisor.cancel = &drain_cancel_;
     sweep.corners =
         stat::CornerSet::parse(req.corners.empty() ? "all" : req.corners);
     sweep.mc_samples = std::min(req.mc_samples, options_.mc_samples_cap);

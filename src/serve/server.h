@@ -37,9 +37,12 @@
 ///    socket.
 ///  - Hard per-request deadlines. Every request runs under a RunBudget
 ///    whose deadline is min(client timeout_ms, max_deadline_s) — always
-///    finite — wired to the server's drain CancelToken. A request can
-///    therefore never outlive the server's grace window, and a stalled
-///    solve stops at its next cooperative probe. A deadline that lapses
+///    finite — wired to the server's drain CancelToken. The budget is
+///    the job context's, and the budgets the op installs below it (the
+///    supervisor's, the corner sweep's) chain to it, so no op copies the
+///    deadline or the token. A request can therefore never outlive the
+///    server's grace window, and a stalled solve stops at its next
+///    cooperative probe. A deadline that lapses
 ///    gets the same answer whether the request was still queued or
 ///    already running: synthesize the degraded estimate, simulate and
 ///    corner_sweep an error; both count a deadline hit.
@@ -178,7 +181,8 @@ private:
 
   /// The one request path of every heavy op: admission, the deadline,
   /// the executor job under its RunBudget, the lapse rule and the
-  /// ledger; \p body(ordinal, remaining_s) runs the op itself.
+  /// ledger; \p body(ordinal) runs the op itself under that budget,
+  /// which bounds everything the op runs (supervisor, sweep, solvers).
   template <class Body>
   std::string run_heavy(Connection& conn, const Request& req, Body body);
   std::string run_synthesize(Connection& conn, const Request& req);

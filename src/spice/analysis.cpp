@@ -89,12 +89,10 @@ bool newton_dc(Circuit& ckt, SolveWorkspace& ws, Solution& x, double gmin,
   return false;
 }
 
-/// Throw when the cooperative budget expired (checked between rungs so a
-/// deadline can never abandon a half-updated solution vector). Polls the
-/// options budget AND the job context's budget, so a supervisor
-/// deadline or cancellation reaches solves that never saw the options.
-void check_budget(const RunBudget* budget, const char* where) {
-  if (const RunBudget* b = exhausted_budget(budget)) {
+/// Throw when the job's budget expired (checked between rungs so a
+/// deadline can never abandon a half-updated solution vector).
+void check_budget(const char* where) {
+  if (const RunBudget* b = exhausted_budget()) {
     throw NumericError(std::string(where) + ": " + b->exhaust_reason());
   }
 }
@@ -155,7 +153,7 @@ Solution dc_operating_point(Circuit& ckt, const DcOptions& caller_opts) {
   // the circuit's .nodeset guess. On failure x returns to zero, so the
   // ladders below run exactly as they would without a seed.
   if (!ckt.nodesets().empty() && !opts.gmin_steps.empty()) {
-    check_budget(opts.budget, "dc_operating_point");
+    check_budget("dc_operating_point");
     for (const Circuit::NodeSet& ns : ckt.nodesets()) {
       x.x[static_cast<size_t>(ns.node)] = ns.volts;
     }
@@ -178,7 +176,7 @@ Solution dc_operating_point(Circuit& ckt, const DcOptions& caller_opts) {
     // Plan A: gmin stepping from a heavily damped system down to ~ideal.
     ok = true;
     for (double gmin : opts.gmin_steps) {
-      check_budget(opts.budget, "dc_operating_point");
+      check_budget("dc_operating_point");
       if (!newton_dc(ckt, ws, x, gmin, 1.0, opts, opts.max_iterations, rep)) {
         ok = false;
         break;
@@ -195,7 +193,7 @@ Solution dc_operating_point(Circuit& ckt, const DcOptions& caller_opts) {
     rep->gmin_rungs_completed = 0;
     ok = true;
     for (double s : opts.source_steps) {
-      check_budget(opts.budget, "dc_operating_point");
+      check_budget("dc_operating_point");
       if (!newton_dc(ckt, ws, x, 1e-9, s, opts, opts.max_iterations, rep)) {
         ok = false;
         break;
@@ -204,7 +202,7 @@ Solution dc_operating_point(Circuit& ckt, const DcOptions& caller_opts) {
     }
     if (ok) {
       for (double gmin : opts.gmin_steps) {
-        check_budget(opts.budget, "dc_operating_point");
+        check_budget("dc_operating_point");
         if (!newton_dc(ckt, ws, x, gmin, 1.0, opts, opts.max_iterations, rep)) {
           ok = false;
           break;
@@ -270,7 +268,7 @@ DcSweepResult dc_sweep(Circuit& ckt, const std::string& vsource, double start,
   for (long i = 1; i <= n_steps; ++i) {
     const double v = start + static_cast<double>(i) * step;
     vs.wave().dc = v;
-    if (const RunBudget* b = exhausted_budget(opts.budget)) {
+    if (const RunBudget* b = exhausted_budget()) {
       vs.wave().dc = original;
       throw NumericError("dc_sweep('" + vsource + "'): " + b->exhaust_reason() +
                          " at sweep value " + units::format_eng(v) + " V");
@@ -291,7 +289,7 @@ DcSweepResult dc_sweep(Circuit& ckt, const std::string& vsource, double start,
 }
 
 AcResult ac_analysis(Circuit& ckt, double f_start, double f_stop,
-                     int points_per_decade, KernelStats* kstats) {
+                     int points_per_decade) {
   ErrorContext scope("ac('" + ckt.title() + "')");
   if (!ckt.finalized()) {
     throw Error("ac_analysis: run dc_operating_point first");
@@ -313,14 +311,13 @@ AcResult ac_analysis(Circuit& ckt, double f_start, double f_stop,
   const double ratio = std::pow(10.0, decades / (n - 1));
   double f = f_start;
   for (int k = 0; k < n; ++k) {
-    // AC has no per-call budget knob; the poll here exists so a
-    // supervisor's ambient job deadline / cancellation also reaches
-    // frequency sweeps (they are the long pole of opamp verification).
-    // Polling once per block keeps the steady-state loop a straight run
-    // of assemble/factorize/solve; a block is well under the supervision
+    // Frequency sweeps are the long pole of opamp verification, so the
+    // job's deadline / cancellation reaches them too. Polling once per
+    // block keeps the steady-state loop a straight run of
+    // assemble/factorize/solve; a block is well under the supervision
     // deadline granularity (deadlines are wall-clock seconds).
     if ((k & 7) == 0) {
-      if (const RunBudget* b = exhausted_budget(nullptr)) {
+      if (const RunBudget* b = exhausted_budget()) {
         throw NumericError("ac_analysis: " + std::string(b->exhaust_reason()) +
                            " at f=" + units::format_eng(f) + " Hz");
       }
@@ -330,7 +327,6 @@ AcResult ac_analysis(Circuit& ckt, double f_start, double f_stop,
     out.freq_hz[static_cast<size_t>(k)] = f;
     f *= ratio;
   }
-  if (kstats != nullptr) *kstats = kern.stats();
   return out;
 }
 
@@ -357,11 +353,7 @@ TranResult transient(Circuit& ckt, double t_step, double t_stop,
     rep->relaxed_tolerances = true;
   }
   const TranOptions& opts = *eff;
-  // The initial operating point runs under the same per-call budget as
-  // the time steps.
-  DcOptions dc_opts;
-  dc_opts.budget = opts.budget;
-  Solution x = dc_operating_point(ckt, dc_opts);
+  Solution x = dc_operating_point(ckt);
 
   TranResult out;
   out.time_s.push_back(0.0);
@@ -382,7 +374,7 @@ TranResult transient(Circuit& ckt, double t_step, double t_stop,
     double dt = t_target - t;
     int halvings = 0;
     while (t < t_target - 1e-15) {
-      if (const RunBudget* b = exhausted_budget(opts.budget)) {
+      if (const RunBudget* b = exhausted_budget()) {
         throw NumericError("transient: " + std::string(b->exhaust_reason()) +
                            " at t=" + units::format_eng(t) + " s");
       }

@@ -32,11 +32,6 @@ struct DcOptions {
   /// When set, filled with which recovery plan converged and the solve's
   /// iteration / failure counters (reset at the start of each call).
   ConvergenceReport* report = nullptr;
-  /// Cooperative deadline: checked between ladder rungs; an exhausted
-  /// budget aborts the solve with a NumericError (never mid-iteration).
-  /// The job context's budget (JobContext::budget) is polled at the
-  /// same sites, so a supervisor deadline needs no options plumbing.
-  const RunBudget* budget = nullptr;
   /// Invoked on the finalized circuit before the first Newton iteration;
   /// throwing from the hook aborts the solve. The lint layer plugs its
   /// structural-solvability gate in here (lint::preflight(), DESIGN.md
@@ -50,6 +45,13 @@ struct DcOptions {
 /// zero. A seed near the answer converges in a handful; a bad one must
 /// not cost more than a few ladder rungs.
 inline constexpr int kSeededMaxIterations = 20;
+
+/// Every analysis below polls the job context's budget (JobContext::budget,
+/// installed by ScopedBudget) between units of work: DC ladder rungs,
+/// dc_sweep points, blocks of AC points and transient steps. An exhausted
+/// budget aborts the analysis with a NumericError naming where it stopped
+/// and why (never mid-iteration, so no solution vector is left
+/// half-updated).
 
 /// Solve the DC operating point. Plans run in order until one converges
 /// (ConvergenceReport::plan records which):
@@ -106,13 +108,11 @@ struct AcResult {
 };
 
 /// Logarithmic AC sweep. Requires a previous dc_operating_point() so the
-/// devices have cached small-signal parameters. When \p kstats is set it
-/// receives the compiled AC kernel's counters for the sweep (fused
-/// points, factorizations, workspace footprint). Polls the
-/// thread's ambient job budget per point (there is no per-call budget
-/// knob) so supervisor deadlines reach frequency sweeps too.
+/// devices have cached small-signal parameters. The compiled AC kernel's
+/// counters for the sweep (fused points, factorizations, workspace
+/// footprint) go to the job context's kernel sink (JobContext::kernel_sink).
 AcResult ac_analysis(Circuit& ckt, double f_start, double f_stop,
-                     int points_per_decade = 20, KernelStats* kstats = nullptr);
+                     int points_per_decade = 20);
 
 // ---------------------------------------------------------------------------
 
@@ -137,17 +137,11 @@ struct TranOptions {
   /// report->kernel carries the work counters (device_bypasses,
   /// factor_reuses, factorizations, solves).
   ConvergenceReport* report = nullptr;
-  /// Cooperative deadline: checked before the initial operating point's
-  /// ladder rungs (it is handed to dc_operating_point()) and between time
-  /// steps; an exhausted budget aborts with a NumericError naming where
-  /// it stopped. The job context's budget (JobContext::budget) is polled
-  /// at the same sites.
-  const RunBudget* budget = nullptr;
 };
 
 /// Fixed-step transient from the DC operating point at t = 0.
-/// Runs dc_operating_point() internally (under opts.budget) to establish
-/// initial conditions.
+/// Runs dc_operating_point() internally to establish initial conditions,
+/// so the job's budget bounds that ladder as well as the time steps.
 /// The output grid is exactly the user grid (0, t_step, 2*t_step, ...,
 /// t_stop) even when Newton failures force internal sub-stepping;
 /// sub-step solutions are used for integration but never recorded.

@@ -30,8 +30,7 @@ double NoiseResult::integrated_out_vrms(double f1, double f2) const {
 
 NoiseResult noise_analysis(Circuit& ckt, const std::string& out_node,
                            double f_start, double f_stop,
-                           int points_per_decade, const std::string& in_source,
-                           KernelStats* kstats) {
+                           int points_per_decade, const std::string& in_source) {
   if (f_start <= 0.0 || f_stop < f_start) {
     throw SpecError("noise_analysis: bad frequency range");
   }
@@ -90,7 +89,6 @@ NoiseResult noise_analysis(Circuit& ckt, const std::string& out_node,
     res.in_v2.push_back(h2 > 0.0 ? psd_out / h2 : 0.0);
     f *= ratio;
   }
-  if (kstats != nullptr) *kstats = kern.stats();
   return res;
 }
 

@@ -30,13 +30,12 @@ struct NoiseResult {
 /// Sweep output noise at \p out_node over a log grid.
 /// If \p in_source names a voltage source carrying AC 1, the input-
 /// referred density out_v2/|H|^2 is filled as well.
-/// When \p kstats is non-null the sweep's kernel counters (fused points,
-/// factorizations, multi-RHS solves, sparse symbolic reuse) are copied
-/// out, same contract as ac_analysis.
+/// The sweep's kernel counters (fused points, factorizations, multi-RHS
+/// solves, sparse symbolic reuse) go to the job context's kernel sink,
+/// as ac_analysis's do.
 NoiseResult noise_analysis(Circuit& ckt, const std::string& out_node,
                            double f_start, double f_stop,
                            int points_per_decade = 10,
-                           const std::string& in_source = "",
-                           KernelStats* kstats = nullptr);
+                           const std::string& in_source = "");
 
 }  // namespace ape::spice

@@ -20,13 +20,15 @@ AnnealResult anneal(const std::function<double(const std::vector<double>&)>& cos
     x0[i] = std::clamp(x0[i], bounds[i].first, bounds[i].second);
   }
 
+  // The job's stop signal: charged per evaluation, polled per iteration.
+  const RunBudget* budget = job_context().budget;
   Rng rng(opts.seed);
   AnnealResult res;
   std::vector<double> x = x0;
   double c = cost(x);
   res.start_cost = c;
   res.evaluations = 1;
-  if (opts.budget != nullptr) opts.budget->charge(1);
+  if (budget != nullptr) budget->charge(1);
 
   // Finite-cost contract: a NaN/inf cost is never accepted and never
   // stored as best_cost. A non-finite start is treated as +inf so the
@@ -51,10 +53,9 @@ AnnealResult anneal(const std::function<double(const std::vector<double>&)>& cos
   double t = t_start;
   std::vector<double> cand = x;
   for (int it = 1; it < opts.iterations; ++it, t *= alpha) {
-    // Polls the options budget and the job context's budget, so a
-    // supervisor deadline / cancellation stops the search between moves
-    // with best-so-far intact.
-    if (exhausted_budget(opts.budget) != nullptr) {
+    // A deadline, cancellation or evaluation cap stops the search
+    // between moves with best-so-far intact.
+    if (budget != nullptr && budget->exhausted()) {
       res.budget_exhausted = true;
       break;
     }
@@ -70,7 +71,7 @@ AnnealResult anneal(const std::function<double(const std::vector<double>&)>& cos
     }
     const double cc = cost(cand);
     ++res.evaluations;
-    if (opts.budget != nullptr) opts.budget->charge(1);
+    if (budget != nullptr) budget->charge(1);
     if (!std::isfinite(cc)) {
       // Reject outright: a NaN delta would otherwise poison the
       // acceptance test (NaN comparisons are all false, so the uphill

@@ -19,11 +19,6 @@ struct AnnealOptions {
   double t_end_frac = 1e-5;   ///< final temperature fraction
   double move_frac = 0.25;    ///< initial move size as a fraction of range
   uint64_t seed = 1;
-  /// Cooperative budget (deadline and/or evaluation cap); checked once
-  /// per iteration. When it expires the search stops and returns its
-  /// best-so-far point with evaluations < iterations. Each cost
-  /// evaluation charges one unit. Not owned.
-  RunBudget* budget = nullptr;
 };
 
 struct AnnealResult {
@@ -45,6 +40,12 @@ struct AnnealResult {
 /// the candidate as rejected (see AnnealResult::rejected_nonfinite), and
 /// a cost throwing ape::Error propagates (synthesis drivers wrap their
 /// cost functions to absorb per-candidate failures).
+///
+/// The job context's budget (JobContext::budget, installed by
+/// ScopedBudget) bounds the search: each cost evaluation charges it one
+/// unit and it is polled once per iteration. When it expires the search
+/// stops and returns its best-so-far point with evaluations < iterations
+/// and budget_exhausted set.
 AnnealResult anneal(const std::function<double(const std::vector<double>&)>& cost,
                     const std::vector<std::pair<double, double>>& bounds,
                     std::vector<double> x0, const AnnealOptions& opts = {});

@@ -37,9 +37,9 @@ struct SynthesisOptions {
   /// concurrency); 1 forces serial execution on the calling thread.
   /// Pool workers run under JobContext::fork() of the caller's context:
   /// the job's budget, provenance and solver policy follow each restart,
-  /// but a FaultInjector does not (fault tests run serially). A budget
-  /// that expires mid-search (anneal.budget, shared by every restart, or
-  /// the job's) makes the outcome scheduling-dependent.
+  /// but a FaultInjector does not (fault tests run serially). The job's
+  /// budget is shared by every restart, so one that expires mid-search
+  /// makes the outcome scheduling-dependent.
   int restart_threads = 0;
 
   /// Optional precomputed APE seed design (used when use_ape_seed is

@@ -185,44 +185,66 @@ RunBudget RunBudget::with_evaluations(long n) {
 }
 
 void RunBudget::set_deadline_in(double seconds) {
-  deadline_ = std::chrono::steady_clock::now() +
-              std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double>(seconds));
-  has_deadline_ = true;
+  deadline_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                 std::chrono::duration<double>(seconds));
 }
 
 void RunBudget::set_max_evaluations(long n) { max_evals_ = n; }
 
-bool RunBudget::charge(long n) {
-  used_.fetch_add(n, std::memory_order_relaxed);
-  return !exhausted();
+bool RunBudget::charge(long n) const {
+  for (const RunBudget* b = this; b != nullptr; b = b->enclosing_) {
+    b->used_.fetch_add(n, std::memory_order_relaxed);
+  }
+  return !cap_reached();
+}
+
+bool RunBudget::cancelled() const {
+  for (const RunBudget* b = this; b != nullptr; b = b->enclosing_) {
+    if (b->cancel_ != nullptr && b->cancel_->cancelled()) return true;
+  }
+  return false;
+}
+
+bool RunBudget::cap_reached() const {
+  for (const RunBudget* b = this; b != nullptr; b = b->enclosing_) {
+    if (b->max_evals_ >= 0 &&
+        b->used_.load(std::memory_order_relaxed) >= b->max_evals_) {
+      return true;
+    }
+  }
+  return false;
+}
+
+RunBudget::Clock::time_point RunBudget::deadline() const {
+  Clock::time_point d = Clock::time_point::max();
+  for (const RunBudget* b = this; b != nullptr; b = b->enclosing_) {
+    d = std::min(d, b->deadline_);
+  }
+  return d;
+}
+
+bool RunBudget::deadline_passed() const {
+  const Clock::time_point d = deadline();
+  return d != Clock::time_point::max() && Clock::now() >= d;
 }
 
 bool RunBudget::exhausted() const {
-  if (cancelled()) return true;
-  if (max_evals_ >= 0 && used_.load(std::memory_order_relaxed) >= max_evals_) {
-    return true;
-  }
-  if (has_deadline_ && std::chrono::steady_clock::now() >= deadline_) return true;
-  return false;
+  return cancelled() || cap_reached() || deadline_passed();
 }
 
 const char* RunBudget::exhaust_reason() const {
   if (cancelled()) return "cancelled";
-  if (has_deadline_ && std::chrono::steady_clock::now() >= deadline_) {
-    return "deadline exceeded";
-  }
-  if (max_evals_ >= 0 && used_.load(std::memory_order_relaxed) >= max_evals_) {
-    return "evaluation cap reached";
-  }
+  if (deadline_passed()) return "deadline exceeded";
+  if (cap_reached()) return "evaluation cap reached";
   return "within budget";
 }
 
 double RunBudget::seconds_left() const {
-  if (!has_deadline_) return std::numeric_limits<double>::infinity();
-  return std::chrono::duration<double>(deadline_ -
-                                       std::chrono::steady_clock::now())
-      .count();
+  const Clock::time_point d = deadline();
+  if (d == Clock::time_point::max()) {
+    return std::numeric_limits<double>::infinity();
+  }
+  return std::chrono::duration<double>(d - Clock::now()).count();
 }
 
 // ---------------------------------------------------------------------------
@@ -243,11 +265,15 @@ ScopedJobContext::~ScopedJobContext() {
   current_context() = std::move(previous_);
 }
 
-const RunBudget* exhausted_budget(const RunBudget* local) {
-  if (local != nullptr && local->exhausted()) return local;
-  const RunBudget* job = current_context().budget;
-  if (job != nullptr && job->exhausted()) return job;
-  return nullptr;
+ScopedBudget::ScopedBudget(RunBudget& budget)
+    : budget_(budget), scope_([&budget](JobContext& c) {
+        budget.enclosing_ = c.budget;
+        c.budget = &budget;
+      }) {}
+
+const RunBudget* exhausted_budget() {
+  const RunBudget* b = current_context().budget;
+  return b != nullptr && b->exhausted() ? b : nullptr;
 }
 
 }  // namespace ape

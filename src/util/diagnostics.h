@@ -15,8 +15,9 @@
 ///   step halvings), filled in when the caller asks for it.
 /// - RunBudget: a cooperative budget (wall-clock deadline and/or max
 ///   cost evaluations, optionally wired to a CancelToken). Long-running
-///   loops poll it and return their best-so-far result instead of
-///   overrunning.
+///   loops poll the job context's budget and return their best-so-far
+///   result instead of overrunning. ScopedBudget installs one, chained
+///   to the budget around it.
 /// - CancelToken: a sticky, thread-safe cancellation flag. A RunBudget
 ///   with an attached token reports exhausted() as soon as the token
 ///   fires, so every budget poll site doubles as a cancellation point.
@@ -215,9 +216,15 @@ private:
 
 /// Cooperative run budget: a wall-clock deadline and/or a cap on cost
 /// evaluations, optionally wired to a CancelToken. Unlimited by default.
-/// Loops call charge() per unit of work and stop (returning best-so-far)
-/// once exhausted() is true; nothing is enforced preemptively, so a
-/// budget can never corrupt state mid-operation.
+/// Loops stop (returning best-so-far) once exhausted() is true; nothing
+/// is enforced preemptively, so a budget can never corrupt state
+/// mid-operation.
+///
+/// A budget reaches the solver and annealer loops only as the job
+/// context's budget, installed by ScopedBudget. A budget installed while
+/// another is ambient is linked to that enclosing budget for the scope,
+/// and every query below then covers the whole chain: the earliest
+/// deadline, any fired token, any reached cap.
 class RunBudget {
 public:
   RunBudget() = default;  ///< unlimited
@@ -235,11 +242,13 @@ public:
   /// poll site becomes a cancellation point.
   void attach_cancel(const CancelToken* token) { cancel_ = token; }
 
-  /// Record \p n units of work. Returns true while within budget.
+  /// Record \p n units of work here and on every enclosing budget.
+  /// Returns true while no evaluation cap in the chain is reached; it
+  /// reads no clock (loops poll exhausted() for the deadline).
   /// Thread-safe: concurrent jobs may charge one shared budget.
-  bool charge(long n = 1);
+  bool charge(long n = 1) const;
 
-  /// True once the deadline passed, the evaluation cap is reached, or an
+  /// True once a deadline in the chain passed, a cap is reached, or an
   /// attached CancelToken fired.
   bool exhausted() const;
 
@@ -249,40 +258,41 @@ public:
   /// even when its deadline also lapsed.
   const char* exhaust_reason() const;
 
-  /// True when an attached CancelToken fired (regardless of deadline).
-  bool cancelled() const { return cancel_ != nullptr && cancel_->cancelled(); }
+  /// True when a CancelToken in the chain fired (regardless of deadline).
+  bool cancelled() const;
 
+  /// Evaluations charged to this budget (including through nested ones).
   long evaluations_used() const { return used_.load(std::memory_order_relaxed); }
   long max_evaluations() const { return max_evals_; }
 
-  /// Seconds until the deadline (+inf when none; <= 0 when expired).
+  /// Seconds until the earliest deadline in the chain (+inf when none;
+  /// <= 0 when expired).
   double seconds_left() const;
 
-  // Copyable so factory functions return by value; configuration is
-  // copied and the usage counter snapshot carries over. Copying a budget
-  // that other threads are actively charging is not supported.
+  /// Copyable so factory functions return by value: the configuration
+  /// and the usage counter snapshot carry over, the link to an enclosing
+  /// budget does not. Copying a budget that other threads are actively
+  /// charging is not supported.
   RunBudget(const RunBudget& o)
       : deadline_(o.deadline_),
-        has_deadline_(o.has_deadline_),
         max_evals_(o.max_evals_),
         cancel_(o.cancel_),
         used_(o.used_.load(std::memory_order_relaxed)) {}
-  RunBudget& operator=(const RunBudget& o) {
-    deadline_ = o.deadline_;
-    has_deadline_ = o.has_deadline_;
-    max_evals_ = o.max_evals_;
-    cancel_ = o.cancel_;
-    used_.store(o.used_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-    return *this;
-  }
 
 private:
-  std::chrono::steady_clock::time_point deadline_{};
-  bool has_deadline_ = false;
+  friend class ScopedBudget;
+  using Clock = std::chrono::steady_clock;
+
+  /// The earliest deadline in the chain (Clock::time_point::max() = none).
+  Clock::time_point deadline() const;
+  bool deadline_passed() const;
+  bool cap_reached() const;
+
+  Clock::time_point deadline_ = Clock::time_point::max();
   long max_evals_ = -1;  ///< -1 = uncapped
   const CancelToken* cancel_ = nullptr;  ///< optional, not owned
-  std::atomic<long> used_{0};
+  const RunBudget* enclosing_ = nullptr; ///< set by ScopedBudget
+  mutable std::atomic<long> used_{0};
 };
 
 // ---------------------------------------------------------------------------
@@ -321,9 +331,10 @@ class FaultInjector;
 struct JobContext {
   /// The ErrorContext stack, outermost frame first.
   std::vector<std::string> frames;
-  /// Job-wide budget: every solver loop that polls a RunBudget (Newton
-  /// ladders, dc_sweep, transient stepping, ac_analysis points, the
-  /// anneal loop) also polls this one, through exhausted_budget().
+  /// The job's one stop signal, installed by ScopedBudget: every solver
+  /// loop (Newton ladders, dc_sweep, transient stepping, ac_analysis
+  /// points, the anneal loop, the corner-sweep samples) polls it through
+  /// exhausted_budget(), and the annealer charges it per evaluation.
   const RunBudget* budget = nullptr;
   /// Set on the supervision ladder's relaxed rung: dc_operating_point
   /// and transient() widen their tolerances and stop the gmin ladder at
@@ -351,7 +362,10 @@ const JobContext& job_context();
 /// replaces the whole context; scope exit (normal or by exception)
 /// restores the previous one.
 ///
-///   ScopedJobContext scope([&](JobContext& c) { c.budget = &budget; });
+///   ScopedJobContext scope([&](JobContext& c) { c.kernel_sink = &stats; });
+///
+/// Budgets are the exception: install them with ScopedBudget, which
+/// keeps the enclosing one.
 class ScopedJobContext {
 public:
   /// Install \p ctx.
@@ -376,10 +390,30 @@ private:
   JobContext previous_;
 };
 
-/// The first exhausted budget of {\p local, the job context's budget},
-/// or nullptr when both are within budget (or absent). Poll sites use
-/// the returned budget's exhaust_reason() to name why they stopped.
-const RunBudget* exhausted_budget(const RunBudget* local);
+/// Installs \p budget as the job context's budget for a scope, linked to
+/// the budget it replaces, so the enclosing deadline, cancel token and
+/// evaluation cap still bound everything the scope runs. The one way a
+/// budget is installed; a budget is installed at most once at a time.
+///
+///   RunBudget budget = RunBudget::with_deadline(2.0);
+///   ScopedBudget job(budget);
+class ScopedBudget {
+public:
+  explicit ScopedBudget(RunBudget& budget);
+  ~ScopedBudget() { budget_.enclosing_ = nullptr; }
+
+  ScopedBudget(const ScopedBudget&) = delete;
+  ScopedBudget& operator=(const ScopedBudget&) = delete;
+
+private:
+  RunBudget& budget_;
+  ScopedJobContext scope_;
+};
+
+/// The job context's budget when it (or one it is linked to) is
+/// exhausted, else nullptr. Poll sites use the returned budget's
+/// exhaust_reason() to name why they stopped.
+const RunBudget* exhausted_budget();
 
 /// Sets the job context's kernel-stats sink for a scope. Kept for the
 /// standalone benchmark harness; code under src/ uses ScopedJobContext.

@@ -86,15 +86,6 @@ public:
       : Error(what, ErrorClass::Permanent) {}
 };
 
-/// A cooperative cancellation (CancelToken, diagnostics.h) stopped the
-/// work. Permanent for retry purposes: the caller asked to stop, so the
-/// supervision ladder must not burn further attempts on the job.
-class CancelledError : public Error {
-public:
-  explicit CancelledError(const std::string& what)
-      : Error(what, ErrorClass::Permanent) {}
-};
-
 inline const char* to_string(ErrorClass klass) {
   return klass == ErrorClass::Transient ? "transient" : "permanent";
 }

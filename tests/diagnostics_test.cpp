@@ -195,6 +195,54 @@ TEST(RunBudget, FutureDeadline) {
   EXPECT_FALSE(b.exhausted());
 }
 
+TEST(RunBudget, NestedBudgetKeepsTheEnclosingOne) {
+  CancelToken token;
+  RunBudget outer = RunBudget::with_deadline(60.0);
+  outer.attach_cancel(&token);
+  outer.set_max_evaluations(5);
+  RunBudget inner = RunBudget::with_deadline(3600.0);
+  {
+    ScopedBudget outer_scope(outer);
+    {
+      ScopedBudget inner_scope(inner);
+      EXPECT_EQ(job_context().budget, &inner);
+      // The earlier, enclosing deadline bounds the nested budget.
+      EXPECT_LE(inner.seconds_left(), 60.0);
+      EXPECT_GT(inner.seconds_left(), 30.0);
+      // Charges reach the enclosing budget, and its cap stops both.
+      for (int i = 0; i < 4; ++i) EXPECT_TRUE(inner.charge());
+      EXPECT_EQ(exhausted_budget(), nullptr);
+      EXPECT_FALSE(inner.charge());
+      EXPECT_EQ(inner.evaluations_used(), 5);
+      EXPECT_EQ(outer.evaluations_used(), 5);
+      EXPECT_EQ(exhausted_budget(), &inner);
+      EXPECT_STREQ(inner.exhaust_reason(), "evaluation cap reached");
+      // The enclosing token cancels the nested budget, and cancellation
+      // is named first.
+      token.cancel();
+      EXPECT_TRUE(inner.cancelled());
+      EXPECT_STREQ(inner.exhaust_reason(), "cancelled");
+    }
+    EXPECT_EQ(job_context().budget, &outer);
+  }
+  EXPECT_EQ(job_context().budget, nullptr);
+  // Out of scope the link is gone: the nested budget is its own again.
+  EXPECT_FALSE(inner.cancelled());
+  EXPECT_FALSE(inner.exhausted());
+  EXPECT_GT(inner.seconds_left(), 3000.0);
+}
+
+TEST(RunBudget, ExpiredEnclosingDeadlineExhaustsTheNestedBudget) {
+  RunBudget outer = RunBudget::with_deadline(0.0);
+  RunBudget inner;
+  ScopedBudget outer_scope(outer);
+  ScopedBudget inner_scope(inner);
+  EXPECT_TRUE(inner.exhausted());
+  EXPECT_STREQ(inner.exhaust_reason(), "deadline exceeded");
+  EXPECT_LE(inner.seconds_left(), 0.0);
+  EXPECT_EQ(exhausted_budget(), &inner);
+}
+
 // ---------------------------------------------------------------------------
 
 TEST(ConvergenceReport, SummaryNamesPlanAndCounters) {

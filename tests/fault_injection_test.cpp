@@ -415,9 +415,9 @@ TEST(FaultInjection, AnnealReturnsBestSoFarWhenBudgetExpires) {
     return (x[0] - 2.0) * (x[0] - 2.0);
   };
   RunBudget budget = RunBudget::with_evaluations(50);
+  ScopedBudget job(budget);
   AnnealOptions opts;
   opts.iterations = 4000;
-  opts.budget = &budget;
   const auto r = anneal(cost, {{-10.0, 10.0}}, {9.0}, opts);
   EXPECT_TRUE(r.budget_exhausted);
   EXPECT_LE(r.evaluations, 50);
@@ -434,9 +434,9 @@ TEST(FaultInjection, AnnealExpiredDeadlineStopsImmediately) {
     return x[0] * x[0];
   };
   RunBudget budget = RunBudget::with_deadline(0.0);
+  ScopedBudget job(budget);
   AnnealOptions opts;
   opts.iterations = 100000;
-  opts.budget = &budget;
   const auto r = anneal(cost, {{-1.0, 1.0}}, {0.5}, opts);
   EXPECT_TRUE(r.budget_exhausted);
   EXPECT_EQ(r.evaluations, 1);  // only the mandatory start evaluation
@@ -478,10 +478,10 @@ TEST(FaultInjection, SynthesisUnderExpiringBudgetReturnsBestSoFar) {
   spec.cload = 10e-12;
 
   RunBudget budget = RunBudget::with_evaluations(30);
+  ScopedBudget job(budget);
   SynthesisOptions opts;
   opts.use_ape_seed = true;
   opts.anneal.iterations = 5000;
-  opts.anneal.budget = &budget;
   const auto out = synthesize_opamp(proc, spec, opts);
   EXPECT_TRUE(out.budget_exhausted);
   EXPECT_LE(out.evaluations, 30);

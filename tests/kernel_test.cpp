@@ -187,7 +187,10 @@ AcSweeps check_ac_at_op(Circuit& ckt, double f0, double f1, int ppd,
   AcSweeps out;
   out.ref = ref_ac_analysis(ckt, f0, f1, ppd);
   KernelStats ks;
-  out.kernel = in_mode(mode, [&] { return ac_analysis(ckt, f0, f1, ppd, &ks); });
+  out.kernel = in_mode(mode, [&] {
+    ScopedJobContext sink([&ks](JobContext& c) { c.kernel_sink = &ks; });
+    return ac_analysis(ckt, f0, f1, ppd);
+  });
   const AcResult& ref = out.ref;
   const AcResult& got = out.kernel;
   EXPECT_EQ(ref.freq_hz.size(), got.freq_hz.size()) << what;
@@ -417,7 +420,11 @@ TEST(KernelStats_, AcSweepIsFusedAndAllocationFree) {
   Circuit ckt = make_sallen_key();
   (void)dc_operating_point(ckt);
   KernelStats ks;
-  const AcResult ac = ac_analysis(ckt, 1.0, 1e6, 20, &ks);
+  AcResult ac;
+  {
+    ScopedJobContext sink([&ks](JobContext& c) { c.kernel_sink = &ks; });
+    ac = ac_analysis(ckt, 1.0, 1e6, 20);
+  }
   EXPECT_EQ(ks.ac_points_fused, static_cast<long>(ac.freq_hz.size()));
   EXPECT_EQ(ks.ac_points_virtual, 0);
   EXPECT_EQ(ks.factorizations, static_cast<long>(ac.freq_hz.size()));
@@ -604,7 +611,11 @@ TEST(SparseEquivalence, NoiseSallenKey) {
   (void)dc_operating_point(ckt);
   const NoiseResult ref = ref_noise_analysis(ckt, "out", 1.0, 1e6, 10);
   KernelStats ks;
-  const NoiseResult got = noise_analysis(ckt, "out", 1.0, 1e6, 10, "vin", &ks);
+  NoiseResult got;
+  {
+    ScopedJobContext sink([&ks](JobContext& c) { c.kernel_sink = &ks; });
+    got = noise_analysis(ckt, "out", 1.0, 1e6, 10, "vin");
+  }
   ASSERT_EQ(ref.freq_hz.size(), got.freq_hz.size());
   EXPECT_EQ(ks.factorizations, static_cast<long>(got.freq_hz.size()));
   EXPECT_EQ(ks.sparse_fallbacks, 0);

@@ -516,8 +516,11 @@ std::vector<AcBench> table1_ac_benches() {
 
 spice::AcResult sweep_in_mode(spice::Circuit& ckt, const AcBench& b,
                               NumericHealthMode mode, KernelStats* ks) {
-  ScopedJobContext scope([mode](JobContext& c) { c.health_mode = mode; });
-  return spice::ac_analysis(ckt, b.f0, b.f1, b.ppd, ks);
+  ScopedJobContext scope([mode, ks](JobContext& c) {
+    c.health_mode = mode;
+    c.kernel_sink = ks;
+  });
+  return spice::ac_analysis(ckt, b.f0, b.f1, b.ppd);
 }
 
 TEST(AcHealthGate, HealthyTable1SweepsRunNoConditionEstimateNorRefinement) {

@@ -627,7 +627,7 @@ TEST(RuntimeMultiStart, ParallelRestartsHonourTheJobBudget) {
   cancel.cancel();
   RunBudget budget;
   budget.attach_cancel(&cancel);
-  ScopedJobContext job([&budget](JobContext& c) { c.budget = &budget; });
+  ScopedBudget job(budget);
 
   opts.restart_threads = 4;
   const auto pooled = synth::synthesize_opamp(proc(), spec, opts);
@@ -637,6 +637,34 @@ TEST(RuntimeMultiStart, ParallelRestartsHonourTheJobBudget) {
   EXPECT_TRUE(serial.budget_exhausted);
   EXPECT_EQ(pooled.evaluations, serial.evaluations);
   EXPECT_LT(pooled.evaluations, opts.restarts * opts.anneal.iterations);
+}
+
+// A corner sweep stops on the budget around it as well as on its own
+// cancel token: under an enclosing budget whose token has fired, with
+// SweepOptions::supervisor.cancel left null, no grid cell runs and the
+// job fails as incomplete.
+TEST(RuntimeSweep, EnclosingBudgetStopsTheGrid) {
+  est::OpAmpSpec spec;
+  spec.gain = 150.0;
+  spec.ugf_hz = 2e6;
+  spec.ibias = 10e-6;
+  spec.cload = 10e-12;
+  CancelToken cancel;
+  cancel.cancel();
+  RunBudget budget;
+  budget.attach_cancel(&cancel);
+  ScopedBudget job(budget);
+
+  SweepOptions sweep;
+  sweep.supervisor.batch.threads = 2;
+  sweep.mc_samples = 16;
+  const SweepResult r = run_corner_sweep(proc(), {spec}, sweep);
+  ASSERT_EQ(r.jobs.size(), 1u);
+  EXPECT_FALSE(r.jobs[0].ok);
+  EXPECT_NE(r.jobs[0].error.find("cancelled"), std::string::npos)
+      << r.jobs[0].error;
+  EXPECT_EQ(r.aggregate.total.samples, 0);
+  EXPECT_EQ(r.stats.failed, 1);
 }
 
 TEST(RuntimeMultiStart, SingleRestartMatchesLegacySingleStart) {

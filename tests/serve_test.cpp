@@ -403,6 +403,28 @@ TEST(ServeDaemon, DeadlineMidSolveStillAnswers) {
   EXPECT_EQ(daemon.stop(), 0);
 }
 
+TEST(ServeDaemon, CornerSweepDeadlineStopsMidGrid) {
+  ServeOptions options = base_options("sweep-deadline");
+  options.max_in_flight = 1;
+  TestDaemon daemon(options);
+  Client client(daemon.server.socket_path());
+  // Seven corners of 256 Monte-Carlo samples each take far longer than
+  // 5 ms: the sweep's cells poll the request budget, stop mid-grid and
+  // the request lapses to an error with one deadline hit.
+  const json::Value r = call_json(
+      client,
+      "{\"op\":\"corner_sweep\",\"id\":\"csd\",\"timeout_ms\":5,"
+      "\"spec\":{\"gain\":150,\"ugf_hz\":2e6,\"ibias\":10e-6,"
+      "\"cload\":10e-12},\"corners\":\"all\",\"mc_samples\":256}");
+  EXPECT_EQ(field(r, "id"), "csd");
+  EXPECT_EQ(field(r, "status"), "error") << field(r, "error");
+  const ServerStats s = daemon.server.stats();
+  EXPECT_EQ(s.errors, 1);
+  EXPECT_EQ(s.deadline_hits, 1);
+  EXPECT_EQ(s.accepted, s.completed_ok + s.cancelled + s.errors);
+  EXPECT_EQ(daemon.stop(), 0);
+}
+
 TEST(ServeDaemon, SimulateSolvesADeck) {
   TestDaemon daemon(base_options("simulate"));
   Client client(daemon.server.socket_path());

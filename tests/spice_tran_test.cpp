@@ -376,16 +376,15 @@ TEST(SpiceTranBypass, Table1UnitySlewsMatchFullNewton) {
 }
 
 TEST(SpiceTran, ExhaustedBudgetStopsBeforeTheInitialOperatingPoint) {
-  // The per-call budget bounds the initial DC ladder too, not only the
+  // The job's budget bounds the initial DC ladder too, not only the
   // time steps: nothing is assembled or solved.
   Circuit ckt = make_cs_stage(step(1.5, 2.5, 1e-7));
   FaultInjector fi;
   ScopedJobContext scope([&](JobContext& c) { c.fault_injector = &fi; });
-  const RunBudget spent = RunBudget::with_evaluations(0);
-  TranOptions opts;
-  opts.budget = &spent;
+  RunBudget spent = RunBudget::with_evaluations(0);
+  ScopedBudget job(spent);
   try {
-    (void)transient(ckt, 2e-9, 1e-6, opts);
+    (void)transient(ckt, 2e-9, 1e-6);
     FAIL() << "expected the budget to stop the analysis";
   } catch (const NumericError& e) {
     EXPECT_NE(std::string(e.what()).find("dc_operating_point"), std::string::npos)

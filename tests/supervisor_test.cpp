@@ -553,6 +553,33 @@ TEST(SupervisorBatch, CancelTokenStopsTheWholeRun) {
   EXPECT_EQ(r.supervision.cancelled_jobs, 5);
 }
 
+// A job's budget chains to the budget around the batch call: a token
+// fired there cancels every job, on the pool too, although the
+// supervisor's own options carry no token.
+TEST(SupervisorBatch, EnclosingBudgetCancelsJobsWithoutTheirOwnToken) {
+  std::vector<OpAmpSpec> specs{clean_spec(0), clean_spec(1)};
+  CancelToken cancel;
+  cancel.cancel();
+  RunBudget outer;
+  outer.attach_cancel(&cancel);
+  ScopedBudget scope(outer);
+
+  SupervisorOptions sup = fast_supervised_options();
+  sup.batch.threads = 2;
+  sup.job_timeout_s = 60.0;  // the job budget's own limit never fires
+  const auto r = run_supervised_opamp_batch(proc(), specs, sup);
+  ASSERT_EQ(r.jobs.size(), 2u);
+  for (const auto& j : r.jobs) {
+    EXPECT_FALSE(j.ok);
+    EXPECT_TRUE(j.cancelled);
+    EXPECT_FALSE(j.deadline_hit);
+    EXPECT_NE(j.error.find("cancelled"), std::string::npos) << j.error;
+  }
+  EXPECT_EQ(r.supervision.cancelled_jobs, 2);
+  EXPECT_EQ(r.supervision.deadline_hits, 0);
+  EXPECT_EQ(r.supervision.attempts, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint / resume.
 
