@@ -35,10 +35,17 @@
 ///    default, where the run's spec file bounds occupancy naturally).
 ///
 /// EstimateCache bundles the two concrete caches (opamp + module) behind
-/// content-derived keys: the key serializes every electrically relevant
-/// field of the Process (both model cards, supplies, geometry limits) and
-/// the full spec, with hex float formatting so distinct doubles never
-/// collide and equal doubles always match bit-for-bit.
+/// content-derived binary keys. A key serializes, in this order: a kind
+/// tag (opamp or module); the Process name, variant and temp_c; the NMOS
+/// then the PMOS card (name, type, level, then its 35 numeric fields);
+/// vdd, vss, lmin, wmin, wmax; then every spec field. Each double is its
+/// 8-byte IEEE-754 bit pattern, each enum, bool and int a 4-byte tag, and
+/// each string an 8-byte length followed by its bytes; every integer is
+/// written least significant byte first whatever the host's order. The
+/// layout is fixed-width except for the length-prefixed strings, so the
+/// encoding is exact: equal inputs always produce equal keys, and inputs
+/// that differ in any bit of any keyed field (+0.0 vs -0.0 included)
+/// never collide, whatever characters the names contain.
 
 #include <functional>
 #include <list>

@@ -237,9 +237,9 @@ void supervise_one(const est::Process& proc, const Spec& spec, size_t index,
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint format (opamp batches), version 2:
+// Checkpoint format (opamp batches), version 3:
 //
-//   { "version": 2, "kind": "opamp", "seed": "<u64 decimal>",
+//   { "version": 3, "kind": "opamp", "seed": "<u64 decimal>",
 //     "jobs": [ { "index": i, "fp": "<u64 decimal>", "done": bool,
 //                 "ok": bool, "error": "...", "attempts": n,
 //                 "rung": "initial|retry|relaxed|estimate-only|fail",
@@ -257,13 +257,20 @@ void supervise_one(const est::Process& proc, const Spec& spec, size_t index,
 // (finalize_opamp_outcome), and job seeds are pure streams of (seed, i),
 // so no RNG state and no design serialization are needed for bit-exact
 // resume. Cancelled jobs are written done=false so a resume re-runs them.
+//
+// "fp" is spec_fingerprint, FNV-1a over the binary cache key (cache.h).
+// Version 3 is the first with that key; version 2 hashed the earlier
+// hex-float text key, so its fingerprints can never match, and version 1
+// also lacked bias_solved / bias_reused. Both are refused.
+
+constexpr long kCheckpointVersion = 3;
 
 std::string checkpoint_json(uint64_t seed, const std::vector<uint64_t>& fps,
                             const std::vector<OpAmpJobResult>& jobs,
                             const std::vector<char>& done) {
   json::Writer w;
   w.begin_object()
-      .field("version", 2)
+      .field("version", kCheckpointVersion)
       .field("kind", "opamp")
       .field("seed", std::to_string(seed))
       .key("jobs")
@@ -356,7 +363,7 @@ void restore_checkpoint(const std::string& path, const est::Process& proc,
   buf << f.rdbuf();
   const json::Value doc = json::parse(buf.str());
 
-  if (require(doc, "version").as_long() != 2) {
+  if (require(doc, "version").as_long() != kCheckpointVersion) {
     throw ParseError("checkpoint: unsupported version");
   }
   if (require(doc, "kind").as_string() != "opamp") {

@@ -65,9 +65,14 @@
 
 namespace ape::runtime {
 
-/// Content fingerprint of a (process, spec) pair: FNV-1a over the same
-/// serialized key the EstimateCache uses, so two jobs share a quarantine
-/// / checkpoint identity exactly when they would share a cache entry.
+/// Content fingerprint of a (process, spec) pair: 64-bit FNV-1a over the
+/// same binary key the EstimateCache uses (cache_key: IEEE bit patterns
+/// and length-prefixed names in a fixed little-endian layout, see
+/// cache.h), so two jobs share a quarantine / checkpoint identity exactly
+/// when they would share a cache entry, barring a 64-bit hash collision.
+/// The byte order is fixed, so a checkpoint's fingerprints match on any
+/// host; a change to the key's layout changes every fingerprint and
+/// needs a new checkpoint version (supervisor.cpp).
 uint64_t spec_fingerprint(const est::Process& proc, const est::OpAmpSpec& spec);
 uint64_t spec_fingerprint(const est::Process& proc, const est::ModuleSpec& spec);
 

@@ -7,7 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <iterator>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -258,6 +263,167 @@ TEST(RuntimeCache, KeyIsContentDerived) {
   OpAmpSpec b = a;
   b.cload *= 1.0 + 1e-15;
   EXPECT_NE(cache_key(proc(), b), k1);
+}
+
+// A name's length is part of the key, so a character that a text key
+// would read as a delimiter cannot move from one name into the next and
+// alias two different inputs (cache entry and quarantine breaker alike).
+TEST(RuntimeCache, KeyKeepsProcessNameBoundaries) {
+  Process a = proc();
+  a.name = "x|";
+  a.variant = "";
+  Process b = proc();
+  b.name = "x";
+  b.variant = "|";
+  const OpAmpSpec spec;
+  EXPECT_NE(cache_key(a, spec), cache_key(b, spec));
+  EXPECT_NE(spec_fingerprint(a, spec), spec_fingerprint(b, spec));
+  const est::ModuleSpec mspec;
+  EXPECT_NE(cache_key(a, mspec), cache_key(b, mspec));
+  EXPECT_NE(spec_fingerprint(a, mspec), spec_fingerprint(b, mspec));
+}
+
+TEST(RuntimeCache, KeyKeepsCardNameBoundaries) {
+  // "0x1.bp+4;" is temp_c = 27 as a "%a;" text field: with it, text from
+  // the variant through the NMOS card name spells the same characters in
+  // both processes, though each name differs.
+  Process a = proc();
+  a.variant = "v|0x1.bp+4;|a";
+  a.nmos.name = "b";
+  Process b = proc();
+  b.variant = "v";
+  b.nmos.name = "a|0x1.bp+4;|b";
+  ASSERT_EQ(a.temp_c, 27.0);
+  const OpAmpSpec spec;
+  EXPECT_NE(cache_key(a, spec), cache_key(b, spec));
+  EXPECT_NE(spec_fingerprint(a, spec), spec_fingerprint(b, spec));
+}
+
+// The fingerprint of one input, pinned: checkpoints store fingerprints,
+// so a change to the key's layout must fail here (and bump the checkpoint
+// version) rather than silently refuse every resume.
+TEST(RuntimeCache, FingerprintIsPinned) {
+  EXPECT_EQ(spec_fingerprint(Process::default_1u2(), OpAmpSpec{}),
+            15964337987437525832ull);
+}
+
+/// Every numeric field of a model card, in the order cache_key writes them.
+using CardField = double spice::MosModelCard::*;
+constexpr CardField kCardFields[] = {
+    &spice::MosModelCard::vto,   &spice::MosModelCard::kp,
+    &spice::MosModelCard::gamma, &spice::MosModelCard::phi,
+    &spice::MosModelCard::lambda, &spice::MosModelCard::u0,
+    &spice::MosModelCard::tox,   &spice::MosModelCard::nsub,
+    &spice::MosModelCard::ld,    &spice::MosModelCard::ucrit,
+    &spice::MosModelCard::uexp,  &spice::MosModelCard::vmax,
+    &spice::MosModelCard::theta, &spice::MosModelCard::eta,
+    &spice::MosModelCard::kappa, &spice::MosModelCard::xj,
+    &spice::MosModelCard::vfb,   &spice::MosModelCard::k1,
+    &spice::MosModelCard::k2,    &spice::MosModelCard::muz,
+    &spice::MosModelCard::u0v,   &spice::MosModelCard::u1,
+    &spice::MosModelCard::cgso,  &spice::MosModelCard::cgdo,
+    &spice::MosModelCard::cgbo,  &spice::MosModelCard::cj,
+    &spice::MosModelCard::mj,    &spice::MosModelCard::cjsw,
+    &spice::MosModelCard::mjsw,  &spice::MosModelCard::pb,
+    &spice::MosModelCard::js,    &spice::MosModelCard::kf,
+    &spice::MosModelCard::af,    &spice::MosModelCard::rsh,
+    &spice::MosModelCard::lref};
+static_assert(std::size(kCardFields) == 35);
+
+double one_ulp_up(double v) {
+  return std::nextafter(v, std::numeric_limits<double>::infinity());
+}
+
+TEST(RuntimeCache, KeyCoversEveryFieldExactly) {
+  const OpAmpSpec spec;
+  const est::ModuleSpec mspec;
+  const std::string base = cache_key(proc(), spec);
+  const std::string mbase = cache_key(proc(), mspec);
+  // Both keys of a process change whenever the process does.
+  auto expect_new_keys = [&](const Process& p, const std::string& what) {
+    EXPECT_NE(cache_key(p, spec), base) << what;
+    EXPECT_NE(cache_key(p, mspec), mbase) << what;
+  };
+
+  for (spice::MosModelCard Process::*card : {&Process::nmos, &Process::pmos}) {
+    const std::string which = card == &Process::nmos ? "nmos" : "pmos";
+    for (size_t i = 0; i < std::size(kCardFields); ++i) {
+      Process p = proc();
+      double& v = (p.*card).*kCardFields[i];
+      v = one_ulp_up(v);
+      expect_new_keys(p, which + " card field " + std::to_string(i));
+    }
+    Process flipped = proc();
+    (flipped.*card).type = (flipped.*card).type == spice::MosType::Nmos
+                               ? spice::MosType::Pmos
+                               : spice::MosType::Nmos;
+    expect_new_keys(flipped, which + " type");
+    Process leveled = proc();
+    (leveled.*card).level += 1;
+    expect_new_keys(leveled, which + " level");
+  }
+  for (double Process::*f : {&Process::temp_c, &Process::vdd, &Process::vss,
+                             &Process::lmin, &Process::wmin, &Process::wmax}) {
+    Process p = proc();
+    p.*f = one_ulp_up(p.*f);
+    expect_new_keys(p, "process limit");
+  }
+
+  for (double OpAmpSpec::*f :
+       {&OpAmpSpec::gain, &OpAmpSpec::ugf_hz, &OpAmpSpec::ibias,
+        &OpAmpSpec::cload, &OpAmpSpec::zout, &OpAmpSpec::area_budget}) {
+    OpAmpSpec s = spec;
+    s.*f = one_ulp_up(s.*f);
+    EXPECT_NE(cache_key(proc(), s), base);
+  }
+  OpAmpSpec wilson = spec;
+  wilson.source = est::CurrentSourceKind::Wilson;
+  EXPECT_NE(cache_key(proc(), wilson), base);
+  OpAmpSpec buffered = spec;
+  buffered.buffer = !buffered.buffer;
+  EXPECT_NE(cache_key(proc(), buffered), base);
+
+  for (double est::ModuleSpec::*f :
+       {&est::ModuleSpec::gain, &est::ModuleSpec::bw_hz,
+        &est::ModuleSpec::f0_hz, &est::ModuleSpec::delay_s,
+        &est::ModuleSpec::slew, &est::ModuleSpec::area_budget}) {
+    est::ModuleSpec s = mspec;
+    s.*f = one_ulp_up(s.*f);
+    EXPECT_NE(cache_key(proc(), s), mbase);
+  }
+  est::ModuleSpec other_kind = mspec;
+  other_kind.kind = est::ModuleKind::SampleHold;
+  EXPECT_NE(cache_key(proc(), other_kind), mbase);
+  est::ModuleSpec other_order = mspec;
+  other_order.order += 1;
+  EXPECT_NE(cache_key(proc(), other_order), mbase);
+
+  // Exact: the sign of zero is a different bit pattern, so a different
+  // key, in the process and in the spec alike.
+  Process neg_zero = proc();
+  ASSERT_EQ(std::bit_cast<uint64_t>(neg_zero.nmos.nsub), 0u);
+  neg_zero.nmos.nsub = -0.0;
+  expect_new_keys(neg_zero, "nmos nsub -0.0");
+  OpAmpSpec neg_zout = spec;
+  ASSERT_EQ(std::bit_cast<uint64_t>(neg_zout.zout), 0u);
+  neg_zout.zout = -0.0;
+  EXPECT_NE(cache_key(proc(), neg_zout), base);
+
+  // The opamp and the module key of one process never coincide, and
+  // equal inputs built separately give equal keys.
+  EXPECT_NE(base, mbase);
+  EXPECT_EQ(cache_key(Process::default_1u2(), OpAmpSpec{}), base);
+  EXPECT_EQ(cache_key(Process::default_1u2(), est::ModuleSpec{}), mbase);
+
+  // The key holds the card fields listed above and nothing else: its
+  // length is fixed by the field counts and the four names.
+  const Process& p = proc();
+  const size_t card_bytes = 2 * 4 + 8 * std::size(kCardFields);
+  const size_t process_bytes =
+      4 + 3 * 8 + p.name.size() + p.variant.size() + 2 * (8 + card_bytes) +
+      p.nmos.name.size() + p.pmos.name.size() + 5 * 8;
+  EXPECT_EQ(base.size(), process_bytes + 2 * 4 + 6 * 8);
+  EXPECT_EQ(mbase.size(), process_bytes + 2 * 4 + 6 * 8);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@
 #include <cfloat>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -696,6 +698,73 @@ TEST(SupervisorCheckpoint, MismatchedResumeIsRejected) {
   SupervisorOptions missing = fast_supervised_options();
   missing.resume_path = temp_path("does_not_exist.ckpt");
   EXPECT_THROW(run_supervised_opamp_batch(proc(), specs, missing), ParseError);
+  std::remove(ckpt.c_str());
+}
+
+/// The message of the ParseError a resume from \p path throws ("" when
+/// the resume succeeds).
+std::string resume_error(const std::vector<OpAmpSpec>& specs,
+                         const std::string& path) {
+  SupervisorOptions resume = fast_supervised_options();
+  resume.batch.threads = 1;
+  resume.resume_path = path;
+  try {
+    (void)run_supervised_opamp_batch(proc(), specs, resume);
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SupervisorCheckpoint, VersionTwoIsRefused) {
+  // A complete version-2 checkpoint of a one-job run with this run's
+  // seed. Its fingerprint hashed the earlier text cache key, so the
+  // version alone must refuse it before any field is trusted.
+  const std::vector<OpAmpSpec> specs{clean_spec(0)};
+  const std::string ckpt = temp_path("sup_v2.ckpt");
+  {
+    std::ofstream f(ckpt, std::ios::trunc);
+    f << R"({"version":2,"kind":"opamp","seed":"2026","jobs":[)"
+      << R"({"index":0,"fp":")" << spec_fingerprint(proc(), specs[0])
+      << R"(","done":true,"ok":true,"error":"","attempts":1,)"
+      << R"("rung":"initial","deadline_hit":false,"quarantined":false,)"
+      << R"("estimate_fallback":false,"cost":"0x1p-1","evaluations":120,)"
+      << R"("skipped":0,"nonfinite":0,"bias_solved":0,"bias_reused":0,)"
+      << R"("budget_exhausted":false,"restarts_run":1,"best_restart":0,)"
+      << R"("sim_failed":false,"functional":true,"meets_spec":true,)"
+      << R"("comment":"","best_x":[]}]})" << "\n";
+  }
+  EXPECT_NE(resume_error(specs, ckpt).find("checkpoint: unsupported version"),
+            std::string::npos);
+  std::remove(ckpt.c_str());
+}
+
+TEST(SupervisorCheckpoint, VersionThreeResumesIdentically) {
+  const std::vector<OpAmpSpec> specs{clean_spec(0), clean_spec(1)};
+  const std::string ckpt = temp_path("sup_v3.ckpt");
+  SupervisorOptions sup = fast_supervised_options();
+  sup.batch.threads = 1;
+  sup.checkpoint_path = ckpt;
+  const auto first = run_supervised_opamp_batch(proc(), specs, sup);
+  ASSERT_EQ(first.stats.failed, 0);
+  {
+    std::ifstream f(ckpt);
+    std::ostringstream text;
+    text << f.rdbuf();
+    EXPECT_EQ(text.str().rfind(R"({"version":3,)", 0), 0u) << text.str();
+  }
+
+  SupervisorOptions resume = fast_supervised_options();
+  resume.batch.threads = 1;
+  resume.resume_path = ckpt;
+  const auto second = run_supervised_opamp_batch(proc(), specs, resume);
+  ASSERT_EQ(second.jobs.size(), specs.size());
+  EXPECT_EQ(second.supervision.resumed_jobs, int(specs.size()));
+  EXPECT_EQ(second.supervision.attempts, 0);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    ASSERT_TRUE(second.jobs[i].ok) << second.jobs[i].error;
+    expect_same_outcome(first.jobs[i].outcome, second.jobs[i].outcome, i);
+  }
   std::remove(ckpt.c_str());
 }
 
