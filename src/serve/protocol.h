@@ -25,12 +25,16 @@
 ///   {"op":"stats",     "id":"r5"}
 ///   {"op":"ping",      "id":"r6"}
 ///
-/// "spec" keys mirror the ape_batch spec-file grammar: gain, ugf_hz,
-/// ibias, cload, zout, area_budget, buffer (bool), source
-/// ("mirror"|"wilson"). Unknown keys are rejected (a typoed constraint
-/// silently ignored is worse than an error). "seed" must be an integer
-/// in [0, 2^53), the integers a JSON number carries exactly (0 = server
-/// default); "iterations" and "mc_samples" are non-negative integers.
+/// "spec" keys are the est::OpAmpSpec field names: gain, ugf_hz, ibias,
+/// cload, zout, area_budget (numbers), buffer (a JSON bool) and source
+/// ("mirror"|"wilson"). The ape_batch spec-file grammar spells three of
+/// them differently: ugf for ugf_hz, area for area_budget, and a
+/// numeric buffer (buffer=1; any nonzero value is true); gain, ibias,
+/// cload, zout and source are spelled alike. Unknown keys are rejected
+/// (a typoed constraint silently ignored is worse than an error).
+/// "seed" must be an integer in [0, 2^53), the integers a JSON number
+/// carries exactly (0 = server default); "iterations" and "mc_samples"
+/// are non-negative integers.
 ///
 /// Responses always carry "id" (echoed, "" when the request had none),
 /// "status" ("ok" | "shed" | "error" | "infeasible") and "degraded"

@@ -29,25 +29,33 @@ void copy_lu_stats(const SparseLuStats& s, KernelStats& k) {
 namespace detail {
 
 template <typename T>
+void FactorLadder<T>::size_scratch(size_t n) {
+  row_scale_.assign(n, 1.0);
+  col_scale_.assign(n, 1.0);
+  col_sums_.assign(n, 0.0);
+  for (Vec* v : {&resid_, &dx_, &best_, &work_, &probe_}) v->assign(n, T{});
+}
+
+template <typename T>
 template <typename Reset, typename Measure>
-void FactorLadder<T>::factor_values(std::vector<T>& vals, NumericHealthMode mode,
-                                    const Reset& reset, const Measure& measure) {
+void FactorLadder<T>::factor_values(NumericHealthMode mode, const Reset& reset,
+                                    const Measure& measure) {
   // One rung: factorize (replay, or a fresh order when `reorder`);
   // Force mode equilibrates up front, otherwise equilibration is the
   // retry when a pivot collapses.
   const auto rung = [&](bool reorder) {
     const auto factor = [&] {
       if (reorder) {
-        slu_.reorder(pattern_, vals);
+        slu_.reorder(pattern_, vals_);
       } else {
-        slu_.factorize(pattern_, vals);
+        slu_.factorize(pattern_, vals_);
       }
     };
-    if (mode == NumericHealthMode::Force) try_equilibrate(vals);
+    if (mode == NumericHealthMode::Force) try_equilibrate();
     try {
       factor();
     } catch (const NumericError&) {
-      if (mode == NumericHealthMode::Off || equilibrated_now_ || !try_equilibrate(vals)) {
+      if (mode == NumericHealthMode::Off || equilibrated_now_ || !try_equilibrate()) {
         throw;
       }
       factor();
@@ -79,6 +87,8 @@ void FactorLadder<T>::factor_values(std::vector<T>& vals, NumericHealthMode mode
     rung(true);
     if (collapsed && mode != NumericHealthMode::Off) health_.recovered = true;
   }
+  // The factors may hold RAC; the residuals and norms need A itself.
+  if (equilibrated_now_) reset();
   const long analyses = slu_.stats().symbolic_analyses;
   if (analyses != settled_analyses_) {
     // This factorization sized the factor storage; fold it into the
@@ -91,19 +101,146 @@ void FactorLadder<T>::factor_values(std::vector<T>& vals, NumericHealthMode mode
 }
 
 template <typename T>
-bool FactorLadder<T>::try_equilibrate(std::vector<T>& vals) {
+bool FactorLadder<T>::try_equilibrate() {
   FaultInjector* fi = job_context().fault_injector;
   if (fi != nullptr && fi->on_equilibrate()) return false;
   const int* rp = pattern_.row_ptr().data();
   const int* cols = pattern_.cols().data();
-  if (!compute_equilibration_csr(rp, cols, vals.data(), pattern_.n(), row_scale_,
+  if (!compute_equilibration_csr(rp, cols, vals_.data(), pattern_.n(), row_scale_,
                                  col_scale_)) {
     return false;
   }
-  scale_csr(rp, cols, vals.data(), pattern_.n(), row_scale_, col_scale_);
+  scale_csr(rp, cols, vals_.data(), pattern_.n(), row_scale_, col_scale_);
   equilibrated_now_ = true;
   health_.equilibrated = true;
   return true;
+}
+
+template <typename T>
+void FactorLadder<T>::solve_factored(const Vec& b, Vec& x, bool transposed) {
+  // A^-1 = C (RAC)^-1 R and A^-T = R (RAC)^-T C around scaled factors.
+  const std::vector<double>& in = transposed ? col_scale_ : row_scale_;
+  const std::vector<double>& out = transposed ? row_scale_ : col_scale_;
+  const Vec* rhs = &b;
+  if (equilibrated_now_ || &b == &x) {
+    work_ = b;
+    if (equilibrated_now_) scale_vector(work_, in);
+    rhs = &work_;
+  }
+  if (transposed) {
+    slu_.solve_transposed_into(*rhs, x);
+  } else {
+    slu_.solve_into(*rhs, x);
+  }
+  if (equilibrated_now_) scale_vector(x, out);
+}
+
+template <typename T>
+void FactorLadder<T>::estimate_condition() {
+  FaultInjector* fi = job_context().fault_injector;
+  if (fi != nullptr && fi->on_cond_estimate()) {
+    health_.cond_estimate = std::numeric_limits<double>::infinity();
+    return;
+  }
+  const double anorm1 = norm1_csr(pattern_.row_ptr().data(), pattern_.cols().data(),
+                                  vals_.data(), pattern_.n(), col_sums_);
+  const std::function<void(Vec&)> sol = [this](Vec& v) { solve_factored(v, v); };
+  const std::function<void(Vec&)> sol_t = [this](Vec& v) { solve_factored(v, v, true); };
+  health_.cond_estimate = condest_1norm<T>(pattern_.n(), anorm1, sol, sol_t, probe_);
+}
+
+template <typename T>
+void FactorLadder<T>::measure_norm_inf() {
+  anorm_inf_ = norm_inf_csr(pattern_.row_ptr().data(), vals_.data(), pattern_.n());
+}
+
+template <typename T>
+void FactorLadder<T>::matvec(const Vec& v, Vec& y) const {
+  const size_t n = pattern_.n();
+  const std::vector<int>& rp = pattern_.row_ptr();
+  const std::vector<int>& cols = pattern_.cols();
+  y.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    T acc{};
+    for (int s = rp[i]; s < rp[i + 1]; ++s) acc += vals_[s] * v[cols[s]];
+    y[i] = acc;
+  }
+}
+
+template <typename T>
+double FactorLadder<T>::residual(const Vec& b, const Vec& x) {
+  return relative_residual(b, x, [this](const Vec& v, Vec& y) { matvec(v, y); },
+                           anorm_inf_, resid_);
+}
+
+template <typename T>
+RefineOutcome FactorLadder<T>::refine_steps(const Vec& b, Vec& x, double r0) {
+  const RefineOutcome out = refine_from(
+      r0, b, x, [this](const Vec& v, Vec& y) { matvec(v, y); },
+      [this](const Vec& r, Vec& d) { solve_factored(r, d); }, anorm_inf_, resid_, dx_,
+      best_);
+  stats_.refinement_iterations += out.iterations;
+  health_.refinement_iterations += out.iterations;
+  return out;
+}
+
+template <typename T>
+RefineOutcome FactorLadder<T>::refine(const Vec& b, Vec& x, double r0) {
+  ++stats_.refinement_solves;
+  FaultInjector* fi = job_context().fault_injector;
+  if (fi != nullptr && fi->on_refinement()) {
+    // Injected divergence: keep the factored solution and its measured
+    // residual; the caller escalates exactly like a real divergence.
+    RefineOutcome out;
+    out.residual = r0;
+    out.diverged = true;
+    return out;
+  }
+  return refine_steps(b, x, r0);
+}
+
+template <typename T>
+template <typename Reset>
+bool FactorLadder<T>::refactor_equilibrated(const Vec& b, Vec& x, RefineOutcome& out,
+                                            const Reset& reset) {
+  if (!try_equilibrate()) return false;
+  bool redone = false;
+  try {
+    slu_.factorize(pattern_, vals_);
+    ++stats_.factorizations;
+    redone = true;
+  } catch (const NumericError&) {
+    equilibrated_now_ = false;
+    health_.equilibrated = false;
+  }
+  reset();
+  if (redone) {
+    solve_factored(b, x);
+    ++stats_.solves;
+    health_.recovered = true;
+    const RefineOutcome again = refine_steps(b, x, residual(b, x));
+    out.residual = again.residual;
+    out.iterations += again.iterations;
+  }
+  return true;
+}
+
+template <typename T>
+void FactorLadder<T>::note_residual(double r) {
+  if (r > health_.residual_norm) health_.residual_norm = r;
+  if (r > stats_.residual_norm_max) stats_.residual_norm_max = r;
+}
+
+template <typename T>
+void FactorLadder<T>::record_health() {
+  if (health_.pivot_growth > stats_.pivot_growth_max) {
+    stats_.pivot_growth_max = health_.pivot_growth;
+  }
+  if (health_.cond_estimate > stats_.cond_estimate_max) {
+    stats_.cond_estimate_max = health_.cond_estimate;
+  }
+  if (health_.equilibrated) ++stats_.equilibrated_solves;
+  if (health_.recovered) ++stats_.numeric_recoveries;
 }
 
 template <typename T>
@@ -115,6 +252,16 @@ const KernelStats& FactorLadder<T>::audited_stats(size_t now) {
   }
   stats_.workspace_bytes = now;
   return stats_;
+}
+
+template <typename T>
+size_t FactorLadder<T>::ladder_bytes() const {
+  return pattern_.memory_bytes() + slu_.memory_bytes() +
+         (row_scale_.capacity() + col_scale_.capacity() + col_sums_.capacity()) *
+             sizeof(double) +
+         (vals_.capacity() + resid_.capacity() + dx_.capacity() + best_.capacity() +
+          work_.capacity() + probe_.capacity()) *
+             sizeof(T);
 }
 
 template class FactorLadder<double>;
@@ -133,14 +280,7 @@ SolveWorkspace::SolveWorkspace(Circuit& ckt)
       base_(dim_) {
   xnew_.assign(dim_, 0.0);
   zero_x_.x.assign(dim_, 0.0);
-  row_scale_.assign(dim_, 1.0);
-  col_scale_.assign(dim_, 1.0);
-  col_sums_.assign(dim_, 0.0);
-  hresid_.assign(dim_, 0.0);
-  hdx_.assign(dim_, 0.0);
-  hbest_.assign(dim_, 0.0);
-  hwork_.assign(dim_, 0.0);
-  hwork2_.assign(dim_, 0.0);
+  size_scratch(dim_);
   lins_.assign(ckt.nonlinear_devices().size(), Linearization{});
   begin_capture();
   setup_bytes_ = measured_bytes();
@@ -221,7 +361,7 @@ void SolveWorkspace::freeze_pattern() {
   mna_.set_recorder(nullptr);
   pattern_.finalize();
   flat_idx_.resize(pattern_.nnz());
-  svals_.resize(pattern_.nnz());
+  vals_.resize(pattern_.nnz());
   fvals_.resize(pattern_.nnz());
   const std::vector<int>& rp = pattern_.row_ptr();
   const std::vector<int>& cols = pattern_.cols();
@@ -242,7 +382,7 @@ void SolveWorkspace::freeze_pattern() {
 
 void SolveWorkspace::gather_values() {
   const double* a = mna_.matrix().data();
-  for (size_t s = 0; s < flat_idx_.size(); ++s) svals_[s] = a[flat_idx_[s]];
+  for (size_t s = 0; s < flat_idx_.size(); ++s) vals_[s] = a[flat_idx_[s]];
 }
 
 const std::vector<double>& SolveWorkspace::solve() {
@@ -255,26 +395,17 @@ const std::vector<double>& SolveWorkspace::solve() {
   // live factors came from.
   const bool reuse = baseline_kind_ == BaselineKind::Tran && mode != NumericHealthMode::Force;
   if (reuse && factors_plain_ &&
-      std::memcmp(svals_.data(), fvals_.data(), svals_.size() * sizeof(double)) == 0) {
+      std::memcmp(vals_.data(), fvals_.data(), vals_.size() * sizeof(double)) == 0) {
     ++stats_.factor_reuses;
   } else {
     factors_plain_ = false;
-    factor_values(svals_, mode, [this] { gather_values(); },
-                  [this] { return measured_bytes(); });
+    factor_values(mode, [this] { gather_values(); }, [this] { return measured_bytes(); });
     if (reuse && !equilibrated_now_ && !health_.recovered) {
-      std::copy(svals_.begin(), svals_.end(), fvals_.begin());
+      std::copy(vals_.begin(), vals_.end(), fvals_.begin());
       factors_plain_ = true;
     }
   }
-  if (equilibrated_now_) {
-    // The factors hold RAC: solve (RAC) y = R b, then x = C y.
-    hwork_ = mna_.rhs();
-    scale_vector(hwork_, row_scale_);
-    slu_.solve_into(hwork_, xnew_);
-    scale_vector(xnew_, col_scale_);
-  } else {
-    slu_.solve_into(mna_.rhs(), xnew_);
-  }
+  solve_factored(mna_.rhs(), xnew_);
   ++stats_.solves;
   if (mode != NumericHealthMode::Off) run_health_checks(mode);
   record_health();
@@ -293,127 +424,30 @@ void SolveWorkspace::run_health_checks(NumericHealthMode mode) {
   const bool suspect = growth > health::kPivotGrowthTrigger ||
                        cond_proxy > health::kCondTrigger;
   if (mode != NumericHealthMode::Force && !suspect) return;
-  FaultInjector* fi = job_context().fault_injector;
-  if (fi != nullptr && fi->on_cond_estimate()) {
-    health_.cond_estimate = std::numeric_limits<double>::infinity();
-  } else {
-    const double anorm1 = norm1_dense(mna_.matrix().data(), dim_, col_sums_);
-    const std::function<void(std::vector<double>&)> sol =
-        [&](std::vector<double>& v) {
-          // A^-1 = C (RAC)^-1 R around the live (possibly scaled) factors.
-          if (equilibrated_now_) scale_vector(v, row_scale_);
-          hwork_ = v;
-          slu_.solve_into(hwork_, v);
-          if (equilibrated_now_) scale_vector(v, col_scale_);
-        };
-    const std::function<void(std::vector<double>&)> sol_t =
-        [&](std::vector<double>& v) {
-          // A^-T = R (RAC)^-T C.
-          if (equilibrated_now_) scale_vector(v, col_scale_);
-          hwork_ = v;
-          slu_.solve_transposed_into(hwork_, v);
-          if (equilibrated_now_) scale_vector(v, row_scale_);
-        };
-    health_.cond_estimate = condest_1norm<double>(dim_, anorm1, sol, sol_t, hwork2_);
-  }
-  const bool refine = mode == NumericHealthMode::Force ||
-                      growth > health::kPivotGrowthTrigger ||
-                      !(health_.cond_estimate < health::kCondTrigger);
-  if (refine) refine_current();
-}
-
-void SolveWorkspace::refine_current() {
-  // The residual matvec runs against the dense mna_ storage — the
-  // authoritative unscaled system (the solve gathers its values *from*
-  // it).
-  const double anorm_inf = norm_inf_dense(mna_.matrix().data(), dim_);
-  const auto matvec = [&](const std::vector<double>& v, std::vector<double>& y) {
-    const double* a = mna_.matrix().data();
-    y.resize(dim_);
-    for (size_t i = 0; i < dim_; ++i) {
-      double acc = 0.0;
-      const double* row = a + i * dim_;
-      for (size_t j = 0; j < dim_; ++j) acc += row[j] * v[j];
-      y[i] = acc;
-    }
-  };
-  const auto correct = [&](const std::vector<double>& r, std::vector<double>& d) {
-    hwork_ = r;
-    if (equilibrated_now_) scale_vector(hwork_, row_scale_);
-    slu_.solve_into(hwork_, d);
-    if (equilibrated_now_) scale_vector(d, col_scale_);
-  };
-  FaultInjector* fi = job_context().fault_injector;
-  RefineOutcome out;
-  if (fi != nullptr && fi->on_refinement()) {
-    // Injected divergence: keep the factored solution, measure its
-    // residual, and escalate exactly like a real divergence below.
-    out.residual =
-        relative_residual(mna_.rhs(), xnew_, matvec, anorm_inf, hresid_);
-    out.diverged = true;
-  } else {
-    out = refine_solution(mna_.rhs(), xnew_, matvec, correct, anorm_inf,
-                          hresid_, hdx_, hbest_);
-  }
-  ++stats_.refinement_solves;
-  stats_.refinement_iterations += out.iterations;
-  if (out.diverged && !equilibrated_now_ && try_equilibrate(svals_)) {
-    // Escalation: refinement could not fix the unscaled factorization —
-    // equilibrate, refactorize, resolve, refine once more.
+  estimate_condition();
+  const bool refine_now = mode == NumericHealthMode::Force ||
+                          growth > health::kPivotGrowthTrigger ||
+                          !(health_.cond_estimate < health::kCondTrigger);
+  if (!refine_now) return;
+  measure_norm_inf();
+  const std::vector<double>& b = mna_.rhs();
+  RefineOutcome out = refine(b, xnew_, residual(b, xnew_));
+  // Refinement could not fix the unscaled factorization: equilibrate,
+  // refactorize, resolve, refine once more.
+  if (out.diverged && !equilibrated_now_ &&
+      refactor_equilibrated(b, xnew_, out, [this] { gather_values(); })) {
     factors_plain_ = false;
-    bool redone = false;
-    try {
-      slu_.factorize(pattern_, svals_);
-      ++stats_.factorizations;
-      hwork_ = mna_.rhs();
-      scale_vector(hwork_, row_scale_);
-      slu_.solve_into(hwork_, xnew_);
-      scale_vector(xnew_, col_scale_);
-      redone = true;
-    } catch (const NumericError&) {
-      equilibrated_now_ = false;
-      health_.equilibrated = false;
-    }
-    if (redone) {
-      health_.recovered = true;
-      ++stats_.solves;
-      const RefineOutcome again = refine_solution(
-          mna_.rhs(), xnew_, matvec, correct, anorm_inf, hresid_, hdx_, hbest_);
-      stats_.refinement_iterations += again.iterations;
-      out.residual = again.residual;
-      out.iterations += again.iterations;
-    }
   }
-  health_.residual_norm = out.residual;
-  health_.refinement_iterations = out.iterations;
-}
-
-void SolveWorkspace::record_health() {
-  if (health_.pivot_growth > stats_.pivot_growth_max) {
-    stats_.pivot_growth_max = health_.pivot_growth;
-  }
-  if (health_.cond_estimate > stats_.cond_estimate_max) {
-    stats_.cond_estimate_max = health_.cond_estimate;
-  }
-  if (health_.residual_norm > stats_.residual_norm_max) {
-    stats_.residual_norm_max = health_.residual_norm;
-  }
-  if (health_.equilibrated) ++stats_.equilibrated_solves;
-  if (health_.recovered) ++stats_.numeric_recoveries;
+  note_residual(out.residual);
 }
 
 size_t SolveWorkspace::measured_bytes() const {
   const size_t d = sizeof(double);
   return (mna_.matrix().size() + base_.matrix().size()) * d +
          (mna_.rhs().capacity() + base_.rhs().capacity() + xnew_.capacity() +
-          zero_x_.x.capacity()) * d +
-         pattern_.memory_bytes() + slu_.memory_bytes() +
-         (svals_.capacity() + fvals_.capacity()) * d +
+          zero_x_.x.capacity() + fvals_.capacity()) * d +
          flat_idx_.capacity() * sizeof(size_t) +
-         lins_.capacity() * sizeof(Linearization) +
-         (row_scale_.capacity() + col_scale_.capacity() + col_sums_.capacity() +
-          hresid_.capacity() + hdx_.capacity() + hbest_.capacity() +
-          hwork_.capacity() + hwork2_.capacity()) * d;
+         lins_.capacity() * sizeof(Linearization) + ladder_bytes();
 }
 
 const KernelStats& SolveWorkspace::stats() { return audited_stats(measured_bytes()); }
@@ -422,14 +456,7 @@ const KernelStats& SolveWorkspace::stats() { return audited_stats(measured_bytes
 // AcKernel
 
 AcKernel::AcKernel(Circuit& ckt) : ckt_(&ckt), dim_((ckt.finalize(), ckt.dim())), mna_(dim_) {
-  row_scale_.assign(dim_, 1.0);
-  col_scale_.assign(dim_, 1.0);
-  col_sums_.assign(dim_, 0.0);
-  cresid_.assign(dim_, {});
-  cdx_.assign(dim_, {});
-  cbest_.assign(dim_, {});
-  cwork_.assign(dim_, {});
-  cwork2_.assign(dim_, {});
+  size_scratch(dim_);
 
   // Every shipped device's small-signal stamp is affine in w:
   //   A(w) = G + jwC with real G, C and a w-independent stimulus.
@@ -445,7 +472,7 @@ AcKernel::AcKernel(Circuit& ckt) : ckt_(&ckt), dim_((ckt.finalize(), ckt.dim()))
   const size_t nnz = pattern_.nnz();
   gs_.resize(nnz);
   cs_.resize(nnz);
-  avals_.resize(nnz);
+  vals_.resize(nnz);
   const std::vector<int>& rp = pattern_.row_ptr();
   const std::vector<int>& cols = pattern_.cols();
   const std::complex<double>* a = mna_.matrix().data();
@@ -507,14 +534,14 @@ void AcKernel::stamp_virtual(double omega) {
 }
 
 void AcKernel::restore_values() {
-  for (size_t s = 0; s < avals_.size(); ++s) {
-    avals_[s] = std::complex<double>(gs_[s], last_omega_ * cs_[s]);
+  for (size_t s = 0; s < vals_.size(); ++s) {
+    vals_[s] = std::complex<double>(gs_[s], last_omega_ * cs_[s]);
   }
 }
 
 void AcKernel::assemble(double omega) {
   // SoA slot assembly: a single flat loop the compiler can vectorize
-  // across slots. The factorization consumes avals_; the stimulus rhs
+  // across slots. The factorization consumes vals_; the stimulus rhs
   // stays available via mna().rhs().
   last_omega_ = omega;
   restore_values();
@@ -527,11 +554,7 @@ void AcKernel::factorize() {
   refine_active_ = false;
   check_residual_ = false;
   const NumericHealthMode mode = job_context().health_mode;
-  factor_values(avals_, mode, [this] { restore_values(); },
-                [this] { return measured_bytes(); });
-  // The factors may hold RAC; restore the original slot values so
-  // residual matvecs and norms see A itself.
-  if (equilibrated_now_) restore_values();
+  factor_values(mode, [this] { restore_values(); }, [this] { return measured_bytes(); });
   if (mode != NumericHealthMode::Off) post_factor_health(mode);
 }
 
@@ -548,118 +571,29 @@ void AcKernel::post_factor_health(NumericHealthMode mode) {
       (growth > health::kPivotGrowthTrigger ||
        slu_.row_scaled_cond_proxy() > health::kCondTrigger)) {
     check_residual_ = true;
-    anorm_inf_ = norm_inf_current();
+    measure_norm_inf();
   }
   if (mode == NumericHealthMode::Force) {
-    FaultInjector* fi = job_context().fault_injector;
-    if (fi != nullptr && fi->on_cond_estimate()) {
-      health_.cond_estimate = std::numeric_limits<double>::infinity();
-    } else {
-      const double anorm1 = norm1_csr(pattern_.row_ptr().data(),
-                                      pattern_.cols().data(), avals_.data(),
-                                      dim_, col_sums_);
-      using CVec = std::vector<std::complex<double>>;
-      const std::function<void(CVec&)> sol = [&](CVec& v) {
-        if (equilibrated_now_) scale_vector(v, row_scale_);
-        cwork_ = v;
-        slu_.solve_into(cwork_, v);
-        if (equilibrated_now_) scale_vector(v, col_scale_);
-      };
-      const std::function<void(CVec&)> sol_t = [&](CVec& v) {
-        if (equilibrated_now_) scale_vector(v, col_scale_);
-        cwork_ = v;
-        slu_.solve_transposed_into(cwork_, v);
-        if (equilibrated_now_) scale_vector(v, row_scale_);
-      };
-      health_.cond_estimate =
-          condest_1norm<std::complex<double>>(dim_, anorm1, sol, sol_t, cwork2_);
-    }
+    estimate_condition();
     refine_active_ = true;
-    anorm_inf_ = norm_inf_current();
+    measure_norm_inf();
   }
-  if (health_.pivot_growth > stats_.pivot_growth_max) {
-    stats_.pivot_growth_max = health_.pivot_growth;
-  }
-  if (health_.cond_estimate > stats_.cond_estimate_max) {
-    stats_.cond_estimate_max = health_.cond_estimate;
-  }
-  if (health_.equilibrated) ++stats_.equilibrated_solves;
-  if (health_.recovered) ++stats_.numeric_recoveries;
-}
-
-double AcKernel::norm_inf_current() const {
-  return norm_inf_csr(pattern_.row_ptr().data(), avals_.data(), dim_);
-}
-
-void AcKernel::matvec_current(const std::vector<std::complex<double>>& v,
-                              std::vector<std::complex<double>>& y) const {
-  y.resize(dim_);
-  const std::vector<int>& rp = pattern_.row_ptr();
-  const std::vector<int>& cols = pattern_.cols();
-  for (size_t i = 0; i < dim_; ++i) {
-    std::complex<double> acc;
-    for (int s = rp[i]; s < rp[i + 1]; ++s) acc += avals_[s] * v[cols[s]];
-    y[i] = acc;
-  }
-}
-
-void AcKernel::refine_in_place(const std::vector<std::complex<double>>& rhs,
-                               std::vector<std::complex<double>>& x,
-                               double r0) {
-  using CVec = std::vector<std::complex<double>>;
-  const auto matvec = [this](const CVec& v, CVec& y) { matvec_current(v, y); };
-  const auto correct = [&](const CVec& r, CVec& d) {
-    cwork_ = r;
-    if (equilibrated_now_) scale_vector(cwork_, row_scale_);
-    slu_.solve_into(cwork_, d);
-    if (equilibrated_now_) scale_vector(d, col_scale_);
-  };
-  FaultInjector* fi = job_context().fault_injector;
-  RefineOutcome out;
-  if (fi != nullptr && fi->on_refinement()) {
-    // Injected divergence: keep the factored solution (its residual is
-    // still measured and surfaced); the AC sweep has no further rung —
-    // the re-order rung already ran at factorization time if needed.
-    out.residual = r0;
-    out.diverged = true;
-  } else {
-    out = refine_from(r0, rhs, x, matvec, correct, anorm_inf_, cresid_, cdx_,
-                      cbest_);
-  }
-  ++stats_.refinement_solves;
-  stats_.refinement_iterations += out.iterations;
-  health_.refinement_iterations += out.iterations;
-  if (out.residual > health_.residual_norm) health_.residual_norm = out.residual;
-  if (out.residual > stats_.residual_norm_max) {
-    stats_.residual_norm_max = out.residual;
-  }
+  record_health();
 }
 
 void AcKernel::solve_current(const std::vector<std::complex<double>>& rhs,
                              std::vector<std::complex<double>>& out) {
-  if (equilibrated_now_) {
-    cwork_ = rhs;
-    scale_vector(cwork_, row_scale_);
-    slu_.solve_into(cwork_, out);
-    scale_vector(out, col_scale_);
-  } else {
-    slu_.solve_into(rhs, out);
-  }
+  solve_factored(rhs, out);
   ++stats_.solves;
   if (!refine_active_ && !check_residual_) return;
   // One residual measurement serves both policies: Force refines from
   // it unconditionally, Auto only when it misses the target.
-  const double r0 = relative_residual(
-      rhs, out,
-      [this](const std::vector<std::complex<double>>& v,
-             std::vector<std::complex<double>>& y) { matvec_current(v, y); },
-      anorm_inf_, cresid_);
+  const double r0 = residual(rhs, out);
   if (refine_active_ || r0 > health::kResidualTarget) {
-    refine_in_place(rhs, out, r0);
-    return;
+    note_residual(refine(rhs, out, r0).residual);
+  } else {
+    note_residual(r0);
   }
-  if (r0 > health_.residual_norm) health_.residual_norm = r0;
-  if (r0 > stats_.residual_norm_max) stats_.residual_norm_max = r0;
 }
 
 void AcKernel::solve_into(std::vector<std::complex<double>>& out) {
@@ -675,11 +609,8 @@ void AcKernel::solve_rhs(const std::vector<std::complex<double>>& rhs,
 size_t AcKernel::measured_bytes() const {
   const size_t z = sizeof(std::complex<double>);
   return (gs_.capacity() + cs_.capacity()) * sizeof(double) +
-         (rhs0_.capacity() + mna_.rhs().capacity() + avals_.capacity()) * z +
-         mna_.matrix().size() * z + pattern_.memory_bytes() + slu_.memory_bytes() +
-         (row_scale_.capacity() + col_scale_.capacity() + col_sums_.capacity()) * sizeof(double) +
-         (cresid_.capacity() + cdx_.capacity() + cbest_.capacity() +
-          cwork_.capacity() + cwork2_.capacity()) * z;
+         (rhs0_.capacity() + mna_.rhs().capacity() + mna_.matrix().size()) * z +
+         ladder_bytes();
 }
 
 const KernelStats& AcKernel::stats() { return audited_stats(measured_bytes()); }

@@ -41,22 +41,23 @@
 /// the current values and counts KernelStats::sparse_fallbacks.
 ///
 /// Both workspaces carry the numerical-health layer (DESIGN.md section
-/// 15): every factorization tracks its pivot extremes (an O(1) growth /
-/// condition monitor), and when the job's NumericHealthMode says so —
-/// or the monitors trip — the solve runs Hager's condition estimate,
-/// fixed-precision iterative refinement, and a recovery ladder (refine ->
-/// equilibrate-and-refactorize -> re-order -> the gmin ladder above)
-/// before giving up. One exception: AcKernel's Auto-mode condition
-/// monitor is the row-scaled proxy (SparseLu::row_scaled_cond_proxy;
-/// AC matrices mix G and jwC over many decades across rows, so the
-/// unscaled proxy trips on healthy sweeps), and a tripped monitor runs
-/// no condition estimate: each solve against that factorization
-/// measures its relative residual (the refinement's own measurement:
-/// an O(nnz) matvec, ||A||_inf once per factorization) and is refined
-/// only when that residual misses health::kResidualTarget. Force mode
-/// is the same for both workspaces. The
-/// per-solve outcome is exposed through health() and aggregated into
-/// KernelStats.
+/// 15) through one path, detail::FactorLadder: every factorization
+/// tracks its pivot extremes (an O(1) growth / condition monitor), and
+/// the ladder owns the equilibration-aware solve, Hager's condition
+/// estimate, the CSR residual and iterative refinement, and the
+/// recovery rungs (refine -> equilibrate-and-refactorize -> re-order ->
+/// the gmin ladder above). Each workspace keeps only its trigger policy.
+/// SolveWorkspace in Auto mode: the unscaled proxy (or growth) trips
+/// Hager's estimate, a confirmed estimate refines, and a refinement that
+/// diverges on unscaled factors equilibrates and refactorizes.
+/// AcKernel in Auto mode: the row-scaled proxy
+/// (SparseLu::row_scaled_cond_proxy; AC matrices mix G and jwC over many
+/// decades across rows, so the unscaled proxy trips on healthy sweeps)
+/// runs no estimate; each solve against a tripped factorization
+/// measures its relative residual and is refined only when that
+/// residual misses health::kResidualTarget. Force mode is the same for
+/// both: equilibrate, estimate and refine. The per-solve outcome is
+/// exposed through health() and aggregated into KernelStats.
 ///
 /// Ownership / thread-safety: a workspace borrows the Circuit it was
 /// compiled from and is valid for one analysis call on one thread; it
@@ -78,45 +79,106 @@ namespace ape::spice {
 
 namespace detail {
 
-/// The factorization ladder and allocation audit shared by SolveWorkspace
-/// (T = double) and AcKernel (T = std::complex<double>): the sparse LU
-/// over the structural pattern, the equilibration scales and the health
-/// and stats records the rungs update.
+/// The factorization ladder shared by SolveWorkspace (T = double) and
+/// AcKernel (T = std::complex<double>): the sparse LU over the structural
+/// pattern and its slot values, the equilibration scales, every
+/// numerical-health step that runs through the factors, the health and
+/// stats records the steps update, and the allocation audit.
 template <typename T>
 class FactorLadder {
 protected:
-  /// Factorize the slot values \p vals (pattern_ CSR order). Rungs:
-  /// replay -> equilibrate + replay -> re-order -> equilibrate +
-  /// re-order -> throw NumericError; equilibration is skipped in Off
-  /// mode and applied up front in Force mode. A replay that succeeds
-  /// with pivot growth above health::kPivotGrowthTrigger also re-orders
-  /// unless the cached ordering grew that much on its own values. Each
-  /// re-order counts in sparse_fallbacks. \p reset writes the unscaled
-  /// values back into \p vals. After every symbolic analysis (the first,
-  /// or a re-order) \p measure, the owner's footprint, becomes the
-  /// audited setup size: the factor storage is sized then and only then.
-  template <typename Reset, typename Measure>
-  void factor_values(std::vector<T>& vals, NumericHealthMode mode,
-                     const Reset& reset, const Measure& measure);
+  using Vec = std::vector<T>;
 
-  /// Scale \p vals to RAC with power-of-two row / column scales; false
-  /// when the fault injector vetoes it or no scaling exists.
-  bool try_equilibrate(std::vector<T>& vals);
+  /// The gmin diagonal every transient / AC system gets so capacitively
+  /// floating nodes stay solvable.
+  static constexpr double kFloatingNodeGmin = 1e-12;
+
+  /// Size the equilibration scales and health scratch for \p n unknowns,
+  /// at construction, so even the recovery rungs never grow a buffer.
+  void size_scratch(size_t n);
+
+  /// Factorize vals_. Rungs: replay -> equilibrate + replay -> re-order
+  /// -> equilibrate + re-order -> throw NumericError; equilibration is
+  /// skipped in Off mode and applied up front in Force mode. A replay
+  /// that succeeds with pivot growth above health::kPivotGrowthTrigger
+  /// also re-orders unless the cached ordering grew that much on its own
+  /// values. Each re-order counts in sparse_fallbacks. \p reset writes
+  /// the unscaled values back into vals_; it runs before a re-order and
+  /// after an equilibrated factorization, so vals_ always holds A itself
+  /// for the residuals. After every symbolic analysis (the first, or a
+  /// re-order) \p measure, the owner's footprint, becomes the audited
+  /// setup size: the factor storage is sized then and only then.
+  template <typename Reset, typename Measure>
+  void factor_values(NumericHealthMode mode, const Reset& reset, const Measure& measure);
+
+  /// Solve A x = b (A^T x = b when \p transposed) through the live
+  /// factors, wrapping them in the equilibration scales when they hold
+  /// RAC. \p b may alias \p x.
+  void solve_factored(const Vec& b, Vec& x, bool transposed = false);
+
+  /// Hager's 1-norm condition estimate of vals_ into
+  /// health_.cond_estimate (+inf when the fault injector fails it).
+  void estimate_condition();
+
+  /// ||A||_inf of vals_: the scale of every residual() until the next
+  /// factorization.
+  void measure_norm_inf();
+
+  /// Relative residual of \p x for A x = b; b - A x stays in resid_.
+  double residual(const Vec& b, const Vec& x);
+
+  /// Refine \p x from its measured residual \p r0 (b - A x in resid_).
+  /// The on_refinement fault probe may declare it diverged instead (x is
+  /// kept). Counts refinement_solves and the correction steps.
+  RefineOutcome refine(const Vec& b, Vec& x, double r0);
+
+  /// The rung after a refinement \p out of unscaled factors diverged:
+  /// equilibrate, refactorize, re-solve \p b into \p x and refine once
+  /// more, folding that pass into \p out. \p reset restores vals_. False
+  /// when no scaling exists (the factors are untouched).
+  template <typename Reset>
+  bool refactor_equilibrated(const Vec& b, Vec& x, RefineOutcome& out, const Reset& reset);
+
+  /// Fold a measured relative residual into health_ and stats_.
+  void note_residual(double r);
+
+  /// Fold health_'s growth and condition gauges and its equilibrated /
+  /// recovered flags into stats_.
+  void record_health();
 
   /// Copy the LU counters into stats_ and audit the footprint \p now
   /// against the setup size: any change since is a regrowth.
   const KernelStats& audited_stats(size_t now);
 
+  /// Bytes of everything the ladder owns (part of the owner's footprint).
+  size_t ladder_bytes() const;
+
   SparsePattern pattern_;
   SparseLu<T> slu_;
+  Vec vals_;                       ///< slot values (pattern_ CSR order)
   KernelStats stats_;
   NumericHealth health_;
+  size_t setup_bytes_ = 0;         ///< audited footprint after setup
+  bool equilibrated_now_ = false;  ///< current factorization is of RAC
+
+private:
+  /// Scale vals_ to RAC with power-of-two row / column scales; false
+  /// when the fault injector vetoes it or no scaling exists.
+  bool try_equilibrate();
+  void matvec(const Vec& v, Vec& y) const;
+  RefineOutcome refine_steps(const Vec& b, Vec& x, double r0);
+
   std::vector<double> row_scale_;  ///< power-of-two row equilibration
   std::vector<double> col_scale_;  ///< power-of-two column equilibration
-  size_t setup_bytes_ = 0;         ///< audited footprint after setup
+  std::vector<double> col_sums_;   ///< 1-norm scratch
+  Vec resid_;                      ///< refinement residual
+  Vec dx_;                         ///< refinement correction
+  Vec best_;                       ///< refinement best-iterate rollback
+  Vec work_;                       ///< scaled-RHS / aliased-solve scratch
+  Vec probe_;                      ///< condition-estimator probe vector
+  double anorm_inf_ = 0.0;         ///< ||A||_inf for the residuals
   long settled_analyses_ = 0;      ///< symbolic analyses folded into setup_bytes_
   bool order_grew_ = false;        ///< the cached ordering's own pass tripped growth
-  bool equilibrated_now_ = false;  ///< current factorization is of RAC
 };
 
 }  // namespace detail
@@ -187,11 +249,6 @@ public:
   ~SolveWorkspace();
 
 private:
-  /// The gmin diagonal every transient / AC system gets so capacitively
-  /// floating nodes stay solvable (hoisted constant; previously repeated
-  /// inline at each assembly site).
-  static constexpr double kFloatingNodeGmin = 1e-12;
-
   /// Which baseline family the frozen pattern was captured under. DC and
   /// transient baselines stamp different structural slots (capacitors
   /// are open at DC), so switching families reopens the capture.
@@ -204,10 +261,8 @@ private:
   void gather_values();
   size_t measured_bytes() const;
 
-  // Numerical-health helpers (DESIGN.md section 15).
+  /// The DC / transient trigger policy (DESIGN.md section 15).
   void run_health_checks(NumericHealthMode mode);
-  void refine_current();
-  void record_health();
 
   Circuit* ckt_;
   size_t dim_;
@@ -220,8 +275,7 @@ private:
   // Factorization (DESIGN.md section 13): pattern_ is captured by the
   // stamp recorder until the first solve, then frozen; per-solve the
   // values are gathered from the dense mna_ storage through flat_idx_
-  // and handed to the reusable-symbolic sparse LU.
-  std::vector<double> svals_;      ///< gathered slot values (CSR order)
+  // into vals_ and handed to the reusable-symbolic sparse LU.
   std::vector<size_t> flat_idx_;   ///< slot -> dense row-major index
   BaselineKind baseline_kind_ = BaselineKind::None;
   bool frozen_ = false;
@@ -233,16 +287,6 @@ private:
   std::vector<Linearization> lins_;
   std::vector<double> fvals_;
   bool factors_plain_ = false;
-
-  // Numerical-health scratch, preallocated at construction (and folded
-  // into the audited setup bytes) so even the recovery rungs run without
-  // growing the workspace.
-  std::vector<double> col_sums_;   ///< 1-norm scratch
-  std::vector<double> hresid_;     ///< refinement residual
-  std::vector<double> hdx_;        ///< refinement correction
-  std::vector<double> hbest_;      ///< refinement best-iterate rollback
-  std::vector<double> hwork_;      ///< scaled-RHS / out-of-place-solve scratch
-  std::vector<double> hwork2_;     ///< condition-estimator probe vector
 };
 
 // ---------------------------------------------------------------------------
@@ -258,7 +302,7 @@ public:
   /// NumericError when a device's stamps are not affine in w.
   explicit AcKernel(Circuit& ckt);
 
-  /// Assemble A(omega) = G + jwC into the owned slot values and restore
+  /// Assemble A(omega) = G + jwC into the slot values and restore
   /// the stimulus into mna().rhs().
   void assemble(double omega);
 
@@ -292,26 +336,17 @@ public:
   ~AcKernel();
 
 private:
-  static constexpr double kFloatingNodeGmin = 1e-12;
-
   void stamp_virtual(double omega);
   void restore_values();
   size_t measured_bytes() const;
 
-  // Numerical-health helpers (DESIGN.md section 15). factorize() decides
+  // The AC trigger policy (DESIGN.md section 15). factorize() decides
   // per factorization whether every solve against it is refined (Force)
   // or each solve checks its own residual first (Auto, monitor tripped);
   // the noise analysis' many solve_rhs() calls follow the same rule.
   void post_factor_health(NumericHealthMode mode);
   void solve_current(const std::vector<std::complex<double>>& rhs,
                      std::vector<std::complex<double>>& out);
-  /// Refine \p x from its measured relative residual \p r0 (b - Ax in
-  /// cresid_).
-  void refine_in_place(const std::vector<std::complex<double>>& rhs,
-                       std::vector<std::complex<double>>& x, double r0);
-  void matvec_current(const std::vector<std::complex<double>>& v,
-                      std::vector<std::complex<double>>& y) const;
-  double norm_inf_current() const;
 
   Circuit* ckt_;
   size_t dim_;
@@ -323,19 +358,9 @@ private:
   // vectorizable loop of O(nnz)).
   std::vector<double> gs_;         ///< per-slot Re part (pattern order)
   std::vector<double> cs_;         ///< per-slot dA/d(jw) (pattern order)
-  std::vector<std::complex<double>> avals_;  ///< assembled slot values
   double last_omega_ = 0.0;        ///< for re-assembling the slot values
-
-  // Numerical-health scratch (preallocated, see SolveWorkspace).
-  std::vector<double> col_sums_;
-  std::vector<std::complex<double>> cresid_;
-  std::vector<std::complex<double>> cdx_;
-  std::vector<std::complex<double>> cbest_;
-  std::vector<std::complex<double>> cwork_;
-  std::vector<std::complex<double>> cwork2_;
   bool refine_active_ = false;     ///< refine every solve of this factorization
   bool check_residual_ = false;    ///< Auto: refine solves whose residual misses
-  double anorm_inf_ = 0.0;         ///< inf-norm of the assembled A(omega)
 };
 
 }  // namespace ape::spice

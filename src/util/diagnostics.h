@@ -136,8 +136,12 @@ struct KernelStats {
   // Numerical-health counters (DESIGN.md section 15; 0 on healthy runs).
   long refinement_solves = 0;    ///< solves that ran iterative refinement
   long refinement_iterations = 0;///< total refinement correction steps
-  long equilibrated_solves = 0;  ///< solves under row/column equilibration
-  long numeric_recoveries = 0;   ///< solves that landed only via a recovery
+  long equilibrated_solves = 0;  ///< solves (DC / transient) or factorizations
+                                 ///< (AC: one per point, however many noise
+                                 ///< solves share it) under row/column
+                                 ///< equilibration
+  long numeric_recoveries = 0;   ///< solves (DC / transient) or factorizations
+                                 ///< (AC) that landed only via a recovery
                                  ///< rung (equilibrate / re-order)
   double cond_estimate_max = 0.0;///< worst Hager 1-norm estimate (gauge)
   double pivot_growth_max = 0.0; ///< worst pivot growth factor (gauge)

@@ -59,8 +59,18 @@ private:
   Value value() {
     skip_ws();
     switch (peek()) {
-      case '{': return object();
-      case '[': return array();
+      case '{':
+      case '[': {
+        // The descent recurses once per level: refuse a document nested
+        // deep enough to exhaust the stack before reading it.
+        if (depth_ == kMaxDepth) {
+          fail(pos_, "nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        ++depth_;
+        Value v = peek() == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': {
         Value v;
         v.kind = Value::Kind::String;
@@ -192,6 +202,7 @@ private:
 
   const std::string& s_;
   size_t pos_ = 0;
+  int depth_ = 0;  ///< objects / arrays open at pos_
 };
 
 }  // namespace

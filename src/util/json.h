@@ -53,8 +53,15 @@ struct Value {
   double as_hex_double() const;
 };
 
+/// Deepest object / array nesting parse() accepts. The readers' own
+/// documents nest a few levels; a frame of a million '[' would otherwise
+/// overflow the stack of whoever parses it (ape_serve, the checkpoint
+/// reader).
+constexpr int kMaxDepth = 256;
+
 /// Parse one complete JSON document (trailing whitespace allowed,
-/// trailing garbage is an error). Throws ape::ParseError.
+/// trailing garbage is an error). Throws ape::ParseError, naming the
+/// byte, on malformed input or nesting deeper than kMaxDepth.
 Value parse(const std::string& text);
 
 /// Builds one compact JSON document; calls chain:

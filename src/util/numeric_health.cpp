@@ -64,42 +64,14 @@ double pow2_scale(double magnitude) {
 }
 
 template <typename T>
-bool compute_equilibration(const T* a, size_t n, std::vector<double>& row_scale,
-                           std::vector<double>& col_scale) {
-  row_scale.assign(n, 1.0);
-  col_scale.assign(n, 1.0);
-  if (n == 0) return false;
-  for (size_t i = 0; i < n; ++i) {
-    double m = 0.0;
-    const T* row = a + i * n;
-    for (size_t j = 0; j < n; ++j) m = std::max(m, abs_of(row[j]));
-    row_scale[i] = pow2_scale(m);
-  }
-  for (size_t j = 0; j < n; ++j) {
-    double m = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      m = std::max(m, abs_of(a[i * n + j]) * row_scale[i]);
-    }
-    col_scale[j] = pow2_scale(m);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (!std::isfinite(row_scale[i]) || !std::isfinite(col_scale[i]) ||
-        row_scale[i] <= 0.0 || col_scale[i] <= 0.0) {
-      row_scale.assign(n, 1.0);
-      col_scale.assign(n, 1.0);
-      return false;
-    }
-  }
-  return true;
-}
-
-template <typename T>
 bool compute_equilibration_csr(const int* row_ptr, const int* cols,
                                const T* vals, size_t n,
                                std::vector<double>& row_scale,
                                std::vector<double>& col_scale) {
   row_scale.assign(n, 1.0);
-  col_scale.assign(n, 1.0);
+  // Column maxima of the row-scaled matrix first, gathered in col_scale
+  // itself so the recovery rung allocates nothing.
+  col_scale.assign(n, 0.0);
   if (n == 0) return false;
   for (size_t i = 0; i < n; ++i) {
     double m = 0.0;
@@ -108,13 +80,12 @@ bool compute_equilibration_csr(const int* row_ptr, const int* cols,
     }
     row_scale[i] = pow2_scale(m);
   }
-  std::vector<double> colmax(n, 0.0);
   for (size_t i = 0; i < n; ++i) {
     for (int s = row_ptr[i]; s < row_ptr[i + 1]; ++s) {
-      colmax[cols[s]] = std::max(colmax[cols[s]], abs_of(vals[s]) * row_scale[i]);
+      col_scale[cols[s]] = std::max(col_scale[cols[s]], abs_of(vals[s]) * row_scale[i]);
     }
   }
-  for (size_t j = 0; j < n; ++j) col_scale[j] = pow2_scale(colmax[j]);
+  for (double& c : col_scale) c = pow2_scale(c);
   for (size_t i = 0; i < n; ++i) {
     if (!std::isfinite(row_scale[i]) || !std::isfinite(col_scale[i]) ||
         row_scale[i] <= 0.0 || col_scale[i] <= 0.0) {
@@ -124,26 +95,6 @@ bool compute_equilibration_csr(const int* row_ptr, const int* cols,
     }
   }
   return true;
-}
-
-template <typename T>
-void scale_dense(T* a, size_t n, const std::vector<double>& row_scale,
-                 const std::vector<double>& col_scale) {
-  for (size_t i = 0; i < n; ++i) {
-    T* row = a + i * n;
-    const double r = row_scale[i];
-    for (size_t j = 0; j < n; ++j) row[j] *= r * col_scale[j];
-  }
-}
-
-template <typename T>
-void unscale_dense(T* a, size_t n, const std::vector<double>& row_scale,
-                   const std::vector<double>& col_scale) {
-  for (size_t i = 0; i < n; ++i) {
-    T* row = a + i * n;
-    const double r = row_scale[i];
-    for (size_t j = 0; j < n; ++j) row[j] /= r * col_scale[j];
-  }
 }
 
 template <typename T>
@@ -164,23 +115,6 @@ void scale_vector(std::vector<T>& v, const std::vector<double>& s) {
 }
 
 template <typename T>
-void unscale_vector(std::vector<T>& v, const std::vector<double>& s) {
-  for (size_t i = 0; i < v.size(); ++i) v[i] /= s[i];
-}
-
-template <typename T>
-double norm1_dense(const T* a, size_t n, std::vector<double>& col_sums) {
-  col_sums.assign(n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    const T* row = a + i * n;
-    for (size_t j = 0; j < n; ++j) col_sums[j] += abs_of(row[j]);
-  }
-  double m = 0.0;
-  for (double s : col_sums) m = std::max(m, s);
-  return m;
-}
-
-template <typename T>
 double norm1_csr(const int* row_ptr, const int* cols, const T* vals, size_t n,
                  std::vector<double>& col_sums) {
   col_sums.assign(n, 0.0);
@@ -191,18 +125,6 @@ double norm1_csr(const int* row_ptr, const int* cols, const T* vals, size_t n,
   }
   double m = 0.0;
   for (double s : col_sums) m = std::max(m, s);
-  return m;
-}
-
-template <typename T>
-double norm_inf_dense(const T* a, size_t n) {
-  double m = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    double s = 0.0;
-    const T* row = a + i * n;
-    for (size_t j = 0; j < n; ++j) s += inf_mag(row[j]);
-    m = std::max(m, s);
-  }
   return m;
 }
 
@@ -278,27 +200,16 @@ double condest_1norm(size_t n, double anorm1,
 
 // Explicit instantiations for the two MNA value types.
 #define APE_HEALTH_INSTANTIATE(T)                                            \
-  template bool compute_equilibration<T>(const T*, size_t,                   \
-                                         std::vector<double>&,               \
-                                         std::vector<double>&);              \
   template bool compute_equilibration_csr<T>(                                \
       const int*, const int*, const T*, size_t, std::vector<double>&,        \
       std::vector<double>&);                                                 \
-  template void scale_dense<T>(T*, size_t, const std::vector<double>&,       \
-                               const std::vector<double>&);                  \
-  template void unscale_dense<T>(T*, size_t, const std::vector<double>&,     \
-                                 const std::vector<double>&);                \
   template void scale_csr<T>(const int*, const int*, T*, size_t,             \
                              const std::vector<double>&,                     \
                              const std::vector<double>&);                    \
   template void scale_vector<T>(std::vector<T>&,                             \
                                 const std::vector<double>&);                 \
-  template void unscale_vector<T>(std::vector<T>&,                           \
-                                  const std::vector<double>&);               \
-  template double norm1_dense<T>(const T*, size_t, std::vector<double>&);    \
   template double norm1_csr<T>(const int*, const int*, const T*, size_t,     \
                                std::vector<double>&);                        \
-  template double norm_inf_dense<T>(const T*, size_t);                       \
   template double norm_inf_csr<T>(const int*, const T*, size_t);             \
   template double norm_inf_vec<T>(const std::vector<T>&);                    \
   template double condest_1norm<T>(                                          \

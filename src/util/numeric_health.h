@@ -1,8 +1,9 @@
 #pragma once
 /// \file numeric_health.h
-/// Numerical-health substrate shared by both MNA kernels (DESIGN.md
-/// section 15): equilibration, condition estimation, iterative
-/// refinement, and the unified singularity diagnostic.
+/// Numerical-health substrate of the MNA kernel's one health path,
+/// spice::detail::FactorLadder (DESIGN.md section 15): CSR
+/// equilibration, condition estimation, iterative refinement, and the
+/// unified singularity diagnostic.
 ///
 /// The estimator is only as trustworthy as the solves behind it, and the
 /// PVT corner skews of the statistical subsystem deliberately produce
@@ -12,9 +13,9 @@
 /// back when the answer is "not enough":
 ///
 ///  - EQUILIBRATION: row/column scale factors snapped to powers of two,
-///    so applying and removing them is bit-exact — the stamped matrix
-///    and RHS can be scaled in place around a factorization and restored
-///    without perturbing a single stamp bit.
+///    so applying and removing them is bit-exact. The kernel scales its
+///    CSR slot values around a factorization and then rewrites them from
+///    the stamps, so the residuals always see the unscaled matrix.
 ///  - CONDITION ESTIMATE: Hager's 1-norm estimator (the LAPACK xxCON
 ///    family algorithm) — a handful of solve / transpose-solve probes
 ///    against the existing factorization, no refactorization.
@@ -24,8 +25,8 @@
 ///    the condition estimate says the factorization lost digits.
 ///
 /// Everything here is allocation-disciplined: callers own the scratch
-/// vectors, so the solver workspaces can fold them into their audited
-/// setup bytes (see SolveWorkspace::measured_bytes).
+/// vectors, so the kernel's FactorLadder folds them into its workspace's
+/// audited setup bytes (FactorLadder::ladder_bytes).
 ///
 /// Layering: this header depends on nothing above src/util and pulls in
 /// no ape headers at all, so diagnostics.h can embed NumericHealth in
@@ -91,55 +92,30 @@ std::string singular_message(const char* kernel, size_t step, size_t dim,
 /// non-finite magnitudes (degenerate rows are left alone).
 double pow2_scale(double magnitude);
 
-/// Compute power-of-two row/column equilibration scales for a dense
-/// row-major n-by-n matrix (rows first, then columns of the row-scaled
-/// matrix). Returns false — and leaves the scales all-ones — when the
-/// matrix is empty or any scale would be non-finite (overflow guard);
-/// callers then skip equilibration entirely.
-template <typename T>
-bool compute_equilibration(const T* a, size_t n, std::vector<double>& row_scale,
-                           std::vector<double>& col_scale);
-
-/// CSR variant of compute_equilibration (pattern slots + values).
+/// Compute power-of-two row/column equilibration scales for an n-by-n
+/// CSR matrix (pattern slots + values; rows first, then columns of the
+/// row-scaled matrix). Returns false — and leaves the scales all-ones —
+/// when the matrix is empty or any scale would be non-finite (overflow
+/// guard); callers then skip equilibration entirely.
 template <typename T>
 bool compute_equilibration_csr(const int* row_ptr, const int* cols,
                                const T* vals, size_t n,
                                std::vector<double>& row_scale,
                                std::vector<double>& col_scale);
 
-/// Apply a_ij *= row_scale[i] * col_scale[j] in place. Exact (and thus
-/// exactly reversible via unscale_dense) because the scales are powers
-/// of two.
-template <typename T>
-void scale_dense(T* a, size_t n, const std::vector<double>& row_scale,
-                 const std::vector<double>& col_scale);
-
-/// Undo scale_dense bit-exactly (divide by the same power-of-two scales).
-template <typename T>
-void unscale_dense(T* a, size_t n, const std::vector<double>& row_scale,
-                   const std::vector<double>& col_scale);
-
-/// CSR variant of scale_dense (no unscale needed: sparse value arrays
-/// are regathered from the stamps before every factorization).
+/// Apply a_ij *= row_scale[i] * col_scale[j] to CSR values in place.
+/// Exact, and reversible by the inverse scales, because the scales are
+/// powers of two; the kernel instead rewrites the values from the stamps.
 template <typename T>
 void scale_csr(const int* row_ptr, const int* cols, T* vals, size_t n,
                const std::vector<double>& row_scale,
                const std::vector<double>& col_scale);
 
-/// v_i *= s_i (use with the inverse scales to unscale; powers of two
-/// make either direction exact).
+/// v_i *= s_i (powers of two make it exact).
 template <typename T>
 void scale_vector(std::vector<T>& v, const std::vector<double>& s);
 
-/// v_i /= s_i.
-template <typename T>
-void unscale_vector(std::vector<T>& v, const std::vector<double>& s);
-
-/// 1-norm (max column absolute sum) of a dense row-major n-by-n matrix.
-template <typename T>
-double norm1_dense(const T* a, size_t n, std::vector<double>& col_sums);
-
-/// 1-norm of a CSR matrix.
+/// 1-norm (max column absolute sum) of an n-by-n CSR matrix.
 template <typename T>
 double norm1_csr(const int* row_ptr, const int* cols, const T* vals, size_t n,
                  std::vector<double>& col_sums);
@@ -148,11 +124,7 @@ double norm1_csr(const int* row_ptr, const int* cols, const T* vals, size_t n,
 /// |re| + |im| for complex entries, like LAPACK's CABS1: within sqrt(2)
 /// of the modulus, and no hypot per entry in the per-solve checks.
 
-/// Infinity norm (max row absolute sum) of a dense row-major matrix.
-template <typename T>
-double norm_inf_dense(const T* a, size_t n);
-
-/// Infinity norm of a CSR matrix.
+/// Infinity norm (max row absolute sum) of an n-by-n CSR matrix.
 template <typename T>
 double norm_inf_csr(const int* row_ptr, const T* vals, size_t n);
 
@@ -173,7 +145,7 @@ double condest_1norm(size_t n, double anorm1,
                      const std::function<void(std::vector<T>&)>& solve_t,
                      std::vector<T>& work);
 
-/// Outcome of one refine_solution run.
+/// Outcome of one refine_from run.
 struct RefineOutcome {
   double residual = 0.0;  ///< final relative residual
   int iterations = 0;     ///< correction steps applied
@@ -248,17 +220,6 @@ RefineOutcome refine_from(double r0, const std::vector<T>& b,
   out.residual = best;
   out.converged = best <= health::kResidualTarget;
   return out;
-}
-
-/// Fixed-precision iterative refinement of A x = b: measure the
-/// residual, then refine_from() it.
-template <typename T, typename MatVec, typename Correct>
-RefineOutcome refine_solution(const std::vector<T>& b, std::vector<T>& x,
-                              MatVec&& matvec, Correct&& correct,
-                              double anorm_inf, std::vector<T>& resid,
-                              std::vector<T>& dx, std::vector<T>& best_x) {
-  const double r0 = relative_residual(b, x, matvec, anorm_inf, resid);
-  return refine_from(r0, b, x, matvec, correct, anorm_inf, resid, dx, best_x);
 }
 
 }  // namespace ape

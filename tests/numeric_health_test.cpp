@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -68,14 +71,15 @@ void from_dense(const Matrix<double>& a, SparsePattern& p,
   }
 }
 
-/// y = A v for a dense matrix.
-void dense_matvec(const Matrix<double>& a, const std::vector<double>& v,
-                  std::vector<double>& y) {
-  const size_t n = a.rows();
-  y.assign(n, 0.0);
-  for (size_t r = 0; r < n; ++r) {
+/// y = A v for a CSR matrix.
+void csr_matvec(const SparsePattern& p, const std::vector<double>& vals,
+                const std::vector<double>& v, std::vector<double>& y) {
+  y.assign(p.n(), 0.0);
+  for (size_t r = 0; r < p.n(); ++r) {
     double acc = 0.0;
-    for (size_t c = 0; c < n; ++c) acc += a(r, c) * v[c];
+    for (int s = p.row_ptr()[r]; s < p.row_ptr()[r + 1]; ++s) {
+      acc += vals[s] * v[p.cols()[s]];
+    }
     y[r] = acc;
   }
 }
@@ -158,8 +162,11 @@ TEST(CondEstimate, HilbertWithinTenXOfExact) {
   }
   LuSolver<double> lu(h);
 
-  std::vector<double> col_sums;
-  const double anorm1 = norm1_dense(h.data(), n, col_sums);
+  SparsePattern p;
+  std::vector<double> vals, col_sums;
+  from_dense(h, p, vals);
+  const double anorm1 =
+      norm1_csr(p.row_ptr().data(), p.cols().data(), vals.data(), n, col_sums);
 
   // Reference: ||A^-1||_1 column by column through the factorization.
   double inv_norm1 = 0.0;
@@ -205,8 +212,11 @@ TEST(CondEstimate, WellConditionedStaysSmall) {
     }
   }
   LuSolver<double> lu(a);
-  std::vector<double> col_sums, work, tmp;
-  const double anorm1 = norm1_dense(a.data(), n, col_sums);
+  SparsePattern p;
+  std::vector<double> vals, col_sums, work, tmp;
+  from_dense(a, p, vals);
+  const double anorm1 =
+      norm1_csr(p.row_ptr().data(), p.cols().data(), vals.data(), n, col_sums);
   const std::function<void(std::vector<double>&)> solve =
       [&](std::vector<double>& v) {
         tmp = v;
@@ -225,18 +235,23 @@ TEST(CondEstimate, WellConditionedStaysSmall) {
 
 TEST(Refinement, SpreadLadderRecoversResidual) {
   const size_t n = 6;
-  const Matrix<double> a = spread_ladder(n);
+  SparsePattern p;
+  std::vector<double> vals;
+  from_dense(spread_ladder(n), p, vals);
+  const int* rp = p.row_ptr().data();
+  const int* cols = p.cols().data();
   std::vector<double> b(n, 0.0);
   b[0] = 1e3;  // Norton injection through the stiffest branch
 
-  // Equilibrate a copy (powers of two: bit-exactly reversible), solve
-  // the scaled system, then refine against the ORIGINAL matrix — the
-  // exact algebra the kernels run.
+  // Equilibrate a copy of the slot values (powers of two: bit-exactly
+  // reversible), solve the scaled system, then refine against the
+  // ORIGINAL values — the exact algebra the kernel runs.
   std::vector<double> row_scale, col_scale;
-  ASSERT_TRUE(compute_equilibration(a.data(), n, row_scale, col_scale));
-  Matrix<double> scaled = a;
-  scale_dense(scaled.data(), n, row_scale, col_scale);
-  LuSolver<double> lu(scaled);
+  ASSERT_TRUE(compute_equilibration_csr(rp, cols, vals.data(), n, row_scale, col_scale));
+  std::vector<double> scaled = vals;
+  scale_csr(rp, cols, scaled.data(), n, row_scale, col_scale);
+  SparseLu<double> lu;
+  lu.factorize(p, scaled);
 
   std::vector<double> x = b;
   scale_vector(x, row_scale);
@@ -245,22 +260,21 @@ TEST(Refinement, SpreadLadderRecoversResidual) {
   x = y;
   scale_vector(x, col_scale);
 
-  const std::function<void(const std::vector<double>&, std::vector<double>&)>
-      matvec = [&](const std::vector<double>& v, std::vector<double>& out) {
-        dense_matvec(a, v, out);
-      };
-  const std::function<void(const std::vector<double>&, std::vector<double>&)>
-      correct = [&](const std::vector<double>& r, std::vector<double>& d) {
-        std::vector<double> rs = r;
-        scale_vector(rs, row_scale);
-        lu.solve_into(rs, d);
-        scale_vector(d, col_scale);
-      };
+  const auto matvec = [&](const std::vector<double>& v, std::vector<double>& out) {
+    csr_matvec(p, vals, v, out);
+  };
+  const auto correct = [&](const std::vector<double>& r, std::vector<double>& d) {
+    std::vector<double> rs = r;
+    scale_vector(rs, row_scale);
+    lu.solve_into(rs, d);
+    scale_vector(d, col_scale);
+  };
 
-  const double anorm_inf = norm_inf_dense(a.data(), n);
+  const double anorm_inf = norm_inf_csr(rp, vals.data(), n);
   std::vector<double> resid, dx, best;
-  RefineOutcome out = refine_solution<double>(b, x, matvec, correct, anorm_inf,
-                                              resid, dx, best);
+  const double r0 = relative_residual(b, x, matvec, anorm_inf, resid);
+  const RefineOutcome out =
+      refine_from(r0, b, x, matvec, correct, anorm_inf, resid, dx, best);
   EXPECT_LE(out.residual, 1e-10) << "iterations=" << out.iterations;
   EXPECT_FALSE(out.diverged);
 
@@ -275,44 +289,51 @@ TEST(Refinement, PlainFactorizationAlsoRefines) {
   // factors usable; refinement wins the digits back).
   const size_t n = 6;
   const Matrix<double> a = spread_ladder(n);
+  SparsePattern p;
+  std::vector<double> vals;
+  from_dense(a, p, vals);
   std::vector<double> b(n, 0.0);
   b[0] = 1e3;
   LuSolver<double> lu(a);
   std::vector<double> x;
   lu.solve_into(b, x);
-  const std::function<void(const std::vector<double>&, std::vector<double>&)>
-      matvec = [&](const std::vector<double>& v, std::vector<double>& out) {
-        dense_matvec(a, v, out);
-      };
-  const std::function<void(const std::vector<double>&, std::vector<double>&)>
-      correct = [&](const std::vector<double>& r, std::vector<double>& d) {
-        lu.solve_into(r, d);
-      };
+  const auto matvec = [&](const std::vector<double>& v, std::vector<double>& out) {
+    csr_matvec(p, vals, v, out);
+  };
+  const auto correct = [&](const std::vector<double>& r, std::vector<double>& d) {
+    lu.solve_into(r, d);
+  };
+  const double anorm_inf = norm_inf_csr(p.row_ptr().data(), vals.data(), n);
   std::vector<double> resid, dx, best;
-  const RefineOutcome out = refine_solution<double>(
-      b, x, matvec, correct, norm_inf_dense(a.data(), n), resid, dx, best);
+  const double r0 = relative_residual(b, x, matvec, anorm_inf, resid);
+  const RefineOutcome out =
+      refine_from(r0, b, x, matvec, correct, anorm_inf, resid, dx, best);
   EXPECT_LE(out.residual, 1e-10) << "iterations=" << out.iterations;
 }
 
 TEST(Equilibration, PowerOfTwoScalingIsBitExactlyReversible) {
   const size_t n = 5;
-  Matrix<double> a = spread_ladder(n);
-  const Matrix<double> original = a;
+  SparsePattern p;
+  std::vector<double> vals;
+  from_dense(spread_ladder(n), p, vals);
+  const int* rp = p.row_ptr().data();
+  const int* cols = p.cols().data();
+  const std::vector<double> original = vals;
   std::vector<double> row_scale, col_scale;
-  ASSERT_TRUE(compute_equilibration(a.data(), n, row_scale, col_scale));
-  scale_dense(a.data(), n, row_scale, col_scale);
+  ASSERT_TRUE(compute_equilibration_csr(rp, cols, vals.data(), n, row_scale, col_scale));
+  scale_csr(rp, cols, vals.data(), n, row_scale, col_scale);
   // Scaled matrix is O(1) in every nonzero entry.
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      const double mag = std::abs(a(i, j));
-      if (mag > 0.0) {
-        EXPECT_LE(mag, 16.0) << i << "," << j;
-      }
-    }
+  for (size_t s = 0; s < vals.size(); ++s) {
+    EXPECT_LE(std::abs(vals[s]), 16.0) << "slot " << s;
   }
-  unscale_dense(a.data(), n, row_scale, col_scale);
-  for (size_t i = 0; i < n * n; ++i) {
-    EXPECT_EQ(a.data()[i], original.data()[i]) << "entry " << i;
+  // The inverse of a power of two is exact, so scaling back by the
+  // inverses restores every bit.
+  std::vector<double> inv_row = row_scale, inv_col = col_scale;
+  for (double& v : inv_row) v = 1.0 / v;
+  for (double& v : inv_col) v = 1.0 / v;
+  scale_csr(rp, cols, vals.data(), n, inv_row, inv_col);
+  for (size_t s = 0; s < vals.size(); ++s) {
+    EXPECT_EQ(vals[s], original[s]) << "slot " << s;
   }
 }
 
@@ -600,6 +621,188 @@ TEST(AcHealthGate, ForceStillEstimatesConditionAndRefines) {
   (void)sweep_in_mode(ckt, b, NumericHealthMode::Force, &ks);
   EXPECT_GT(ks.cond_estimate_max, 0.0) << ks.summary();
   EXPECT_EQ(ks.refinement_solves, ks.ac_points_fused) << ks.summary();
+}
+
+// ---------------------------------------------------------------------------
+// Bitwise pins of the health paths: every value below was recorded from
+// the kernel before the two workspaces shared one refinement path, and is
+// compared exactly (hex floats keep every bit, the sign of zero included).
+
+/// Exact text of a double.
+std::string hex(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+std::string pin_health(const NumericHealth& h) {
+  return "cond=" + hex(h.cond_estimate) + " growth=" + hex(h.pivot_growth) +
+         " resid=" + hex(h.residual_norm) +
+         " iters=" + std::to_string(h.refinement_iterations) +
+         " eq=" + std::to_string(h.equilibrated) +
+         " rec=" + std::to_string(h.recovered);
+}
+
+std::string pin_stats(const KernelStats& k) {
+  return "fact=" + std::to_string(k.factorizations) +
+         " solves=" + std::to_string(k.solves) +
+         " rsolves=" + std::to_string(k.refinement_solves) +
+         " riters=" + std::to_string(k.refinement_iterations) +
+         " eqsolves=" + std::to_string(k.equilibrated_solves) +
+         " recov=" + std::to_string(k.numeric_recoveries) +
+         " condmax=" + hex(k.cond_estimate_max) +
+         " growthmax=" + hex(k.pivot_growth_max) +
+         " residmax=" + hex(k.residual_norm_max);
+}
+
+/// DC of the committed extreme-spread divider in \p mode with \p fi
+/// installed: the solution, the final solve's health and the counters.
+std::string pin_spread_dc(NumericHealthMode mode, spice::FaultInjector& fi) {
+  spice::Circuit ckt = spice::parse_netlist(read_file(kSpreadNetlist));
+  ConvergenceReport report;
+  spice::DcOptions opts;
+  opts.report = &report;
+  ScopedJobContext scope([&](JobContext& c) {
+    c.health_mode = mode;
+    c.fault_injector = &fi;
+  });
+  const spice::Solution sol = spice::dc_operating_point(ckt, opts);
+  std::string x = "x=";
+  for (double v : sol.x) x += hex(v) + ",";
+  return x + " | " + pin_health(report.health) + " | " + pin_stats(report.kernel);
+}
+
+/// AC sweep of \p b in \p mode: an FNV-1a digest of every bit of the
+/// response, then the sweep's counters.
+std::string pin_ac(const AcBench& b, NumericHealthMode mode) {
+  spice::Circuit ckt = spice::parse_netlist(b.netlist);
+  (void)spice::dc_operating_point(ckt);
+  KernelStats ks;
+  const spice::AcResult r = sweep_in_mode(ckt, b, mode, &ks);
+  uint64_t h = 1469598103934665603ull;
+  for (const auto& sol : r.solutions) {
+    for (const std::complex<double>& z : sol) {
+      for (double part : {z.real(), z.imag()}) {
+        uint64_t bits = 0;
+        std::memcpy(&bits, &part, sizeof bits);
+        for (int i = 0; i < 8; ++i) {
+          h = (h ^ ((bits >> (8 * i)) & 0xffu)) * 1099511628211ull;
+        }
+      }
+    }
+  }
+  char digest[24];
+  std::snprintf(digest, sizeof digest, "%016llx", static_cast<unsigned long long>(h));
+  return "points=" + std::to_string(r.solutions.size()) + " digest=" + digest +
+         " | " + pin_stats(ks);
+}
+
+TEST(KernelHealth, OutcomesArePinnedBitwise) {
+  {
+    spice::FaultInjector none;
+    EXPECT_EQ(pin_spread_dc(NumericHealthMode::Auto, none),
+              "x=0x1p+0,0x1.fffffffffee5dp-1,0x1.ffbe7f2b1c322p-2,-0x1.142p-31, | "
+              "cond=0x1.d1a94a27d3002p+39 growth=0x1p+0 resid=0x1.928a05da09a1cp-56 "
+              "iters=0 eq=0 rec=0 | "
+              "fact=23 solves=23 rsolves=10 riters=0 eqsolves=0 recov=0 "
+              "condmax=0x1.d1a94a27d3002p+39 growthmax=0x1p+0 "
+              "residmax=0x1.928a05da09a1cp-56") << "spread DC, Auto";
+  }
+  {
+    spice::FaultInjector none;
+    EXPECT_EQ(pin_spread_dc(NumericHealthMode::Force, none),
+              "x=0x1p+0,0x1.fffffffffee5dp-1,0x1.ffbe7f2b1c322p-2,-0x1.142p-31, | "
+              "cond=0x1.d1a94a27d3002p+39 growth=0x1p+0 resid=0x1.928a05da09a1cp-56 "
+              "iters=0 eq=1 rec=0 | "
+              "fact=23 solves=23 rsolves=23 riters=0 eqsolves=23 recov=0 "
+              "condmax=0x1.d1a94a27d3002p+39 growthmax=0x1p+0 "
+              "residmax=0x1.928a05da09a1cp-56") << "spread DC, Force";
+  }
+  {
+    spice::FaultInjector fi;
+    fi.refine_diverge(0, 1);
+    EXPECT_EQ(pin_spread_dc(NumericHealthMode::Auto, fi),
+              "x=0x1p+0,0x1.fffffffffee5dp-1,0x1.ffbe7f2b1c322p-2,-0x1.142p-31, | "
+              "cond=0x1.d1a94a27d3002p+39 growth=0x1p+0 resid=0x1.928a05da09a1cp-56 "
+              "iters=0 eq=1 rec=1 | "
+              "fact=24 solves=24 rsolves=10 riters=0 eqsolves=1 recov=1 "
+              "condmax=0x1.d1a94a27d3002p+39 growthmax=0x1p+0 "
+              "residmax=0x1.928a05da09a1cp-56")
+        << "spread DC, Auto, refine_diverge";
+    EXPECT_EQ(fi.counts().injected_refine_diverge, 1);
+  }
+  {
+    spice::FaultInjector fi;
+    fi.equilibrate_overflow(0, 1000);
+    EXPECT_EQ(pin_spread_dc(NumericHealthMode::Force, fi),
+              "x=0x1p+0,0x1.fffffffffee5dp-1,0x1.ffbe7f2b1c322p-2,-0x1.142p-31, | "
+              "cond=0x1.d1a94a27d3002p+39 growth=0x1p+0 resid=0x1.928a05da09a1cp-56 "
+              "iters=0 eq=0 rec=0 | "
+              "fact=23 solves=23 rsolves=23 riters=0 eqsolves=0 recov=0 "
+              "condmax=0x1.d1a94a27d3002p+39 growthmax=0x1p+0 "
+              "residmax=0x1.928a05da09a1cp-56")
+        << "spread DC, Force, equilibrate_overflow";
+    EXPECT_GT(fi.counts().injected_equilibrate_overflow, 0);
+  }
+  {
+    spice::FaultInjector fi;
+    fi.cond_estimate_fail(0, 1000);
+    EXPECT_EQ(pin_spread_dc(NumericHealthMode::Auto, fi),
+              "x=0x1p+0,0x1.fffffffffee5dp-1,0x1.ffbe7f2b1c322p-2,-0x1.142p-31, | "
+              "cond=inf growth=0x1p+0 resid=0x1.928a05da09a1cp-56 "
+              "iters=0 eq=0 rec=0 | "
+              "fact=23 solves=23 rsolves=10 riters=0 eqsolves=0 recov=0 condmax=inf "
+              "growthmax=0x1p+0 residmax=0x1.928a05da09a1cp-56")
+        << "spread DC, Auto, cond_estimate_fail";
+    EXPECT_GT(fi.counts().injected_cond_fails, 0);
+  }
+  EXPECT_EQ(pin_ac(table1_ac_benches().front(), NumericHealthMode::Force),
+              "points=181 digest=3c18024641bb1039 | "
+              "fact=181 solves=181 rsolves=181 riters=0 eqsolves=181 recov=0 "
+              "condmax=0x1.89c17cb9a9981p+66 growthmax=0x1.276c5d0fd088p+3 "
+              "residmax=0x1.830908db82b03p-77")
+      << "Table 1 open-loop AC, Force";
+  EXPECT_EQ(pin_ac({"growth", growth_netlist(40), 1e3, 1e4, 2}, NumericHealthMode::Auto),
+              "points=3 digest=a8bcee246fe6b0e5 | "
+              "fact=3 solves=3 rsolves=3 riters=3 eqsolves=0 recov=0 condmax=0x0p+0 "
+              "growthmax=0x1.ffffffffd404p+37 residmax=0x1.615313db4eedp-58")
+      << "Wilkinson growth AC, Auto";
+  {
+    // The same network driven at DC: the growth trigger runs Hager's
+    // estimate and refinement with correction steps on a real system.
+    std::string net = growth_netlist(40);
+    for (size_t at = net.find(" AC "); at != std::string::npos; at = net.find(" AC ", at)) {
+      net.replace(at, 4, " DC ");
+    }
+    spice::Circuit ckt = spice::parse_netlist(net);
+    ConvergenceReport report;
+    spice::DcOptions opts;
+    opts.report = &report;
+    const spice::Solution sol = spice::dc_operating_point(ckt, opts);
+    std::string got = "x=";
+    for (double v : sol.x) got += hex(v) + ",";
+    got += " | " + pin_health(report.health) + " | " + pin_stats(report.kernel);
+    EXPECT_EQ(got,
+              "x=-0x1.318c6318c74edp+0,-0x1.8c6318c63e026p-2,0x1.39ce739cdf38dp+0,"
+              "-0x1.18c6318c7f35cp-1,0x1.ce739ce6fe62fp-1,-0x1.318c6318ff4ecp+0,"
+              "-0x1.8c6318c7fe026p-2,0x1.39ce739bff38dp+0,-0x1.18c6318fff35ep-1,"
+              "0x1.ce739cdffe62fp-1,-0x1.318c631fff4ecp+0,-0x1.8c6318fffe026p-2,"
+              "0x1.39ce737fff38dp+0,-0x1.18c631ffff35dp-1,0x1.ce739bfffe62fp-1,"
+              "-0x1.318c63ffff4ecp+0,-0x1.8c631ffffe026p-2,0x1.39ce6fffff38dp+0,"
+              "-0x1.18c63fffff35dp-1,0x1.ce737ffffe62fp-1,-0x1.318c7fffff4ecp+0,"
+              "-0x1.8c63fffffe027p-2,0x1.39cdffffff38dp+0,-0x1.18c7ffffff35dp-1,"
+              "0x1.ce6ffffffe62ep-1,-0x1.318fffffff4edp+0,-0x1.8c7ffffffe02cp-2,"
+              "0x1.39bfffffff38ap+0,-0x1.18ffffffff367p-1,0x1.cdfffffffe621p-1,"
+              "-0x1.31ffffffff4f6p+0,-0x1.8ffffffffe057p-2,0x1.37ffffffff385p+0,"
+              "-0x1.1fffffffff33fp-1,0x1.bffffffffe6ebp-1,-0x1.3fffffffff3b1p+0,"
+              "-0x1.fffffffffd24ep-2,0x1.ffffffffff8e6p-1,-0x1.fffffffffc7dp-1,"
+              "0x1.18c6318c644f6p+1, | "
+              "cond=0x1.40147ae147a65p+5 growth=0x1.ffffffffd404p+37 "
+              "resid=0x1.606398d2d3b3cp-56 iters=25 eq=0 rec=0 | "
+              "fact=25 solves=25 rsolves=25 riters=25 eqsolves=0 recov=0 "
+              "condmax=0x1.40147ae147a65p+5 growthmax=0x1.ffffffffd404p+37 "
+              "residmax=0x1.606398d2d3b3cp-56") << "Wilkinson growth DC, Auto";
+  }
 }
 
 }  // namespace

@@ -317,6 +317,24 @@ TEST(ServeDaemon, MalformedPayloadDoesNotCorruptTheConnection) {
   EXPECT_EQ(daemon.stop(), 0);
 }
 
+TEST(ServeDaemon, DeeplyNestedFrameAnswersErrorAndKeepsTheConnection) {
+  TestDaemon daemon(base_options("nested"));
+  Client client(daemon.server.socket_path());
+
+  // 200 KB of '[': well inside the frame limit, and deep enough to have
+  // overflowed the daemon's stack in a recursive parse.
+  json::Value deep = call_json(client, std::string(200 * 1024, '['));
+  EXPECT_EQ(field(deep, "status"), "error");
+  EXPECT_NE(field(deep, "error").find("nesting"), std::string::npos)
+      << field(deep, "error");
+
+  // The same connection still serves well-formed requests.
+  EXPECT_EQ(field(call_json(client, "{\"op\":\"ping\"}"), "status"), "ok");
+  json::Value stats = call_json(client, "{\"op\":\"stats\"}");
+  EXPECT_EQ(num_field(stats, "malformed_frames"), 1.0);
+  EXPECT_EQ(daemon.stop(), 0);
+}
+
 TEST(ServeDaemon, OversizedFrameClosesOnlyThatConnection) {
   ServeOptions options = base_options("oversized");
   options.max_frame_bytes = 4096;

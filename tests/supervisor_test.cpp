@@ -226,6 +226,29 @@ TEST(SupervisorJson, MalformedInputThrowsParseError) {
   }
 }
 
+TEST(SupervisorJson, DeepNestingIsRefusedNotRecursedInto) {
+  // One ape_serve frame (up to 1 MiB) of '[' used to recurse once per
+  // byte and overflow the stack.
+  const std::string deep(size_t{1} << 20, '[');
+  try {
+    (void)json::parse(deep);
+    FAIL() << "a 1 Mi-deep array parsed";
+  } catch (const ParseError& e) {
+    const std::string byte = "at byte " + std::to_string(json::kMaxDepth);
+    EXPECT_NE(std::string(e.what()).find(byte), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(json::parse(std::string(json::kMaxDepth + 1, '[') +
+                           std::string(json::kMaxDepth + 1, ']')),
+               ParseError);
+  // The limit itself still parses, objects and arrays counted alike.
+  std::string ok;
+  for (int i = 0; i < json::kMaxDepth / 2; ++i) ok += "{\"k\":[";
+  ok += "1";
+  for (int i = 0; i < json::kMaxDepth / 2; ++i) ok += "]}";
+  const json::Value doc = json::parse(ok);
+  EXPECT_NE(doc.find("k"), nullptr);
+}
+
 TEST(SupervisorJson, WriterNumbersRoundTripBitExactly) {
   for (double v : {0.1, -0.0, 5e-324, DBL_MAX, 9007199254740992.0}) {
     json::Writer w;
