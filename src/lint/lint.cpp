@@ -5,8 +5,6 @@
 #include <cmath>
 #include <map>
 #include <numeric>
-#include <set>
-#include <sstream>
 
 #include "src/spice/devices.h"
 #include "src/spice/parser.h"
@@ -295,77 +293,22 @@ Report lint_circuit(const spice::Circuit& ckt) {
 
 namespace {
 
-/// Re-assemble the parser's logical lines (continuations merged, comments
-/// stripped) so the alias scan sees the same text the parser did.
-std::vector<std::string> logical_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::istringstream in(text);
-  std::string raw;
-  while (std::getline(in, raw)) {
-    const size_t cpos = raw.find_first_of("$;");
-    if (cpos != std::string::npos) raw.erase(cpos);
-    while (!raw.empty() &&
-           (raw.back() == '\r' ||
-            std::isspace(static_cast<unsigned char>(raw.back())))) {
-      raw.pop_back();
-    }
-    size_t start = 0;
-    while (start < raw.size() && std::isspace(static_cast<unsigned char>(raw[start]))) {
-      ++start;
-    }
-    raw.erase(0, start);
-    if (raw.empty() || raw[0] == '*') continue;
-    if (raw[0] == '+') {
-      if (!lines.empty()) lines.back() += " " + raw.substr(1);
-    } else {
-      lines.push_back(raw);
-    }
-  }
-  return lines;
-}
-
-/// Node-token positions per element letter (mirrors parser.cpp's grammar).
-int node_token_count(char kind) {
-  switch (kind) {
-    case 'r': case 'c': case 'l': case 'v': case 'i':
-    case 'f': case 'h': case 'd':
-      return 2;
-    case 'e': case 'g': case 'm':
-      return 4;
-    default:
-      return 0;
-  }
-}
-
 /// APE-L008: the parser folds node names case-insensitively, so "Out"
-/// and "out" silently become one node. Surface the aliasing as a note.
-void scan_node_aliases(const std::string& text, Report& rep) {
-  std::map<std::string, std::set<std::string>> spellings;
-  const std::vector<std::string> lines = logical_lines(text);
-  for (size_t li = 1; li < lines.size(); ++li) {  // line 0 is the title
-    const std::string& line = lines[li];
-    if (line.empty() || line[0] == '.') continue;
-    std::istringstream toks(line);
-    std::string tok;
-    if (!(toks >> tok)) continue;
-    const char kind =
-        static_cast<char>(std::tolower(static_cast<unsigned char>(tok[0])));
-    int want = node_token_count(kind);
-    while (want-- > 0 && (toks >> tok)) {
-      spellings[lower(tok)].insert(tok);
+/// and "out" silently become one node. Surface the aliasing as a note,
+/// from the spellings the parsed circuit recorded.
+void scan_node_aliases(const spice::Circuit& ckt, Report& rep) {
+  for (size_t id = 0; id < ckt.num_nodes(); ++id) {
+    const std::vector<std::string>& names =
+        ckt.node_spellings(static_cast<spice::NodeId>(id));
+    if (names.size() < 2) continue;
+    std::string list;
+    for (const auto& n : names) {
+      if (!list.empty()) list += ", ";
+      list += "'" + n + "'";
     }
-  }
-  for (const auto& [key, names] : spellings) {
-    if (names.size() > 1) {
-      std::string list;
-      for (const auto& n : names) {
-        if (!list.empty()) list += ", ";
-        list += "'" + n + "'";
-      }
-      rep.add("APE-L008", Severity::Note,
-              "node '" + key + "' is spelled " + list +
-                  "; the parser folds these into one node");
-    }
+    rep.add("APE-L008", Severity::Note,
+            "node '" + lower(names.front()) + "' is spelled " + list +
+                "; the parser folds these into one node");
   }
 }
 
@@ -381,7 +324,7 @@ Report lint_netlist(const std::string& text) {
     return rep;
   }
   rep.merge(lint_circuit(ckt));
-  scan_node_aliases(text, rep);
+  scan_node_aliases(ckt, rep);
   return rep;
 }
 
@@ -396,7 +339,7 @@ Report lint_testbench(const est::Testbench& tb) {
     return rep;
   }
   rep.merge(lint_circuit(ckt));
-  scan_node_aliases(tb.netlist, rep);
+  scan_node_aliases(ckt, rep);
 
   // The measurement layer dereferences these by name; a missing probe is
   // unreachable exactly like a fault probe on an absent ordinal.
@@ -614,14 +557,10 @@ void require_clean(const Report& report, const std::string& what) {
   throw LintError(what + ": lint found " + report.summary(), report);
 }
 
-std::function<void(const spice::Circuit&)> preflight() {
-  return [](const spice::Circuit& ckt) {
-    require_clean(lint_circuit(ckt), "lint-first('" + ckt.title() + "')");
-  };
-}
-
-spice::Solution lint_first_dc(spice::Circuit& ckt, spice::DcOptions opts) {
-  opts.preflight = preflight();
+spice::Solution lint_first_dc(spice::Circuit& ckt,
+                              const spice::DcOptions& opts) {
+  ckt.finalize();
+  require_clean(lint_circuit(ckt), "lint-first('" + ckt.title() + "')");
   return spice::dc_operating_point(ckt, opts);
 }
 

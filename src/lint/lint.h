@@ -55,13 +55,11 @@
 ///
 /// Every Finding carries the ErrorContext provenance chain open at lint
 /// time, so reports compose with the diagnostics layer exactly like
-/// ape::Error messages do. Lint-first entry points: set
-/// `DcOptions::preflight = lint::preflight()` (or call
-/// lint::lint_first_dc) to fail a DC solve fast with a LintError, and
-/// `BatchOptions::lint_first = true` to gate every batch job on its spec
-/// lint (src/runtime/batch.h).
+/// ape::Error messages do. Lint-first entry points: call
+/// lint::lint_first_dc in place of dc_operating_point to fail a DC solve
+/// fast with a LintError, and `BatchOptions::lint_first = true` to gate
+/// every batch job on its spec lint (src/runtime/batch.h).
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -132,7 +130,8 @@ private:
 Report lint_circuit(const spice::Circuit& ckt);
 
 /// Parse \p text and lint the result (adds APE-P001 on parse failure and
-/// APE-L008 case-alias notes from the raw text).
+/// APE-L008 case-alias notes from the spellings the parser recorded,
+/// Circuit::node_spellings).
 Report lint_netlist(const std::string& text);
 
 /// Lint a testbench: its netlist plus the probe / stimulus / supply
@@ -158,12 +157,10 @@ Report lint_design(const est::OpAmpDesign& design, const est::Process& proc);
 /// operation in the exception message.
 void require_clean(const Report& report, const std::string& what);
 
-/// A DcOptions::preflight hook that lints the finalized circuit and
-/// throws LintError instead of letting Newton burn budget on a
-/// structurally singular system.
-std::function<void(const spice::Circuit&)> preflight();
-
-/// dc_operating_point with the lint-first preflight installed.
-spice::Solution lint_first_dc(spice::Circuit& ckt, spice::DcOptions opts = {});
+/// Finalize \p ckt, lint it and throw LintError on any error finding
+/// instead of letting Newton burn budget on a structurally singular
+/// system; a clean circuit goes on to dc_operating_point.
+spice::Solution lint_first_dc(spice::Circuit& ckt,
+                              const spice::DcOptions& opts = {});
 
 }  // namespace ape::lint

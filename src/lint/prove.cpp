@@ -208,6 +208,10 @@ MetricBounds to_bounds(const Metrics<Interval>& m) {
   return b;
 }
 
+/// Passes contract_box makes over the variable list: a second pass
+/// contracts again against the bounds the first one tightened.
+constexpr int kContractionPasses = 2;
+
 /// One branch-and-prune sweep: per variable, split the range into
 /// geometric segments, drop every segment whose sub-box enclosure
 /// provably violates a requirement, and keep the hull of the survivors.
@@ -223,7 +227,7 @@ bool contract_box(const est::Process& proc, const est::OpAmpSpec& spec,
                   std::string& dead_var) {
   const int segments = opts.contraction_segments;
   if (segments < 2) return true;
-  for (int pass = 0; pass < opts.contraction_passes; ++pass) {
+  for (int pass = 0; pass < kContractionPasses; ++pass) {
     for (size_t i = 0; i < box.size(); ++i) {
       const double lo = box[i].first;
       const double hi = box[i].second;

@@ -50,10 +50,10 @@ struct ProveOptions {
   /// APE-F002 fires when the spec is within this relative distance of
   /// the proven bound (0.25 = within 25%).
   double tight_margin = 0.25;
-  /// Box-contraction sweep: geometric segments per variable and passes
-  /// over the variable list. 0 segments disables contraction.
+  /// Box-contraction sweep: geometric segments per variable (0 disables
+  /// contraction); the sweep makes a fixed two passes over the variable
+  /// list (prove.cpp).
   int contraction_segments = 8;
-  int contraction_passes = 2;
   /// Optional explicit sizing box: 13 [lo, hi] pairs in
   /// synth::OpAmpVars::pack order (w1 l1 w3 l3 w5 l5 w6 l6 w7 l7 w8 l8
   /// cc, unbuffered layout). Empty = the synthesizer's blind box,

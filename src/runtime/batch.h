@@ -116,10 +116,8 @@ struct SupervisionStats {
   int attempts = 0;           ///< ladder attempts actually run
   int retries = 0;            ///< attempts beyond each job's first
   int numeric_recovery_attempts = 0;  ///< attempts under NumericHealthMode::Force
-  int relaxed_attempts = 0;   ///< attempts run under a SolverRelaxation
+  int relaxed_attempts = 0;   ///< attempts run with JobContext::relaxed
   int estimate_fallbacks = 0; ///< jobs resolved by the estimate-only rung
-  int backoff_waits = 0;      ///< backoff sleeps taken
-  double backoff_seconds = 0.0;
   int deadline_hits = 0;      ///< jobs stopped by their deadline
   int cancelled_jobs = 0;     ///< jobs stopped by the CancelToken
   int quarantine_skips = 0;   ///< jobs skipped on a quarantined fingerprint

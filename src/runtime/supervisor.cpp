@@ -1,13 +1,10 @@
 #include "src/runtime/supervisor.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
-#include <thread>
 #include <type_traits>
 
 #include "src/lint/lint.h"
@@ -42,8 +39,8 @@ RetryRung rung_from_string(const std::string& s) {
 /// Run job \p index's full recovery ladder (see supervisor.h) into \p r.
 /// Every attempt — a synthesis attempt (detail::run_one) or the
 /// estimate fallback — runs on the current (worker) thread under the
-/// job's budget and, on relaxed rungs, a SolverRelaxation, both installed
-/// in the job context.
+/// job's budget and, on relaxed rungs, JobContext::relaxed, both set in
+/// the job context.
 template <class Spec, class Outcome>
 void supervise_one(const est::Process& proc, const Spec& spec, size_t index,
                    uint64_t fp, const SupervisorOptions& options,
@@ -140,16 +137,6 @@ void supervise_one(const est::Process& proc, const Spec& spec, size_t index,
     if (stopped(nullptr)) return;
     if (rung == RetryRung::Fail) break;
 
-    if (attempt > 0) {
-      double wait = policy.backoff_s(index, attempt);
-      wait = std::min(wait, std::max(budget.seconds_left(), 0.0));
-      if (wait > 0.0 && std::isfinite(wait)) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(wait));
-        ++stats.backoff_waits;
-        stats.backoff_seconds += wait;
-      }
-    }
-
     r.final_rung = rung;
     ++r.attempts;
     ++stats.attempts;
@@ -165,7 +152,7 @@ void supervise_one(const est::Process& proc, const Spec& spec, size_t index,
     spice::FaultInjector injector;
     if (options.fault_setup) options.fault_setup(index, attempt, injector);
     ScopedJobContext attempt_context([&](JobContext& c) {
-      if (rung == RetryRung::Relaxed) c.relaxation = &policy.relaxation;
+      if (rung == RetryRung::Relaxed) c.relaxed = true;
       // The numeric-recovery rung re-runs the attempt with the health
       // layer forced on: every solve equilibrates, estimates its
       // condition and refines (DESIGN.md section 15).
@@ -189,7 +176,7 @@ void supervise_one(const est::Process& proc, const Spec& spec, size_t index,
       // The deadline may have fired mid-attempt while the search still
       // returned (the anneal loop stops cooperatively): keep that result.
       if (stopped(&out)) return;
-      if (out.sim_failed && policy.retry_sim_failures) {
+      if (out.sim_failed) {
         // Synthesis finished but the simulator verification threw —
         // usually transient non-convergence the Relaxed rung can clear.
         // Keep the outcome: if the ladder runs dry, best-so-far beats an
@@ -510,8 +497,6 @@ void SupervisionStats::accumulate(const SupervisionStats& o) {
   numeric_recovery_attempts += o.numeric_recovery_attempts;
   relaxed_attempts += o.relaxed_attempts;
   estimate_fallbacks += o.estimate_fallbacks;
-  backoff_waits += o.backoff_waits;
-  backoff_seconds += o.backoff_seconds;
   deadline_hits += o.deadline_hits;
   cancelled_jobs += o.cancelled_jobs;
   quarantine_skips += o.quarantine_skips;
@@ -526,8 +511,6 @@ void SupervisionStats::to_json(json::Writer& w) const {
       .field("numeric_recovery_attempts", numeric_recovery_attempts)
       .field("relaxed_attempts", relaxed_attempts)
       .field("estimate_fallbacks", estimate_fallbacks)
-      .field("backoff_waits", backoff_waits)
-      .field("backoff_seconds", backoff_seconds)
       .field("deadline_hits", deadline_hits)
       .field("cancelled_jobs", cancelled_jobs)
       .field("quarantine_skips", quarantine_skips)

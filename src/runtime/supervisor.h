@@ -1,7 +1,7 @@
 #pragma once
 /// \file supervisor.h
 /// Supervised batch runtime (DESIGN.md section 10): deadlines,
-/// cancellation, retry/backoff recovery ladders, spec quarantine and
+/// cancellation, retry recovery ladders, spec quarantine and
 /// checkpoint/resume around every batch job.
 ///
 /// There is one batch path: run_opamp_batch / run_module_batch
@@ -23,12 +23,13 @@
 ///    outcome (deadline_hit = true) instead of hanging the batch.
 ///  - Retry ladder: failures are classified by ErrorClass (error.h) and
 ///    walked through the RetryPolicy rungs (retry.h): plain retry ->
-///    relaxed solver tolerances (JobContext::relaxation) -> APE
-///    estimate-only fallback -> fail, with deterministic exponential
-///    backoff between attempts. Permanent failures skip straight to the
-///    estimate fallback. Simulator-verification failures (sim_failed
-///    outcomes) escalate the same way but never discard a synthesized
-///    design for a bare estimate: they keep the best-so-far outcome.
+///    forced numerical health -> relaxed solver tolerances
+///    (JobContext::relaxed) -> APE estimate-only fallback -> fail, each
+///    attempt starting as soon as the last one failed. Permanent
+///    failures skip straight to the estimate fallback.
+///    Simulator-verification failures (sim_failed outcomes) escalate the
+///    same way but never discard a synthesized design for a bare
+///    estimate: they keep the best-so-far outcome.
 ///  - Quarantine: a spec failing quarantine_threshold consecutive
 ///    jobs (each failed job counts once, when its ladder runs out,
 ///    however many attempts it burned) is quarantined in the
@@ -182,8 +183,8 @@ ModuleBatchResult run_supervised_module_batch(
 /// (throws SpecError); options.batch.threads only bounds multi-start
 /// restart workers inside the attempt. \p stats, when non-null, receives
 /// the ladder's accounting merged in (callers aggregate across
-/// requests). \p index keys the deterministic seed stream and backoff
-/// jitter, exactly like a batch job's position.
+/// requests). \p index keys the deterministic seed stream, exactly like
+/// a batch job's position.
 OpAmpJobResult run_supervised_opamp_job(const est::Process& proc,
                                         const est::OpAmpSpec& spec,
                                         const SupervisorOptions& options,

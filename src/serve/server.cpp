@@ -283,11 +283,9 @@ void Server::handle_connection(Connection* conn) {
     } catch (const Error& e) {
       // Malformed payload inside an intact frame: the connection state
       // is uncorrupted (framing kept the stream aligned), so answer the
-      // error and keep serving this client.
-      tally([](ServerStats& s) {
-        ++s.malformed_frames;
-        ++s.errors;
-      });
+      // error and keep serving this client. It was never admitted, so it
+      // stays out of the accepted ledger and its errors.
+      tally([](ServerStats& s) { ++s.malformed_frames; });
       if (!write_frame(conn->fd, error_response("", e.what()))) break;
       continue;
     }

@@ -120,10 +120,11 @@ struct ServerStats {
   long proven_infeasible = 0; ///< synthesize requests rejected by an
                               ///< APE-F001 feasibility proof at admission
                               ///< (answered with the proof, no executor slot)
-  long errors = 0;            ///< "error" responses: parse or job failure,
-                              ///< and deadline lapses of simulate and
-                              ///< corner_sweep
-  long malformed_frames = 0;  ///< payloads that failed to parse
+  long errors = 0;            ///< accepted requests answered "error": job
+                              ///< failure, and deadline lapses of
+                              ///< simulate and corner_sweep
+  long malformed_frames = 0;  ///< payloads that failed to parse (answered
+                              ///< "error", never accepted, not in errors)
   long framing_errors = 0;    ///< oversized / zero-length / truncated frames
   long deadline_hits = 0;     ///< requests whose deadline lapsed
   long cancelled = 0;         ///< accepted requests the drain cut short

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "src/spice/devices.h"
 #include "src/spice/fault.h"
@@ -22,12 +23,32 @@ bool all_finite(const std::vector<double>& v) {
   return true;
 }
 
+/// The Newton tolerances and DC gmin ladder of one analysis: the
+/// constants of analysis.h, or on the supervision ladder's relaxed rung
+/// the tolerances scaled by kRelaxedTolFactor and the ladder stopped at
+/// kRelaxedGminFloor.
+struct Tolerances {
+  double reltol = kReltol;
+  double vntol = kVntol;
+  double abstol = kAbstol;
+  std::span<const double> gmin_steps = kGminSteps;
+};
+
+Tolerances tolerances(bool relaxed) {
+  if (!relaxed) return {};
+  const auto floor = std::ranges::find_if(
+      kGminSteps, [](double g) { return g < kRelaxedGminFloor * 0.999; });
+  return {kReltol * kRelaxedTolFactor, kVntol * kRelaxedTolFactor,
+          kAbstol * kRelaxedTolFactor,
+          std::span<const double>(kGminSteps.begin(), floor)};
+}
+
 /// One damped Newton solve of the (already finalized) circuit at a fixed
 /// gmin / source scale, on the caller's compiled workspace, capped at
 /// \p max_iterations. Returns true on convergence; x is updated in
 /// place. Counters are accumulated into \p rep when non-null.
 bool newton_dc(Circuit& ckt, SolveWorkspace& ws, Solution& x, double gmin,
-               double src_scale, const DcOptions& opts, int max_iterations,
+               double src_scale, const Tolerances& tol, int max_iterations,
                ConvergenceReport* rep) {
   const size_t dim = ckt.dim();
   const size_t n_nodes = ckt.num_nodes();
@@ -66,16 +87,16 @@ bool newton_dc(Circuit& ckt, SolveWorkspace& ws, Solution& x, double gmin,
     double max_ratio = 1.0;
     for (size_t i = 0; i < n_nodes; ++i) {
       const double dv = std::fabs(xnew[i] - x.x[i]);
-      if (dv > opts.vstep_limit) max_ratio = std::max(max_ratio, dv / opts.vstep_limit);
+      if (dv > kVstepLimit) max_ratio = std::max(max_ratio, dv / kVstepLimit);
     }
-    max_ratio = std::min(max_ratio, opts.max_damping_ratio);
+    max_ratio = std::min(max_ratio, kMaxDampingRatio);
     for (size_t i = 0; i < dim; ++i) {
       const double step = (xnew[i] - x.x[i]) / max_ratio;
       const double next = x.x[i] + step;
-      const double tol = (i < n_nodes)
-                             ? opts.vntol + opts.reltol * std::max(std::fabs(next), std::fabs(x.x[i]))
-                             : opts.abstol + opts.reltol * std::max(std::fabs(next), std::fabs(x.x[i]));
-      if (std::fabs(step) > tol) converged = false;
+      const double bound = (i < n_nodes)
+                               ? tol.vntol + tol.reltol * std::max(std::fabs(next), std::fabs(x.x[i]))
+                               : tol.abstol + tol.reltol * std::max(std::fabs(next), std::fabs(x.x[i]));
+      if (std::fabs(step) > bound) converged = false;
       x.x[i] = next;
     }
     if (converged && max_ratio == 1.0 && iter > 0) {
@@ -97,27 +118,6 @@ void check_budget(const char* where) {
   }
 }
 
-/// Resolve the effective DC options for this call: when the job context
-/// carries a SolverRelaxation (the supervision ladder's relaxed rung),
-/// widen the tolerances and stop the gmin ladder at the relaxed floor;
-/// otherwise \p opts passes through untouched.
-const DcOptions* effective_dc_options(const DcOptions& opts, DcOptions& storage,
-                                      ConvergenceReport* rep) {
-  const SolverRelaxation* rx = job_context().relaxation;
-  if (rx == nullptr) return &opts;
-  storage = opts;
-  storage.reltol *= rx->tol_factor;
-  storage.vntol *= rx->tol_factor;
-  storage.abstol *= rx->tol_factor;
-  std::vector<double> rungs;
-  for (double g : storage.gmin_steps) {
-    if (g >= rx->gmin_floor * 0.999) rungs.push_back(g);
-  }
-  if (!rungs.empty()) storage.gmin_steps = std::move(rungs);
-  if (rep != nullptr) rep->relaxed_tolerances = true;
-  return &storage;
-}
-
 /// Summarize the run's numerical health into the report. The kernel's
 /// per-solve NumericHealth record only describes the last solve; the
 /// report-level record takes the run-wide view from the accumulated
@@ -134,16 +134,15 @@ void fill_report_health(ConvergenceReport* rep) {
 
 }  // namespace
 
-Solution dc_operating_point(Circuit& ckt, const DcOptions& caller_opts) {
+Solution dc_operating_point(Circuit& ckt, const DcOptions& opts) {
   ErrorContext scope("dc('" + ckt.title() + "')");
   ckt.finalize();
   ConvergenceReport local_report;
-  ConvergenceReport* rep =
-      caller_opts.report != nullptr ? caller_opts.report : &local_report;
+  ConvergenceReport* rep = opts.report != nullptr ? opts.report : &local_report;
   *rep = ConvergenceReport{};
-  DcOptions relaxed_storage;
-  const DcOptions& opts = *effective_dc_options(caller_opts, relaxed_storage, rep);
-  if (opts.preflight) opts.preflight(ckt);
+  const bool relaxed = job_context().relaxed;
+  rep->relaxed_tolerances = relaxed;
+  const Tolerances tol = tolerances(relaxed);
   Solution x;
   x.x.assign(ckt.dim(), 0.0);
   SolveWorkspace ws(ckt);
@@ -152,13 +151,13 @@ Solution dc_operating_point(Circuit& ckt, const DcOptions& caller_opts) {
   // Seeded plan: one capped Newton solve at the ladder's final gmin from
   // the circuit's .nodeset guess. On failure x returns to zero, so the
   // ladders below run exactly as they would without a seed.
-  if (!ckt.nodesets().empty() && !opts.gmin_steps.empty()) {
+  if (!ckt.nodesets().empty()) {
     check_budget("dc_operating_point");
     for (const Circuit::NodeSet& ns : ckt.nodesets()) {
       x.x[static_cast<size_t>(ns.node)] = ns.volts;
     }
-    const double gmin = opts.gmin_steps.back();
-    ok = newton_dc(ckt, ws, x, gmin, 1.0, opts, kSeededMaxIterations, rep);
+    const double gmin = tol.gmin_steps.back();
+    ok = newton_dc(ckt, ws, x, gmin, 1.0, tol, kSeededMaxIterations, rep);
     FaultInjector* fi = job_context().fault_injector;
     if (ok && fi != nullptr && fi->on_seeded_convergence()) {
       ++rep->convergence_vetoes;
@@ -175,9 +174,9 @@ Solution dc_operating_point(Circuit& ckt, const DcOptions& caller_opts) {
   if (!ok) {
     // Plan A: gmin stepping from a heavily damped system down to ~ideal.
     ok = true;
-    for (double gmin : opts.gmin_steps) {
+    for (double gmin : tol.gmin_steps) {
       check_budget("dc_operating_point");
-      if (!newton_dc(ckt, ws, x, gmin, 1.0, opts, opts.max_iterations, rep)) {
+      if (!newton_dc(ckt, ws, x, gmin, 1.0, tol, kDcMaxIterations, rep)) {
         ok = false;
         break;
       }
@@ -192,18 +191,18 @@ Solution dc_operating_point(Circuit& ckt, const DcOptions& caller_opts) {
     x.x.assign(ckt.dim(), 0.0);
     rep->gmin_rungs_completed = 0;
     ok = true;
-    for (double s : opts.source_steps) {
+    for (double s : kSourceSteps) {
       check_budget("dc_operating_point");
-      if (!newton_dc(ckt, ws, x, 1e-9, s, opts, opts.max_iterations, rep)) {
+      if (!newton_dc(ckt, ws, x, 1e-9, s, tol, kDcMaxIterations, rep)) {
         ok = false;
         break;
       }
       ++rep->source_steps_completed;
     }
     if (ok) {
-      for (double gmin : opts.gmin_steps) {
+      for (double gmin : tol.gmin_steps) {
         check_budget("dc_operating_point");
-        if (!newton_dc(ckt, ws, x, gmin, 1.0, opts, opts.max_iterations, rep)) {
+        if (!newton_dc(ckt, ws, x, gmin, 1.0, tol, kDcMaxIterations, rep)) {
           ok = false;
           break;
         }
@@ -273,8 +272,10 @@ DcSweepResult dc_sweep(Circuit& ckt, const std::string& vsource, double start,
       throw NumericError("dc_sweep('" + vsource + "'): " + b->exhaust_reason() +
                          " at sweep value " + units::format_eng(v) + " V");
     }
-    if (!newton_dc(ckt, ws, x, opts.gmin_steps.back(), 1.0, opts,
-                   opts.max_iterations, opts.report)) {
+    // The warm-start pass runs at the plain tolerances; only its
+    // full-ladder fallback reads the relaxed rung.
+    if (!newton_dc(ckt, ws, x, kGminSteps.back(), 1.0, Tolerances{},
+                   kDcMaxIterations, opts.report)) {
       // Fall back to the full ladder if the warm start fails.
       x.x.assign(ckt.dim(), 0.0);
       solve_at(v, x);
@@ -331,28 +332,21 @@ AcResult ac_analysis(Circuit& ckt, double f_start, double f_stop,
 }
 
 TranResult transient(Circuit& ckt, double t_step, double t_stop,
-                     const TranOptions& caller_opts) {
+                     const TranOptions& opts) {
   ErrorContext scope("transient('" + ckt.title() + "')");
   if (t_step <= 0.0 || t_stop <= t_step) {
     throw SpecError("transient: bad time range");
   }
   ConvergenceReport local_report;
-  ConvergenceReport* rep =
-      caller_opts.report != nullptr ? caller_opts.report : &local_report;
+  ConvergenceReport* rep = opts.report != nullptr ? opts.report : &local_report;
   *rep = ConvergenceReport{};
-  // The relaxed supervision rung widens transient tolerances and allows
-  // extra sub-stepping, mirroring effective_dc_options for DC.
-  TranOptions relaxed_storage;
-  const TranOptions* eff = &caller_opts;
-  if (const SolverRelaxation* rx = job_context().relaxation) {
-    relaxed_storage = caller_opts;
-    relaxed_storage.reltol *= rx->tol_factor;
-    relaxed_storage.vntol *= rx->tol_factor;
-    relaxed_storage.max_step_halvings += rx->extra_step_halvings;
-    eff = &relaxed_storage;
-    rep->relaxed_tolerances = true;
-  }
-  const TranOptions& opts = *eff;
+  // The relaxed supervision rung widens the tolerances and allows extra
+  // sub-stepping, as it does for DC.
+  const bool relaxed = job_context().relaxed;
+  rep->relaxed_tolerances = relaxed;
+  const Tolerances tol = tolerances(relaxed);
+  const int max_step_halvings =
+      kMaxStepHalvings + (relaxed ? kRelaxedExtraStepHalvings : 0);
   Solution x = dc_operating_point(ckt);
 
   TranResult out;
@@ -380,8 +374,8 @@ TranResult transient(Circuit& ckt, double t_step, double t_stop,
       }
       dt = std::min(dt, t_target - t);
       // The bypass window is the Newton convergence tolerance, so the
-      // relaxed rung's tol_factor widens both alike.
-      TranContext tc{dt, t + dt, first, opts.vntol, opts.reltol};
+      // relaxed rung's kRelaxedTolFactor widens both alike.
+      TranContext tc{dt, t + dt, first, tol.vntol, tol.reltol};
       xc = x;  // start Newton from previous accepted point
       bool converged = false;
       const bool vetoed = fi != nullptr && fi->on_transient_step();
@@ -389,7 +383,7 @@ TranResult transient(Circuit& ckt, double t_step, double t_stop,
       // dt, time and the integrator state are fixed for the whole solve
       // attempt, so the linear stamps and every charge companion are too.
       if (!vetoed) ws.build_tran_baseline(tc);
-      for (int iter = 0; !vetoed && iter < opts.max_iterations; ++iter) {
+      for (int iter = 0; !vetoed && iter < kTranMaxIterations; ++iter) {
         ws.assemble_tran(xc, tc);
         if (fi != nullptr) fi->on_assembly(ws.mna());
         ++rep->newton_iterations;
@@ -413,9 +407,9 @@ TranResult transient(Circuit& ckt, double t_step, double t_stop,
         converged = true;
         for (size_t i = 0; i < dim; ++i) {
           const double step = xnew[i] - xc.x[i];
-          const double tol = opts.vntol + opts.reltol *
-                                 std::max(std::fabs(xnew[i]), std::fabs(xc.x[i]));
-          if (std::fabs(step) > tol) converged = false;
+          const double bound = tol.vntol + tol.reltol *
+                                   std::max(std::fabs(xnew[i]), std::fabs(xc.x[i]));
+          if (std::fabs(step) > bound) converged = false;
           xc.x[i] = xnew[i];
         }
         if (converged && iter > 0) break;
@@ -428,7 +422,7 @@ TranResult transient(Circuit& ckt, double t_step, double t_stop,
         first = false;
         continue;
       }
-      if (++halvings > opts.max_step_halvings) {
+      if (++halvings > max_step_halvings) {
         throw NumericError("transient: Newton failed at t=" +
                            units::format_eng(t) + " s (" + rep->summary() + ")");
       }

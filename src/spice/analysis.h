@@ -1,9 +1,15 @@
 #pragma once
 /// \file analysis.h
 /// DC operating point, AC small-signal sweep and transient analysis.
+///
+/// The solver's tolerances, damping, ladders and iteration caps are the
+/// constants below, not options: every caller runs with the same values,
+/// and the supervision ladder's relaxed rung (JobContext::relaxed) is the
+/// one place they change, by the kRelaxed* scalings. The options structs
+/// carry only what a caller asks back: the ConvergenceReport.
 
+#include <array>
 #include <complex>
-#include <functional>
 #include <vector>
 
 #include "src/spice/circuit.h"
@@ -11,33 +17,53 @@
 
 namespace ape::spice {
 
-/// Knobs for the Newton-Raphson DC solve.
+/// Newton-Raphson tolerances shared by the DC and transient solves (and
+/// by the reference solver the tests compare against). A DC iteration
+/// has converged when every node entry of successive iterates agrees to
+/// kVntol + kReltol * |x| and every branch-current entry to
+/// kAbstol + kReltol * |x|; a transient one holds every entry to
+/// kVntol + kReltol * |x|.
+inline constexpr double kReltol = 1e-4;
+inline constexpr double kVntol = 1e-6;   ///< absolute node-voltage tolerance [V]
+inline constexpr double kAbstol = 1e-9;  ///< absolute branch-current tolerance [A]
+
+/// Newton iterations one DC ladder rung may spend.
+inline constexpr int kDcMaxIterations = 300;
+/// Max per-iteration node update [V] before a DC Newton step is damped.
+inline constexpr double kVstepLimit = 0.6;
+/// Cap on the damping divisor: each DC Newton step always closes at
+/// least 1/kMaxDampingRatio of the remaining distance (keeps convergence
+/// geometric for circuits with large legitimate internal swings).
+inline constexpr double kMaxDampingRatio = 10.0;
+/// gmin stepping ladder (diagonal conductance to ground on node rows).
+/// Dense: each rung starts warm from the previous solution, so extra
+/// rungs cost little and buy robustness on high-gain circuits.
+inline constexpr std::array<double, 11> kGminSteps{
+    1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12};
+/// Source-stepping ladder tried if plain gmin stepping fails.
+inline constexpr std::array<double, 6> kSourceSteps{0.1, 0.25, 0.5,
+                                                    0.75, 0.9, 1.0};
+
+/// Newton iterations one transient step attempt may spend.
+inline constexpr int kTranMaxIterations = 100;
+/// Local dt halvings a transient step may take on Newton failure.
+inline constexpr int kMaxStepHalvings = 8;
+
+/// The supervision ladder's relaxed rung (JobContext::relaxed, DESIGN.md
+/// section 10): a re-run of a non-convergent job multiplies kReltol,
+/// kVntol and kAbstol by kRelaxedTolFactor, stops the gmin ladder at
+/// kRelaxedGminFloor (a slightly damped but solvable system) instead of
+/// descending to the ideal 1e-12 rung, and lets a transient step take
+/// kRelaxedExtraStepHalvings more halvings.
+inline constexpr double kRelaxedTolFactor = 10.0;
+inline constexpr double kRelaxedGminFloor = 1e-10;
+inline constexpr int kRelaxedExtraStepHalvings = 4;
+
+/// The caller's side of a DC solve.
 struct DcOptions {
-  int max_iterations = 300;
-  double reltol = 1e-4;
-  double vntol = 1e-6;     ///< absolute node-voltage tolerance [V]
-  double abstol = 1e-9;    ///< absolute branch-current tolerance [A]
-  double vstep_limit = 0.6;///< max per-iteration node update [V] (damping)
-  /// Cap on the damping divisor: each Newton step always closes at least
-  /// 1/max_damping_ratio of the remaining distance (keeps convergence
-  /// geometric for circuits with large legitimate internal swings).
-  double max_damping_ratio = 10.0;
-  /// gmin stepping ladder (diagonal conductance to ground on node rows).
-  /// Dense by default: each rung starts warm from the previous solution,
-  /// so extra rungs cost little and buy robustness on high-gain circuits.
-  std::vector<double> gmin_steps{1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7,
-                                 1e-8, 1e-9, 1e-10, 1e-11, 1e-12};
-  /// Source-stepping ladder tried if plain gmin stepping fails.
-  std::vector<double> source_steps{0.1, 0.25, 0.5, 0.75, 0.9, 1.0};
   /// When set, filled with which recovery plan converged and the solve's
   /// iteration / failure counters (reset at the start of each call).
   ConvergenceReport* report = nullptr;
-  /// Invoked on the finalized circuit before the first Newton iteration;
-  /// throwing from the hook aborts the solve. The lint layer plugs its
-  /// structural-solvability gate in here (lint::preflight(), DESIGN.md
-  /// section 9) so singular topologies fail fast with a named rule
-  /// instead of burning the whole gmin / source-stepping ladder.
-  std::function<void(const Circuit&)> preflight;
 };
 
 /// Newton iterations the Seeded plan of dc_operating_point() may spend
@@ -59,7 +85,7 @@ inline constexpr int kSeededMaxIterations = 20;
 ///      (Circuit::nodesets()), one damped Newton solve at the final gmin
 ///      rung from those voltages, capped at a fixed iteration count. On
 ///      failure x resets to zero, so the ladders below are unchanged.
-///   2. GminLadder (Plan A): Newton down DcOptions::gmin_steps from zero.
+///   2. GminLadder (Plan A): Newton down kGminSteps from zero.
 ///   3. SourceStepping (Plan B): source ramp at gmin 1e-9, then the ladder.
 /// On success every device has its operating point cached
 /// (Device::save_op) so AC / transient analyses can follow. Throws
@@ -124,15 +150,8 @@ struct TranResult {
   double voltage(NodeId node, size_t k) const { return solutions.at(k).at(node); }
 };
 
+/// The caller's side of a transient run.
 struct TranOptions {
-  int max_iterations = 100;
-  /// Newton convergence: every entry of successive iterates agrees to
-  /// vntol + reltol * |x|. The same two values are the MOSFET bypass
-  /// window (see transient()); the relaxed supervision rung scales both
-  /// by SolverRelaxation::tol_factor.
-  double reltol = 1e-4;
-  double vntol = 1e-6;     ///< [V]
-  int max_step_halvings = 8;  ///< local dt refinement on Newton failure
   /// When set, filled with step-halving / failure counters for the run;
   /// report->kernel carries the work counters (device_bypasses,
   /// factor_reuses, factorizations, solves).
@@ -149,13 +168,14 @@ struct TranOptions {
 /// Each Newton iteration redoes only the work whose inputs changed
 /// (DESIGN.md section 8): the charge companions are stamped once per
 /// step attempt into the linear baseline; a MOSFET whose vgs, vds and vbs
-/// each moved at most vntol since its last evaluation, with a predicted
-/// current change of at most reltol * |ids| + 1e-12 A, stamps that
+/// each moved at most kVntol since its last evaluation, with a predicted
+/// current change of at most kReltol * |ids| + 1e-12 A, stamps that
 /// evaluation again instead of re-evaluating (and an accepted step keeps
 /// its capacitances under the same voltage rule); and a solve whose
 /// matrix is bitwise the one last factored reuses the factors. The
 /// result differs from a full-Newton transient by second-order terms in
-/// a move of at most vntol.
+/// a move of at most kVntol. The bypass window is the Newton tolerance,
+/// so the relaxed rung's kRelaxedTolFactor widens both alike.
 TranResult transient(Circuit& ckt, double t_step, double t_stop,
                      const TranOptions& opts = {});
 

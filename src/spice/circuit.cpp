@@ -41,10 +41,17 @@ bool CaseFoldLess::operator()(std::string_view a, std::string_view b) const {
 NodeId Circuit::node(std::string_view name) {
   if (is_ground_name(name)) return kGround;
   auto it = node_ids_.find(name);
-  if (it != node_ids_.end()) return it->second;
+  if (it != node_ids_.end()) {
+    std::vector<std::string>& spellings =
+        node_spellings_[static_cast<size_t>(it->second)];
+    if (std::find(spellings.begin(), spellings.end(), name) == spellings.end()) {
+      spellings.emplace_back(name);
+    }
+    return it->second;
+  }
   ensure_not_finalized();
-  const NodeId id = static_cast<NodeId>(node_names_.size());
-  node_names_.emplace_back(name);
+  const NodeId id = static_cast<NodeId>(node_spellings_.size());
+  node_spellings_.push_back({std::string(name)});
   node_ids_.emplace(lower(name), id);
   return id;
 }
@@ -59,7 +66,7 @@ NodeId Circuit::find_node(std::string_view name) const {
 const std::string& Circuit::node_name(NodeId id) const {
   static const std::string kGroundName = "0";
   if (id == kGround) return kGroundName;
-  return node_names_.at(static_cast<size_t>(id));
+  return node_spellings_.at(static_cast<size_t>(id)).front();
 }
 
 const MosModelCard* Circuit::add_model(MosModelCard card) {
@@ -101,7 +108,7 @@ const Device* Circuit::find(const std::string& name) const {
 
 void Circuit::finalize() {
   if (finalized_) return;
-  size_t next = node_names_.size();
+  size_t next = node_spellings_.size();
   for (auto& d : devices_) d->claim_branches(next);
   // Split into the compiled kernel's stamp lists, preserving device order
   // within each class so stamping stays deterministic.

@@ -31,16 +31,23 @@ public:
   const std::string& title() const { return title_; }
   void set_title(std::string t) { title_ = std::move(t); }
 
-  /// Get or create the node with this name.
+  /// Get or create the node with this name. Names fold case, so "Out"
+  /// and "out" are one node; each distinct spelling is recorded.
   NodeId node(std::string_view name);
 
   /// Look up an existing node; throws LookupError if absent.
   NodeId find_node(std::string_view name) const;
 
-  /// Name of a node id (for reporting).
+  /// Name of a node id (for reporting): its first spelling.
   const std::string& node_name(NodeId id) const;
 
-  size_t num_nodes() const { return node_names_.size(); }
+  /// Every distinct spelling node() was given for a (non-ground) node,
+  /// in first-use order; more than one means the names were folded.
+  const std::vector<std::string>& node_spellings(NodeId id) const {
+    return node_spellings_.at(static_cast<size_t>(id));
+  }
+
+  size_t num_nodes() const { return node_spellings_.size(); }
 
   /// Register a .model card; returns a pointer that stays valid for the
   /// life of the circuit.
@@ -117,7 +124,7 @@ private:
   }
 
   std::string title_;
-  std::vector<std::string> node_names_;
+  std::vector<std::vector<std::string>> node_spellings_;
   std::map<std::string, NodeId, CaseFoldLess> node_ids_;
   std::map<std::string, MosModelCard, CaseFoldLess> models_;
   std::vector<std::unique_ptr<Device>> devices_;

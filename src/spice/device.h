@@ -124,7 +124,8 @@ struct TranContext {
   /// last evaluation, and whose predicted current change is at most
   /// bypass_reltol * |i| + 1e-12 A, may reuse that evaluation
   /// (Device::stamp_tran_iteration, Device::accept_tran_step).
-  /// transient() sets both from its effective TranOptions; the default
+  /// transient() sets both to its Newton tolerances (kVntol, kReltol,
+  /// widened on the relaxed rung); the default
   /// 0 lets only bitwise-unchanged voltages reuse, which is exact.
   double bypass_vntol = 0.0;
   double bypass_reltol = 0.0;

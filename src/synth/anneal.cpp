@@ -7,6 +7,17 @@
 #include "src/util/error.h"
 
 namespace ape::synth {
+namespace {
+
+/// Initial and final temperature as fractions of |cost0|: the search
+/// cools geometrically from one to the other over its iterations.
+constexpr double kTStartFrac = 0.3;
+constexpr double kTEndFrac = 1e-5;
+/// Initial move size as a fraction of a variable's range; moves shrink
+/// to a tenth of it as the temperature falls.
+constexpr double kMoveFrac = 0.25;
+
+}  // namespace
 
 AnnealResult anneal(const std::function<double(const std::vector<double>&)>& cost,
                     const std::vector<std::pair<double, double>>& bounds,
@@ -45,8 +56,8 @@ AnnealResult anneal(const std::function<double(const std::vector<double>&)>& cos
 
   // Geometric cooling from t_start to t_end over the iteration budget.
   const double c_scale = std::isfinite(c) ? std::fabs(c) : 1.0;
-  const double t_start = std::max(c_scale, 1e-6) * opts.t_start_frac;
-  const double t_end = std::max(c_scale, 1e-6) * opts.t_end_frac;
+  const double t_start = std::max(c_scale, 1e-6) * kTStartFrac;
+  const double t_end = std::max(c_scale, 1e-6) * kTEndFrac;
   const double alpha =
       std::pow(t_end / t_start, 1.0 / std::max(opts.iterations - 1, 1));
 
@@ -65,7 +76,7 @@ AnnealResult anneal(const std::function<double(const std::vector<double>&)>& cos
     const double range = bounds[j].second - bounds[j].first;
     if (range > 0.0) {
       const double scale =
-          opts.move_frac * (0.1 + 0.9 * (t - t_end) / (t_start - t_end + 1e-300));
+          kMoveFrac * (0.1 + 0.9 * (t - t_end) / (t_start - t_end + 1e-300));
       cand[j] = std::clamp(cand[j] + rng.gauss() * scale * range,
                            bounds[j].first, bounds[j].second);
     }

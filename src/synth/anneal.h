@@ -13,11 +13,10 @@
 
 namespace ape::synth {
 
+/// The cooling schedule and move sizes are fixed (anneal.cpp): only the
+/// length of the search and its random stream are the caller's.
 struct AnnealOptions {
   int iterations = 4000;      ///< total cost evaluations
-  double t_start_frac = 0.3;  ///< initial temperature as a fraction of |cost0|
-  double t_end_frac = 1e-5;   ///< final temperature fraction
-  double move_frac = 0.25;    ///< initial move size as a fraction of range
   uint64_t seed = 1;
 };
 

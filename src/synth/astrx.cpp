@@ -22,6 +22,10 @@ namespace {
 /// while the failure is counted instead of silently dropped.
 constexpr double kSkippedCandidateCost = 1e6;
 
+/// Serial multi-start stops once its best cost is within this fraction
+/// of SynthesisOptions::cost_lower_bound.
+constexpr double kEarlyStopFrac = 0.05;
+
 using est::ModuleDesign;
 using est::ModuleKind;
 using est::ModuleSpec;
@@ -98,7 +102,7 @@ MultiStartResult multi_start_anneal(
   int executed = m;
   if (m == 1 || threads <= 1) {
     // Serial mode honours the proven cost floor: once a restart lands
-    // within early_stop_frac of a bound no point in the box can beat,
+    // within kEarlyStopFrac of a bound no point in the box can beat,
     // further restarts are provably wasted and are not launched.
     double best_so_far = std::numeric_limits<double>::infinity();
     for (int r = 0; r < m; ++r) {
@@ -106,7 +110,7 @@ MultiStartResult multi_start_anneal(
       best_so_far = std::min(best_so_far, runs[size_t(r)].ar.best_cost);
       if (opts.cost_lower_bound > 0.0 && r + 1 < m &&
           best_so_far <=
-              opts.cost_lower_bound * (1.0 + opts.early_stop_frac)) {
+              opts.cost_lower_bound * (1.0 + kEarlyStopFrac)) {
         executed = r + 1;
         break;
       }
@@ -188,8 +192,8 @@ SynthesisOutcome synthesize_opamp(const Process& proc, const OpAmpSpec& spec,
   }
 
   OpAmpSpec target = spec;
-  target.gain *= opts.target_margin;
-  target.ugf_hz *= opts.target_margin;
+  target.gain *= SynthesisOptions::target_margin;
+  target.ugf_hz *= SynthesisOptions::target_margin;
   // Worst-corner yield term (SynthesisOptions::yield_weight): score the
   // candidate at every corner card (through that corner's memo) and add
   // the worst weighted corner cost on top of the nominal cost. A corner

@@ -22,8 +22,9 @@ struct SynthesisOptions {
   double interval_frac = 0.2;  ///< +/- fraction around the seed (paper: 20%)
   /// Design margin applied to the gain/UGF targets inside the cost
   /// function (the analytic evaluator sits a few percent optimistic of
-  /// the simulator, exactly as ASTRX's AWE models did).
-  double target_margin = 1.15;
+  /// the simulator, exactly as ASTRX's AWE models did). A constant:
+  /// every caller synthesizes against the same margin.
+  static constexpr double target_margin = 1.15;
   AnnealOptions anneal;
 
   /// Independent annealing restarts (multi-start). Restart 0 uses
@@ -72,12 +73,11 @@ struct SynthesisOptions {
   std::vector<std::pair<double, double>> feasible_box;
   /// Proven lower bound on the nominal cost over the box (> 0 enables
   /// early termination): serial multi-start stops launching further
-  /// restarts once the best cost is within early_stop_frac of the
-  /// bound — no restart can beat a proven floor by more than the
+  /// restarts once the best cost is within kEarlyStopFrac (astrx.cpp)
+  /// of the bound — no restart can beat a proven floor by more than the
   /// tolerance. Parallel restart pools ignore it so their aggregate
   /// stays thread-count invariant.
   double cost_lower_bound = 0.0;
-  double early_stop_frac = 0.05;
 };
 
 /// Outcome of one opamp synthesis run.
@@ -106,8 +106,7 @@ struct SynthesisOutcome {
   std::vector<double> best_x;
   /// True when the final simulator verification threw: the design and
   /// cost are still the search's best, but sim is empty and the comment
-  /// reads "doesn't work". The supervision ladder retries these when
-  /// RetryPolicy::retry_sim_failures is set.
+  /// reads "doesn't work". The supervision ladder retries these.
   bool sim_failed = false;
 };
 

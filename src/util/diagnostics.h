@@ -22,8 +22,8 @@
 ///   with an attached token reports exhausted() as soon as the token
 ///   fires, so every budget poll site doubles as a cancellation point.
 /// - JobContext: everything a job carries ambiently down the layers (the
-///   ErrorContext frames, a job-wide RunBudget, the relaxed-rung solver
-///   tolerances, a kernel-stats sink, the numerical-health mode, a test
+///   ErrorContext frames, a job-wide RunBudget, the relaxed-rung flag, a
+///   kernel-stats sink, the numerical-health mode, a test
 ///   FaultInjector), installed by one RAII
 ///   scope, ScopedJobContext. A supervisor imposes a deadline on an
 ///   entire job (estimate -> anneal -> simulator verification) this way
@@ -49,7 +49,7 @@
 ///   ---------------+------------------------------+---------------------
 ///   frames         | yes (copied)                 | provenance chains
 ///   budget         | yes                          | RunBudget is thread-safe
-///   relaxation     | yes                          | read-only
+///   relaxed        | yes                          | a value
 ///   health_mode    | yes                          | a value
 ///   kernel_sink    | no: each job keeps its own   | KernelStats is unsynchronized
 ///   fault_injector | no: install one per job      | counters and Rng unsynchronized
@@ -182,9 +182,9 @@ struct ConvergenceReport {
   int nonfinite_rejections = 0;     ///< fail-fast aborts on non-finite solutions
   int step_halvings = 0;            ///< transient local dt refinements
   int convergence_vetoes = 0;       ///< injected non-convergence (tests only)
-  /// True when the solve ran under an ambient SolverRelaxation (the
-  /// supervision ladder's relaxed rung): tolerances were widened and the
-  /// gmin ladder stopped at the relaxed floor.
+  /// True when the solve ran on the supervision ladder's relaxed rung
+  /// (JobContext::relaxed): tolerances were widened and the gmin ladder
+  /// stopped at the relaxed floor (spice/analysis.h, kRelaxed*).
   bool relaxed_tolerances = false;
   /// Compiled-kernel counters for the call (stamps skipped, in-place
   /// factorizations, workspace bytes); see KernelStats.
@@ -302,17 +302,6 @@ private:
 // ---------------------------------------------------------------------------
 // The job context.
 
-/// Relaxed-solver parameters for the "relaxed" rung of the supervision
-/// retry ladder: a second attempt at a non-convergent job re-runs with
-/// tolerances widened by tol_factor and the gmin ladder stopped at
-/// gmin_floor (a slightly damped but solvable system) instead of
-/// descending to the ideal 1e-12 rung.
-struct SolverRelaxation {
-  double tol_factor = 10.0;  ///< multiplies reltol / vntol / abstol
-  double gmin_floor = 1e-10; ///< lowest gmin rung attempted while relaxed
-  int extra_step_halvings = 4; ///< added to TranOptions::max_step_halvings
-};
-
 /// How aggressively the solver workspaces run the numerical-health layer
 /// (numeric_health.h, DESIGN.md section 15).
 enum class NumericHealthMode {
@@ -342,8 +331,8 @@ struct JobContext {
   const RunBudget* budget = nullptr;
   /// Set on the supervision ladder's relaxed rung: dc_operating_point
   /// and transient() widen their tolerances and stop the gmin ladder at
-  /// the relaxation's floor.
-  const SolverRelaxation* relaxation = nullptr;
+  /// the relaxed floor (the kRelaxed* constants of spice/analysis.h).
+  bool relaxed = false;
   /// Every solver workspace (src/spice/kernel.h) adds its counters here
   /// when it is destroyed — how the batch runtime attributes kernel work
   /// to jobs whose entry points never expose a ConvergenceReport.

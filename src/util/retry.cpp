@@ -1,10 +1,6 @@
 #include "src/util/retry.h"
 
 #include <algorithm>
-#include <cmath>
-
-#include "src/util/rng.h"
-#include "src/util/stream_ids.h"
 
 namespace ape {
 
@@ -54,21 +50,6 @@ RetryRung RetryPolicy::next_rung(ErrorClass klass, int attempt) const {
 
 int RetryPolicy::estimate_attempt() const {
   return estimate_fallback ? max_attempts() - 1 : -1;
-}
-
-double RetryPolicy::backoff_s(uint64_t job, int attempt) const {
-  if (attempt <= 0 || backoff_base_s <= 0.0) return 0.0;
-  const double raw =
-      backoff_base_s * std::pow(backoff_factor, double(attempt - 1));
-  // Deterministic jitter: a fresh stream per (job, attempt) so every
-  // schedule replays exactly and concurrent jobs never synchronize
-  // their retries into a thundering herd. The id layout lives in
-  // stream_ids.h with every other derive_stream domain.
-  const uint64_t stream = Rng::derive_stream(
-      jitter_seed, streams::kRetryJitterStream(job, uint64_t(attempt)));
-  const double u = Rng(stream).uniform();  // [0, 1)
-  const double jitter = 1.0 + jitter_frac * (2.0 * u - 1.0);
-  return std::min(raw * std::max(jitter, 0.0), backoff_max_s);
 }
 
 }  // namespace ape

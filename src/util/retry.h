@@ -1,8 +1,7 @@
 #pragma once
 /// \file retry.h
-/// Declarative retry ladder with deterministic exponential backoff — the
-/// recovery policy of the supervised batch runtime (DESIGN.md section
-/// 10).
+/// Declarative retry ladder — the recovery policy of the supervised batch
+/// runtime (DESIGN.md section 10).
 ///
 /// A RetryPolicy maps attempt ordinals onto escalation rungs:
 ///
@@ -16,9 +15,11 @@
 ///                                                estimation and iterative
 ///                                                refinement on every solve
 ///                                                — DESIGN.md section 15)
-///   next relaxed_retries attempts  -> Relaxed   (JobContext::relaxation:
+///   next relaxed_retries attempts  -> Relaxed   (JobContext::relaxed:
 ///                                                widened tolerances,
-///                                                higher gmin floor)
+///                                                higher gmin floor; the
+///                                                kRelaxed* constants of
+///                                                spice/analysis.h)
 ///   one more, if estimate_fallback -> EstimateOnly (skip synthesis /
 ///                                                simulation, return the
 ///                                                APE estimate alone)
@@ -30,14 +31,9 @@
 /// EstimateOnly (retrying cannot change the answer) and from there to
 /// Fail.
 ///
-/// Backoff between attempts is exponential with deterministic jitter:
-/// backoff_s(job, attempt) is a pure function of (policy, job, attempt)
-/// via Rng::derive_stream, so a supervised run waits the same amount
-/// run-to-run and replay of a failing schedule is exact.
+/// Attempts run back to back: no attempt waits on a contended resource,
+/// so there is no backoff between them.
 
-#include <cstdint>
-
-#include "src/util/diagnostics.h"
 #include "src/util/error.h"
 
 namespace ape {
@@ -47,7 +43,7 @@ enum class RetryRung {
   Initial,          ///< attempt 0, normal configuration
   Retry,            ///< plain re-run
   NumericRecovery,  ///< re-run under NumericHealthMode::Force
-  Relaxed,          ///< re-run under the policy's SolverRelaxation
+  Relaxed,          ///< re-run with JobContext::relaxed set
   EstimateOnly,     ///< APE estimate fallback, no synthesis / simulation
   Fail,             ///< ladder exhausted
 };
@@ -67,25 +63,6 @@ struct RetryPolicy {
   /// Final rung: fall back to the bare APE estimate when every synthesis
   /// attempt failed (the estimate is analytic and nearly always exists).
   bool estimate_fallback = false;
-  /// Retry jobs whose synthesis finished but whose simulator
-  /// verification threw (outcome.sim_failed): the verification failure
-  /// is usually a transient non-convergence that the Relaxed rung can
-  /// clear. Jobs that ran out of ladder keep their best-so-far outcome.
-  bool retry_sim_failures = true;
-
-  /// Relaxation applied on Relaxed rungs.
-  SolverRelaxation relaxation;
-
-  /// First backoff wait in seconds (0 disables waiting entirely).
-  double backoff_base_s = 0.0;
-  /// Multiplier per subsequent attempt.
-  double backoff_factor = 2.0;
-  /// Cap on a single wait.
-  double backoff_max_s = 5.0;
-  /// +/- fraction of deterministic jitter applied to each wait.
-  double jitter_frac = 0.25;
-  /// Seed of the jitter streams (derived per (job, attempt)).
-  uint64_t jitter_seed = 0x5eedULL;
 
   /// Total attempts the ladder allows (initial + retries + relaxed +
   /// the estimate fallback when enabled). Always >= 1.
@@ -103,13 +80,6 @@ struct RetryPolicy {
   /// The 0-based attempt ordinal of the EstimateOnly rung (==
   /// max_attempts() - 1 when the fallback is enabled, -1 otherwise).
   int estimate_attempt() const;
-
-  /// Deterministic backoff before 0-based attempt \p attempt of job
-  /// \p job: backoff_base_s * backoff_factor^(attempt-1), jittered by
-  /// +/- jitter_frac from the stream derived of (jitter_seed, job,
-  /// attempt), capped at backoff_max_s. 0 for the initial attempt or
-  /// when backoff_base_s == 0.
-  double backoff_s(uint64_t job, int attempt) const;
 };
 
 }  // namespace ape

@@ -58,7 +58,6 @@ TEST(ErrorContext, StackIsPerThread) {
 // JobContext: one table over its fields drives the fork and restore checks.
 
 const RunBudget kBudget;
-const SolverRelaxation kRelaxation;
 KernelStats g_sink;
 spice::FaultInjector g_injector;
 
@@ -76,8 +75,8 @@ const ContextField kFields[] = {
      }},
     {"budget", true, [](JobContext& c) { c.budget = &kBudget; },
      [](const JobContext& c) { return c.budget == &kBudget; }},
-    {"relaxation", true, [](JobContext& c) { c.relaxation = &kRelaxation; },
-     [](const JobContext& c) { return c.relaxation == &kRelaxation; }},
+    {"relaxed", true, [](JobContext& c) { c.relaxed = true; },
+     [](const JobContext& c) { return c.relaxed; }},
     {"health_mode", true,
      [](JobContext& c) { c.health_mode = NumericHealthMode::Force; },
      [](const JobContext& c) {

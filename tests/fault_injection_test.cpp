@@ -106,10 +106,10 @@ TEST(FaultInjection, PoisonedStampFailsFastAndRecovers) {
   EXPECT_EQ(rep.nonfinite_rejections, 1);
   EXPECT_EQ(fi.counts().injected_nonfinite, 1);
   // Fail-fast contract: the poisoned rung dies after ONE iteration
-  // instead of burning max_iterations (300) on NaN updates. The whole
+  // instead of burning kDcMaxIterations (300) on NaN updates. The whole
   // recovery (source stepping + full ladder) stays far below one rung's
   // iteration cap.
-  EXPECT_LT(rep.newton_iterations, opts.max_iterations);
+  EXPECT_LT(rep.newton_iterations, kDcMaxIterations);
   EXPECT_NEAR(node_voltage(ckt, sol, "d"), unfaulted_diode_voltage(), 1e-9);
 }
 
@@ -152,9 +152,8 @@ TEST(FaultInjection, GminRungVetoRecoversViaSourceStepping) {
   EXPECT_TRUE(rep.converged);
   EXPECT_EQ(rep.plan, DcPlan::SourceStepping);
   EXPECT_EQ(rep.convergence_vetoes, 1);
-  EXPECT_EQ(rep.source_steps_completed,
-            static_cast<int>(opts.source_steps.size()));
-  EXPECT_EQ(rep.gmin_rungs_completed, static_cast<int>(opts.gmin_steps.size()));
+  EXPECT_EQ(rep.source_steps_completed, static_cast<int>(kSourceSteps.size()));
+  EXPECT_EQ(rep.gmin_rungs_completed, static_cast<int>(kGminSteps.size()));
   EXPECT_NEAR(node_voltage(ckt, sol, "d"), unfaulted_diode_voltage(), 1e-9);
 }
 

@@ -125,6 +125,20 @@ R1 out 0 1k
   EXPECT_TRUE(rep.ok());
 }
 
+TEST(LintNetlist, AliasBehindParserPunctuationGetsNote) {
+  // The parser's tokenizer also splits on '(', ')', '=' and ',', so
+  // "(Out)" names node "Out" and is folded into "out".
+  const Report rep = lint_netlist(R"(paren alias
+V1 (Out) 0 DC 1
+R1 out 0 1k
+)");
+  ASSERT_TRUE(rep.has("APE-L008"));
+  EXPECT_NE(rep.first("APE-L008")->message.find("'Out', 'out'"),
+            std::string::npos)
+      << rep.first("APE-L008")->message;
+  EXPECT_TRUE(rep.ok());
+}
+
 TEST(LintNetlist, ParseFailureIsSingleFinding) {
   const Report rep = lint_netlist("broken\nQ1 a b c bjt\n");
   ASSERT_TRUE(rep.has("APE-P001"));
@@ -383,9 +397,7 @@ V1 in 0 DC 10
 R1 in mid 1k
 R2 mid 0 3k
 )");
-  spice::DcOptions opts;
-  opts.preflight = preflight();
-  const spice::Solution sol = spice::dc_operating_point(ckt, opts);
+  const spice::Solution sol = lint_first_dc(ckt);
   EXPECT_NEAR(spice::node_voltage(ckt, sol, "mid"), 7.5, 1e-6);
 }
 

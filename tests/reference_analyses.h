@@ -24,15 +24,23 @@ namespace ape::test {
 
 using spice::AcResult;
 using spice::Circuit;
-using spice::DcOptions;
 using spice::MnaComplex;
 using spice::MnaReal;
 using spice::NodeId;
 using spice::Solution;
 using spice::TranContext;
-using spice::TranOptions;
 using spice::TranResult;
+using spice::kAbstol;
+using spice::kDcMaxIterations;
+using spice::kGminSteps;
+using spice::kMaxDampingRatio;
+using spice::kMaxStepHalvings;
+using spice::kReltol;
 using spice::kSeededMaxIterations;
+using spice::kSourceSteps;
+using spice::kTranMaxIterations;
+using spice::kVntol;
+using spice::kVstepLimit;
 
 inline bool ref_all_finite(const std::vector<double>& v) {
   for (double e : v) {
@@ -42,11 +50,11 @@ inline bool ref_all_finite(const std::vector<double>& v) {
 }
 
 inline bool ref_newton_dc(Circuit& ckt, Solution& x, double gmin, double src_scale,
-                          const DcOptions& opts) {
+                          int max_iterations = kDcMaxIterations) {
   const size_t dim = ckt.dim();
   const size_t n_nodes = ckt.num_nodes();
   MnaReal mna(dim);
-  for (int iter = 0; iter < opts.max_iterations; ++iter) {
+  for (int iter = 0; iter < max_iterations; ++iter) {
     mna.clear();
     for (const auto& dev : ckt.devices()) dev->stamp_dc(mna, x, src_scale);
     for (size_t i = 0; i < n_nodes; ++i) {
@@ -64,15 +72,15 @@ inline bool ref_newton_dc(Circuit& ckt, Solution& x, double gmin, double src_sca
     double max_ratio = 1.0;
     for (size_t i = 0; i < n_nodes; ++i) {
       const double dv = std::fabs(xnew[i] - x.x[i]);
-      if (dv > opts.vstep_limit) max_ratio = std::max(max_ratio, dv / opts.vstep_limit);
+      if (dv > kVstepLimit) max_ratio = std::max(max_ratio, dv / kVstepLimit);
     }
-    max_ratio = std::min(max_ratio, opts.max_damping_ratio);
+    max_ratio = std::min(max_ratio, kMaxDampingRatio);
     for (size_t i = 0; i < dim; ++i) {
       const double step = (xnew[i] - x.x[i]) / max_ratio;
       const double next = x.x[i] + step;
       const double tol = (i < n_nodes)
-                             ? opts.vntol + opts.reltol * std::max(std::fabs(next), std::fabs(x.x[i]))
-                             : opts.abstol + opts.reltol * std::max(std::fabs(next), std::fabs(x.x[i]));
+                             ? kVntol + kReltol * std::max(std::fabs(next), std::fabs(x.x[i]))
+                             : kAbstol + kReltol * std::max(std::fabs(next), std::fabs(x.x[i]));
       if (std::fabs(step) > tol) converged = false;
       x.x[i] = next;
     }
@@ -82,24 +90,21 @@ inline bool ref_newton_dc(Circuit& ckt, Solution& x, double gmin, double src_sca
 }
 
 inline Solution ref_dc_operating_point(Circuit& ckt) {
-  const DcOptions opts;
   ckt.finalize();
   Solution x;
   x.x.assign(ckt.dim(), 0.0);
   bool ok = false;
   if (!ckt.nodesets().empty()) {
-    DcOptions seeded = opts;
-    seeded.max_iterations = kSeededMaxIterations;
     for (const Circuit::NodeSet& ns : ckt.nodesets()) {
       x.x[static_cast<size_t>(ns.node)] = ns.volts;
     }
-    ok = ref_newton_dc(ckt, x, opts.gmin_steps.back(), 1.0, seeded);
+    ok = ref_newton_dc(ckt, x, kGminSteps.back(), 1.0, kSeededMaxIterations);
     if (!ok) x.x.assign(ckt.dim(), 0.0);
   }
   if (!ok) {
     ok = true;
-    for (double gmin : opts.gmin_steps) {
-      if (!ref_newton_dc(ckt, x, gmin, 1.0, opts)) {
+    for (double gmin : kGminSteps) {
+      if (!ref_newton_dc(ckt, x, gmin, 1.0)) {
         ok = false;
         break;
       }
@@ -108,15 +113,15 @@ inline Solution ref_dc_operating_point(Circuit& ckt) {
   if (!ok) {
     x.x.assign(ckt.dim(), 0.0);
     ok = true;
-    for (double s : opts.source_steps) {
-      if (!ref_newton_dc(ckt, x, 1e-9, s, opts)) {
+    for (double s : kSourceSteps) {
+      if (!ref_newton_dc(ckt, x, 1e-9, s)) {
         ok = false;
         break;
       }
     }
     if (ok) {
-      for (double gmin : opts.gmin_steps) {
-        if (!ref_newton_dc(ckt, x, gmin, 1.0, opts)) {
+      for (double gmin : kGminSteps) {
+        if (!ref_newton_dc(ckt, x, gmin, 1.0)) {
           ok = false;
           break;
         }
@@ -151,7 +156,6 @@ inline AcResult ref_ac_analysis(Circuit& ckt, double f_start, double f_stop,
 }
 
 inline TranResult ref_transient(Circuit& ckt, double t_step, double t_stop) {
-  const TranOptions opts;
   Solution x = ref_dc_operating_point(ckt);
   TranResult out;
   out.time_s.push_back(0.0);
@@ -170,7 +174,7 @@ inline TranResult ref_transient(Circuit& ckt, double t_step, double t_stop) {
       TranContext tc{dt, t + dt, first};
       Solution xc = x;
       bool converged = false;
-      for (int iter = 0; iter < opts.max_iterations; ++iter) {
+      for (int iter = 0; iter < kTranMaxIterations; ++iter) {
         mna.clear();
         for (const auto& dev : ckt.devices()) dev->stamp_tran(mna, xc, tc);
         for (size_t i = 0; i < n_nodes; ++i) {
@@ -187,7 +191,7 @@ inline TranResult ref_transient(Circuit& ckt, double t_step, double t_stop) {
         converged = true;
         for (size_t i = 0; i < dim; ++i) {
           const double step = xnew[i] - xc.x[i];
-          const double tol = opts.vntol + opts.reltol *
+          const double tol = kVntol + kReltol *
                                  std::max(std::fabs(xnew[i]), std::fabs(xc.x[i]));
           if (std::fabs(step) > tol) converged = false;
           xc.x[i] = xnew[i];
@@ -202,7 +206,7 @@ inline TranResult ref_transient(Circuit& ckt, double t_step, double t_stop) {
         first = false;
         continue;
       }
-      if (++halvings > opts.max_step_halvings) {
+      if (++halvings > kMaxStepHalvings) {
         throw NumericError("ref_transient: Newton failed");
       }
       dt *= 0.5;

@@ -314,6 +314,11 @@ TEST(ServeDaemon, MalformedPayloadDoesNotCorruptTheConnection) {
   json::Value stats = call_json(client, "{\"op\":\"stats\"}");
   EXPECT_EQ(num_field(stats, "malformed_frames"), 2.0);
   EXPECT_EQ(num_field(stats, "framing_errors"), 0.0);
+  // A payload that fails to parse was never admitted, so the ledger of
+  // admitted requests stays balanced.
+  EXPECT_EQ(num_field(stats, "accepted"),
+            num_field(stats, "completed_ok") + num_field(stats, "cancelled") +
+                num_field(stats, "errors"));
   EXPECT_EQ(daemon.stop(), 0);
 }
 
@@ -332,6 +337,9 @@ TEST(ServeDaemon, DeeplyNestedFrameAnswersErrorAndKeepsTheConnection) {
   EXPECT_EQ(field(call_json(client, "{\"op\":\"ping\"}"), "status"), "ok");
   json::Value stats = call_json(client, "{\"op\":\"stats\"}");
   EXPECT_EQ(num_field(stats, "malformed_frames"), 1.0);
+  EXPECT_EQ(num_field(stats, "accepted"),
+            num_field(stats, "completed_ok") + num_field(stats, "cancelled") +
+                num_field(stats, "errors"));
   EXPECT_EQ(daemon.stop(), 0);
 }
 

@@ -207,6 +207,34 @@ TEST(SpiceDcSeeded, NoNodesetKeepsLadderCountersExactly) {
   EXPECT_EQ(rep.convergence_vetoes, 0);
 }
 
+TEST(SpiceDcRelaxed, RelaxedRungWidensTolerancesAndStopsTheLadderEarly) {
+  // Pinned from the solver before the relaxed rung's values became
+  // constants: the same mirror solved plainly and on the supervision
+  // ladder's relaxed rung (tolerances x10, gmin ladder stopped at 1e-10).
+  ConvergenceReport plain;
+  const Solution want = solve(kMirrorNetlist, plain);
+  ConvergenceReport relaxed;
+  Solution got;
+  {
+    ScopedJobContext scope([](JobContext& c) { c.relaxed = true; });
+    got = solve(kMirrorNetlist, relaxed);
+  }
+  EXPECT_FALSE(plain.relaxed_tolerances);
+  EXPECT_EQ(plain.plan, DcPlan::GminLadder);
+  EXPECT_EQ(plain.final_gmin, 1e-12);
+  EXPECT_EQ(plain.gmin_rungs_completed, 11);
+  EXPECT_EQ(plain.newton_iterations, 37);
+  EXPECT_TRUE(relaxed.relaxed_tolerances);
+  EXPECT_EQ(relaxed.plan, DcPlan::GminLadder);
+  EXPECT_EQ(relaxed.final_gmin, 1e-10);
+  EXPECT_EQ(relaxed.gmin_rungs_completed, 9);
+  EXPECT_EQ(relaxed.newton_iterations, 32);
+  // Node "out" (MNA row 2), bit for bit: the wider tolerances stop
+  // Newton a few microvolts short of the plain answer.
+  EXPECT_EQ(want.x.at(2), 0x1.f9602974dd0afp+1);
+  EXPECT_EQ(got.x.at(2), 0x1.f9601453217e1p+1);
+}
+
 TEST(SpiceDcSeeded, GoodSeedConvergesOnTheSeededPlan) {
   ConvergenceReport ladder;
   const Solution want = solve(kMirrorNetlist, ladder);

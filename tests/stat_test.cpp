@@ -270,15 +270,6 @@ TEST(StatStreamIds, MismatchIdsNeverCollideAcrossTheGridOrWithBatchIds) {
   }
 }
 
-TEST(StatStreamIds, RetryJitterIdsAreInjectivePerJobAttempt) {
-  std::set<uint64_t> seen;
-  for (uint64_t j = 0; j < 64; ++j) {
-    for (uint64_t a = 0; a < 16; ++a) {
-      EXPECT_TRUE(seen.insert(streams::kRetryJitterStream(j, a)).second);
-    }
-  }
-}
-
 TEST(StatStreamIds, PackingRoundTripsItsFields) {
   const uint64_t id = streams::kMismatchStream(12345, 5, 67890);
   EXPECT_EQ((id >> 26) & ((uint64_t(1) << 30) - 1), 12345u);

@@ -1,6 +1,6 @@
 /// \file supervisor_test.cpp
 /// The supervised batch runtime (DESIGN.md section 10): retry ladder
-/// mechanics, deterministic backoff, quarantine circuit breaker, per-job
+/// mechanics, quarantine circuit breaker, per-job
 /// deadlines and cancellation, checkpoint/resume bit-exactness, and the
 /// acceptance scenario of the supervision layer — a batch containing a
 /// hanging spec, a transiently failing spec and a permanently broken
@@ -12,7 +12,6 @@
 
 #include <bit>
 #include <cfloat>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -125,30 +124,6 @@ TEST(SupervisorRetryPolicy, PermanentFailuresSkipToEstimate) {
   EXPECT_EQ(bare.max_attempts(), 1);
   EXPECT_EQ(bare.next_rung(ErrorClass::Transient, 0), RetryRung::Fail);
   EXPECT_EQ(bare.next_rung(ErrorClass::Permanent, 0), RetryRung::Fail);
-}
-
-TEST(SupervisorRetryPolicy, BackoffIsDeterministicBoundedAndGrows) {
-  RetryPolicy p;
-  p.backoff_base_s = 0.1;
-  p.backoff_factor = 2.0;
-  p.backoff_max_s = 1.0;
-  p.jitter_frac = 0.25;
-  EXPECT_EQ(p.backoff_s(0, 0), 0.0);  // no wait before the first attempt
-  for (uint64_t job = 0; job < 4; ++job) {
-    for (int attempt = 1; attempt < 6; ++attempt) {
-      const double w1 = p.backoff_s(job, attempt);
-      const double w2 = p.backoff_s(job, attempt);
-      EXPECT_EQ(w1, w2) << "backoff must be a pure function";
-      const double nominal =
-          std::min(0.1 * std::pow(2.0, attempt - 1), p.backoff_max_s);
-      EXPECT_GE(w1, nominal * 0.75 - 1e-12);
-      EXPECT_LE(w1, std::min(nominal * 1.25, p.backoff_max_s) + 1e-12);
-    }
-  }
-  // Jitter decorrelates jobs: not every job waits the same.
-  EXPECT_NE(p.backoff_s(1, 1), p.backoff_s(2, 1));
-  RetryPolicy off;
-  EXPECT_EQ(off.backoff_s(3, 2), 0.0);  // base 0 disables waiting
 }
 
 // ---------------------------------------------------------------------------
